@@ -226,6 +226,10 @@ def subsets_to_circuit(subsets: Sequence[Iterable[int]], n: int) -> MonotoneCirc
 
 _TOKEN_RE = re.compile(r"r(\d+)|atleast\b|\d+|[&|();,]")
 
+# The parser recurses once per parenthesis level; deeper formulas are
+# rejected as syntax errors instead of exhausting the interpreter stack.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
     tokens: list[tuple[str, int, int]] = []
@@ -256,6 +260,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, int, int]:
         return self.tokens[self.i]
@@ -296,8 +301,12 @@ class _Parser:
                 raise FormulaSyntaxError(f"variable r{value}: indices are 1-based", pos)
             return Var(value)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise FormulaSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.take("(")
+            self.depth += 1
             node = self.expr()
+            self.depth -= 1
             self.take(")")
             return node
         if kind == "atleast":

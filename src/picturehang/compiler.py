@@ -8,6 +8,13 @@ role: they are ordinary removable nails and the glue of every gadget.
                 with a = p x1 p x1^-1, a~ = p x1^-1 p x1,
                      b = q x2 q x2^-1, b~ = q x2^-1 q x2
 
+Each template is defined once, as a token list (`and_template_tokens`,
+`or_template_tokens`), and those tokens drive both word building and
+accounting: a gadget splices its argument words into the template's slots
+and reduces once, and the slot counts below are counts of the same tokens.
+Reduced words are a normal form, so one reduction of the whole layout
+equals reducing after every inner AND and commutator.
+
 Laid out with single-letter arguments the AND template has 14 letters (4
 copies of p, 4 of q, 6 glue) and the OR template 1,078.  Two bookkeepings
 of the OR expansion are exposed: the flat one counts 256 p-slots, 256
@@ -63,7 +70,6 @@ from .words import (
     NailSubset,
     Word,
     fall_table,
-    raw_concat,
     raw_inverse,
 )
 
@@ -73,11 +79,6 @@ DEFAULT_LETTER_BUDGET = 10**7
 # backs off and the report says so instead of silently burning minutes.
 _AUTO_VERIFY_WORK = 300_000_000
 
-_X1 = Word((1,), reduced=True)
-_X1_INV = Word((-1,), reduced=True)
-_X2 = Word((2,), reduced=True)
-_X2_INV = Word((-2,), reduced=True)
-
 
 class BudgetExceededError(ValueError):
     """Estimated output length exceeds the letter budget."""
@@ -85,21 +86,12 @@ class BudgetExceededError(ValueError):
 
 def gadget_and(p: Word, q: Word) -> Word:
     """Word falling iff both argument words have fallen, reduced."""
-    block = raw_inverse(raw_concat(q, _X2, q, _X2_INV))
-    return raw_concat(p, p, _X1, p, p, _X1_INV, block, block).reduce()
+    return _lay_out(_AND_TEMPLATE, p, q).reduce()
 
 
 def gadget_or(p: Word, q: Word) -> Word:
     """Word falling iff at least one argument word has fallen, reduced."""
-    a = raw_concat(p, _X1, p, _X1_INV)
-    a_flip = raw_concat(p, _X1_INV, p, _X1)
-    b = raw_concat(q, _X2, q, _X2_INV)
-    b_flip = raw_concat(q, _X2_INV, q, _X2)
-    k11 = _commutator(a, b)
-    k12 = _commutator(a, b_flip)
-    k21 = _commutator(a_flip, b)
-    k22 = _commutator(a_flip, b_flip)
-    return gadget_and(gadget_and(k11, k12), gadget_and(k21, k22))
+    return _lay_out(_OR_TEMPLATE, p, q).reduce()
 
 
 def gadget_and_tree(words: Sequence[Word]) -> Word:
@@ -118,10 +110,6 @@ def _and_tree(words: Sequence[Word]) -> tuple[Word, int]:
     left = gadget_and_tree(words[:half])
     right = gadget_and_tree(words[half:])
     return gadget_and(left, right), and_splice_cost(len(left.letters), len(right.letters))
-
-
-def _commutator(a: Word, b: Word) -> Word:
-    return raw_concat(a, b, raw_inverse(a), raw_inverse(b)).reduce()
 
 
 def and_splice_cost(len_p: int, len_q: int) -> int:
@@ -172,6 +160,26 @@ def or_template_tokens() -> list[_Token]:
     k21 = _t_comm(a_flip, b)
     k22 = _t_comm(a_flip, b_flip)
     return _t_and(_t_and(k11, k12), _t_and(k21, k22))
+
+
+_AND_TEMPLATE = tuple(and_template_tokens())
+_OR_TEMPLATE = tuple(or_template_tokens())
+
+
+def _lay_out(template: tuple[_Token, ...], p: Word, q: Word) -> Word:
+    """The template with p, p^-1, q and q^-1 spliced into its slots, unreduced."""
+    args = {"P": p, "Q": q}
+    slots = {
+        (name, sign): (args[name] if sign > 0 else raw_inverse(args[name])).letters
+        for name, sign in {t for t in template if not isinstance(t, int)}
+    }
+    out: list[int] = []
+    for t in template:
+        if isinstance(t, int):
+            out.append(t)
+        else:
+            out.extend(slots[t])
+    return Word(tuple(out))
 
 
 @dataclass(frozen=True)

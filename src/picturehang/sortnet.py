@@ -153,11 +153,16 @@ def network_to_circuit(
     if len(wires) != net.width:
         raise ValueError(f"expected {net.width} inputs, got {len(wires)}")
     n = max((node.index for node in wires if isinstance(node, Var)), default=0)
+    _wire(net, wires)
+    return fold_constants(MonotoneCircuit(n, wires[output_wire - 1]))
+
+
+def _wire(net: ComparatorNetwork, wires: list[Node]) -> None:
+    """Run the network over the nodes in place: min becomes AND, max becomes OR."""
     for comp in net.comparators():
         a, b = wires[comp.low - 1], wires[comp.high - 1]
         wires[comp.low - 1] = make_and(a, b)
         wires[comp.high - 1] = make_or(a, b)
-    return fold_constants(MonotoneCircuit(n, wires[output_wire - 1]))
 
 
 def threshold_over(k: int, inputs: Sequence[Node]) -> Node:
@@ -172,10 +177,7 @@ def threshold_over(k: int, inputs: Sequence[Node]) -> Node:
     # Constant-false pads sit on the lowest wires, where an ascending sort
     # would leave them anyway; folding then erases every pad comparator.
     wires: list[Node] = [FALSE] * (width - m) + list(inputs)
-    for comp in net.comparators():
-        a, b = wires[comp.low - 1], wires[comp.high - 1]
-        wires[comp.low - 1] = make_and(a, b)
-        wires[comp.high - 1] = make_or(a, b)
+    _wire(net, wires)
     return wires[width - k]
 
 

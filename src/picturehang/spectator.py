@@ -18,6 +18,7 @@ from .words import (
     ExhaustiveLimitError,
     NailSubset,
     Word,
+    _residual,
     remove_nails,
 )
 
@@ -27,21 +28,6 @@ __all__ = [
     "greedy_min_fell",
     "set_cover_to_hanging",
 ]
-
-
-def _falls_mask(letters: Sequence[int], mask: int) -> bool:
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    for x in letters:
-        nail = x if x > 0 else -x
-        if (mask >> (nail - 1)) & 1:
-            continue
-        if stack and stack[-1] == -x:
-            pop()
-        else:
-            push(x)
-    return not stack
 
 
 def _masks_of_size(n: int, k: int) -> Iterator[int]:
@@ -79,7 +65,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     letters = w.reduce().letters
     for k in range(n + 1):
         for mask in _masks_of_size(n, k):
-            if _falls_mask(letters, mask):
+            if not _residual(letters, mask):
                 return NailSubset(n, mask)
     raise AssertionError("unreachable: the full subset always fells")
 
@@ -98,7 +84,7 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
         raise ValueError("word is trivial: the picture has already fallen")
     for k in range(n - 1, -1, -1):
         for mask in _masks_of_size(n, k):
-            if not _falls_mask(letters, mask):
+            if _residual(letters, mask):
                 return NailSubset(n, mask)
     raise AssertionError("unreachable: the empty subset hangs a nontrivial word")
 

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from itertools import filterfalse
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
+
+# Word length from which _residual filters removed nails with a set.
+_SET_FILTER_MIN = 64
 
 
 class ExhaustiveLimitError(ValueError):
@@ -86,7 +90,7 @@ class Word:
     def reduce(self) -> "Word":
         if self.reduced:
             return self
-        return Word(tuple(_reduce_seq(self.letters)), reduced=True)
+        return Word(tuple(_residual(self.letters)), reduced=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
@@ -106,7 +110,25 @@ class Word:
 EMPTY_WORD = Word((), reduced=True)
 
 
-def _reduce_seq(letters: Iterable[int]) -> list[int]:
+def _residual(letters: Sequence[int], mask: int = 0) -> list[int]:
+    """Reduced letters left after deleting those on the nails set in ``mask``.
+
+    The one free-reduction kernel: every reduction and fall test runs this
+    stack loop.  Masked letters are filtered out before the loop rather than
+    tested inside it, which keeps plain reduction at full speed.  Long words
+    are filtered in C against a set of the dropped letters; building that
+    set costs more than it saves on words shorter than _SET_FILTER_MIN.
+    """
+    if mask and len(letters) >= _SET_FILTER_MIN:
+        drop = {
+            sign * nail
+            for nail in range(1, mask.bit_length() + 1)
+            if (mask >> (nail - 1)) & 1
+            for sign in (1, -1)
+        }
+        letters = filterfalse(drop.__contains__, letters)
+    elif mask:
+        letters = [x for x in letters if not (mask >> ((x if x > 0 else -x) - 1)) & 1]
     stack: list[int] = []
     push = stack.append
     pop = stack.pop
@@ -177,36 +199,12 @@ def _as_mask(nails: "NailSubset | Iterable[int]") -> int:
 
 def remove_nails(w: Word, nails: "NailSubset | Iterable[int]") -> Word:
     """Reduced residual word after deleting every letter on the given nails."""
-    mask = _as_mask(nails)
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    for x in w.letters:
-        nail = x if x > 0 else -x
-        if (mask >> (nail - 1)) & 1:
-            continue
-        if stack and stack[-1] == -x:
-            pop()
-        else:
-            push(x)
-    return Word(tuple(stack), reduced=True)
+    return Word(tuple(_residual(w.letters, _as_mask(nails))), reduced=True)
 
 
 def falls(w: Word, nails: "NailSubset | Iterable[int]") -> bool:
     """True iff the picture falls when the given nails are removed."""
-    mask = _as_mask(nails)
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    for x in w.letters:
-        nail = x if x > 0 else -x
-        if (mask >> (nail - 1)) & 1:
-            continue
-        if stack and stack[-1] == -x:
-            pop()
-        else:
-            push(x)
-    return not stack
+    return not _residual(w.letters, _as_mask(nails))
 
 
 def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[bool]:
@@ -223,22 +221,7 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
             f"exhaustive limit {limit}; pass limit={n} to allow it"
         )
     letters = w.reduce().letters
-    table = []
-    append = table.append
-    for mask in range(1 << n):
-        stack: list[int] = []
-        push = stack.append
-        pop = stack.pop
-        for x in letters:
-            nail = x if x > 0 else -x
-            if (mask >> (nail - 1)) & 1:
-                continue
-            if stack and stack[-1] == -x:
-                pop()
-            else:
-                push(x)
-        append(not stack)
-    return table
+    return [not _residual(letters, mask) for mask in range(1 << n)]
 
 
 def is_monotone_table(table: list[bool], n: int) -> bool:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from picturehang.circuits import (
+    MAX_NESTING,
     Const,
     FormulaSyntaxError,
     Gate,
@@ -71,6 +72,16 @@ def test_formula_position_in_error():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse_formula("r1 & $")
     assert exc.value.position == 5
+
+
+def test_parse_formula_bounds_nesting_depth():
+    def nested(depth):
+        return "(" * depth + "r1" + ")" * depth
+
+    assert parse_formula(nested(MAX_NESTING)).root == Var(1)
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(nested(MAX_NESTING + 1))
+    assert exc.value.position == MAX_NESTING
 
 
 def test_format_parse_round_trip():

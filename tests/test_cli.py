@@ -85,6 +85,18 @@ def test_verify_ok_and_corrupted(capsys, tmp_path):
     assert "mismatch at subset {" in out
 
 
+def test_verify_limit_applies_to_the_spec_table(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 21, "subsets": [[1]]}')
+    word = tmp_path / "w.txt"
+    word.write_text("x1")
+    code, out, _ = run(
+        capsys, "verify", "--word", str(word), "--spec", str(spec), "--limit", "21"
+    )
+    assert code == 0
+    assert out.strip() == f"verified: word realizes the spec on all {1 << 21} subsets"
+
+
 def test_solve_min_fell_and_max_survive(capsys, tmp_path):
     word = tmp_path / "w.txt"
     word.write_text("x1 x2 x3 X1 X2 X3")
@@ -144,6 +156,15 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     missing = tmp_path / "missing.txt"
     assert run(capsys, "table", "--word", str(missing), "--n", "2")[0] == 2
     assert run(capsys, "compile", "--formula", "r1 &")[0] == 2
+
+
+def test_deeply_nested_formula_is_a_usage_error(capsys):
+    deep = "(" * 3000 + "r1" + ")" * 3000
+    code, out, err = run(capsys, "compile", "--formula", deep)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nested deeper than" in err
 
 
 def test_outputs_are_deterministic(capsys):

@@ -1,5 +1,7 @@
 """Gate gadgets, template accounting, and the circuit-to-word compiler."""
 
+import random
+
 import pytest
 
 from picturehang.circuits import (
@@ -26,7 +28,7 @@ from picturehang.compiler import (
     or_template_tokens,
 )
 from picturehang.circuits import UnrealizableSpecError
-from picturehang.words import EMPTY_WORD, Word, fall_table
+from picturehang.words import EMPTY_WORD, Word, commutator, concat, fall_table, inverse
 
 X3, X4 = Word((3,)), Word((4,))
 
@@ -56,6 +58,36 @@ def test_gadget_or_collapses_when_both_anchors_removed():
     diffs = [m for m in range(16) if got[m] != want[m]]
     assert diffs == [0b0011]
     assert got[0b0011] is True
+
+
+def test_gadgets_equal_their_group_formulas_on_random_words():
+    # The module docstring's AND and OR, written with reduced group
+    # operations, must give the gadgets' words letter for letter: laying a
+    # template out and reducing once yields the same normal form.
+    x1, x2 = Word((1,)), Word((2,))
+
+    def and_formula(p, q):
+        block = inverse(concat(q, x2, q, inverse(x2)))
+        return concat(p, p, x1, p, p, inverse(x1), block, block)
+
+    def or_formula(p, q):
+        a, a_flip = concat(p, x1, p, inverse(x1)), concat(p, inverse(x1), p, x1)
+        b, b_flip = concat(q, x2, q, inverse(x2)), concat(q, inverse(x2), q, x2)
+        return and_formula(
+            and_formula(commutator(a, b), commutator(a, b_flip)),
+            and_formula(commutator(a_flip, b), commutator(a_flip, b_flip)),
+        )
+
+    rng = random.Random(2012)
+
+    def random_word():
+        letters = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(rng.randint(1, 7))]
+        return Word(tuple(letters)).reduce()
+
+    for _ in range(25):
+        p, q = random_word(), random_word()
+        assert gadget_and(p, q).letters == and_formula(p, q).letters
+        assert gadget_or(p, q).letters == or_formula(p, q).letters
 
 
 def test_template_accounting():

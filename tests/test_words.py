@@ -28,6 +28,7 @@ from picturehang.words import (
     word_from_json,
     word_to_json,
 )
+from picturehang.words import _SET_FILTER_MIN
 
 letters_st = st.lists(
     st.integers(min_value=-6, max_value=6).filter(lambda x: x != 0), max_size=40
@@ -81,6 +82,18 @@ def test_remove_nails_deletes_and_reduces():
     assert remove_nails(w, {2}).letters == (1, 3, -1, -3)
     assert remove_nails(w, {1, 2, 3}) == EMPTY_WORD
     assert remove_nails(w, NailSubset.from_members(3, [2])).letters == (1, 3, -1, -3)
+
+
+def test_remove_nails_equals_deleting_then_reducing_at_every_length():
+    # Words below and above the kernel's set-filter length drop the removed
+    # nails' letters by different filters ahead of the same stack loop.
+    rng = random.Random(5)
+    for length in (10, _SET_FILTER_MIN - 1, _SET_FILTER_MIN, 300):
+        w = Word(tuple(rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(length)))
+        for mask in range(1 << 6):
+            kept = Word(tuple(x for x in w.letters if not (mask >> (abs(x) - 1)) & 1))
+            assert remove_nails(w, NailSubset(6, mask)).letters == kept.reduce().letters
+            assert falls(w, NailSubset(6, mask)) == (not kept.reduce().letters)
 
 
 def test_falls_matches_residual_triviality():
