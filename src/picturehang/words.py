@@ -20,9 +20,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 
-# Word length from which _residual filters removed nails with a set.
-_SET_FILTER_MIN = 64
-
 
 class ExhaustiveLimitError(ValueError):
     """Raised when a 2^n enumeration is requested beyond the configured limit."""
@@ -114,21 +111,19 @@ def _residual(letters: Sequence[int], mask: int = 0) -> list[int]:
     """Reduced letters left after deleting those on the nails set in ``mask``.
 
     The one free-reduction kernel: every reduction and fall test runs this
-    stack loop.  Masked letters are filtered out before the loop rather than
-    tested inside it, which keeps plain reduction at full speed.  Long words
-    are filtered in C against a set of the dropped letters; building that
-    set costs more than it saves on words shorter than _SET_FILTER_MIN.
+    stack loop.  Masked letters are filtered out in C, against a set of the
+    dropped letters built from the mask's set bits, before the loop rather
+    than tested inside it, which keeps plain reduction at full speed.
     """
-    if mask and len(letters) >= _SET_FILTER_MIN:
-        drop = {
-            sign * nail
-            for nail in range(1, mask.bit_length() + 1)
-            if (mask >> (nail - 1)) & 1
-            for sign in (1, -1)
-        }
+    if mask:
+        drop: set[int] = set()
+        while mask:
+            low = mask & -mask
+            nail = low.bit_length()
+            drop.add(nail)
+            drop.add(-nail)
+            mask ^= low
         letters = filterfalse(drop.__contains__, letters)
-    elif mask:
-        letters = [x for x in letters if not (mask >> ((x if x > 0 else -x) - 1)) & 1]
     stack: list[int] = []
     push = stack.append
     pop = stack.pop
@@ -221,7 +216,10 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
             f"exhaustive limit {limit}; pass limit={n} to allow it"
         )
     letters = w.reduce().letters
-    return [not _residual(letters, mask) for mask in range(1 << n)]
+    # Nails the word does not use change nothing; masking them out keeps the
+    # kernel's set of dropped letters no larger than the word's alphabet.
+    used = _as_mask({x if x > 0 else -x for x in letters})
+    return [not _residual(letters, mask & used) for mask in range(1 << n)]
 
 
 def is_monotone_table(table: list[bool], n: int) -> bool:

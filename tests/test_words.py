@@ -28,7 +28,6 @@ from picturehang.words import (
     word_from_json,
     word_to_json,
 )
-from picturehang.words import _SET_FILTER_MIN
 
 letters_st = st.lists(
     st.integers(min_value=-6, max_value=6).filter(lambda x: x != 0), max_size=40
@@ -84,16 +83,23 @@ def test_remove_nails_deletes_and_reduces():
     assert remove_nails(w, NailSubset.from_members(3, [2])).letters == (1, 3, -1, -3)
 
 
-def test_remove_nails_equals_deleting_then_reducing_at_every_length():
-    # Words below and above the kernel's set-filter length drop the removed
-    # nails' letters by different filters ahead of the same stack loop.
+def test_remove_nails_equals_deleting_then_reducing():
     rng = random.Random(5)
-    for length in (10, _SET_FILTER_MIN - 1, _SET_FILTER_MIN, 300):
+    for length in (10, 300):
         w = Word(tuple(rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(length)))
         for mask in range(1 << 6):
             kept = Word(tuple(x for x in w.letters if not (mask >> (abs(x) - 1)) & 1))
             assert remove_nails(w, NailSubset(6, mask)).letters == kept.reduce().letters
             assert falls(w, NailSubset(6, mask)) == (not kept.reduce().letters)
+        # Nails 7 and 8 are unused, so they must not change the table.
+        assert fall_table(w, 8) == [falls(w, NailSubset(8, m)) for m in range(1 << 8)]
+
+
+def test_remove_nails_drops_one_high_numbered_nail_from_a_long_word():
+    w = Word((1, 100_000, 2, -100_000) * 50)
+    assert remove_nails(w, [100_000]) == Word((1, 2) * 50)
+    assert not falls(w, [100_000])
+    assert falls(w, [1, 2])
 
 
 def test_falls_matches_residual_triviality():
