@@ -358,19 +358,32 @@ def parse_formula(text: str, n: int | None = None) -> MonotoneCircuit:
 
 
 def format_formula(c: MonotoneCircuit) -> str:
-    """Render a circuit back to formula text, parenthesizing only where needed."""
+    """Render a circuit back to formula text, parenthesizing only where needed.
 
-    def fmt(node: Node, parent: str) -> str:
+    Iterative, so chains thousands of gates deep render without recursion:
+    the stack holds text still to emit and (node, parent op) pairs still to
+    expand, pushed right to left.
+    """
+    out: list[str] = []
+    stack: list[str | tuple[Node, str]] = [(c.root, "or")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, parent = item
         if isinstance(node, Var):
-            return f"r{node.index}"
-        if isinstance(node, Const):
-            return "true" if node.value else "false"
-        body = f"{fmt(node.left, node.op)} {'&' if node.op == 'and' else '|'} {fmt(node.right, node.op)}"
-        if parent == "and" and node.op == "or":
-            return f"({body})"
-        return body
-
-    return fmt(c.root, "or")
+            out.append(f"r{node.index}")
+        elif isinstance(node, Const):
+            out.append("true" if node.value else "false")
+        else:
+            wrap = parent == "and" and node.op == "or"
+            stack.append(")" if wrap else "")
+            stack.append((node.right, node.op))
+            stack.append(" & " if node.op == "and" else " | ")
+            stack.append((node.left, node.op))
+            stack.append("(" if wrap else "")
+    return "".join(out)
 
 
 # --- puzzle specs ---------------------------------------------------------

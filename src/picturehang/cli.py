@@ -20,7 +20,7 @@ from .circuits import (
     spec_from_json,
     spec_to_json,
 )
-from .compiler import CompileReport, compile_circuit
+from .compiler import DEFAULT_LETTER_BUDGET, CompileReport, compile_circuit
 from .constructions import build_disjoint, build_e
 from .puzzles import fixture_by_id, load_fixtures
 from .render import SUPPORTED_FORMATS, to_diagram
@@ -224,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec", help="spec JSON file")
     src.add_argument("--formula", help='formula text, e.g. "r1 & (r2 | r3)"')
     comp.add_argument("--n", type=int, default=None, help="variable count for --formula")
-    comp.add_argument("--budget", type=int, default=None)
+    comp.add_argument("--budget", type=int, default=DEFAULT_LETTER_BUDGET)
     comp.add_argument("--verify", choices=["auto", "on", "off"], default="auto")
     comp.add_argument("--json", action="store_true")
     comp.set_defaults(func=_cmd_compile)

@@ -9,6 +9,10 @@ tuples coincide.
 
 Removing a set of nails deletes every letter on those nails.  The picture
 falls for that removal iff the surviving letters reduce to the empty word.
+Deleting a nail's letters is a group homomorphism, so it commutes with
+reduction: the residual of S + {i} is the residual of S with nail i deleted
+and reduced again.  Falling is monotone, since the empty word stays empty
+under further deletions.  `fall_table` walks the subsets on both facts.
 """
 
 from __future__ import annotations
@@ -207,6 +211,15 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
 
     Bit i-1 of the index is set iff nail i is removed.  Refuses n beyond
     ``limit`` since the enumeration is exhaustive over 2^n subsets.
+
+    The subsets are walked depth first, each child removing one nail above
+    its parent's highest, and a child's residual is its parent's residual
+    with that one nail stripped and reduced again; deletion is a
+    homomorphism, so this equals reducing the whole word without the
+    child's nails.  An empty residual ends the descent: falling is
+    monotone, so every mask below it falls.  At most one residual per depth
+    is alive.  Nails above the reduced word's highest change nothing, so
+    the table over the lower nails is repeated for them.
     """
     if w.max_nail > n:
         raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
@@ -215,11 +228,21 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
             f"fall_table over n={n} enumerates 2^{n} subsets, beyond the "
             f"exhaustive limit {limit}; pass limit={n} to allow it"
         )
-    letters = w.reduce().letters
-    # Nails the word does not use change nothing; masking them out keeps the
-    # kernel's set of dropped letters no larger than the word's alphabet.
-    used = _as_mask({x if x > 0 else -x for x in letters})
-    return [not _residual(letters, mask & used) for mask in range(1 << n)]
+    root = w.reduce().letters
+    top = max(map(abs, root), default=0)  # nails above top change nothing
+    table = [not root] * (1 << top)
+
+    def walk(residual: Sequence[int], mask: int, start: int) -> None:
+        for i in range(start, top):
+            rest = _residual(residual, 1 << i)
+            if rest:
+                walk(rest, mask | 1 << i, i + 1)
+            else:  # the subtree adds only nails above i, so it is one slice
+                table[mask | 1 << i :: 2 << i] = [True] * (1 << (top - 1 - i))
+
+    if root:
+        walk(root, 0, 0)
+    return table * (1 << (n - top))
 
 
 def is_monotone_table(table: list[bool], n: int) -> bool:

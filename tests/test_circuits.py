@@ -85,9 +85,27 @@ def test_parse_formula_bounds_nesting_depth():
 
 
 def test_format_parse_round_trip():
-    for text in ("r1", "r1 & r2", "r1 | r2 & r3", "(r1 | r2) & (r3 | r4)"):
+    corpus = (
+        "r1",
+        "r1 & r2",
+        "r1 | r2 & r3",
+        "(r1 | r2) & (r3 | r4)",
+        "r1 | r2",
+        "(r1 | r2) & r3",
+        "r1 & (r2 | r3)",
+        "(r1 & r2) | (r3 & r4)",
+        "r1 & r2 | r3",
+        "atleast(2; r1, r2, r3)",
+        "atleast(3; r1, r2, r3, r4)",
+    )
+    for text in corpus:
         c = parse_formula(text)
         assert format_formula(parse_formula(format_formula(c))) == format_formula(c)
+
+
+def test_format_formula_renders_a_long_chain():
+    text = " & ".join(f"r{i % 7 + 1}" for i in range(3000))
+    assert format_formula(parse_formula(text)) == text
 
 
 def test_fold_constants_simplifies():

@@ -67,6 +67,15 @@ def test_compile_budget_exceeded_is_usage_error(capsys):
     assert "budget" in err
 
 
+def test_compile_has_a_default_budget(capsys):
+    chain = " & ".join(f"r{i}" for i in range(1, 21))  # estimates about 1.2e12 letters
+    code, out, err = run(capsys, "compile", "--formula", chain)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "budget" in err
+
+
 def test_verify_ok_and_corrupted(capsys, tmp_path):
     fx = fixture_by_id(7)
     spec = tmp_path / "spec.json"

@@ -125,6 +125,27 @@ def test_fall_table_validates_range_and_limit():
     assert len(table) == 1 << 21
 
 
+def test_fall_table_equals_falls_on_every_mask():
+    rng = random.Random(11)
+
+    def random_word(nails, length):
+        return Word(tuple(rng.choice((1, -1)) * rng.choice(nails) for _ in range(length)))
+
+    for n in range(11):
+        nails = list(range(1, n + 1))
+        words = [EMPTY_WORD, Word(tuple(nails))]  # the product falls only at the full set
+        if n:
+            some = rng.sample(nails, rng.randint(1, n))
+            words.append(random_word(some, 30))  # leaves the other nails unused
+            for _ in range(3):
+                a, b = random_word(nails, rng.randint(1, 6)), random_word(nails, rng.randint(1, 6))
+                words.append(random_word(nails, rng.randint(0, 20)))
+                words.append(raw_commutator(a, b))
+                words.append(raw_commutator(raw_commutator(a, b), random_word(some, 3)))
+        for w in words:
+            assert fall_table(w, n) == [falls(w, NailSubset(n, m)) for m in range(1 << n)]
+
+
 def test_nail_subset_basics():
     s = NailSubset.from_members(4, [1, 3])
     assert s.mask == 0b0101
