@@ -407,7 +407,7 @@ def _check_budget(estimate: int, budget: int | None) -> None:
     if budget is not None and estimate > budget:
         raise BudgetExceededError(
             f"estimated output of {estimate} letters exceeds the budget of "
-            f"{budget}; raise or disable the budget to proceed"
+            f"{budget}; raise the budget to proceed"
         )
 
 

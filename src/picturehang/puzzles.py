@@ -99,16 +99,18 @@ _FIXTURES: list[tuple[int, str, str, PuzzleSpec]] = [
 ]
 
 
+def _fixture(fid: int, text: str, title: str, spec: PuzzleSpec) -> PuzzleFixture:
+    return PuzzleFixture(id=fid, n=spec.n, word=parse_word(text), spec=spec, title=title)
+
+
 def load_fixtures() -> list[PuzzleFixture]:
     """Return the eleven golden fixtures in puzzle order."""
-    out = []
-    for fid, text, title, spec in _FIXTURES:
-        out.append(PuzzleFixture(id=fid, n=spec.n, word=parse_word(text), spec=spec, title=title))
-    return out
+    return [_fixture(*entry) for entry in _FIXTURES]
 
 
 def fixture_by_id(fid: int) -> PuzzleFixture:
-    for fx in load_fixtures():
-        if fx.id == fid:
-            return fx
+    """Return one fixture, parsing only its own word."""
+    for entry in _FIXTURES:
+        if entry[0] == fid:
+            return _fixture(*entry)
     raise KeyError(f"no fixture with id {fid}; valid ids are 1..11")

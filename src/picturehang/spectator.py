@@ -2,9 +2,13 @@
 
 Three questions about a hanging word: the fewest nail removals that drop
 the picture, the most removals it survives, and a Set-Cover-shaped
-instance generator whose optimum transfers to the felling problem.  The
-exact searches enumerate subsets by increasing (or decreasing)
-cardinality with early exit; answers in practice are small.
+instance generator whose optimum transfers to the felling problem.  Both
+exact searches go by cardinality with early exit; answers in practice are
+small.  Deleting nails is a homomorphism, so the residual of a subset is
+its parent's residual with one more nail stripped: `min_fell_exact` builds
+each layer of subsets from the one below it, and `greedy_min_fell` keeps
+the residual of the nail it picks.  `max_survive_exact` scans each layer
+from the top down, reducing the whole word once per subset.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .words import (
     NailSubset,
     Word,
     _residual,
-    remove_nails,
 )
 
 __all__ = [
@@ -58,15 +61,36 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
 
     Ties within a cardinality class break toward the numerically smallest
     bitmask.  Always well defined: removing every nail empties the word.
+
+    The scan goes layer by layer.  A subset of size k is its parent, the
+    subset less its lowest nail, plus one nail i below the parent's lowest,
+    and its residual is the parent's residual with nail i stripped.
+    Parents are taken in increasing order and each one's children by
+    increasing i, so every layer comes out in numeric order and the first
+    empty residual is the answer.  A parent is freed once its children
+    exist, and a subset holding nail 1 has no children, so it keeps no
+    residual.
     """
     if w.max_nail > n:
         raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
     _check_limit(n, limit, "min_fell_exact")
-    letters = w.reduce().letters
-    for k in range(n + 1):
-        for mask in _masks_of_size(n, k):
-            if not _residual(letters, mask):
-                return NailSubset(n, mask)
+    root = w.reduce().letters
+    if not root:
+        return NailSubset(n, 0)
+    layer: list[tuple[int, Sequence[int]]] = [(0, root)]
+    while layer:
+        children: list[tuple[int, Sequence[int]]] = []
+        layer.reverse()
+        while layer:
+            mask, residual = layer.pop()
+            below = (mask & -mask).bit_length() - 1 if mask else n
+            for i in range(below):
+                rest = _residual(residual, 1 << i)
+                if not rest:
+                    return NailSubset(n, mask | 1 << i)
+                if i:
+                    children.append((mask | 1 << i, rest))
+        layer = children
     raise AssertionError("unreachable: the full subset always fells")
 
 
@@ -93,25 +117,26 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     """Felling subset built by repeatedly removing the most shortening nail.
 
     Each step removes the nail that minimizes the reduced residual length,
-    breaking ties toward the lowest index.  No approximation guarantee is
-    claimed; the exact optimum is never larger.
+    breaking ties toward the lowest index, and keeps that nail's residual
+    for the next step.  No approximation guarantee is claimed; the exact
+    optimum is never larger.
     """
     if w.max_nail > n:
         raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
-    chosen: set[int] = set()
-    residual = w.reduce()
+    chosen = 0
+    residual: Sequence[int] = w.reduce().letters
     while residual:
-        best_nail = 0
-        best_len = -1
-        for i in range(1, n + 1):
-            if i in chosen:
+        best_nail = -1
+        best = residual
+        for i in range(n):
+            if chosen >> i & 1:
                 continue
-            length = len(remove_nails(residual, (i,)))
-            if best_len < 0 or length < best_len:
-                best_nail, best_len = i, length
-        chosen.add(best_nail)
-        residual = remove_nails(residual, (best_nail,))
-    return NailSubset.from_members(n, chosen)
+            rest = _residual(residual, 1 << i)
+            if best_nail < 0 or len(rest) < len(best):
+                best_nail, best = i, rest
+        chosen |= 1 << best_nail
+        residual = best
+    return NailSubset(n, chosen)
 
 
 def set_cover_to_hanging(

@@ -117,7 +117,10 @@ def _residual(letters: Sequence[int], mask: int = 0) -> list[int]:
     The one free-reduction kernel: every reduction and fall test runs this
     stack loop.  Masked letters are filtered out in C, against a set of the
     dropped letters built from the mask's set bits, before the loop rather
-    than tested inside it, which keeps plain reduction at full speed.
+    than tested inside it, which keeps plain reduction at full speed.  The
+    stack's last letter is kept in the local ``top``, 0 when the stack is
+    empty; letters are nonzero, so ``x == -top`` never cancels against an
+    empty stack and the loop reads ``stack[-1]`` only after a pop.
     """
     if mask:
         drop: set[int] = set()
@@ -131,11 +134,14 @@ def _residual(letters: Sequence[int], mask: int = 0) -> list[int]:
     stack: list[int] = []
     push = stack.append
     pop = stack.pop
+    top = 0
     for x in letters:
-        if stack and stack[-1] == -x:
+        if x == -top:
             pop()
+            top = stack[-1] if stack else 0
         else:
             push(x)
+            top = x
     return stack
 
 

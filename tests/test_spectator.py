@@ -12,7 +12,7 @@ from picturehang.spectator import (
     min_fell_exact,
     set_cover_to_hanging,
 )
-from picturehang.words import ExhaustiveLimitError, Word, falls
+from picturehang.words import ExhaustiveLimitError, NailSubset, Word, falls, remove_nails
 
 
 def test_min_fell_on_one_out_of_n():
@@ -136,3 +136,58 @@ def test_set_cover_reduction_fidelity_random():
                 break
         word, _ = set_cover_to_hanging(m, sets)
         assert min_fell_exact(word, n).size == _brute_cover_optimum(m, sets)
+
+
+def _reference_min_fell(w, n):
+    """The per-mask scan: every mask of each size in numeric (Gosper) order."""
+    for k in range(n + 1):
+        masks = sorted(sum(1 << i for i in c) for c in itertools.combinations(range(n), k))
+        for mask in masks:
+            if falls(w, NailSubset(n, mask)):
+                return mask
+    raise AssertionError("the full subset always fells")
+
+
+def _reference_greedy(w, n):
+    """Remove the most shortening nail, lowest index on ties, until it falls."""
+    chosen = set()
+    residual = w.reduce()
+    while residual:
+        best_nail, best_len = 0, -1
+        for i in range(1, n + 1):
+            if i in chosen:
+                continue
+            length = len(remove_nails(residual, (i,)))
+            if best_len < 0 or length < best_len:
+                best_nail, best_len = i, length
+        chosen.add(best_nail)
+        residual = remove_nails(residual, (best_nail,))
+    return NailSubset.from_members(n, chosen).mask
+
+
+def _differential_corpus():
+    rng = random.Random(11)
+    corpus = [(Word(()), n) for n in range(4)]
+    for n in range(9):
+        for _ in range(12):
+            nails = list(range(1, n + 1))
+            if nails and rng.random() < 0.4:  # only some of the n nails
+                nails = rng.sample(nails, rng.randint(1, n))
+            length = rng.randint(0, 24) if nails else 0
+            corpus.append((Word(tuple(rng.choice(nails) * rng.choice((1, -1))
+                                      for _ in range(length))), n))
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        n = rng.randint(2, 6)
+        while True:
+            sets = [rng.sample(range(1, m + 1), rng.randint(0, m)) for _ in range(n)]
+            if all(any(j in s for s in sets) for j in range(1, m + 1)):
+                break
+        corpus.append((set_cover_to_hanging(m, sets)[0], n))
+    return corpus
+
+
+def test_solvers_return_the_masks_of_the_per_mask_references():
+    for w, n in _differential_corpus():
+        assert min_fell_exact(w, n).mask == _reference_min_fell(w, n), (w, n)
+        assert greedy_min_fell(w, n).mask == _reference_greedy(w, n), (w, n)
