@@ -3,10 +3,9 @@
 For each pair in the grid, compiles the threshold with build_k_of_n and
 reports as-constructed and reduced letter counts, the gate depth, the
 arithmetic estimate, and whether exhaustive verification ran and agreed.
-Thresholds take the clause route (an AND tree of 1-of-(n-k+1) words),
-except k = n with n a power of two, whose Batcher sorting-network circuit is
-already an AND tree and compiles as it stands.  Rows that blow the letter budget are reported as skipped rather
-than aborting the survey.
+Each threshold compiles to the reduced product of the balanced
+1-of-(n-k+1) words over every (n-k+1)-subset of the nails.  Rows that blow
+the letter budget are reported as skipped rather than aborting the survey.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ def survey(max_n: int, budget: int, verify: bool | None) -> None:
         f"{'k':>3} {'n':>3} {'as_built':>10} {'reduced':>10} {'estimate':>10} "
         f"{'depth':>5} {'verified':>8} {'secs':>7}"
     )
-    for n in range(2, max_n + 1):
+    for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             t0 = time.perf_counter()
             try:

@@ -113,17 +113,13 @@ class MonotoneCircuit:
 
     @property
     def depth(self) -> int:
-        return node_depth(self.root)
-
-
-def node_depth(root: Node) -> int:
-    depths: dict[int, int] = {}
-    for node in _walk(root):
-        if isinstance(node, Gate):
-            depths[id(node)] = 1 + max(depths[id(node.left)], depths[id(node.right)])
-        else:
-            depths[id(node)] = 0
-    return depths[id(root)]
+        depths: dict[int, int] = {}
+        for node in _walk(self.root):
+            if isinstance(node, Gate):
+                depths[id(node)] = 1 + max(depths[id(node.left)], depths[id(node.right)])
+            else:
+                depths[id(node)] = 0
+        return depths[id(self.root)]
 
 
 def eval_circuit(c: MonotoneCircuit, removed: NailSubset | Iterable[int]) -> bool:

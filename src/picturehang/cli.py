@@ -31,6 +31,7 @@ from .words import (
     NailSubset,
     Word,
     fall_table,
+    first_mismatch,
     format_word,
     parse_word,
     word_from_json,
@@ -118,13 +119,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     word = _load_word(args.word)
     spec = _load_spec(args.spec)
     expected = spec.table(args.limit)
-    actual = fall_table(word, spec.n, limit=args.limit)
-    if actual == expected:
+    mask = first_mismatch(word, spec.n, expected, args.limit)
+    if mask is None:
         print(f"verified: word realizes the spec on all {1 << spec.n} subsets")
         return 0
-    mask = next(m for m in range(1 << spec.n) if actual[m] != expected[m])
     subset = NailSubset(spec.n, mask)
-    got = "falls" if actual[mask] else "hangs"
+    got = "hangs" if expected[mask] else "falls"
     want = "fall" if expected[mask] else "hang"
     print(f"mismatch at subset {subset}: word {got} but spec says {want}")
     return 1

@@ -1,57 +1,62 @@
-"""Compile monotone circuits into hanging words on the same n nails.
+"""Compile monotone fall functions into hanging words on the same n nails.
 
-Both gate templates anchor on nails 1 and 2, which therefore play a double
-role: they are ordinary removable nails and the glue of every gadget.
+Every nonconstant spec compiles to the reduced product
+
+    W = e(C_1) e(C_2) ... e(C_m),   e(C) = build_e(sorted(C)),
+
+of balanced 1-of-|C| words over the prime clauses C_i of its fall function
+f, in lexicographic order.  A clause C says "some nail of C is removed", and
+f is the AND of its prime clauses.  No gadget, anchor nail or inverse is used.
+
+Why W is exact.  The quotients gamma_w / gamma_(w+1) of the lower central
+series of the free group form the free Lie ring on x_1..x_n, which is
+torsion-free and multigraded (Magnus, Karrass & Solitar, *Combinatorial
+Group Theory*, ch. 5).  e(C) lies in gamma_|C|, where its class is a
+multilinear, hence nonzero, bracket of the generators of C.  e(C) uses only
+the nails of C and collapses once one is removed, so the residual of W at a
+removal set R is the product of the clause words R does not hit.  If w is the least |C| among those, their
+product modulo gamma_(w+1) is the sum of their weight-w classes, nonzero
+since distinct sets have distinct multidegrees.  So W falls exactly when R
+hits every clause, that is, when f holds.
+
+A threshold "at least k of n removed" has every (n-k+1)-subset as a clause,
+and its closed-form length is checked against the budget before any clause
+is listed.  Every other spec is dualized by a bottom-up CNF of its folded
+circuit.  A report's ``depth`` is that of the equivalent CNF circuit, a
+balanced AND of balanced ORs, and ``bound`` is 1078**depth.
+
+The gate gadgets remain library functions; `set_cover_to_hanging` uses
+`gadget_and_tree`.  Both templates anchor on nails 1 and 2, which are then
+ordinary removable nails and the glue of every gadget.
 
     AND(p, q) = p^2 x1 p^2 x1^-1 (q x2 q x2^-1)^-2
     OR(p, q)  = AND(AND([a, b], [a, b~]), AND([a~, b], [a~, b~]))
                 with a = p x1 p x1^-1, a~ = p x1^-1 p x1,
                      b = q x2 q x2^-1, b~ = q x2^-1 q x2
 
-Each template is defined once, as a token list (`and_template_tokens`,
-`or_template_tokens`), and those tokens drive both word building and
-accounting: a gadget splices its argument words into the template's slots
-and reduces once, and the slot counts below are counts of the same tokens.
-Reduced words are a normal form, so one reduction of the whole layout
-equals reducing after every inner AND and commutator.
-
-Laid out with single-letter arguments the AND template has 14 letters (4
-copies of p, 4 of q, 6 glue) and the OR template 1,078.  Two bookkeepings
-of the OR expansion are exposed: the flat one counts 256 p-slots, 256
-q-slots and 566 bare glue letters; the folded one walks the expansion and
+Each template is one token list (`and_template_tokens`,
+`or_template_tokens`) that drives both building and accounting: a gadget
+splices its arguments into the slots and reduces once.  Laid out with
+single-letter arguments the AND template has 14 letters (4 copies of p, 4
+of q, 6 glue) and the OR template 1,078.  The flat bookkeeping of the OR
+counts 256 p-slots, 256 q-slots and 566 glue letters; the folded one
 tallies each conjugating bracket u a u a^-1 as one recursive unit plus
-three glue letters, giving 256 units and 822 glue.  Length estimates use
-the flat counts, since those bound the letters actually laid out when
-reduced subwords are spliced into the template.
-
-Since each gate multiplies length by at most the OR total, a circuit of
-depth d compiles to at most 1078**d letters before reduction; reports
-carry that ceiling alongside the per-circuit estimate.
-
-A threshold spec "at least k of n removed" whose Batcher circuit has an OR
-gate (every 1 <= k < n, and k = n for n not a power of two, where the
-network leaves absorbed OR gates) takes a second route that never uses the
-OR gadget: the AND, in a balanced tree of AND gadgets, of one clause per
-(n-k+1)-subset C of the nails, each clause "some nail of C is removed"
-being the balanced 1-of-|C| word over C.  Removing both anchors makes every
-OR output fall, so this route is what realizes thresholds exactly.  An
-OR-free threshold circuit (k = n for n a power of two: a balanced AND tree
-over the nails) compiles as it stands.
-
-Compilation reduces eagerly after every gadget, and by default the emitted
-word is verified against the requested fall function over all 2^n subsets.
+three glue letters, giving 256 units and 822 glue.  `estimate_length` uses
+the flat counts, so a gadget circuit of depth d lays out at most 1078**d
+letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
-from typing import Sequence, Union
+from operator import or_
+from typing import Iterable, Sequence, Union
 
 from .circuits import (
     Const,
-    Gate,
     MonotoneCircuit,
     Node,
     PuzzleSpec,
@@ -60,16 +65,15 @@ from .circuits import (
     _walk,
     circuit_table,
     fold_constants,
-    node_depth,
     validate_spec,
 )
 from .constructions import build_e, e_word_length
 from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
-    EMPTY_WORD,
     NailSubset,
     Word,
-    fall_table,
+    first_mismatch,
+    raw_concat,
     raw_inverse,
 )
 
@@ -99,17 +103,10 @@ def gadget_and_tree(words: Sequence[Word]) -> Word:
 
     A single word is returned as given.
     """
-    return _and_tree(words)[0]
-
-
-def _and_tree(words: Sequence[Word]) -> tuple[Word, int]:
-    """gadget_and_tree's word and the letters laid out for its root gadget."""
     if len(words) == 1:
-        return words[0], len(words[0].letters)
+        return words[0]
     half = (len(words) + 1) // 2
-    left = gadget_and_tree(words[:half])
-    right = gadget_and_tree(words[half:])
-    return gadget_and(left, right), and_splice_cost(len(left.letters), len(right.letters))
+    return gadget_and(gadget_and_tree(words[:half]), gadget_and_tree(words[half:]))
 
 
 def and_splice_cost(len_p: int, len_q: int) -> int:
@@ -237,7 +234,7 @@ def _is_bracket(window: list[_Token]) -> bool:
 
 
 def estimate_length(c: MonotoneCircuit) -> int:
-    """Upper bound on letters the compiler will lay out for this circuit.
+    """Upper bound on letters the gadgets lay out for this circuit.
 
     Per gate the flat template slot counts apply to the children's own
     estimates: an AND costs 4+4 slots plus 6 glue, an OR 256+256 plus 566.
@@ -256,29 +253,80 @@ def estimate_length(c: MonotoneCircuit) -> int:
     return costs[id(c.root)]
 
 
-def _threshold_estimate(k: int, n: int) -> int:
-    """Upper bound on letters the clause route lays out for k-of-n, 1 <= k <= n.
+def clause_product(clauses: Iterable[Sequence[int]]) -> Word:
+    """The reduced product of the balanced clause words, in the order given."""
+    return raw_concat(*(build_e(clause) for clause in clauses)).reduce()
 
-    The leaves of the balanced AND tree are C(n, n-k+1) clause words of
-    e_word_length(n-k+1) letters each.  Subtrees of equal leaf count cost the
-    same, so the recursion runs over leaf counts and never lists the clauses.
+
+def _prime_clauses(root: Node, budget: int | None) -> list[tuple[int, ...]]:
+    """Prime clauses of a folded, nonconstant circuit, in lexicographic order.
+
+    Bottom up over bitmask clauses: a variable is one singleton, an AND takes
+    both children's clauses, an OR the unions of one from each, and each gate
+    keeps only the minimal sets.  Raises BudgetExceededError as soon as the
+    distinct clauses a gate holds, an OR's candidate unions included, are
+    worth more letters than ``budget``.
     """
-    costs = {1: e_word_length(n - k + 1)}
+    clauses: dict[int, list[int]] = {}
+    for node in _walk(root):
+        if isinstance(node, Var):
+            clauses[id(node)] = [1 << (node.index - 1)]
+            continue
+        left, right = clauses[id(node.left)], clauses[id(node.right)]
+        if node.op == "and":
+            candidates: Iterable[int] = left + right
+        else:
+            candidates = (a | b for a in left for b in right)
+        held: set[int] = set()
+        worth = 0
+        for clause in candidates:
+            if clause not in held:
+                held.add(clause)
+                worth += e_word_length(clause.bit_count())
+                if budget is not None and worth > budget:
+                    raise BudgetExceededError(
+                        f"the spec's clauses are worth more than the budget of "
+                        f"{budget} letters; raise the budget to proceed"
+                    )
+        # Over disjoint nail sets no candidate contains another, so
+        # absorption would keep them all.
+        disjoint = not reduce(or_, left) & reduce(or_, right)
+        clauses[id(node)] = list(held) if disjoint else _minimal_sets(held)
+    return sorted(
+        tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+        for mask in clauses[id(root)]
+    )
 
-    def cost(leaves: int) -> int:
-        if leaves not in costs:
-            costs[leaves] = and_splice_cost(cost((leaves + 1) // 2), cost(leaves // 2))
-        return costs[leaves]
 
-    return cost(comb(n, n - k + 1))
+def _minimal_sets(sets: Iterable[int]) -> list[int]:
+    """The bitmasks among ``sets`` that contain no other one of them.
+
+    Sets are taken by increasing size, and each one kept goes into a trie
+    keyed by its nails in increasing order; a set is dropped when the trie
+    holds a path made of its own nails only.
+    """
+    trie: dict = {}
+    minimal: list[int] = []
+    for mask in sorted(sets, key=int.bit_count):
+        stack = [trie]
+        while stack and None not in stack[-1]:
+            stack.extend(child for nail, child in stack.pop().items() if mask >> nail & 1)
+        if not stack:
+            minimal.append(mask)
+            node = trie
+            for nail in range(mask.bit_length()):
+                if mask >> nail & 1:
+                    node = node.setdefault(nail, {})
+            node[None] = {}
+    return minimal
 
 
 @dataclass(frozen=True)
 class CompileReport:
     """What the compiler produced and how the emitted word checked out.
 
-    ``as_constructed_length`` counts the letters laid out for the outermost
-    gate before its closing reduction; ``reduced_length`` counts the final
+    ``as_constructed_length`` counts the letters of the clause words laid
+    out before the closing reduction; ``reduced_length`` counts the final
     normal form.  ``verified`` is None when table verification was skipped
     (n beyond the limit, disabled, or past the auto-verification work cap);
     on a mismatch it is False and ``mismatch_mask`` holds the first subset
@@ -303,60 +351,43 @@ def compile_circuit(
     verify: bool | None = None,
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> CompileReport:
-    """Compile a circuit or spec to a word whose fall function realizes it.
+    """Compile a circuit or spec to the product of its prime-clause words.
 
     ``budget`` guards against runaway output; pass None to disable.
     ``verify`` forces (True) or skips (False) exhaustive table verification;
     the default verifies whenever n is within the exhaustive limit and the
     table work is affordable.
-
-    A threshold spec whose circuit has an OR gate compiles by the clause
-    route (see the module docstring).  That route's ``depth`` is that of the
-    equivalent CNF circuit, a balanced AND over balanced ORs of n-k+1
-    variables.
     """
     notices: list[str] = []
     spec: PuzzleSpec | None = None
+    n = target.n
     if isinstance(target, PuzzleSpec):
         validation = validate_spec(target)
         notices.extend(validation.notices)
         spec = validation.spec
-        n = spec.n
-    else:
-        n = target.n
-    folded = fold_constants(spec.to_circuit() if spec is not None else target)
-    estimate = estimate_length(folded)
-    k = spec.threshold_k if spec is not None else None
-    if k is not None and any(
-        isinstance(node, Gate) and node.op == "or" for node in _walk(folded.root)
-    ):
-        estimate = _threshold_estimate(k, n)
+    if spec is not None and spec.threshold_k is not None:
+        width = n - spec.threshold_k + 1
+        estimate = comb(n, width) * e_word_length(width)
         _check_budget(estimate, budget)
-        width = n - k + 1
-        clauses = [build_e(c) for c in combinations(range(1, n + 1), width)]
-        word, as_constructed = _and_tree(clauses)
-        word = word.reduce()
-        depth = (comb(n, width) - 1).bit_length() + (width - 1).bit_length()
-    elif isinstance(folded.root, Const):
-        if not folded.root.value:
-            raise UnrealizableSpecError(
-                "circuit is constantly false: the picture could never fall"
-            )
-        if spec is None:
-            notices.append("circuit is constantly true; compiles to the empty word")
-        word = EMPTY_WORD
-        as_constructed = 0
-        depth = 0
+        clauses = list(combinations(range(1, n + 1), width))
     else:
+        folded = fold_constants(spec.to_circuit() if spec is not None else target)
+        if isinstance(folded.root, Const):
+            if not folded.root.value:
+                raise UnrealizableSpecError(
+                    "circuit is constantly false: the picture could never fall"
+                )
+            if spec is None:
+                notices.append("circuit is constantly true; compiles to the empty word")
+            clauses = []
+        else:
+            clauses = _prime_clauses(folded.root, budget)
+        estimate = sum(e_word_length(len(clause)) for clause in clauses)
         _check_budget(estimate, budget)
-        if isinstance(folded.root, Gate) and n < 2:
-            raise ValueError("gates anchor on nails 1 and 2, so compiling needs n >= 2")
-        words = _compile_words(folded.root)
-        word = words[id(folded.root)]
-        as_constructed = _root_splice_length(folded.root, words)
-        depth = node_depth(folded.root)
+    word = clause_product(clauses)
     reduced_length = len(word.letters)
-    bound = 1078**depth
+    widest = max(map(len, clauses), default=1)
+    depth = (max(len(clauses), 1) - 1).bit_length() + (widest - 1).bit_length()
     verified: bool | None = None
     mismatch_mask: int | None = None
     if verify is None:
@@ -371,32 +402,24 @@ def compile_circuit(
     else:
         verify_now = verify
     if verify_now:
-        if spec is not None:
-            expected_table = spec.table(limit)
-        else:
-            expected_table = circuit_table(folded, limit)
-        got_table = fall_table(word, n, limit)
-        for mask, (want, got) in enumerate(zip(expected_table, got_table)):
-            if want != got:
-                verified = False
-                mismatch_mask = mask
-                subset = NailSubset(n, mask)
-                notices.append(
-                    f"fall table mismatch at subset {subset}: "
-                    f"spec says {'fall' if want else 'hang'}, word says "
-                    f"{'fall' if got else 'hang'}"
-                )
-                break
-        else:
-            verified = True
+        expected = spec.table(limit) if spec is not None else circuit_table(target, limit)
+        mismatch_mask = first_mismatch(word, n, expected, limit)
+        verified = mismatch_mask is None
+        if mismatch_mask is not None:
+            want = expected[mismatch_mask]
+            notices.append(
+                f"fall table mismatch at subset {NailSubset(n, mismatch_mask)}: "
+                f"spec says {'fall' if want else 'hang'}, word says "
+                f"{'hang' if want else 'fall'}"
+            )
     return CompileReport(
         word=word,
         n=n,
-        as_constructed_length=as_constructed,
+        as_constructed_length=estimate,
         reduced_length=reduced_length,
         depth=depth,
         estimate=estimate,
-        bound=bound,
+        bound=1078**depth,
         verified=verified,
         mismatch_mask=mismatch_mask,
         notices=tuple(notices),
@@ -409,26 +432,3 @@ def _check_budget(estimate: int, budget: int | None) -> None:
             f"estimated output of {estimate} letters exceeds the budget of "
             f"{budget}; raise the budget to proceed"
         )
-
-
-def _compile_words(root: Node) -> dict[int, Word]:
-    words: dict[int, Word] = {}
-    for node in _walk(root):
-        if isinstance(node, Var):
-            words[id(node)] = Word((node.index,), reduced=True)
-        elif isinstance(node, Const):
-            raise ValueError("constants must be folded away before compilation")
-        elif node.op == "and":
-            words[id(node)] = gadget_and(words[id(node.left)], words[id(node.right)])
-        else:
-            words[id(node)] = gadget_or(words[id(node.left)], words[id(node.right)])
-    return words
-
-
-def _root_splice_length(root: Node, words: dict[int, Word]) -> int:
-    if not isinstance(root, Gate):
-        return 1
-    left = len(words[id(root.left)].letters)
-    right = len(words[id(root.right)].letters)
-    cost = and_splice_cost if root.op == "and" else or_splice_cost
-    return cost(left, right)

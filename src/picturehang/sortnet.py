@@ -13,11 +13,9 @@ beyond n (they would carry values larger than everything and never move),
 while the threshold builder pads to a power of two with constant-false
 inputs and lets constant folding erase the padding.
 
-Which route a threshold takes: the circuits built here serve the
-`atleast(k; ...)` formula macro, and a threshold spec compiles its circuit
-only when that has no OR gate (k = n with n a power of two).  Otherwise the
-compiler builds the spec as an AND of 1-of-(n-k+1) clause words, because
-every OR gadget falls once both anchor nails are removed.
+Which route a threshold takes: the compiler dualizes the circuits built
+here, the parse of the `atleast(k; ...)` macro, into prime clauses, and a
+threshold spec compiles straight to the product of its clause words.
 """
 
 from __future__ import annotations
@@ -194,18 +192,15 @@ def threshold_circuit(k: int, n: int) -> MonotoneCircuit:
 def build_k_of_n(k: int, n: int, budget: int | None = None, verify: bool | None = None):
     """Compile the k-of-n threshold to a hanging word; returns a CompileReport.
 
-    The word is the AND, in a balanced tree of AND gadgets, of the balanced
-    1-of-(n-k+1) words over every (n-k+1)-subset of the nails.  Only k = n
-    with n a power of two compiles the Batcher threshold circuit instead,
-    which is then a balanced AND tree over the nails.
+    The word is the reduced product of the balanced 1-of-(n-k+1) words over
+    every (n-k+1)-subset of the nails, in lexicographic order; the budget is
+    checked against its closed-form length before any subset is listed.
     """
     from .compiler import DEFAULT_LETTER_BUDGET, compile_circuit
     from .circuits import PuzzleSpec
 
     if not 1 <= k <= n:
         raise ValueError(f"build_k_of_n needs 1 <= k <= n, got k={k}, n={n}")
-    if n < 2:
-        raise ValueError("gadgets anchor on nails 1 and 2, so n >= 2 is required")
     spec = PuzzleSpec.from_threshold(n, k)
     return compile_circuit(
         spec,

@@ -251,6 +251,14 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
     return table * (1 << (n - top))
 
 
+def first_mismatch(
+    w: Word, n: int, expected: Sequence[bool], limit: int = DEFAULT_EXHAUSTIVE_LIMIT
+) -> int | None:
+    """First mask where the word's fall table on nails 1..n differs, or None."""
+    got = fall_table(w, n, limit)
+    return next((mask for mask, want in enumerate(expected) if got[mask] != want), None)
+
+
 def is_monotone_table(table: list[bool], n: int) -> bool:
     """True iff the table never flips from fall back to hang as nails are added."""
     for mask in range(1 << n):

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -32,13 +33,13 @@ def test_construct_k_of_json(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verified"] is True
-    assert report["reduced_length"] == 108
+    assert report["reduced_length"] == 4
 
 
 def test_compile_formula_reports(capsys):
     code, out, err = run(capsys, "compile", "--formula", "r1 & r2")
     assert code == 0
-    assert out.strip() == "x1 x1 x1 x1 X2 X2 X2 X2"
+    assert out.strip() == "x1 x2"
     report = json.loads(err)
     assert report["verified"] is True
     assert report["depth"] == 1
@@ -62,18 +63,36 @@ def test_compile_threshold_spec_is_exact(capsys, tmp_path):
 
 
 def test_compile_budget_exceeded_is_usage_error(capsys):
-    code, _, err = run(capsys, "compile", "--formula", "r1 | r2", "--budget", "10")
+    # The one clause {1,2,3,4} is a 16-letter word.
+    code, _, err = run(capsys, "compile", "--formula", "r1 | r2 | r3 | r4", "--budget", "10")
     assert code == 2
     assert "budget" in err
 
 
 def test_compile_has_a_default_budget(capsys):
-    chain = " & ".join(f"r{i}" for i in range(1, 21))  # estimates about 1.2e12 letters
-    code, out, err = run(capsys, "compile", "--formula", chain)
+    # An OR of 20 disjoint pairs has 2^20 prime clauses of 20 nails each.
+    pairs = " | ".join(f"r{2 * i - 1} & r{2 * i}" for i in range(1, 21))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compile", "--formula", pairs)
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "budget" in err
+
+
+def test_compile_atleast_formula_is_exact(capsys):
+    code, out, err = run(capsys, "compile", "--formula", "atleast(3; r1, r2, r3, r4)", "--n", "4")
+    assert code == 0
+    assert json.loads(err)["verified"] is True
+
+
+def test_compile_overlapping_subsets_spec_is_exact(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 4, "subsets": [[1, 2], [1, 3], [2, 3, 4]]}')
+    code, out, _ = run(capsys, "compile", "--spec", str(spec), "--json")
+    assert code == 0
+    assert json.loads(out)["verified"] is True
 
 
 def test_verify_ok_and_corrupted(capsys, tmp_path):

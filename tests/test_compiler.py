@@ -1,8 +1,10 @@
 """Gate gadgets, template accounting, and the circuit-to-word compiler."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picturehang.circuits import (
     Const,
@@ -27,6 +29,8 @@ from picturehang.compiler import (
     or_splice_cost,
     or_template_tokens,
 )
+import picturehang.compiler as compiler
+from picturehang.constructions import e_word_length
 from picturehang.circuits import UnrealizableSpecError
 from picturehang.words import EMPTY_WORD, Word, commutator, concat, fall_table, inverse
 
@@ -139,8 +143,10 @@ def test_compile_length_discipline():
         assert report.bound == 1078**report.depth
 
 
-def test_compile_records_mismatch_with_witness():
-    # OR over nails 3,4 collapses at {1,2}; the report must say so.
+def test_compile_records_mismatch_with_witness(monkeypatch):
+    # The OR gadget over nails 3,4 collapses at {1,2}; compiled in place of
+    # the clause product, the report must say so.
+    monkeypatch.setattr(compiler, "clause_product", lambda clauses: gadget_or(X3, X4))
     spec = PuzzleSpec.from_subsets(4, [{3}, {4}])
     report = compile_circuit(spec, verify=True)
     assert report.verified is False
@@ -149,12 +155,19 @@ def test_compile_records_mismatch_with_witness():
 
 
 def test_compile_budget_guard_uses_estimate():
-    c = parse_formula("r1 | r2")
+    # 3-of-6 is the product of C(6, 4) = 15 clause words of 16 letters.
+    spec = PuzzleSpec.from_threshold(6, 3)
     with pytest.raises(BudgetExceededError) as exc:
-        compile_circuit(c, budget=100)
-    assert "1078" in str(exc.value)
-    report = compile_circuit(c, budget=None)
+        compile_circuit(spec, budget=100)
+    assert "240" in str(exc.value)
+    report = compile_circuit(spec, budget=None)
     assert report.verified is True
+    assert report.estimate == report.as_constructed_length == 240
+    # (r1 | r2) & (r3 | r4) holds two 4-letter clause words.
+    c = parse_formula("(r1 | r2) & (r3 | r4)")
+    with pytest.raises(BudgetExceededError):
+        compile_circuit(c, budget=7)
+    assert compile_circuit(c, budget=8).estimate == 8
 
 
 def test_compile_constant_roots():
@@ -172,9 +185,11 @@ def test_compile_folds_constants_before_gadgets():
     assert report.depth == 0
 
 
-def test_compile_rejects_gates_on_one_nail():
-    with pytest.raises(ValueError):
-        compile_circuit(MonotoneCircuit(1, Gate("and", Var(1), Var(1))))
+def test_compile_gate_on_one_nail_is_its_generator():
+    for op in ("and", "or"):
+        report = compile_circuit(MonotoneCircuit(1, Gate(op, Var(1), Var(1))))
+        assert report.word.letters == (1,)
+        assert report.verified is True
 
 
 def test_compile_skips_verification_beyond_limit():
@@ -202,12 +217,73 @@ def test_compile_threshold_zero_is_empty_word():
     assert report.verified is True
 
 
-def test_compile_and_of_identical_operands_collapses():
-    # AND leaves the residual p^4 q^-4 once nails 1 and 2 are gone; with
-    # p = q that cancels even though neither operand fell, so the AND of a
-    # subcircuit with itself misfires at {1,2}.  The report must say so.
+def test_compile_and_of_identical_operands_collapses(monkeypatch):
+    # The AND gadget leaves the residual p^4 q^-4 once nails 1 and 2 are
+    # gone; with p = q that cancels even though neither operand fell, so the
+    # gadget AND of a subcircuit with itself misfires at {1,2}.  Compiled in
+    # place of the clause product, the report must say so.
+    p = gadget_and(X3, X4)
+    monkeypatch.setattr(compiler, "clause_product", lambda clauses: gadget_and(p, p))
     shared = Gate("and", Var(3), Var(4))
     c = MonotoneCircuit(4, Gate("and", shared, shared))
     report = compile_circuit(c)
     assert report.verified is False
     assert report.mismatch_mask == 0b0011
+
+
+def test_compile_every_monotone_function_on_four_nails():
+    # A nonconstant monotone function is the nonempty antichain of its
+    # minimal felling subsets; on 4 nails there are 166 of them.  Its prime
+    # clauses are the complements of its maximal hanging subsets, and the
+    # word lays out exactly one balanced word per prime clause.
+    subsets = [
+        frozenset(c) for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)
+    ]
+    count = 0
+    for bits in range(1, 1 << len(subsets)):
+        family = [s for i, s in enumerate(subsets) if bits >> i & 1]
+        if any(a < b for a in family for b in family):
+            continue
+        count += 1
+        spec = PuzzleSpec.from_subsets(4, family)
+        report = compile_circuit(spec)
+        assert report.verified is True, family
+        table = spec.table()
+        assert fall_table(report.word, 4) == table, family
+        maximal_hanging = [
+            m for m in range(16)
+            if not table[m] and all(table[m | 1 << i] for i in range(4) if not m >> i & 1)
+        ]
+        prime_lengths = [e_word_length(4 - bin(m).count("1")) for m in maximal_hanging]
+        assert report.as_constructed_length == sum(prime_lengths), family
+    assert count == 166
+
+
+def _formulas(n):
+    names = st.lists(st.integers(1, n), min_size=1, unique=True)
+    atleast = names.flatmap(
+        lambda vs: st.integers(0, len(vs)).map(
+            lambda k: f"atleast({k}; {', '.join(f'r{i}' for i in vs)})"
+        )
+    )
+    leaves = st.integers(1, n).map(lambda i: f"r{i}") | atleast
+    return st.recursive(
+        leaves,
+        lambda sub: st.tuples(sub, st.sampled_from("&|"), sub).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_compile_realizes_random_monotone_specs(data):
+    n = data.draw(st.integers(1, 7))
+    if data.draw(st.booleans()):
+        terms = st.sets(st.integers(1, n), min_size=1)
+        spec = PuzzleSpec.from_subsets(n, data.draw(st.lists(terms, min_size=1, max_size=6)))
+    else:
+        spec = PuzzleSpec.from_formula(n, data.draw(_formulas(n)))
+    report = compile_circuit(spec, verify=False)
+    assert fall_table(report.word, n) == spec.table()

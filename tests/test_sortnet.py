@@ -91,14 +91,15 @@ def test_build_k_of_n_validates_arguments():
         build_k_of_n(0, 3)
     with pytest.raises(ValueError):
         build_k_of_n(4, 3)
-    with pytest.raises(ValueError):
-        build_k_of_n(1, 1)
+    report = build_k_of_n(1, 1)
+    assert report.word.letters == (1,)
+    assert report.verified is True
 
 
 def test_build_k_of_n_small_cases_verified():
     report = build_k_of_n(2, 2)
     assert report.verified is True
-    assert report.word.reduce().letters == (1, 1, 1, 1, -2, -2, -2, -2)
+    assert report.word.reduce().letters == (1, 2)
     report = build_k_of_n(4, 4)
     assert report.verified is True
 
