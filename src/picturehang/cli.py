@@ -13,21 +13,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .circuits import (
-    PuzzleSpec,
-    parse_formula,
-    spec_from_json,
-    spec_to_json,
-)
-from .compiler import DEFAULT_LETTER_BUDGET, CompileReport, compile_circuit
-from .constructions import build_disjoint, build_e
-from .puzzles import fixture_by_id, load_fixtures
+# Each command imports the rest of the package in its handler, so that it
+# loads only the modules it uses.
 from .render import SUPPORTED_FORMATS, to_diagram
-from .sortnet import build_k_of_n
-from .spectator import max_survive_exact, min_fell_exact
 from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
+    DEFAULT_LETTER_BUDGET,
     NailSubset,
     Word,
     fall_table,
@@ -36,6 +29,10 @@ from .words import (
     parse_word,
     word_from_json,
 )
+
+if TYPE_CHECKING:
+    from .circuits import PuzzleSpec
+    from .compiler import CompileReport
 
 __all__ = ["main"]
 
@@ -54,6 +51,8 @@ def _load_word(path: str) -> Word:
 
 
 def _load_spec(path: str) -> PuzzleSpec:
+    from .circuits import spec_from_json
+
     return spec_from_json(_read_text(path))
 
 
@@ -86,10 +85,14 @@ def _emit_compile(report: CompileReport, as_json: bool) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .constructions import build_disjoint, build_e
+
     if args.shape == "one-of":
         print(format_word(build_e(list(range(1, args.n + 1)))))
         return 0
     if args.shape == "k-of":
+        from .sortnet import build_k_of_n
+
         report = build_k_of_n(
             args.k, args.n, budget=args.budget, verify=False if args.no_verify else None
         )
@@ -105,6 +108,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    from .circuits import PuzzleSpec, parse_formula
+    from .compiler import compile_circuit
+
     if args.spec:
         target: PuzzleSpec | None = _load_spec(args.spec)
     else:
@@ -131,6 +137,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .spectator import max_survive_exact, min_fell_exact
+
     word = _load_word(args.word)
     if args.problem == "min-fell":
         subset = min_fell_exact(word, args.n)
@@ -151,6 +159,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_puzzles(args: argparse.Namespace) -> int:
+    from .circuits import spec_to_json
+    from .puzzles import fixture_by_id, load_fixtures
+
     if args.id is None:
         for fx in load_fixtures():
             if args.json:
@@ -272,8 +283,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         # The package's own errors (budget, unrealizable spec, word and
-        # formula syntax) are all ValueErrors.
-        print(f"error: {exc}", file=sys.stderr)
+        # formula syntax) are all ValueErrors.  str() of a KeyError is the
+        # repr of its key, so print the message itself.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

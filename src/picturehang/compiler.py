@@ -70,6 +70,7 @@ from .circuits import (
 from .constructions import build_e, e_word_length
 from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
+    DEFAULT_LETTER_BUDGET,
     NailSubset,
     Word,
     first_mismatch,
@@ -77,7 +78,6 @@ from .words import (
     raw_inverse,
 )
 
-DEFAULT_LETTER_BUDGET = 10**7
 
 # Above this much table work (2^n subsets times word length) auto-verification
 # backs off and the report says so instead of silently burning minutes.

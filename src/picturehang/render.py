@@ -33,17 +33,18 @@ def _legend_lines(w: Word, n: int) -> list[str]:
 def _text_diagram(w: Word, n: int) -> str:
     header = "nails: " + "".join(str(i).ljust(_COL) for i in range(1, n + 1)).rstrip()
     marks = "       " + "".join("o".ljust(_COL) for _ in range(1, n + 1)).rstrip()
-    lines = [header, marks]
-    prefix = "rope:  "
-    for t, x in enumerate(w.letters):
+    rows = {}  # one row per distinct letter, formatted once
+    for x in set(w.letters):
         nail = x if x > 0 else -x
         glyph = ")" if x > 0 else "("
         direction = "clockwise" if x > 0 else "counterclockwise"
         cells = "".join(
             (glyph if i == nail else ".").ljust(_COL) for i in range(1, n + 1)
         )
-        lines.append(f"{prefix}{cells}{_tok(x)}  {direction}")
-        prefix = "       "
+        rows[x] = f"       {cells}{_tok(x)}  {direction}"
+    lines = [header, marks, *map(rows.__getitem__, w.letters)]
+    if w.letters:
+        lines[2] = "rope:  " + lines[2][7:]
     lines.extend(_legend_lines(w, n))
     return "\n".join(lines) + "\n"
 
@@ -73,21 +74,26 @@ def _vector_diagram(w: Word, n: int) -> str:
             f'text-anchor="middle">{i}</text>'
         )
     if w.letters:
+        # A letter's loop and label differ from row to row only in y, so
+        # the fragments around each y are formatted once per distinct letter.
+        frags = {}
+        for x in set(w.letters):
+            cx = nx(x if x > 0 else -x)
+            arc = f"A {loop_r} {loop_r} 0 1 {1 if x > 0 else 0}"
+            frags[x] = (
+                f"L {cx - loop_r} ",
+                f" {arc} {cx + loop_r} ",
+                f" {arc} {cx - loop_r} ",
+                f'<text x="{cx + loop_r + 6}" y="',
+                f'" font-size="11">{_tok(x)} {"cw" if x > 0 else "ccw"}</text>',
+            )
         d = [f"M {margin - 20} {rope_top}"]
         labels = []
         for t, x in enumerate(w.letters):
-            nail = x if x > 0 else -x
-            sweep = 1 if x > 0 else 0
+            lead, arc_out, arc_back, label, label_end = frags[x]
             y = rope_top + row_h * t
-            cx = nx(nail)
-            d.append(f"L {cx - loop_r} {y}")
-            d.append(f"A {loop_r} {loop_r} 0 1 {sweep} {cx + loop_r} {y}")
-            d.append(f"A {loop_r} {loop_r} 0 1 {sweep} {cx - loop_r} {y}")
-            direction = "cw" if x > 0 else "ccw"
-            labels.append(
-                f'<text x="{cx + loop_r + 6}" y="{y + 4}" font-size="11">'
-                f"{_tok(x)} {direction}</text>"
-            )
+            d.append(f"{lead}{y}{arc_out}{y}{arc_back}{y}")
+            labels.append(f"{label}{y + 4}{label_end}")
         d.append(f"L {width - margin + 10} {rope_top + row_h * (len(w) - 1)}")
         parts.append(
             f'<path d="{" ".join(d)}" fill="none" stroke="black" stroke-width="1.5"/>'

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .compiler import gadget_and_tree
-from .constructions import build_e
 from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     ExhaustiveLimitError,
@@ -150,6 +148,9 @@ def set_cover_to_hanging(
     minimum felling subset has the Set Cover optimum's cardinality.
     Returns the word and the per-element owner lists.
     """
+    from .compiler import gadget_and_tree  # loaded here: the solvers need none of it
+    from .constructions import build_e
+
     if m < 1:
         raise ValueError("universe must be nonempty")
     n = len(sets)

@@ -23,6 +23,7 @@ from itertools import filterfalse
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
+DEFAULT_LETTER_BUDGET = 10**7
 
 
 class ExhaustiveLimitError(ValueError):
@@ -63,6 +64,12 @@ class Word:
     ``letters`` is the as-constructed sequence; ``len(w)`` counts it without
     reducing.  Equality and hashing go through the reduced normal form, so
     ``Word((1, -1))== Word(())`` holds.
+
+    The constructor does not check its letters, so building a word costs no
+    per-letter check.  Only ``Word.of``, ``parse_word`` and
+    ``word_from_json`` reject a zero or non-integer letter; a zero letter
+    passed straight to ``Word`` is undefined: reduction may raise
+    ``IndexError`` or keep the zero.
     """
 
     letters: tuple[int, ...] = ()
@@ -328,17 +335,24 @@ def nail_counts(w: Word, n: int | None = None) -> dict[int, int]:
 
 
 def parse_word(text: str) -> Word:
-    """Parse whitespace-separated tokens: x<k> clockwise, X<k> counterclockwise."""
-    letters: list[int] = []
-    for pos, token in enumerate(text.split()):
+    """Parse whitespace-separated tokens: x<k> clockwise, X<k> counterclockwise.
+
+    Each distinct token is checked once, in order of first appearance, so
+    the first bad token is reported at its first position.
+    """
+    tokens = text.split()
+    codes: dict[str, int] = {}
+    for token in dict.fromkeys(tokens):
         head, tail = token[:1], token[1:]
         if head not in ("x", "X") or not tail.isdigit():
-            raise WordFormatError(f"bad token {token!r} at position {pos}")
+            raise WordFormatError(f"bad token {token!r} at position {tokens.index(token)}")
         nail = int(tail)
         if nail < 1:
-            raise WordFormatError(f"bad token {token!r} at position {pos}: nails are 1-based")
-        letters.append(nail if head == "x" else -nail)
-    return Word(tuple(letters))
+            raise WordFormatError(
+                f"bad token {token!r} at position {tokens.index(token)}: nails are 1-based"
+            )
+        codes[token] = nail if head == "x" else -nail
+    return Word(tuple(map(codes.__getitem__, tokens)))
 
 
 def format_word(w: Word) -> str:

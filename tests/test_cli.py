@@ -159,6 +159,13 @@ def test_puzzles_listing_and_detail(capsys):
     assert code == 2
 
 
+def test_unknown_fixture_id_prints_the_bare_message(capsys):
+    code, out, err = run(capsys, "puzzles", "--id", "99")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no fixture with id 99; valid ids are 1..11\n"
+
+
 def test_table_lists_all_subsets(capsys, tmp_path):
     word = tmp_path / "w.txt"
     word.write_text("x1 x2 X1 X2")

@@ -1,0 +1,68 @@
+"""Package surface: lazily resolved names and the modules each command loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import picturehang
+
+HEAVY = ("circuits", "compiler", "sortnet", "puzzles")
+
+# Runs each command in-process, then reports which heavy modules got loaded.
+SCOPE_SCRIPT = """
+import contextlib, io, json, sys
+from picturehang.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in {heavy!r} if "picturehang." + m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--word", "{word}", "--n", "3"],
+        ["render", "--word", "{word}", "--format", "vector"],
+        ["table", "--word", "{word}", "--n", "3"],
+        ["solve", "min-fell", "--word", "{word}", "--n", "3"],
+        ["construct", "one-of", "--n", "4"],
+    ],
+)
+def test_light_commands_load_no_heavy_module(argv, tmp_path):
+    word = tmp_path / "w.txt"
+    word.write_text("x1 x2 x3 X1 X2 X3")
+    script = SCOPE_SCRIPT.format(heavy=HEAVY)
+    args = [a.format(word=word) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        check=True,
+    )
+    assert json.loads(proc.stdout) == [0, []]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    for name in picturehang.__all__:
+        home = importlib.import_module(f"picturehang.{picturehang._HOME[name]}")
+        assert getattr(picturehang, name) is getattr(home, name), name
+    assert picturehang.compiler.DEFAULT_LETTER_BUDGET is picturehang.DEFAULT_LETTER_BUDGET
+    assert set(picturehang.__all__) <= set(dir(picturehang))
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from picturehang import *", namespace)
+    assert set(picturehang.__all__) <= set(namespace)
+    assert namespace["Word"] is picturehang.words.Word
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        picturehang.no_such_name
+    assert not hasattr(picturehang, "_private")

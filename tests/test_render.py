@@ -1,12 +1,47 @@
 """Diagram emitter: grid text and SVG, determinism and legends."""
 
+import hashlib
+import random
 import xml.dom.minidom
 
 import pytest
 
 from picturehang.constructions import build_e
 from picturehang.render import to_diagram
-from picturehang.words import EMPTY_WORD, Word, nail_counts
+from picturehang.words import EMPTY_WORD, Word, nail_counts, parse_word
+
+SHORT_TEXT = """\
+nails: 1   2   3
+       o   o   o
+rope:  )   .   .   x1  clockwise
+       .   (   .   X2  counterclockwise
+       )   .   .   x1  clockwise
+       (   .   .   X1  counterclockwise
+       .   )   .   x2  clockwise
+legend: 5 letters
+  nail 1: 3 wraps
+  nail 2: 2 wraps
+  nail 3: 0 wraps
+"""
+
+# sha256 of the diagrams of a seeded 200-letter word on nails 1..5, drawn
+# on n = 7; fixed so that any changed byte of either format shows.
+PINNED_SHA256 = {
+    "text": "5c503394c911c8903a4cabc99e77da579749443e19da0f7f7da346ade88c265d",
+    "vector": "83e944f44949133cef31be03ca095c24f1ef2bbe44a1335c692f8111b18d1d56",
+}
+
+
+def test_short_text_diagram_is_pinned():
+    assert to_diagram(parse_word("x1 X2 x1 X1 x2"), 3, "text") == SHORT_TEXT
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_SHA256))
+def test_seeded_diagram_is_pinned(fmt):
+    rng = random.Random(8)
+    w = Word(tuple(rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(200)))
+    doc = to_diagram(w, 7, fmt)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PINNED_SHA256[fmt]
 
 
 def test_text_diagram_empty_word():

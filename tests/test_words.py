@@ -57,6 +57,17 @@ def test_word_of_rejects_zero():
         Word.of(1, 0, 2)
 
 
+def test_checked_constructors_reject_a_zero_letter():
+    # Word itself is unchecked by design; these three are the checked doors.
+    assert Word((0,)).letters == (0,)
+    with pytest.raises(ValueError, match="nonzero"):
+        Word.of(0)
+    with pytest.raises(WordFormatError, match="1-based"):
+        parse_word("X0")
+    with pytest.raises(WordFormatError, match="nonzero"):
+        word_from_json("[0]")
+
+
 def test_concat_inverse_power_are_reduced():
     w = Word((1, 2))
     assert concat(w, inverse(w)) == EMPTY_WORD
@@ -177,6 +188,21 @@ def test_parse_word_rejects_bad_tokens():
     for bad in ("y1", "x0", "x", "x1 X0", "x-2"):
         with pytest.raises(WordFormatError):
             parse_word(bad)
+
+
+def test_parse_word_reports_each_bad_token_at_its_own_position():
+    text = "x1 X2 " * 500 + "x3 y1 x1 y1"
+    with pytest.raises(WordFormatError) as err:
+        parse_word(text)
+    assert str(err.value) == "bad token 'y1' at position 1001"
+    with pytest.raises(WordFormatError) as err:
+        parse_word("x1 " * 50 + "x0")
+    assert str(err.value) == "bad token 'x0' at position 50: nails are 1-based"
+
+
+@given(letters_st)
+def test_parse_word_round_trips_format_word(letters):
+    assert parse_word(format_word(Word(tuple(letters)))).letters == tuple(letters)
 
 
 def test_word_json_round_trip():
