@@ -20,7 +20,7 @@ _NAMES = {
     "network_to_circuit sorts_all_zero_one threshold_circuit",
     "spectator": "greedy_min_fell max_survive_exact min_fell_exact set_cover_to_hanging",
     "words": "DEFAULT_EXHAUSTIVE_LIMIT DEFAULT_LETTER_BUDGET EMPTY_WORD "
-    "ExhaustiveLimitError Letter NailSubset Word WordFormatError commutator concat "
+    "ExhaustiveLimitError NailSubset Word WordFormatError commutator concat "
     "fall_table falls format_word inverse is_monotone_table nail_counts parse_word "
     "power reduce remove_nails word_from_json word_to_json",
 }

@@ -3,8 +3,8 @@
 A circuit decides, for each subset of removed nails, whether the picture
 should fall.  Variables are 1-based: r_i is true iff nail i was removed.
 Only AND and OR gates are allowed, so every circuit is monotone by shape.
-Constants may appear while building (sorting-network padding) but are
-folded away before anything downstream sees the circuit.
+Constants may appear anywhere.  Every pass over a circuit is one call of
+`evaluate`, a postorder fold over its distinct nodes.
 
 Specs come in three bodies: an explicit list of felling subsets, a formula,
 or a threshold k (fall iff at least k nails removed).  All three share one
@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import and_, or_
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .words import DEFAULT_EXHAUSTIVE_LIMIT, ExhaustiveLimitError, NailSubset
+from .words import DEFAULT_EXHAUSTIVE_LIMIT, NailSubset, _as_mask, check_limit
 
 
 class FormulaSyntaxError(ValueError):
@@ -91,6 +92,36 @@ def _walk(root: Node):
             stack.append((node.left, False))
 
 
+_T = TypeVar("_T")
+
+
+def evaluate(
+    root: Node, leaf: Callable[[Var | Const], _T], gates: Mapping[str, Callable[[_T, _T], _T]]
+) -> _T:
+    """Value of the root, each distinct node valued once in postorder.
+
+    A Var or Const is valued by ``leaf``; a gate by ``gates[op]`` applied
+    to the values of its left and right child.  A value is dropped once its
+    last parent has used it, so a long chain keeps only a few alive.
+    """
+    order = list(_walk(root))
+    last_use: dict[int, Gate] = {}
+    for node in order:
+        if isinstance(node, Gate):
+            last_use[id(node.left)] = last_use[id(node.right)] = node
+    values: dict[int, _T] = {}
+    for node in order:
+        if isinstance(node, Gate):
+            left, right = id(node.left), id(node.right)
+            values[id(node)] = gates[node.op](values[left], values[right])
+            for child in (left, right):
+                if last_use[child] is node:
+                    values.pop(child, None)  # not del: both inputs may be one node
+        else:
+            values[id(node)] = leaf(node)
+    return values[id(root)]
+
+
 @dataclass(frozen=True)
 class MonotoneCircuit:
     """A circuit root plus the number of nails n it speaks about."""
@@ -113,33 +144,23 @@ class MonotoneCircuit:
 
     @property
     def depth(self) -> int:
-        depths: dict[int, int] = {}
-        for node in _walk(self.root):
-            if isinstance(node, Gate):
-                depths[id(node)] = 1 + max(depths[id(node.left)], depths[id(node.right)])
-            else:
-                depths[id(node)] = 0
-        return depths[id(self.root)]
+        return evaluate(self.root, lambda leaf: 0, {"and": _deeper, "or": _deeper})
+
+
+def _deeper(a: int, b: int) -> int:
+    return 1 + max(a, b)
+
+
+_BOOLEAN = {"and": and_, "or": or_}
 
 
 def eval_circuit(c: MonotoneCircuit, removed: NailSubset | Iterable[int]) -> bool:
-    if isinstance(removed, NailSubset):
-        mask = removed.mask
-    else:
-        mask = 0
-        for i in removed:
-            mask |= 1 << (i - 1)
-    vals: dict[int, bool] = {}
-    for node in _walk(c.root):
-        if isinstance(node, Var):
-            vals[id(node)] = bool((mask >> (node.index - 1)) & 1)
-        elif isinstance(node, Const):
-            vals[id(node)] = node.value
-        elif node.op == "and":
-            vals[id(node)] = vals[id(node.left)] and vals[id(node.right)]
-        else:
-            vals[id(node)] = vals[id(node.left)] or vals[id(node.right)]
-    return vals[id(c.root)]
+    mask = _as_mask(removed)
+    return evaluate(
+        c.root,
+        lambda leaf: bool(mask >> (leaf.index - 1) & 1) if isinstance(leaf, Var) else leaf.value,
+        _BOOLEAN,
+    )
 
 
 def circuit_table(c: MonotoneCircuit, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[bool]:
@@ -148,24 +169,16 @@ def circuit_table(c: MonotoneCircuit, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> 
     Evaluates all subsets at once: each node's table is packed into one big
     integer with bit `mask` holding the node value under that removal set.
     """
-    if c.n > limit:
-        raise ExhaustiveLimitError(
-            f"circuit_table over n={c.n} enumerates 2^{c.n} subsets, beyond the "
-            f"exhaustive limit {limit}; pass limit={c.n} to allow it"
-        )
+    check_limit("circuit_table", c.n, limit)
     size = 1 << c.n
     all_ones = (1 << size) - 1
-    packs: dict[int, int] = {}
-    for node in _walk(c.root):
-        if isinstance(node, Var):
-            packs[id(node)] = _var_pack(node.index, c.n)
-        elif isinstance(node, Const):
-            packs[id(node)] = all_ones if node.value else 0
-        elif node.op == "and":
-            packs[id(node)] = packs[id(node.left)] & packs[id(node.right)]
-        else:
-            packs[id(node)] = packs[id(node.left)] | packs[id(node.right)]
-    pack = packs[id(c.root)]
+    pack = evaluate(
+        c.root,
+        lambda leaf: (
+            _var_pack(leaf.index, c.n) if isinstance(leaf, Var) else all_ones if leaf.value else 0
+        ),
+        _BOOLEAN,
+    )
     return [bool((pack >> mask) & 1) for mask in range(size)]
 
 
@@ -182,15 +195,8 @@ def _var_pack(index: int, n: int) -> int:
 
 def fold_constants(c: MonotoneCircuit) -> MonotoneCircuit:
     """Rebuild with constant inputs absorbed; only a constant root survives."""
-    folded: dict[int, Node] = {}
-    for node in _walk(c.root):
-        if isinstance(node, Gate):
-            left, right = folded[id(node.left)], folded[id(node.right)]
-            make = make_and if node.op == "and" else make_or
-            folded[id(node)] = make(left, right)
-        else:
-            folded[id(node)] = node
-    return MonotoneCircuit(c.n, folded[id(c.root)])
+    folded = evaluate(c.root, lambda leaf: leaf, {"and": make_and, "or": make_or})
+    return MonotoneCircuit(c.n, folded)
 
 
 def balanced_tree(op: str, leaves: Sequence[Node]) -> Node:
@@ -425,10 +431,7 @@ class PuzzleSpec:
 
     def table(self, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[bool]:
         """Reference truth table straight from the spec body, no circuitry."""
-        if self.n > limit:
-            raise ExhaustiveLimitError(
-                f"spec table over n={self.n} exceeds the exhaustive limit {limit}"
-            )
+        check_limit("PuzzleSpec.table", self.n, limit)
         size = 1 << self.n
         if self.threshold_k is not None:
             return [bin(mask).count("1") >= self.threshold_k for mask in range(size)]

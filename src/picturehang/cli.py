@@ -84,10 +84,17 @@ def _emit_compile(report: CompileReport, as_json: bool) -> int:
     return 0
 
 
+def _check_length(letters: int) -> None:
+    if letters > DEFAULT_LETTER_BUDGET:
+        budget = DEFAULT_LETTER_BUDGET
+        raise ValueError(f"the word would have {letters} letters, more than the budget of {budget}")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
-    from .constructions import build_disjoint, build_e
+    from .constructions import build_disjoint, build_e, e_tree_length, e_word_length
 
     if args.shape == "one-of":
+        _check_length(e_word_length(args.n))
         print(format_word(build_e(list(range(1, args.n + 1)))))
         return 0
     if args.shape == "k-of":
@@ -103,6 +110,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if not members:
             raise ValueError(f"empty class in partition {args.classes!r}")
         classes.append(members)
+    _check_length(e_tree_length([len(c) for c in classes]))
     print(format_word(build_disjoint(classes)))
     return 0
 
@@ -115,7 +123,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         target: PuzzleSpec | None = _load_spec(args.spec)
     else:
         circuit = parse_formula(args.formula, n=args.n)
-        target = PuzzleSpec.from_formula(circuit.n, args.formula)
+        target = PuzzleSpec(n=circuit.n, formula=args.formula, circuit=circuit)
     verify = {"auto": None, "on": True, "off": False}[args.verify]
     report = compile_circuit(target, budget=args.budget, verify=verify)
     return _emit_compile(report, args.json)

@@ -21,9 +21,11 @@ hits every clause, that is, when f holds.
 
 A threshold "at least k of n removed" has every (n-k+1)-subset as a clause,
 and its closed-form length is checked against the budget before any clause
-is listed.  Every other spec is dualized by a bottom-up CNF of its folded
-circuit.  A report's ``depth`` is that of the equivalent CNF circuit, a
-balanced AND of balanced ORs, and ``bound`` is 1078**depth.
+is listed.  Every other spec is dualized in one postorder pass over its
+circuit, where true has no clause and false the empty one; an AND absorbs
+only across its two sides and checks the budget on the clauses it keeps, an
+OR on the unions it forms.  A report's ``depth`` is that of the equivalent
+CNF circuit, a balanced AND of balanced ORs, and ``bound`` is 1078**depth.
 
 The gate gadgets remain library functions; `set_cover_to_hanging` uses
 `gadget_and_tree`.  Both templates anchor on nails 1 and 2, which are then
@@ -49,22 +51,18 @@ letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
+from itertools import combinations, filterfalse
 from math import comb
-from operator import or_
 from typing import Iterable, Sequence, Union
 
 from .circuits import (
     Const,
     MonotoneCircuit,
-    Node,
     PuzzleSpec,
     UnrealizableSpecError,
     Var,
-    _walk,
     circuit_table,
-    fold_constants,
+    evaluate,
     validate_spec,
 )
 from .constructions import build_e, e_word_length
@@ -107,14 +105,6 @@ def gadget_and_tree(words: Sequence[Word]) -> Word:
         return words[0]
     half = (len(words) + 1) // 2
     return gadget_and(gadget_and_tree(words[:half]), gadget_and_tree(words[half:]))
-
-
-def and_splice_cost(len_p: int, len_q: int) -> int:
-    return 4 * len_p + 4 * len_q + 6
-
-
-def or_splice_cost(len_p: int, len_q: int) -> int:
-    return 256 * len_p + 256 * len_q + 566
 
 
 # --- template accounting --------------------------------------------------
@@ -189,11 +179,25 @@ class TemplateCounts:
         return self.recursive_units + self.auxiliary_letters
 
 
-def flat_counts(tokens: list[_Token]) -> tuple[int, int, int]:
+def flat_counts(tokens: Sequence[_Token]) -> tuple[int, int, int]:
     """(p-slots, q-slots, bare glue letters) of a template expansion."""
     p_slots = sum(1 for t in tokens if not isinstance(t, int) and t[0] == "P")
     q_slots = sum(1 for t in tokens if not isinstance(t, int) and t[0] == "Q")
     return p_slots, q_slots, len(tokens) - p_slots - q_slots
+
+
+_AND_COUNTS = flat_counts(_AND_TEMPLATE)
+_OR_COUNTS = flat_counts(_OR_TEMPLATE)
+
+
+def and_splice_cost(len_p: int, len_q: int) -> int:
+    p_slots, q_slots, glue = _AND_COUNTS
+    return p_slots * len_p + q_slots * len_q + glue
+
+
+def or_splice_cost(len_p: int, len_q: int) -> int:
+    p_slots, q_slots, glue = _OR_COUNTS
+    return p_slots * len_p + q_slots * len_q + glue
 
 
 def folded_counts(tokens: list[_Token]) -> TemplateCounts:
@@ -240,17 +244,8 @@ def estimate_length(c: MonotoneCircuit) -> int:
     estimates: an AND costs 4+4 slots plus 6 glue, an OR 256+256 plus 566.
     Shared subcircuits count once per occurrence, matching the splicing.
     """
-    costs: dict[int, int] = {}
-    for node in _walk(c.root):
-        if isinstance(node, Var):
-            costs[id(node)] = 1
-        elif isinstance(node, Const):
-            costs[id(node)] = 0
-        elif node.op == "and":
-            costs[id(node)] = and_splice_cost(costs[id(node.left)], costs[id(node.right)])
-        else:
-            costs[id(node)] = or_splice_cost(costs[id(node.left)], costs[id(node.right)])
-    return costs[id(c.root)]
+    costs = {"and": and_splice_cost, "or": or_splice_cost}
+    return evaluate(c.root, lambda leaf: int(isinstance(leaf, Var)), costs)
 
 
 def clause_product(clauses: Iterable[Sequence[int]]) -> Word:
@@ -258,44 +253,77 @@ def clause_product(clauses: Iterable[Sequence[int]]) -> Word:
     return raw_concat(*(build_e(clause) for clause in clauses)).reduce()
 
 
-def _prime_clauses(root: Node, budget: int | None) -> list[tuple[int, ...]]:
-    """Prime clauses of a folded, nonconstant circuit, in lexicographic order.
+# A node's clauses, the union of their nails, and their worth in letters.
+_Clauses = tuple[list[int], int, int]
 
-    Bottom up over bitmask clauses: a variable is one singleton, an AND takes
-    both children's clauses, an OR the unions of one from each, and each gate
-    keeps only the minimal sets.  Raises BudgetExceededError as soon as the
-    distinct clauses a gate holds, an OR's candidate unions included, are
-    worth more letters than ``budget``.
+
+def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> list[tuple[int, ...]]:
+    """Prime clauses of a circuit, in lexicographic order, as nail tuples.
+
+    Each node's clauses are an antichain of bitmasks.  An AND takes both
+    sides' clauses and an OR the unions of one from each, each keeping the
+    minimal sets; neither absorbs anything over disjoint nails.  Raises
+    BudgetExceededError once an AND's kept clauses, or an OR's distinct
+    unions, are worth more letters than ``budget``, and
+    UnrealizableSpecError if the root holds the empty clause.
     """
-    clauses: dict[int, list[int]] = {}
-    for node in _walk(root):
+    worth_of = [0] + [e_word_length(size) for size in range(1, c.n + 1)]
+
+    def check(worth: int) -> int:
+        if budget is not None and worth > budget:
+            raise BudgetExceededError(
+                f"the spec's clauses are worth more than the budget of "
+                f"{budget} letters; raise the budget to proceed"
+            )
+        return worth
+
+    def leaf(node: Var | Const) -> _Clauses:
         if isinstance(node, Var):
-            clauses[id(node)] = [1 << (node.index - 1)]
-            continue
-        left, right = clauses[id(node.left)], clauses[id(node.right)]
-        if node.op == "and":
-            candidates: Iterable[int] = left + right
-        else:
-            candidates = (a | b for a in left for b in right)
+            return [1 << (node.index - 1)], 1 << (node.index - 1), 1
+        return ([], 0, 0) if node.value else ([0], 0, 0)
+
+    def and_(left: _Clauses, right: _Clauses) -> _Clauses:
+        (a, a_nails, a_worth), (b, b_nails, b_worth) = left, right
+        if not a_nails:  # a constant: true holds no clause, false the empty one
+            return left if a else right
+        if not b_nails:
+            return right if b else left
+        worth = a_worth + b_worth
+        if a_nails & b_nails:  # only clauses meeting the other side's nails absorb across
+            meet_a = list(filter(b_nails.__and__, a))
+            meet_b = list(filter(a_nails.__and__, b))
+            drop_b = {y for y in meet_b if any(x & y == x for x in meet_a)}
+            drop_a = {x for x in meet_a if any(x & y == y for y in meet_b if y not in drop_b)}
+            a = list(filterfalse(drop_a.__contains__, a))
+            b = list(filterfalse(drop_b.__contains__, b))
+            worth -= sum(worth_of[x.bit_count()] for x in (*drop_a, *drop_b))
+        return a + b, a_nails | b_nails, check(worth)
+
+    def or_(left: _Clauses, right: _Clauses) -> _Clauses:
+        (a, a_nails, _), (b, b_nails, _) = left, right
         held: set[int] = set()
         worth = 0
-        for clause in candidates:
+        for clause in (x | y for x in a for y in b):
             if clause not in held:
                 held.add(clause)
-                worth += e_word_length(clause.bit_count())
-                if budget is not None and worth > budget:
-                    raise BudgetExceededError(
-                        f"the spec's clauses are worth more than the budget of "
-                        f"{budget} letters; raise the budget to proceed"
-                    )
-        # Over disjoint nail sets no candidate contains another, so
-        # absorption would keep them all.
-        disjoint = not reduce(or_, left) & reduce(or_, right)
-        clauses[id(node)] = list(held) if disjoint else _minimal_sets(held)
-    return sorted(
-        tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-        for mask in clauses[id(root)]
-    )
+                worth = check(worth + worth_of[clause.bit_count()])
+        clauses = _minimal_sets(held) if a_nails & b_nails else list(held)
+        return clauses, a_nails | b_nails, sum(worth_of[x.bit_count()] for x in clauses)
+
+    clauses, _, _ = evaluate(c.root, leaf, {"and": and_, "or": or_})
+    if 0 in clauses:
+        raise UnrealizableSpecError("circuit is constantly false: the picture could never fall")
+    return sorted(map(_nails, clauses))
+
+
+def _nails(mask: int) -> tuple[int, ...]:
+    """The nails of a bitmask, in increasing order."""
+    nails = []
+    while mask:
+        low = mask & -mask
+        nails.append(low.bit_length())
+        mask ^= low
+    return tuple(nails)
 
 
 def _minimal_sets(sets: Iterable[int]) -> list[int]:
@@ -310,13 +338,12 @@ def _minimal_sets(sets: Iterable[int]) -> list[int]:
     for mask in sorted(sets, key=int.bit_count):
         stack = [trie]
         while stack and None not in stack[-1]:
-            stack.extend(child for nail, child in stack.pop().items() if mask >> nail & 1)
+            stack.extend(child for nail, child in stack.pop().items() if mask >> nail - 1 & 1)
         if not stack:
             minimal.append(mask)
             node = trie
-            for nail in range(mask.bit_length()):
-                if mask >> nail & 1:
-                    node = node.setdefault(nail, {})
+            for nail in _nails(mask):
+                node = node.setdefault(nail, {})
             node[None] = {}
     return minimal
 
@@ -367,23 +394,14 @@ def compile_circuit(
         spec = validation.spec
     if spec is not None and spec.threshold_k is not None:
         width = n - spec.threshold_k + 1
-        estimate = comb(n, width) * e_word_length(width)
-        _check_budget(estimate, budget)
+        _check_budget(comb(n, width) * e_word_length(width), budget)
         clauses = list(combinations(range(1, n + 1), width))
     else:
-        folded = fold_constants(spec.to_circuit() if spec is not None else target)
-        if isinstance(folded.root, Const):
-            if not folded.root.value:
-                raise UnrealizableSpecError(
-                    "circuit is constantly false: the picture could never fall"
-                )
-            if spec is None:
-                notices.append("circuit is constantly true; compiles to the empty word")
-            clauses = []
-        else:
-            clauses = _prime_clauses(folded.root, budget)
-        estimate = sum(e_word_length(len(clause)) for clause in clauses)
-        _check_budget(estimate, budget)
+        clauses = _prime_clauses(spec.to_circuit() if spec is not None else target, budget)
+        if not clauses and spec is None:
+            notices.append("circuit is constantly true; compiles to the empty word")
+    estimate = sum(e_word_length(len(clause)) for clause in clauses)
+    _check_budget(estimate, budget)
     word = clause_product(clauses)
     reduced_length = len(word.letters)
     widest = max(map(len, clauses), default=1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .words import Word, raw_commutator, raw_concat
+from .words import Word, raw_commutator
 
 
 def build_s(n: int) -> Word:
@@ -42,14 +42,7 @@ def build_e(indices: Sequence[int]) -> Word:
     for i in idx:
         if i < 1:
             raise ValueError(f"nail index {i} out of range: nails are 1-based")
-    return _e_over(idx)
-
-
-def _e_over(idx: list[int]) -> Word:
-    if len(idx) == 1:
-        return Word((idx[0],), reduced=True)
-    half = (len(idx) + 1) // 2
-    return raw_commutator(_e_over(idx[:half]), _e_over(idx[half:]))
+    return _e_tree([Word((i,), reduced=True) for i in idx])
 
 
 def e_word_length(n: int) -> int:
@@ -85,6 +78,14 @@ def build_disjoint(partition: Sequence[Iterable[int]]) -> Word:
 
 def _e_tree(words: list[Word]) -> Word:
     if len(words) == 1:
-        return raw_concat(words[0])
+        return words[0]
     half = (len(words) + 1) // 2
     return raw_commutator(_e_tree(words[:half]), _e_tree(words[half:]))
+
+
+def e_tree_length(sizes: Sequence[int]) -> int:
+    """Letter count of the balanced recursion over words of the given lengths."""
+    if len(sizes) == 1:
+        return sizes[0]
+    half = (len(sizes) + 1) // 2
+    return 2 * (e_tree_length(sizes[:half]) + e_tree_length(sizes[half:]))

@@ -34,7 +34,7 @@ from .circuits import (
     make_and,
     make_or,
 )
-from .words import DEFAULT_EXHAUSTIVE_LIMIT, ExhaustiveLimitError
+from .words import DEFAULT_EXHAUSTIVE_LIMIT, check_limit
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,7 @@ def sorts_all_zero_one(
     net: ComparatorNetwork, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> bool:
     """Exhaustive 0/1 soundness check, bit-packed across all inputs at once."""
-    if net.width > limit:
-        raise ExhaustiveLimitError(
-            f"checking width {net.width} enumerates 2^{net.width} inputs, "
-            f"beyond the exhaustive limit {limit}"
-        )
+    check_limit("sorts_all_zero_one", net.width, limit)
     packs = [_var_pack(i + 1, net.width) for i in range(net.width)]
     for comp in net.comparators():
         a, b = packs[comp.low - 1], packs[comp.high - 1]
@@ -185,8 +181,7 @@ def threshold_circuit(k: int, n: int) -> MonotoneCircuit:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"threshold k={k} out of range 0..{n}")
-    root = threshold_over(k, [Var(i) for i in range(1, n + 1)])
-    return fold_constants(MonotoneCircuit(n, root))
+    return MonotoneCircuit(n, threshold_over(k, [Var(i) for i in range(1, n + 1)]))
 
 
 def build_k_of_n(k: int, n: int, budget: int | None = None, verify: bool | None = None):

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .words import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    ExhaustiveLimitError,
-    NailSubset,
-    Word,
-    _residual,
-)
+from .words import DEFAULT_EXHAUSTIVE_LIMIT, NailSubset, Word, _residual, check_limit
 
 __all__ = [
     "min_fell_exact",
@@ -46,14 +40,6 @@ def _masks_of_size(n: int, k: int) -> Iterator[int]:
         mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
-def _check_limit(n: int, limit: int, what: str) -> None:
-    if n > limit:
-        raise ExhaustiveLimitError(
-            f"{what} over n={n} enumerates 2^{n} subsets, beyond the "
-            f"exhaustive limit {limit}; pass limit={n} to allow it"
-        )
-
-
 def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> NailSubset:
     """Smallest subset of nails whose removal fells the picture.
 
@@ -71,7 +57,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     """
     if w.max_nail > n:
         raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
-    _check_limit(n, limit, "min_fell_exact")
+    check_limit("min_fell_exact", n, limit)
     root = w.reduce().letters
     if not root:
         return NailSubset(n, 0)
@@ -100,7 +86,7 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     """
     if w.max_nail > n:
         raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
-    _check_limit(n, limit, "max_survive_exact")
+    check_limit("max_survive_exact", n, limit)
     letters = w.reduce().letters
     if not letters:
         raise ValueError("word is trivial: the picture has already fallen")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 DEFAULT_LETTER_BUDGET = 10**7
@@ -30,25 +30,17 @@ class ExhaustiveLimitError(ValueError):
     """Raised when a 2^n enumeration is requested beyond the configured limit."""
 
 
+def check_limit(what: str, n: int, limit: int) -> None:
+    """Refuse to enumerate 2^n subsets (or 0/1 inputs) when n exceeds ``limit``."""
+    if n > limit:
+        raise ExhaustiveLimitError(
+            f"{what} over n={n} enumerates 2^{n} subsets, beyond the "
+            f"exhaustive limit {limit}; pass limit={n} to allow it"
+        )
+
+
 class WordFormatError(ValueError):
     """Raised when word text or word JSON cannot be parsed."""
-
-
-class Letter(NamedTuple):
-    """A single wrap: nail index (1-based) plus orientation (+1 cw, -1 ccw)."""
-
-    nail: int
-    orientation: int
-
-    @property
-    def encoded(self) -> int:
-        return self.nail * self.orientation
-
-    @classmethod
-    def decode(cls, code: int) -> "Letter":
-        if code == 0:
-            raise ValueError("letter code must be a nonzero integer")
-        return cls(abs(code), 1 if code > 0 else -1)
 
 
 def _check_letters(letters: tuple[int, ...]) -> None:
@@ -236,11 +228,7 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
     """
     if w.max_nail > n:
         raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
-    if n > limit:
-        raise ExhaustiveLimitError(
-            f"fall_table over n={n} enumerates 2^{n} subsets, beyond the "
-            f"exhaustive limit {limit}; pass limit={n} to allow it"
-        )
+    check_limit("fall_table", n, limit)
     root = w.reduce().letters
     top = max(map(abs, root), default=0)  # nails above top change nothing
     table = [not root] * (1 << top)

@@ -1,6 +1,7 @@
 """Monotone circuits, formula parsing, specs and their validation."""
 
 import json
+from operator import add
 
 import pytest
 
@@ -16,6 +17,7 @@ from picturehang.circuits import (
     balanced_tree,
     circuit_table,
     eval_circuit,
+    evaluate,
     fold_constants,
     format_formula,
     make_and,
@@ -115,6 +117,28 @@ def test_fold_constants_simplifies():
     assert fold_constants(c).root == Const(True)
     c = MonotoneCircuit(2, make_and(Var(1), Const(False)))
     assert fold_constants(c).root == Const(False)
+
+
+def test_evaluate_values_each_shared_node_once():
+    shared = Gate("or", Var(1), Const(False))
+    root = Gate("and", Gate("and", shared, shared), Gate("or", shared, Var(1)))
+    leaves = []
+
+    def leaf(node):
+        leaves.append(node)
+        return 1
+
+    # Counts leaf occurrences in the unshared tree: 2 + 2 under the first
+    # AND, 2 + 1 under the OR.
+    assert evaluate(root, leaf, {"and": add, "or": add}) == 7
+    assert leaves == [Var(1), Const(False), Var(1)]
+    assert MonotoneCircuit(1, root).depth == 3
+
+
+def test_fold_constants_keeps_shared_nodes_shared():
+    shared = Gate("or", Var(1), Var(2))
+    folded = fold_constants(MonotoneCircuit(2, Gate("and", shared, Gate("or", shared, Const(False)))))
+    assert folded.root.left is folded.root.right
 
 
 def test_balanced_tree_depth():

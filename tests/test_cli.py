@@ -28,6 +28,28 @@ def test_construct_classes(capsys):
     assert out.strip() == "x1 x2 x3 x4 X2 X1 X4 X3"
 
 
+SINGLE_NAIL_CLASSES = "/".join(map(str, range(1, 20001)))
+# 2,000 classes of five nails; 2,000 single nails would give 4,046,848 letters.
+FIVE_NAIL_CLASSES = "/".join(",".join(map(str, range(i, i + 5))) for i in range(1, 10001, 5))
+
+
+@pytest.mark.parametrize(
+    "argv, letters",
+    [
+        (["one-of", "--n", "60000"], 3750756352),
+        (["classes", "--classes", SINGLE_NAIL_CLASSES], 446169088),
+        (["classes", "--classes", FIVE_NAIL_CLASSES], 20234240),
+    ],
+)
+def test_construct_refuses_words_over_the_budget(capsys, argv, letters):
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: the word would have {letters} letters, more than the budget of 10000000\n"
+    )
+
+
 def test_construct_k_of_json(capsys):
     code, out, _ = run(capsys, "construct", "k-of", "--k", "4", "--n", "4", "--json")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -287,3 +288,48 @@ def test_compile_realizes_random_monotone_specs(data):
         spec = PuzzleSpec.from_formula(n, data.draw(_formulas(n)))
     report = compile_circuit(spec, verify=False)
     assert fall_table(report.word, n) == spec.table()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_compile_lowers_inner_constants_and_shared_nodes(data):
+    # Each gate takes its children from every node built so far, so
+    # constants land at any depth and subcircuits are shared.
+    n = data.draw(st.integers(1, 6))
+    leaves = st.integers(1, n).map(Var) | st.sampled_from([Const(True), Const(False)])
+    nodes = data.draw(st.lists(leaves, min_size=1, max_size=4))
+    for _ in range(data.draw(st.integers(0, 12))):
+        op = data.draw(st.sampled_from(["and", "or"]))
+        left, right = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
+        nodes.append(Gate(op, left, right))
+    c = MonotoneCircuit(n, nodes[-1])
+    table = circuit_table(c)
+    if not any(table):
+        with pytest.raises(UnrealizableSpecError):
+            compile_circuit(c)
+        return
+    report = compile_circuit(c, verify=False)
+    assert fall_table(report.word, n) == table
+    if all(table):
+        assert report.word.letters == ()
+        assert "circuit is constantly true; compiles to the empty word" in report.notices
+
+
+def _timed_compile(text):
+    start = time.perf_counter()
+    report = compile_circuit(parse_formula(text), verify=False)
+    return report, time.perf_counter() - start
+
+
+def test_compile_4000_term_and_chain_quickly():
+    report, seconds = _timed_compile(" & ".join(f"r{i}" for i in range(1, 4001)))
+    assert report.word.letters == tuple(range(1, 4001))
+    assert seconds < 2
+
+
+def test_compile_1000_overlapping_pair_clauses_quickly():
+    report, seconds = _timed_compile(" & ".join(f"(r{i} | r{i + 1})" for i in range(1, 1001)))
+    assert report.word == concat(
+        *(commutator(Word((i,)), Word((i + 1,))) for i in range(1, 1001))
+    )
+    assert seconds < 2

@@ -136,6 +136,28 @@ def test_fall_table_validates_range_and_limit():
     assert len(table) == 1 << 21
 
 
+def test_exhaustive_limit_is_one_check_with_one_wording():
+    from picturehang.circuits import PuzzleSpec, circuit_table, parse_formula
+    from picturehang.sortnet import batcher_network, sorts_all_zero_one
+    from picturehang.spectator import max_survive_exact, min_fell_exact
+
+    calls = {
+        "fall_table": lambda: fall_table(Word((1,)), 3, limit=2),
+        "circuit_table": lambda: circuit_table(parse_formula("r3"), limit=2),
+        "PuzzleSpec.table": lambda: PuzzleSpec.from_threshold(3, 1).table(limit=2),
+        "min_fell_exact": lambda: min_fell_exact(Word((1,)), 3, limit=2),
+        "max_survive_exact": lambda: max_survive_exact(Word((1,)), 3, limit=2),
+        "sorts_all_zero_one": lambda: sorts_all_zero_one(batcher_network(3), limit=2),
+    }
+    for what, call in calls.items():
+        with pytest.raises(ExhaustiveLimitError) as info:
+            call()
+        assert str(info.value) == (
+            f"{what} over n=3 enumerates 2^3 subsets, beyond the exhaustive limit 2; "
+            "pass limit=3 to allow it"
+        )
+
+
 def test_fall_table_equals_falls_on_every_mask():
     rng = random.Random(11)
 
