@@ -8,7 +8,11 @@ Constants may appear anywhere.  Every pass over a circuit is one call of
 
 Specs come in three bodies: an explicit list of felling subsets, a formula,
 or a threshold k (fall iff at least k nails removed).  All three share one
-JSON envelope keyed by "subsets", "formula" or "threshold_k".
+JSON envelope keyed by "subsets", "formula" or "threshold_k".  A spec is
+checked once, when it is built: n >= 1, at least one subset, each nonempty
+and within nails 1..n, or 0 <= k <= n.  A fall function can be hung exactly
+when it is monotone and holds once every nail is removed, so every spec that
+can be built is realizable; `validate_spec` only normalizes.
 """
 
 from __future__ import annotations
@@ -193,12 +197,6 @@ def _var_pack(index: int, n: int) -> int:
     return pack
 
 
-def fold_constants(c: MonotoneCircuit) -> MonotoneCircuit:
-    """Rebuild with constant inputs absorbed; only a constant root survives."""
-    folded = evaluate(c.root, lambda leaf: leaf, {"and": make_and, "or": make_or})
-    return MonotoneCircuit(c.n, folded)
-
-
 def balanced_tree(op: str, leaves: Sequence[Node]) -> Node:
     """Balanced gate tree over the leaves; first half rounds up."""
     if not leaves:
@@ -209,17 +207,22 @@ def balanced_tree(op: str, leaves: Sequence[Node]) -> Node:
     return Gate(op, balanced_tree(op, leaves[:half]), balanced_tree(op, leaves[half:]))
 
 
+def _check_subsets(subsets: Sequence[Iterable[int]], n: int) -> None:
+    """Refuse an empty list, an empty subset or a nail outside 1..n."""
+    if not subsets:
+        raise ValueError("need at least one felling subset")
+    for s in subsets:
+        if not s:
+            raise ValueError("felling subsets must be nonempty")
+        for i in s:
+            if not 1 <= i <= n:
+                raise ValueError(f"nail {i} out of range 1..{n}")
+
+
 def subsets_to_circuit(subsets: Sequence[Iterable[int]], n: int) -> MonotoneCircuit:
     """Balanced OR of balanced ANDs: true iff some listed subset is fully removed."""
     groups = [sorted(set(s)) for s in subsets]
-    if not groups:
-        raise ValueError("need at least one felling subset")
-    for group in groups:
-        if not group:
-            raise ValueError("felling subsets must be nonempty")
-        for i in group:
-            if not 1 <= i <= n:
-                raise ValueError(f"nail {i} out of range 1..{n}")
+    _check_subsets(groups, n)
     terms = [balanced_tree("and", [Var(i) for i in group]) for group in groups]
     return MonotoneCircuit(n, balanced_tree("or", terms))
 
@@ -393,7 +396,12 @@ def format_formula(c: MonotoneCircuit) -> str:
 
 @dataclass(frozen=True)
 class PuzzleSpec:
-    """A fall specification: subsets, formula or threshold, over nails 1..n."""
+    """A fall specification: subsets, formula or threshold, over nails 1..n.
+
+    Checked when built, so every spec is realizable.  A formula is parsed
+    here unless its circuit is given; ``atleast(k; ...)`` needs k at most
+    its variable count, so no formula is constantly false.
+    """
 
     n: int
     subsets: tuple[frozenset[int], ...] | None = None
@@ -405,6 +413,20 @@ class PuzzleSpec:
         bodies = sum(x is not None for x in (self.subsets, self.formula, self.threshold_k))
         if bodies != 1:
             raise ValueError("spec needs exactly one of subsets, formula, threshold_k")
+        if self.n < 1:
+            raise ValueError("spec needs n >= 1")
+        if self.subsets is not None:
+            _check_subsets(self.subsets, self.n)
+        elif self.threshold_k is not None:
+            k = self.threshold_k
+            if k < 0:
+                raise ValueError(f"threshold k={k} must be nonnegative")
+            if k > self.n:
+                raise UnrealizableSpecError(
+                    f"threshold k={k} exceeds n={self.n}: the picture could never fall"
+                )
+        elif self.circuit is None:
+            object.__setattr__(self, "circuit", parse_formula(self.formula, self.n))
 
     @classmethod
     def from_subsets(cls, n: int, subsets: Sequence[Iterable[int]]) -> "PuzzleSpec":
@@ -412,7 +434,7 @@ class PuzzleSpec:
 
     @classmethod
     def from_formula(cls, n: int, formula: str) -> "PuzzleSpec":
-        return cls(n=n, formula=formula, circuit=parse_formula(formula, n))
+        return cls(n=n, formula=formula)
 
     @classmethod
     def from_threshold(cls, n: int, k: int) -> "PuzzleSpec":
@@ -425,9 +447,7 @@ class PuzzleSpec:
             from .sortnet import threshold_circuit
 
             return threshold_circuit(self.threshold_k, self.n)
-        if self.circuit is not None:
-            return self.circuit
-        return parse_formula(self.formula or "", self.n)
+        return self.circuit
 
     def table(self, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[bool]:
         """Reference truth table straight from the spec body, no circuitry."""
@@ -453,11 +473,13 @@ def spec_to_json(spec: PuzzleSpec) -> str:
 
 
 def spec_from_json(text: str) -> PuzzleSpec:
+    """Read a spec from JSON; the types are checked here, the rest by PuzzleSpec."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad spec JSON: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("n"), int):
+    # type() and not isinstance(): JSON true would pass as the int 1.
+    if not isinstance(data, dict) or type(data.get("n")) is not int:
         raise ValueError('spec JSON must be an object with an integer "n"')
     n = data["n"]
     bodies = [k for k in ("subsets", "formula", "threshold_k") if k in data]
@@ -466,14 +488,13 @@ def spec_from_json(text: str) -> PuzzleSpec:
     if bodies[0] == "subsets":
         subsets = data["subsets"]
         ok = isinstance(subsets, list) and all(
-            isinstance(s, list) and all(isinstance(i, int) and i >= 1 for i in s)
-            for s in subsets
+            isinstance(s, list) and all(type(i) is int for i in s) for s in subsets
         )
         if not ok:
-            raise ValueError('"subsets" must be a list of lists of nail indices >= 1')
+            raise ValueError('"subsets" must be a list of lists of integer nail indices')
         return PuzzleSpec.from_subsets(n, subsets)
     if bodies[0] == "threshold_k":
-        if not isinstance(data["threshold_k"], int):
+        if type(data["threshold_k"]) is not int:
             raise ValueError('"threshold_k" must be an integer')
         return PuzzleSpec.from_threshold(n, data["threshold_k"])
     if not isinstance(data["formula"], str):
@@ -488,32 +509,17 @@ class SpecValidation:
 
 
 def validate_spec(spec: PuzzleSpec) -> SpecValidation:
-    """Check realizability and normalize; raises UnrealizableSpecError.
+    """Normalize a spec, with a notice for each change worth reporting.
 
+    The spec was checked when it was built, so nothing is refused here.
     Subset lists are normalized to antichains: duplicates and supersets of
-    other listed subsets are dropped, each with a notice.
+    other listed subsets are dropped, each with a notice.  Threshold 0 gets
+    a notice that it compiles to the empty word.
     """
-    if spec.n < 1:
-        raise ValueError("spec needs n >= 1")
     notices: list[str] = []
-    if spec.threshold_k is not None:
-        k = spec.threshold_k
-        if k < 0:
-            raise ValueError(f"threshold k={k} must be nonnegative")
-        if k > spec.n:
-            raise UnrealizableSpecError(
-                f"threshold k={k} exceeds n={spec.n}: the picture could never fall"
-            )
-        if k == 0:
-            notices.append("threshold 0 falls for every subset; compiles to the empty word")
-        return SpecValidation(spec, tuple(notices))
+    if spec.threshold_k == 0:
+        notices.append("threshold 0 falls for every subset; compiles to the empty word")
     if spec.subsets is not None:
-        for s in spec.subsets:
-            if not s:
-                raise ValueError("felling subsets must be nonempty")
-            for i in s:
-                if not 1 <= i <= spec.n:
-                    raise ValueError(f"nail {i} out of range 1..{spec.n}")
         kept: list[frozenset[int]] = []
         seen: set[frozenset[int]] = set()
         for s in spec.subsets:
@@ -525,15 +531,5 @@ def validate_spec(spec: PuzzleSpec) -> SpecValidation:
                 notices.append(f"dropped subset {sorted(s)}: superset of another listed subset")
                 continue
             kept.append(s)
-        if not kept:
-            raise ValueError("no felling subsets left after normalization")
-        normalized = PuzzleSpec.from_subsets(spec.n, [sorted(s) for s in kept])
-        return SpecValidation(normalized, tuple(notices))
-    circuit = fold_constants(spec.to_circuit())
-    if isinstance(circuit.root, Const):
-        if not circuit.root.value:
-            raise UnrealizableSpecError(
-                "formula is constantly false: the picture could never fall"
-            )
-        notices.append("formula is constantly true; compiles to the empty word")
+        spec = PuzzleSpec.from_subsets(spec.n, [sorted(s) for s in kept])
     return SpecValidation(spec, tuple(notices))

@@ -23,6 +23,7 @@ from .words import (
     DEFAULT_LETTER_BUDGET,
     NailSubset,
     Word,
+    check_budget,
     fall_table,
     first_mismatch,
     format_word,
@@ -84,17 +85,11 @@ def _emit_compile(report: CompileReport, as_json: bool) -> int:
     return 0
 
 
-def _check_length(letters: int) -> None:
-    if letters > DEFAULT_LETTER_BUDGET:
-        budget = DEFAULT_LETTER_BUDGET
-        raise ValueError(f"the word would have {letters} letters, more than the budget of {budget}")
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
     from .constructions import build_disjoint, build_e, e_tree_length, e_word_length
 
     if args.shape == "one-of":
-        _check_length(e_word_length(args.n))
+        check_budget(e_word_length(args.n), DEFAULT_LETTER_BUDGET)
         print(format_word(build_e(list(range(1, args.n + 1)))))
         return 0
     if args.shape == "k-of":
@@ -110,7 +105,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if not members:
             raise ValueError(f"empty class in partition {args.classes!r}")
         classes.append(members)
-    _check_length(e_tree_length([len(c) for c in classes]))
+    check_budget(e_tree_length([len(c) for c in classes]), DEFAULT_LETTER_BUDGET)
     print(format_word(build_disjoint(classes)))
     return 0
 

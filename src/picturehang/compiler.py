@@ -66,11 +66,13 @@ from .circuits import (
     validate_spec,
 )
 from .constructions import build_e, e_word_length
-from .words import (
+from .words import (  # BudgetExceededError is re-exported: callers catch it here
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_LETTER_BUDGET,
+    BudgetExceededError,
     NailSubset,
     Word,
+    check_budget,
     first_mismatch,
     raw_concat,
     raw_inverse,
@@ -80,10 +82,6 @@ from .words import (
 # Above this much table work (2^n subsets times word length) auto-verification
 # backs off and the report says so instead of silently burning minutes.
 _AUTO_VERIFY_WORK = 300_000_000
-
-
-class BudgetExceededError(ValueError):
-    """Estimated output length exceeds the letter budget."""
 
 
 def gadget_and(p: Word, q: Word) -> Word:
@@ -394,14 +392,14 @@ def compile_circuit(
         spec = validation.spec
     if spec is not None and spec.threshold_k is not None:
         width = n - spec.threshold_k + 1
-        _check_budget(comb(n, width) * e_word_length(width), budget)
+        check_budget(comb(n, width) * e_word_length(width), budget)
         clauses = list(combinations(range(1, n + 1), width))
     else:
         clauses = _prime_clauses(spec.to_circuit() if spec is not None else target, budget)
-        if not clauses and spec is None:
+        if not clauses:
             notices.append("circuit is constantly true; compiles to the empty word")
     estimate = sum(e_word_length(len(clause)) for clause in clauses)
-    _check_budget(estimate, budget)
+    check_budget(estimate, budget)
     word = clause_product(clauses)
     reduced_length = len(word.letters)
     widest = max(map(len, clauses), default=1)
@@ -442,11 +440,3 @@ def compile_circuit(
         mismatch_mask=mismatch_mask,
         notices=tuple(notices),
     )
-
-
-def _check_budget(estimate: int, budget: int | None) -> None:
-    if budget is not None and estimate > budget:
-        raise BudgetExceededError(
-            f"estimated output of {estimate} letters exceeds the budget of "
-            f"{budget}; raise the budget to proceed"
-        )

@@ -9,7 +9,7 @@ isotopy.  Output is deterministic text line art or SVG.
 
 from __future__ import annotations
 
-from .words import Word, nail_counts
+from .words import Word, check_nails, nail_counts
 
 __all__ = ["to_diagram", "SUPPORTED_FORMATS"]
 
@@ -111,8 +111,7 @@ def _vector_diagram(w: Word, n: int) -> str:
 
 def to_diagram(w: Word, n: int, format: str = "text") -> str:
     """Render the weaving diagram for w on n nails in the given format."""
-    if n < w.max_nail:
-        raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
+    check_nails(w, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if format == "text":

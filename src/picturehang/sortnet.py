@@ -30,7 +30,6 @@ from .circuits import (
     Node,
     Var,
     _var_pack,
-    fold_constants,
     make_and,
     make_or,
 )
@@ -148,7 +147,7 @@ def network_to_circuit(
         raise ValueError(f"expected {net.width} inputs, got {len(wires)}")
     n = max((node.index for node in wires if isinstance(node, Var)), default=0)
     _wire(net, wires)
-    return fold_constants(MonotoneCircuit(n, wires[output_wire - 1]))
+    return MonotoneCircuit(n, wires[output_wire - 1])
 
 
 def _wire(net: ComparatorNetwork, wires: list[Node]) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .words import DEFAULT_EXHAUSTIVE_LIMIT, NailSubset, Word, _residual, check_limit
+from .words import DEFAULT_EXHAUSTIVE_LIMIT, NailSubset, Word, _residual, check_limit, check_nails
 
 __all__ = [
     "min_fell_exact",
@@ -55,8 +55,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     exist, and a subset holding nail 1 has no children, so it keeps no
     residual.
     """
-    if w.max_nail > n:
-        raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
+    check_nails(w, n)
     check_limit("min_fell_exact", n, limit)
     root = w.reduce().letters
     if not root:
@@ -84,8 +83,7 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     Same tie-break as min_fell_exact.  A trivial word has no answer: it
     has already fallen with no nails removed.
     """
-    if w.max_nail > n:
-        raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
+    check_nails(w, n)
     check_limit("max_survive_exact", n, limit)
     letters = w.reduce().letters
     if not letters:
@@ -105,8 +103,7 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     for the next step.  No approximation guarantee is claimed; the exact
     optimum is never larger.
     """
-    if w.max_nail > n:
-        raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
+    check_nails(w, n)
     chosen = 0
     residual: Sequence[int] = w.reduce().letters
     while residual:

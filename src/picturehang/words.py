@@ -39,6 +39,24 @@ def check_limit(what: str, n: int, limit: int) -> None:
         )
 
 
+class BudgetExceededError(ValueError):
+    """A word would have more letters than the letter budget allows."""
+
+
+def check_budget(letters: int, budget: int | None) -> None:
+    """Refuse a word of ``letters`` letters over ``budget``; None disables."""
+    if budget is not None and letters > budget:
+        raise BudgetExceededError(
+            f"the word would have {letters} letters, more than the budget of {budget}"
+        )
+
+
+def check_nails(w: Word, n: int) -> None:
+    """Refuse a word that wraps a nail above n."""
+    if w.max_nail > n:
+        raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
+
+
 class WordFormatError(ValueError):
     """Raised when word text or word JSON cannot be parsed."""
 
@@ -226,8 +244,7 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
     is alive.  Nails above the reduced word's highest change nothing, so
     the table over the lower nails is repeated for them.
     """
-    if w.max_nail > n:
-        raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
+    check_nails(w, n)
     check_limit("fall_table", n, limit)
     root = w.reduce().letters
     top = max(map(abs, root), default=0)  # nails above top change nothing
@@ -356,6 +373,7 @@ def word_from_json(text: str) -> Word:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise WordFormatError(f"bad word JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(x, int) and x != 0 for x in data):
+    # type() and not isinstance(): JSON true would pass as the int 1.
+    if not isinstance(data, list) or not all(type(x) is int and x != 0 for x in data):
         raise WordFormatError("word JSON must be an array of nonzero integers")
     return Word(tuple(data))

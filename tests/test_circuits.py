@@ -18,7 +18,6 @@ from picturehang.circuits import (
     circuit_table,
     eval_circuit,
     evaluate,
-    fold_constants,
     format_formula,
     make_and,
     make_or,
@@ -110,13 +109,11 @@ def test_format_formula_renders_a_long_chain():
     assert format_formula(parse_formula(text)) == text
 
 
-def test_fold_constants_simplifies():
-    c = MonotoneCircuit(2, make_and(Var(1), Const(True)))
-    assert fold_constants(c).root == Var(1)
-    c = MonotoneCircuit(2, make_or(Var(1), Const(True)))
-    assert fold_constants(c).root == Const(True)
-    c = MonotoneCircuit(2, make_and(Var(1), Const(False)))
-    assert fold_constants(c).root == Const(False)
+def test_make_gates_fold_constants():
+    assert make_and(Var(1), Const(True)) == Var(1)
+    assert make_or(Var(1), Const(True)) == Const(True)
+    assert make_and(Var(1), Const(False)) == Const(False)
+    assert make_or(Const(False), Var(1)) == Var(1)
 
 
 def test_evaluate_values_each_shared_node_once():
@@ -133,12 +130,6 @@ def test_evaluate_values_each_shared_node_once():
     assert evaluate(root, leaf, {"and": add, "or": add}) == 7
     assert leaves == [Var(1), Const(False), Var(1)]
     assert MonotoneCircuit(1, root).depth == 3
-
-
-def test_fold_constants_keeps_shared_nodes_shared():
-    shared = Gate("or", Var(1), Var(2))
-    folded = fold_constants(MonotoneCircuit(2, Gate("and", shared, Gate("or", shared, Const(False)))))
-    assert folded.root.left is folded.root.right
 
 
 def test_balanced_tree_depth():
@@ -191,7 +182,15 @@ def test_spec_json_round_trip():
 
 
 def test_spec_json_rejects_malformed():
-    for bad in ("[]", "{}", '{"n": 2}', '{"n": 2, "subsets": [[0]]}'):
+    for bad in (
+        "[]",
+        "{}",
+        '{"n": 2}',
+        '{"n": 2, "subsets": [[0]]}',
+        '{"n": true, "threshold_k": 1}',
+        '{"n": 2, "threshold_k": true}',
+        '{"n": 2, "subsets": [[true]]}',
+    ):
         with pytest.raises(ValueError):
             spec_from_json(bad)
 
@@ -202,11 +201,19 @@ def test_validate_spec_normalizes_antichain():
     assert len(checked.notices) == 2
 
 
-def test_validate_spec_flags_unrealizable():
+def test_spec_construction_flags_unrealizable():
     with pytest.raises(UnrealizableSpecError):
-        validate_spec(PuzzleSpec.from_threshold(2, 3))
-    with pytest.raises(ValueError):
-        validate_spec(PuzzleSpec.from_threshold(2, -1))
+        PuzzleSpec.from_threshold(2, 3)
+    for build in (
+        lambda: PuzzleSpec.from_threshold(2, -1),
+        lambda: PuzzleSpec.from_threshold(0, 0),
+        lambda: PuzzleSpec.from_subsets(3, []),
+        lambda: PuzzleSpec.from_subsets(3, [{1}, set()]),
+        lambda: PuzzleSpec.from_subsets(3, [{1, 5}]),
+        lambda: PuzzleSpec.from_formula(2, "r1 & r3"),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_validate_spec_threshold_zero_notice():

@@ -147,6 +147,42 @@ def test_verify_limit_applies_to_the_spec_table(capsys, tmp_path):
     assert out.strip() == f"verified: word realizes the spec on all {1 << 21} subsets"
 
 
+# Each malformed spec, with a fragment of the one error line it must print.
+MALFORMED_SPECS = {
+    "nail-beyond-n": ({"n": 3, "subsets": [[1, 5]]}, "nail 5 out of range 1..3"),
+    "no-subsets": ({"n": 3, "subsets": []}, "at least one felling subset"),
+    "empty-subset": ({"n": 3, "subsets": [[]]}, "must be nonempty"),
+    "k-above-n": ({"n": 3, "threshold_k": 4}, "k=4 exceeds n=3"),
+    "negative-k": ({"n": 3, "threshold_k": -1}, "k=-1 must be nonnegative"),
+    "negative-n": ({"n": -2, "subsets": [[1]]}, "n >= 1"),
+    "boolean-n-and-k": ({"n": True, "threshold_k": True}, 'an integer "n"'),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "compile"])
+@pytest.mark.parametrize("spec, message", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
+def test_malformed_specs_are_usage_errors(capsys, tmp_path, command, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    word = tmp_path / "w.txt"
+    word.write_text("x1")
+    argv = [command, "--spec", str(path)] + (["--word", str(word)] if command == "verify" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
+def test_render_refuses_a_json_boolean_letter(capsys, tmp_path):
+    word = tmp_path / "w.json"
+    word.write_text("[true, 2, -1, -2]")
+    code, out, err = run(capsys, "render", "--word", str(word))
+    assert code == 2
+    assert out == ""
+    assert err == "error: word JSON must be an array of nonzero integers\n"
+
+
 def test_solve_min_fell_and_max_survive(capsys, tmp_path):
     word = tmp_path / "w.txt"
     word.write_text("x1 x2 x3 X1 X2 X3")

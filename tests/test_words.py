@@ -234,6 +234,8 @@ def test_word_json_round_trip():
         word_from_json("[1, 0]")
     with pytest.raises(WordFormatError):
         word_from_json("{}")
+    with pytest.raises(WordFormatError):
+        word_from_json("[true, 2, -1, -2]")
 
 
 def _reduce_random_order(letters, rng):
