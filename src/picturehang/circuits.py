@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from operator import and_, or_
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from .words import DEFAULT_EXHAUSTIVE_LIMIT, NailSubset, _as_mask, check_limit
+from .words import DEFAULT_EXHAUSTIVE_LIMIT, NailSubset, _as_mask, _Record, _set, check_limit
 
 
 class FormulaSyntaxError(ValueError):
@@ -38,21 +37,27 @@ class UnrealizableSpecError(ValueError):
     """The requested fall function cannot be realized by any hanging."""
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(_Record):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: bool
+class Const(_Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Gate:
-    op: str
-    left: "Node"
-    right: "Node"
+class Gate(_Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Node, right: Node) -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Node = Var | Const | Gate
@@ -126,21 +131,21 @@ def evaluate(
     return values[id(root)]
 
 
-@dataclass(frozen=True)
-class MonotoneCircuit:
+class MonotoneCircuit(_Record):
     """A circuit root plus the number of nails n it speaks about."""
 
-    n: int
-    root: Node
+    __slots__ = ("n", "root")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, root: Node) -> None:
+        if n < 1:
             raise ValueError("circuits speak about nails 1..n, so n >= 1 is required")
-        for node in _walk(self.root):
-            if isinstance(node, Var) and not 1 <= node.index <= self.n:
-                raise ValueError(f"variable r{node.index} out of range 1..{self.n}")
+        for node in _walk(root):
+            if isinstance(node, Var) and not 1 <= node.index <= n:
+                raise ValueError(f"variable r{node.index} out of range 1..{n}")
             if isinstance(node, Gate) and node.op not in ("and", "or"):
                 raise ValueError(f"unknown gate op {node.op!r}")
+        _set(self, "n", n)
+        _set(self, "root", root)
 
     @property
     def gate_count(self) -> int:
@@ -394,39 +399,49 @@ def format_formula(c: MonotoneCircuit) -> str:
 # --- puzzle specs ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PuzzleSpec:
+class PuzzleSpec(_Record):
     """A fall specification: subsets, formula or threshold, over nails 1..n.
 
     Checked when built, so every spec is realizable.  A formula is parsed
     here unless its circuit is given; ``atleast(k; ...)`` needs k at most
-    its variable count, so no formula is constantly false.
+    its variable count, so no formula is constantly false.  Equality and
+    hashing ignore ``circuit``.
     """
 
-    n: int
-    subsets: tuple[frozenset[int], ...] | None = None
-    formula: str | None = None
-    circuit: MonotoneCircuit | None = field(default=None, compare=False)
-    threshold_k: int | None = None
+    __slots__ = ("n", "subsets", "formula", "circuit", "threshold_k")
 
-    def __post_init__(self) -> None:
-        bodies = sum(x is not None for x in (self.subsets, self.formula, self.threshold_k))
+    def __init__(
+        self,
+        n: int,
+        subsets: tuple[frozenset[int], ...] | None = None,
+        formula: str | None = None,
+        circuit: MonotoneCircuit | None = None,
+        threshold_k: int | None = None,
+    ) -> None:
+        bodies = sum(x is not None for x in (subsets, formula, threshold_k))
         if bodies != 1:
             raise ValueError("spec needs exactly one of subsets, formula, threshold_k")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("spec needs n >= 1")
-        if self.subsets is not None:
-            _check_subsets(self.subsets, self.n)
-        elif self.threshold_k is not None:
-            k = self.threshold_k
-            if k < 0:
-                raise ValueError(f"threshold k={k} must be nonnegative")
-            if k > self.n:
+        if subsets is not None:
+            _check_subsets(subsets, n)
+        elif threshold_k is not None:
+            if threshold_k < 0:
+                raise ValueError(f"threshold k={threshold_k} must be nonnegative")
+            if threshold_k > n:
                 raise UnrealizableSpecError(
-                    f"threshold k={k} exceeds n={self.n}: the picture could never fall"
+                    f"threshold k={threshold_k} exceeds n={n}: the picture could never fall"
                 )
-        elif self.circuit is None:
-            object.__setattr__(self, "circuit", parse_formula(self.formula, self.n))
+        elif circuit is None:
+            circuit = parse_formula(formula, n)
+        _set(self, "n", n)
+        _set(self, "subsets", subsets)
+        _set(self, "formula", formula)
+        _set(self, "circuit", circuit)
+        _set(self, "threshold_k", threshold_k)
+
+    def _key(self) -> tuple:
+        return self.n, self.subsets, self.formula, self.threshold_k
 
     @classmethod
     def from_subsets(cls, n: int, subsets: Sequence[Iterable[int]]) -> "PuzzleSpec":
@@ -502,8 +517,7 @@ def spec_from_json(text: str) -> PuzzleSpec:
     return PuzzleSpec.from_formula(n, data["formula"])
 
 
-@dataclass(frozen=True)
-class SpecValidation:
+class SpecValidation(NamedTuple):
     spec: PuzzleSpec
     notices: tuple[str, ...]
 

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 # Each command imports the rest of the package in its handler, so that it
 # loads only the modules it uses.
-from .render import SUPPORTED_FORMATS, to_diagram
 from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_LETTER_BUDGET,
@@ -155,6 +154,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import to_diagram
+
     word = _load_word(args.word)
     n = args.n if args.n is not None else word.max_nail
     sys.stdout.write(to_diagram(word, n, args.format))
@@ -259,7 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
     render = sub.add_parser("render", help="draw a weaving diagram")
     render.add_argument("--word", required=True)
     render.add_argument("--n", type=int, default=None)
-    render.add_argument("--format", choices=list(SUPPORTED_FORMATS), default="text")
+    # render.SUPPORTED_FORMATS, spelled out so that only `render` loads render.py
+    render.add_argument("--format", choices=["text", "vector"], default="text")
     render.set_defaults(func=_cmd_render)
 
     puz = sub.add_parser("puzzles", help="show the golden puzzle fixtures")

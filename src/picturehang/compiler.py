@@ -50,10 +50,9 @@ letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, filterfalse
 from math import comb
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .circuits import (
     Const,
@@ -167,8 +166,7 @@ def _lay_out(template: tuple[_Token, ...], p: Word, q: Word) -> Word:
     return Word(tuple(out))
 
 
-@dataclass(frozen=True)
-class TemplateCounts:
+class TemplateCounts(NamedTuple):
     recursive_units: int
     auxiliary_letters: int
 
@@ -346,8 +344,7 @@ def _minimal_sets(sets: Iterable[int]) -> list[int]:
     return minimal
 
 
-@dataclass(frozen=True)
-class CompileReport:
+class CompileReport(NamedTuple):
     """What the compiler produced and how the emitted word checked out.
 
     ``as_constructed_length`` counts the letters of the clause words laid

@@ -8,7 +8,7 @@ ground truth they are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuits import PuzzleSpec
 from .words import Word, parse_word
@@ -16,8 +16,7 @@ from .words import Word, parse_word
 __all__ = ["PuzzleFixture", "load_fixtures", "fixture_by_id"]
 
 
-@dataclass(frozen=True)
-class PuzzleFixture:
+class PuzzleFixture(NamedTuple):
     """A solution word and the spec it is supposed to realize.
 
     The invariant fall_table(word, n) == spec.table() is enforced by the

@@ -89,10 +89,11 @@ def _vector_diagram(w: Word, n: int) -> str:
             )
         d = [f"M {margin - 20} {rope_top}"]
         labels = []
-        for t, x in enumerate(w.letters):
+        rows_y = range(rope_top, rope_top + row_h * len(w), row_h)
+        for x, y in zip(w.letters, rows_y):
             lead, arc_out, arc_back, label, label_end = frags[x]
-            y = rope_top + row_h * t
-            d.append(f"{lead}{y}{arc_out}{y}{arc_back}{y}")
+            text_y = str(y)  # formatted once, used three times
+            d.append(f"{lead}{text_y}{arc_out}{text_y}{arc_back}{text_y}")
             labels.append(f"{label}{y + 4}{label_end}")
         d.append(f"L {width - margin + 10} {rope_top + row_h * (len(w) - 1)}")
         parts.append(
@@ -112,8 +113,6 @@ def _vector_diagram(w: Word, n: int) -> str:
 def to_diagram(w: Word, n: int, format: str = "text") -> str:
     """Render the weaving diagram for w on n nails in the given format."""
     check_nails(w, n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if format == "text":
         return _text_diagram(w, n)
     if format == "vector":

@@ -20,7 +20,6 @@ threshold spec compiles straight to the product of its clause words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .circuits import (
@@ -33,35 +32,35 @@ from .circuits import (
     make_and,
     make_or,
 )
-from .words import DEFAULT_EXHAUSTIVE_LIMIT, check_limit
+from .words import DEFAULT_EXHAUSTIVE_LIMIT, _Record, _set, check_limit
 
 
-@dataclass(frozen=True)
-class Comparator:
+class Comparator(_Record):
     """One compare-exchange; min lands on wire ``low``, max on ``high`` (1-based)."""
 
-    low: int
-    high: int
+    __slots__ = ("low", "high")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.low < self.high:
+    def __init__(self, low: int, high: int) -> None:
+        _set(self, "low", low)
+        _set(self, "high", high)
+        if not 1 <= low < high:
             raise ValueError(f"comparator wires must satisfy 1 <= low < high, got {self}")
 
 
-@dataclass(frozen=True)
-class ComparatorNetwork:
-    width: int
-    layers: tuple[tuple[Comparator, ...], ...]
+class ComparatorNetwork(_Record):
+    __slots__ = ("width", "layers")
 
-    def __post_init__(self) -> None:
-        for layer in self.layers:
+    def __init__(self, width: int, layers: tuple[tuple[Comparator, ...], ...]) -> None:
+        for layer in layers:
             used: set[int] = set()
             for comp in layer:
-                if comp.high > self.width:
-                    raise ValueError(f"{comp} exceeds width {self.width}")
+                if comp.high > width:
+                    raise ValueError(f"{comp} exceeds width {width}")
                 if comp.low in used or comp.high in used:
                     raise ValueError(f"wire reused within a layer: {comp}")
                 used.update((comp.low, comp.high))
+        _set(self, "width", width)
+        _set(self, "layers", layers)
 
     @property
     def depth(self) -> int:

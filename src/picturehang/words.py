@@ -18,7 +18,6 @@ under further deletions.  `fall_table` walks the subsets on both facts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import filterfalse
 from typing import Iterable, Iterator, Sequence
 
@@ -52,7 +51,9 @@ def check_budget(letters: int, budget: int | None) -> None:
 
 
 def check_nails(w: Word, n: int) -> None:
-    """Refuse a word that wraps a nail above n."""
+    """Refuse a negative n, then a word that wraps a nail above n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if w.max_nail > n:
         raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
 
@@ -67,8 +68,43 @@ def _check_letters(letters: tuple[int, ...]) -> None:
             raise ValueError(f"invalid letter {x!r}: letters are nonzero integers")
 
 
-@dataclass(frozen=True, eq=False)
-class Word:
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields in ``__slots__`` and sets them in ``__init__``
+    with ``_set``; assigning to one afterwards raises AttributeError.  Two
+    records of one class are equal, and hash alike, when their ``_key()``
+    tuples are, by default every field in order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Word(_Record):
     """An immutable letter sequence with a known-reduced flag.
 
     ``letters`` is the as-constructed sequence; ``len(w)`` counts it without
@@ -82,8 +118,11 @@ class Word:
     ``IndexError`` or keep the zero.
     """
 
-    letters: tuple[int, ...] = ()
-    reduced: bool = field(default=False, compare=False)
+    __slots__ = ("letters", "reduced")
+
+    def __init__(self, letters: tuple[int, ...] = (), reduced: bool = False) -> None:
+        _set(self, "letters", letters)
+        _set(self, "reduced", reduced)
 
     @classmethod
     def of(cls, *codes: int) -> "Word":
@@ -282,18 +321,18 @@ def is_monotone_table(table: list[bool], n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NailSubset:
+class NailSubset(_Record):
     """A subset of nails 1..n stored as a bitmask (bit i-1 = nail i removed)."""
 
-    n: int
-    mask: int
+    __slots__ = ("n", "mask")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, mask: int) -> None:
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"mask {mask:#x} out of range for n={n}")
+        _set(self, "n", n)
+        _set(self, "mask", mask)
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "NailSubset":

@@ -183,6 +183,16 @@ def test_render_refuses_a_json_boolean_letter(capsys, tmp_path):
     assert err == "error: word JSON must be an array of nonzero integers\n"
 
 
+@pytest.mark.parametrize("command", [["render"], ["table"], ["solve", "min-fell"]])
+def test_negative_n_is_a_usage_error(capsys, tmp_path, command):
+    word = tmp_path / "empty.txt"
+    word.write_text("")
+    code, out, err = run(capsys, *command, "--word", str(word), "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: n must be nonnegative\n"
+
+
 def test_solve_min_fell_and_max_survive(capsys, tmp_path):
     word = tmp_path / "w.txt"
     word.write_text("x1 x2 x3 X1 X2 X3")
