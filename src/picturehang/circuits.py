@@ -469,7 +469,7 @@ class PuzzleSpec(_Record):
         check_limit("PuzzleSpec.table", self.n, limit)
         size = 1 << self.n
         if self.threshold_k is not None:
-            return [bin(mask).count("1") >= self.threshold_k for mask in range(size)]
+            return [mask.bit_count() >= self.threshold_k for mask in range(size)]
         if self.subsets is not None:
             masks = [sum(1 << (i - 1) for i in s) for s in self.subsets]
             return [any(mask & m == m for m in masks) for mask in range(size)]

@@ -7,6 +7,9 @@ Every nonconstant spec compiles to the reduced product
 of balanced 1-of-|C| words over the prime clauses C_i of its fall function
 f, in lexicographic order.  A clause C says "some nail of C is removed", and
 f is the AND of its prime clauses.  No gadget, anchor nail or inverse is used.
+The clause words are laid out from one letter template per width
+(`constructions.e_template`), relabeled onto each clause's nails, into one
+letter list that is reduced once.
 
 Why W is exact.  The quotients gamma_w / gamma_(w+1) of the lower central
 series of the free group form the free Lie ring on x_1..x_n, which is
@@ -64,16 +67,16 @@ from .circuits import (
     evaluate,
     validate_spec,
 )
-from .constructions import build_e, e_word_length
+from .constructions import e_word_length, lay_out_e
 from .words import (  # BudgetExceededError is re-exported: callers catch it here
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_LETTER_BUDGET,
     BudgetExceededError,
     NailSubset,
     Word,
+    _residual,
     check_budget,
     first_mismatch,
-    raw_concat,
     raw_inverse,
 )
 
@@ -245,8 +248,15 @@ def estimate_length(c: MonotoneCircuit) -> int:
 
 
 def clause_product(clauses: Iterable[Sequence[int]]) -> Word:
-    """The reduced product of the balanced clause words, in the order given."""
-    return raw_concat(*(build_e(clause) for clause in clauses)).reduce()
+    """The reduced product of the balanced clause words, in the order given.
+
+    Each clause, a nonempty sequence of distinct nails, is laid out from
+    the template of its width into one letter list, which is reduced once.
+    """
+    letters: list[int] = []
+    for clause in clauses:
+        letters.extend(lay_out_e(clause))
+    return Word(tuple(_residual(letters)), reduced=True)
 
 
 # A node's clauses, the union of their nails, and their worth in letters.

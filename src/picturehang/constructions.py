@@ -7,7 +7,10 @@ stated against exactly these sequences (none of them admits a cancellation).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import cache
+from itertools import chain
+from operator import neg
+from typing import Iterable, Iterator, Sequence
 
 from .words import Word, raw_commutator
 
@@ -42,7 +45,37 @@ def build_e(indices: Sequence[int]) -> Word:
     for i in idx:
         if i < 1:
             raise ValueError(f"nail index {i} out of range: nails are 1-based")
-    return _e_tree([Word((i,), reduced=True) for i in idx])
+    return Word(tuple(lay_out_e(idx)))
+
+
+@cache
+def e_template(m: int) -> tuple[int, ...]:
+    """The balanced 1-of-m word over nails 1..m, as constructed.
+
+    Every balanced word of width m is this template with letter +-i standing
+    for the i-th argument or its inverse, so it is built once per width:
+    the commutator left right left^-1 right^-1 of the templates of the two
+    halves, the second shifted onto nails ceil(m/2)+1..m.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m == 1:
+        return (1,)
+    half = (m + 1) // 2
+    left = e_template(half)
+    right = tuple(x + half if x > 0 else x - half for x in e_template(m - half))
+    return left + right + tuple(map(neg, left[::-1])) + tuple(map(neg, right[::-1]))
+
+
+def lay_out_e(indices: Sequence[int]) -> Iterator[int]:
+    """The letters of ``build_e(indices)``, without checking the indices.
+
+    ``label`` maps letter +-i of the template to +-indices[i-1]: +i reads
+    position i, and -i, through Python's negative indexing, reads position
+    2m+1-i, where the negated indices are stored in reverse.
+    """
+    label = [0, *indices, *map(neg, reversed(indices))]
+    return map(label.__getitem__, e_template(len(indices)))
 
 
 def e_word_length(n: int) -> int:
@@ -72,15 +105,9 @@ def build_disjoint(partition: Sequence[Iterable[int]]) -> Word:
     n = len(flat)
     if flat != list(range(1, n + 1)):
         raise ValueError("classes must partition 1..n with no overlap or gap")
-    class_words = [Word(tuple(c), reduced=True) for c in classes]
-    return _e_tree(class_words)
-
-
-def _e_tree(words: list[Word]) -> Word:
-    if len(words) == 1:
-        return words[0]
-    half = (len(words) + 1) // 2
-    return raw_commutator(_e_tree(words[:half]), _e_tree(words[half:]))
+    # Labelled as in lay_out_e, with class words in place of single nails.
+    pieces = [(), *classes, *([-i for i in reversed(c)] for c in reversed(classes))]
+    return Word(tuple(chain.from_iterable(map(pieces.__getitem__, e_template(len(classes))))))
 
 
 def e_tree_length(sizes: Sequence[int]) -> int:

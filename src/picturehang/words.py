@@ -142,7 +142,8 @@ class Word(_Record):
     @property
     def max_nail(self) -> int:
         """Largest nail index used, 0 for the empty word."""
-        return max((x if x > 0 else -x for x in self.letters), default=0)
+        letters = self.letters
+        return max(max(letters), -min(letters)) if letters else 0
 
     def reduce(self) -> "Word":
         if self.reduced:
@@ -174,9 +175,9 @@ def _residual(letters: Sequence[int], mask: int = 0) -> list[int]:
     stack loop.  Masked letters are filtered out in C, against a set of the
     dropped letters built from the mask's set bits, before the loop rather
     than tested inside it, which keeps plain reduction at full speed.  The
-    stack's last letter is kept in the local ``top``, 0 when the stack is
-    empty; letters are nonzero, so ``x == -top`` never cancels against an
-    empty stack and the loop reads ``stack[-1]`` only after a pop.
+    stack starts with the sentinel 0, so a pop always leaves a letter to
+    read, and ``neg`` holds the negated top; letters are nonzero, so no
+    letter cancels the sentinel.
     """
     if mask:
         drop: set[int] = set()
@@ -187,17 +188,18 @@ def _residual(letters: Sequence[int], mask: int = 0) -> list[int]:
             drop.add(-nail)
             mask ^= low
         letters = filterfalse(drop.__contains__, letters)
-    stack: list[int] = []
+    stack = [0]
     push = stack.append
     pop = stack.pop
-    top = 0
+    neg = 0
     for x in letters:
-        if x == -top:
+        if x == neg:
             pop()
-            top = stack[-1] if stack else 0
+            neg = -stack[-1]
         else:
             push(x)
-            top = x
+            neg = -x
+    del stack[0]
     return stack
 
 
@@ -307,6 +309,8 @@ def first_mismatch(
 ) -> int | None:
     """First mask where the word's fall table on nails 1..n differs, or None."""
     got = fall_table(w, n, limit)
+    if got == expected:
+        return None
     return next((mask for mask, want in enumerate(expected) if got[mask] != want), None)
 
 
@@ -357,7 +361,7 @@ class NailSubset(_Record):
 
     @property
     def size(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, nail: int) -> bool:
         return 1 <= nail <= self.n and bool((self.mask >> (nail - 1)) & 1)

@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from picturehang.circuits import (
     Const,
@@ -21,6 +21,7 @@ from picturehang.compiler import (
     BudgetExceededError,
     and_splice_cost,
     and_template_tokens,
+    clause_product,
     compile_circuit,
     estimate_length,
     flat_counts,
@@ -31,9 +32,17 @@ from picturehang.compiler import (
     or_template_tokens,
 )
 import picturehang.compiler as compiler
-from picturehang.constructions import e_word_length
+from picturehang.constructions import build_e, e_word_length
 from picturehang.circuits import UnrealizableSpecError
-from picturehang.words import EMPTY_WORD, Word, commutator, concat, fall_table, inverse
+from picturehang.words import (
+    EMPTY_WORD,
+    Word,
+    commutator,
+    concat,
+    fall_table,
+    inverse,
+    raw_concat,
+)
 
 X3, X4 = Word((3,)), Word((4,))
 
@@ -313,6 +322,17 @@ def test_compile_lowers_inner_constants_and_shared_nodes(data):
     if all(table):
         assert report.word.letters == ()
         assert "circuit is constantly true; compiles to the empty word" in report.notices
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.lists(st.integers(1, 8), min_size=1, max_size=6, unique=True), max_size=8))
+@example([])
+@example([[1, 2], [2, 3], [3, 1, 2], [1, 2]])
+def test_clause_product_equals_the_product_of_clause_words(clauses):
+    want = raw_concat(*(build_e(c) for c in clauses)).reduce()
+    got = clause_product(clauses)
+    assert got.letters == want.letters
+    assert got.reduced
 
 
 def _timed_compile(text):

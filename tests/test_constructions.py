@@ -11,7 +11,23 @@ from picturehang.constructions import (
     e_word_length,
     s_word_length,
 )
-from picturehang.words import Word, commutator, fall_table, falls, nail_counts, parse_word
+from picturehang.words import (
+    Word,
+    commutator,
+    fall_table,
+    falls,
+    nail_counts,
+    parse_word,
+    raw_commutator,
+)
+
+
+def _e_tree(words):
+    """The balanced recursion over words, laid out with raw commutators."""
+    if len(words) == 1:
+        return words[0]
+    half = (len(words) + 1) // 2
+    return raw_commutator(_e_tree(words[:half]), _e_tree(words[half:]))
 
 
 def test_s1_is_the_single_generator():
@@ -65,6 +81,28 @@ def test_e_lengths_formula_and_quadratic_bound():
         assert len(w) == e_word_length(n)
         assert len(w) <= 2 * n * n
         assert max(nail_counts(w, n).values()) <= 2 * n
+
+
+def test_e_template_equals_the_commutator_recursion():
+    rng = random.Random(12)
+    for m in range(1, 17):
+        for _ in range(4):
+            nails = rng.sample(range(1, 100), m)  # unsorted, with gaps
+            w = build_e(nails)
+            assert w.letters == _e_tree([Word((i,)) for i in nails]).letters
+            assert len(w) == e_word_length(m)
+
+
+def test_disjoint_template_equals_the_commutator_recursion():
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        nails = list(range(1, n + 1))
+        rng.shuffle(nails)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        classes = [nails[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        want = _e_tree([Word(tuple(sorted(c))) for c in classes])
+        assert build_disjoint(classes).letters == want.letters
 
 
 def test_e_respects_arbitrary_index_sets():

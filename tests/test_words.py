@@ -16,6 +16,7 @@ from picturehang.words import (
     concat,
     fall_table,
     falls,
+    first_mismatch,
     format_word,
     inverse,
     is_monotone_table,
@@ -44,6 +45,35 @@ def test_reduce_cancels_adjacent_inverses():
 def test_reduce_cascades_through_new_adjacencies():
     # x1 x2 x̄2 x̄1 x3: the outer pair only meets after the inner cancels.
     assert reduce(Word((1, 2, -2, -1, 3))).letters == (3,)
+
+
+def test_reduction_stack_empties_mid_word_and_grows_again():
+    w = parse_word("x1 X1 X2 x2 x3")
+    assert reduce(w).letters == (3,)
+    assert remove_nails(w, [2]).letters == (3,)
+    assert remove_nails(w, [1, 2]).letters == (3,)
+    assert remove_nails(w, [3]).letters == ()
+    assert fall_table(w, 3) == [False, False, False, False, True, True, True, True]
+    # After the stack empties, the next letter is pushed whatever its sign.
+    assert reduce(parse_word("x1 X1 X1 x2")).letters == (-1, 2)
+    assert reduce(parse_word("x1 X1 x1 x2")).letters == (1, 2)
+    assert remove_nails(parse_word("x1 x3 X1 X3 X3 x2"), [1]).letters == (-3, 2)
+
+
+def test_max_nail_takes_both_signs():
+    assert EMPTY_WORD.max_nail == 0
+    assert Word((2, -7, 3)).max_nail == 7
+    assert Word((-4,)).max_nail == 4
+    assert Word((4, -2)).max_nail == 4
+
+
+def test_first_mismatch_reports_the_first_differing_mask():
+    w = Word((1, 2, -1, -2))  # falls once nail 1 or nail 2 is removed
+    table = fall_table(w, 2)
+    assert first_mismatch(w, 2, table) is None
+    assert first_mismatch(w, 2, tuple(table)) is None
+    assert first_mismatch(w, 2, [False, True, False, False]) == 2
+    assert first_mismatch(w, 2, [True, False, True, False]) == 0
 
 
 def test_equality_is_up_to_reduction():
