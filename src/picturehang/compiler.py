@@ -399,14 +399,15 @@ def compile_circuit(
         spec = validation.spec
     if spec is not None and spec.threshold_k is not None:
         width = n - spec.threshold_k + 1
-        check_budget(comb(n, width) * e_word_length(width), budget)
+        estimate = comb(n, width) * e_word_length(width)
+        check_budget(estimate, budget)
         clauses = list(combinations(range(1, n + 1), width))
     else:
         clauses = _prime_clauses(spec.to_circuit() if spec is not None else target, budget)
         if not clauses:
             notices.append("circuit is constantly true; compiles to the empty word")
-    estimate = sum(e_word_length(len(clause)) for clause in clauses)
-    check_budget(estimate, budget)
+        estimate = sum(e_word_length(len(clause)) for clause in clauses)
+        check_budget(estimate, budget)
     word = clause_product(clauses)
     reduced_length = len(word.letters)
     widest = max(map(len, clauses), default=1)

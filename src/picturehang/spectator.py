@@ -8,14 +8,24 @@ small.  Deleting nails is a homomorphism, so the residual of a subset is
 its parent's residual with one more nail stripped: `min_fell_exact` builds
 each layer of subsets from the one below it, and `greedy_min_fell` keeps
 the residual of the nail it picks.  `max_survive_exact` scans each layer
-from the top down, reducing the whole word once per subset.
+from the top down and strips each subset's nails from the reduced word.
+All three pack the reduced word one byte per letter when its nails are at
+most 127 (`words._pack`), so every strip drops letters in C.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .words import DEFAULT_EXHAUSTIVE_LIMIT, NailSubset, Word, _residual, check_limit, check_nails
+from .words import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
+    NailSubset,
+    Word,
+    _pack,
+    _residual,
+    check_limit,
+    check_nails,
+)
 
 __all__ = [
     "min_fell_exact",
@@ -60,7 +70,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     root = w.reduce().letters
     if not root:
         return NailSubset(n, 0)
-    layer: list[tuple[int, Sequence[int]]] = [(0, root)]
+    layer: list[tuple[int, Sequence[int]]] = [(0, _pack(root))]
     while layer:
         children: list[tuple[int, Sequence[int]]] = []
         layer.reverse()
@@ -82,10 +92,14 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
 
     Same tie-break as min_fell_exact.  A trivial word has no answer: it
     has already fallen with no nails removed.
+
+    Each layer is scanned in numeric order from size n - 1 down, and each
+    subset's nails are stripped from the packed reduced word at once; the
+    first subset that leaves letters is the answer.
     """
     check_nails(w, n)
     check_limit("max_survive_exact", n, limit)
-    letters = w.reduce().letters
+    letters = _pack(w.reduce().letters)
     if not letters:
         raise ValueError("word is trivial: the picture has already fallen")
     for k in range(n - 1, -1, -1):
@@ -105,7 +119,7 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     """
     check_nails(w, n)
     chosen = 0
-    residual: Sequence[int] = w.reduce().letters
+    residual = _pack(w.reduce().letters)
     while residual:
         best_nail = -1
         best = residual

@@ -13,6 +13,13 @@ Deleting a nail's letters is a group homomorphism, so it commutes with
 reduction: the residual of S + {i} is the residual of S with nail i deleted
 and reduced again.  Falling is monotone, since the empty word stays empty
 under further deletions.  `fall_table` walks the subsets on both facts.
+
+One kernel, `_residual`, reduces and strips.  A word is handed to it as
+ints, or packed as bytes, one byte per letter (x mod 256), when every nail
+is at most 127.  The subset searches here and in `spectator` pack their
+reduced word once, so each of their many strips drops letters with
+`bytes.translate` in C; plain reduction of a word as built stays on ints,
+where packing would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -168,39 +175,69 @@ class Word(_Record):
 EMPTY_WORD = Word((), reduced=True)
 
 
-def _residual(letters: Sequence[int], mask: int = 0) -> list[int]:
+def _residual(letters: Sequence[int], mask: int = 0) -> Sequence[int]:
     """Reduced letters left after deleting those on the nails set in ``mask``.
 
     The one free-reduction kernel: every reduction and fall test runs this
-    stack loop.  Masked letters are filtered out in C, against a set of the
-    dropped letters built from the mask's set bits, before the loop rather
-    than tested inside it, which keeps plain reduction at full speed.  The
-    stack starts with the sentinel 0, so a pop always leaves a letter to
-    read, and ``neg`` holds the negated top; letters are nonzero, so no
-    letter cancels the sentinel.
+    stack loop.  The stack starts with the sentinel 0, so a pop always
+    leaves a letter to read, and ``neg`` holds the negated top; letters are
+    nonzero, so no letter cancels the sentinel.  Masked letters are dropped
+    in C before the loop rather than tested inside it.
+
+    The type of ``letters`` selects the form.  Ints are filtered against a
+    set of the dropped letters, and the result is a list.  Packed letters,
+    from ``_pack``, are bytes: nail i is byte i and its inverse byte
+    256 - i, which differ for nails 1..127, the only ones a packed word
+    holds.  They are dropped with ``bytes.translate``, the loop negates mod
+    256 with 256 as the sentinel's negation, and the result is bytes, ready
+    for the next strip.  Mask bits above 127 are left out there: those
+    nails are not in the word, and nail i >= 128 would alias the bytes of
+    nail 256 - i.  Plain reduction of a word as built stays on ints: packing
+    costs about as much as the loop, which runs no faster on bytes.
     """
+    base = 256 if isinstance(letters, bytes) else 0  # the modulus; the sentinel's negation
     if mask:
+        if base:
+            mask &= _PACKED_NAILS
         drop: set[int] = set()
         while mask:
             low = mask & -mask
             nail = low.bit_length()
             drop.add(nail)
-            drop.add(-nail)
+            drop.add(base - nail)
             mask ^= low
-        letters = filterfalse(drop.__contains__, letters)
+        if base:
+            letters = letters.translate(None, bytes(drop))
+        else:
+            letters = filterfalse(drop.__contains__, letters)
     stack = [0]
     push = stack.append
     pop = stack.pop
-    neg = 0
+    neg = base
     for x in letters:
         if x == neg:
             pop()
-            neg = -stack[-1]
+            neg = base - stack[-1]
         else:
             push(x)
-            neg = -x
+            neg = base - x
     del stack[0]
-    return stack
+    return bytes(stack) if base else stack
+
+
+_PACKED_NAILS = (1 << 127) - 1  # mask bits of the nails a packed word can hold
+
+
+def _pack(letters: Sequence[int]) -> Sequence[int]:
+    """Letters packed for ``_residual``, one byte per letter (x mod 256).
+
+    Returns ``letters`` unchanged when a nail is above 127.
+    """
+    if letters and max(max(letters), -min(letters)) > 127:
+        return letters
+    from array import array  # loaded here: only the subset searches pack
+
+    return array("b", letters).tobytes()  # two's complement bytes are x mod 256
 
 
 def reduce(w: Word) -> Word:
@@ -283,7 +320,8 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
     child's nails.  An empty residual ends the descent: falling is
     monotone, so every mask below it falls.  At most one residual per depth
     is alive.  Nails above the reduced word's highest change nothing, so
-    the table over the lower nails is repeated for them.
+    the table over the lower nails is repeated for them.  The residuals are
+    packed when the nails allow it (see ``_residual``).
     """
     check_nails(w, n)
     check_limit("fall_table", n, limit)
@@ -300,7 +338,7 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
                 table[mask | 1 << i :: 2 << i] = [True] * (1 << (top - 1 - i))
 
     if root:
-        walk(root, 0, 0)
+        walk(_pack(root), 0, 0)
     return table * (1 << (n - top))
 
 

@@ -148,6 +148,17 @@ def _reference_min_fell(w, n):
     raise AssertionError("the full subset always fells")
 
 
+def _reference_max_survive(w, n):
+    """The per-mask scan from size n - 1 down, each size in numeric order."""
+    full = (1 << n) - 1
+    for k in range(n - 1, -1, -1):
+        kept = itertools.combinations(range(n), n - k)
+        for mask in sorted(full ^ sum(1 << i for i in c) for c in kept):
+            if not falls(w, NailSubset(n, mask)):
+                return mask
+    raise AssertionError("the empty subset hangs a nontrivial word")
+
+
 def _reference_greedy(w, n):
     """Remove the most shortening nail, lowest index on ties, until it falls."""
     chosen = set()
@@ -184,10 +195,17 @@ def _differential_corpus():
             if all(any(j in s for s in sets) for j in range(1, m + 1)):
                 break
         corpus.append((set_cover_to_hanging(m, sets)[0], n))
+    # Packed words (every nail at most 127) searched over n = 200 nails: a
+    # mask bit i >= 128 must not strip nail 256 - i.  Nail 128 stays on ints.
+    corpus += [(Word((127,)), 200), (Word((1, 127, 1, -127)), 200),
+               (Word((125, 126, 127, -125, -126, -127, 127)), 200),
+               (Word((1, 128, 1, -128)), 200)]
     return corpus
 
 
 def test_solvers_return_the_masks_of_the_per_mask_references():
     for w, n in _differential_corpus():
-        assert min_fell_exact(w, n).mask == _reference_min_fell(w, n), (w, n)
+        assert min_fell_exact(w, n, limit=200).mask == _reference_min_fell(w, n), (w, n)
         assert greedy_min_fell(w, n).mask == _reference_greedy(w, n), (w, n)
+        if w:
+            assert max_survive_exact(w, n, limit=200).mask == _reference_max_survive(w, n), (w, n)

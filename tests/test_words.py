@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from picturehang.words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -29,6 +29,7 @@ from picturehang.words import (
     word_from_json,
     word_to_json,
 )
+from picturehang.words import _pack, _residual
 
 letters_st = st.lists(
     st.integers(min_value=-6, max_value=6).filter(lambda x: x != 0), max_size=40
@@ -304,3 +305,44 @@ def test_removal_is_a_homomorphism(a, b, nails):
 @given(words_st)
 def test_fall_tables_are_monotone(w):
     assert is_monotone_table(fall_table(w, 6), 6)
+
+
+def _unpack(packed):
+    """Letters of a packed residual: bytes above 127 are inverse letters."""
+    return [x - 256 if x > 127 else x for x in packed]
+
+
+@st.composite
+def packable_letters_and_mask(draw):
+    """Letters over a few nails in 1..127, and a mask of nails to drop.
+
+    The mask takes the word's own nails, the nails 256 - i whose packed
+    bytes would alias them, and any nail up to 300.
+    """
+    nails = draw(st.lists(st.integers(min_value=1, max_value=127), min_size=1, max_size=4,
+                          unique=True))
+    letters = draw(st.lists(st.sampled_from(nails + [-i for i in nails]), max_size=40))
+    dropped = draw(st.sets(st.one_of(st.sampled_from(nails),
+                                     st.sampled_from([256 - i for i in nails]),
+                                     st.integers(min_value=1, max_value=300)), max_size=6))
+    return letters, sum(1 << (i - 1) for i in dropped)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(packable_letters_and_mask())
+@example(([127, 1, -127, -1], 1 << 128))  # nail 129's bytes are nail 127's
+@example(([-127, 127, 2, -2, 127], 1 << 127 | 1 << 1))  # nail 128 and nail 2
+def test_packed_residual_equals_the_int_residual(case):
+    letters, mask = case
+    packed = _pack(letters)
+    assert isinstance(packed, bytes)
+    assert _unpack(packed) == letters
+    assert _unpack(_residual(packed)) == _residual(letters)
+    assert _unpack(_residual(packed, mask)) == _residual(letters, mask)
+
+
+def test_nail_127_packs_and_nail_128_keeps_the_int_path():
+    assert _pack((127, -127, 1, -1)) == bytes((127, 129, 1, 255))
+    assert _pack(()) == b""
+    for letters in [(128,), (-128,), (1, 128, -1, -128), (-300, 2)]:
+        assert _pack(letters) is letters
