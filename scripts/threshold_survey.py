@@ -1,11 +1,14 @@
 """Survey compiled k-of-n threshold words: measured lengths versus estimates.
 
 For each pair in the grid, compiles the threshold with build_k_of_n and
-reports as-constructed and reduced letter counts, the gate depth, the
-arithmetic estimate, and whether exhaustive verification ran and agreed.
-Each threshold compiles to the reduced product of the balanced
-1-of-(n-k+1) words over every (n-k+1)-subset of the nails.  Rows that blow
-the letter budget are reported as skipped rather than aborting the survey.
+reports the compile route, as-constructed and reduced letter counts, the
+gate depth, the arithmetic estimate, and whether exhaustive verification
+ran and agreed.  A threshold compiles to the reduced product of the
+balanced 1-of-(n-k+1) words over every (n-k+1)-subset of the nails, route
+"clause-product", except (n-1)-of-n for n >= 3, whose clauses are every
+pair of nails: it compiles to the 2n-letter word x1 ... xn X1 ... Xn, route
+"two-cnf".  Rows that blow the letter budget are reported as skipped
+rather than aborting the survey.
 
 ``build_s`` times the compile alone (``verify=False``); ``verify_s`` times
 the fall-table check of the built word against the threshold's table, which
@@ -28,7 +31,7 @@ from picturehang.words import first_mismatch
 
 def survey(max_n: int, budget: int, verify: bool) -> None:
     print(
-        f"{'k':>3} {'n':>3} {'as_built':>10} {'reduced':>10} {'estimate':>10} "
+        f"{'k':>3} {'n':>3} {'route':>14} {'as_built':>10} {'reduced':>10} {'estimate':>10} "
         f"{'depth':>5} {'verified':>8} {'build_s':>8} {'verify_s':>8}"
     )
     for n in range(1, max_n + 1):
@@ -37,7 +40,7 @@ def survey(max_n: int, budget: int, verify: bool) -> None:
             try:
                 report = build_k_of_n(k, n, budget=budget, verify=False)
             except BudgetExceededError:
-                print(f"{k:>3} {n:>3} {'-':>10} {'-':>10} {'over budget':>10}")
+                print(f"{k:>3} {n:>3} {'-':>14} {'-':>10} {'-':>10} {'over budget':>10}")
                 continue
             build_s = time.perf_counter() - t0
             verified, verify_s = None, "-"
@@ -48,7 +51,7 @@ def survey(max_n: int, budget: int, verify: bool) -> None:
                 verified = first_mismatch(report.word, n, expected) is None
                 verify_s = f"{time.perf_counter() - t0:.5f}"
             print(
-                f"{k:>3} {n:>3} {report.as_constructed_length:>10} "
+                f"{k:>3} {n:>3} {report.route:>14} {report.as_constructed_length:>10} "
                 f"{report.reduced_length:>10} {report.estimate:>10} "
                 f"{report.depth:>5} {str(verified):>8} {build_s:>8.5f} {verify_s:>8}"
             )

@@ -59,6 +59,7 @@ def _load_spec(path: str) -> PuzzleSpec:
 def _report_dict(report: CompileReport) -> dict:
     return {
         "n": report.n,
+        "route": report.route,
         "as_constructed_length": report.as_constructed_length,
         "reduced_length": report.reduced_length,
         "depth": report.depth,

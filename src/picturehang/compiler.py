@@ -1,6 +1,6 @@
 """Compile monotone fall functions into hanging words on the same n nails.
 
-Every nonconstant spec compiles to the reduced product
+A nonconstant spec compiles to the reduced product
 
     W = e(C_1) e(C_2) ... e(C_m),   e(C) = build_e(sorted(C)),
 
@@ -22,12 +22,38 @@ product modulo gamma_(w+1) is the sum of their weight-w classes, nonzero
 since distinct sets have distinct multidegrees.  So W falls exactly when R
 hits every clause, that is, when f holds.
 
+Some 2-CNFs take a shorter word, x_sigma X_tau = x_sigma(1) ... x_sigma(s)
+X_tau(1) ... X_tau(s) for two orders sigma and tau of the s nails the
+2-nail clauses hold, when those clauses are exactly the pairs that sigma
+and tau put in the same order.  After removing R, the residual is
+x_sigma|S X_tau|S over the survivors S, a positive word then a negative
+one.  It cancels iff tau reverses sigma on S.  That holds iff no surviving
+pair is a clause, that is, iff R hits every clause.  Such clause graphs are
+the permutation graphs (Pnueli, Lempel & Even, Canad. J. Math. 23, 1971):
+G is one iff G and its complement have transitive orientations P and Q,
+and then sigma = P + Q and tau = P + Q^-1 are linear orders (Golumbic,
+*Algorithmic Graph Theory and Perfect Graphs*, 1980, ch. 5 and 7).
+
+So when every prime clause has one or two nails, at least one has two, the
+s nails number at most the exhaustive limit and 2s is less than the
+product's 4 letters per 2-nail clause, the compiler looks for P and Q by
+Golumbic's implication classes and checks that sigma and tau agree exactly
+on the clauses.  If they do, and the one-nail clauses' letters followed by
+x_sigma X_tau are fewer than the reduced product's, it emits that word;
+else the product.  The singletons' nails are disjoint from the others, so
+their letters lie in another free factor and the word falls iff both parts
+do.  The word is reduced: a nail last in sigma and first in tau would be
+in no 2-nail clause.  A report's ``route`` says which word was emitted,
+"clause-product" or "two-cnf".
+
 A threshold "at least k of n removed" has every (n-k+1)-subset as a clause,
 and its closed-form length is checked against the budget before any clause
-is listed.  Every other spec is dualized in one postorder pass over its
-circuit, where true has no clause and false the empty one; an AND absorbs
-only across its two sides and checks the budget on the clauses it keeps, an
-OR on the unions it forms.  A report's ``depth`` is that of the equivalent
+is listed.  For k = n - 1 and n >= 3 the clauses are every pair, the
+complete graph, and sigma = tau = 1..n gives the 2n-letter word
+x1 ... xn X1 ... Xn.  Every other spec is dualized in one postorder pass
+over its circuit, where true has no clause and false the empty one; an AND
+absorbs only across its two sides and checks the budget on the clauses it
+keeps, an OR on the unions it forms.  A report's ``depth`` is that of the equivalent
 CNF circuit, a balanced AND of balanced ORs, and ``bound`` is 1078**depth.
 
 The gate gadgets remain library functions; `set_cover_to_hanging` uses
@@ -354,6 +380,82 @@ def _minimal_sets(sets: Iterable[int]) -> list[int]:
     return minimal
 
 
+def _permutation_orders(
+    pairs: Sequence[tuple[int, ...]], limit: int
+) -> tuple[list[int], list[int]] | None:
+    """Orders sigma and tau of the pairs' nails that agree exactly on the pairs.
+
+    None when the pairs' graph is not a permutation graph, when x_sigma
+    X_tau would not be shorter than the pairs' product (2s >= 4 |pairs| for
+    s nails), or when s exceeds ``limit``.  sigma is P + Q and tau is
+    P + Q^-1 for transitive orientations P of the graph and Q of its
+    complement; each nail goes after as many nails as point into it.  The
+    agreement is checked pair by pair, so an order returned is a proof.
+    """
+    adjacent: dict[int, set[int]] = {}
+    for a, b in pairs:
+        adjacent.setdefault(a, set()).add(b)
+        adjacent.setdefault(b, set()).add(a)
+    if len(adjacent) > limit or 2 * len(adjacent) >= 4 * len(pairs):
+        return None
+    nails = set(adjacent)
+    p = _transitive_orientation(adjacent)
+    q = _transitive_orientation({a: nails - near - {a} for a, near in adjacent.items()})
+    if p is None or q is None:
+        return None
+    after_sigma = dict.fromkeys(nails, 0)
+    after_tau = dict.fromkeys(nails, 0)
+    for a, b in p:
+        after_sigma[b] += 1
+        after_tau[b] += 1
+    for a, b in q:
+        after_sigma[b] += 1
+        after_tau[a] += 1
+    sigma = sorted(nails, key=after_sigma.__getitem__)
+    tau = sorted(nails, key=after_tau.__getitem__)
+    at_tau = {x: i for i, x in enumerate(tau)}
+    for a, b in combinations(sigma, 2):  # a comes before b in sigma
+        if (at_tau[a] < at_tau[b]) != (b in adjacent[a]):
+            return None
+    return sigma, tau
+
+
+def _transitive_orientation(adjacent: dict[int, set[int]]) -> list[tuple[int, int]] | None:
+    """Arcs of a transitive orientation of the graph, or None if it has none.
+
+    Golumbic's G-decomposition (*Algorithmic Graph Theory and Perfect
+    Graphs*, 1980, ch. 5).  Among the edges not yet oriented, the least one
+    a < b is taken as a -> b together with its implication class: the arcs
+    it forces, where u -> v forces u -> w when vw is not an edge left, and
+    w -> v when uw is not.  The class leaves the edges left, and the next
+    least edge starts the next class.  The graph has a transitive
+    orientation iff no class holds an edge both ways, and then the classes
+    together are one.
+    """
+    left = {a: set(near) for a, near in adjacent.items()}
+    arcs: list[tuple[int, int]] = []
+    for a in sorted(left):
+        while left[a]:  # lower neighbours were oriented with their own nail
+            start = (a, min(left[a]))
+            found = {start}
+            stack = [start]
+            while stack:
+                u, v = stack.pop()
+                forced = [(u, w) for w in left[u] if w != v and w not in left[v]]
+                forced += [(w, v) for w in left[v] if w != u and w not in left[u]]
+                for arc in forced:
+                    if arc not in found:
+                        found.add(arc)
+                        stack.append(arc)
+            if any((v, u) in found for u, v in found):
+                return None
+            for u, v in found:
+                left[u].discard(v)
+                left[v].discard(u)
+            arcs.extend(found)
+    return arcs
+
+
 class CompileReport(NamedTuple):
     """What the compiler produced and how the emitted word checked out.
 
@@ -363,6 +465,8 @@ class CompileReport(NamedTuple):
     (n beyond the limit, disabled, or past the auto-verification work cap);
     on a mismatch it is False and ``mismatch_mask`` holds the first subset
     bitmask where the word disagrees with the requested fall function.
+    ``route`` names the word emitted: "clause-product" or "two-cnf" (the
+    one-nail clauses' letters, then x_sigma X_tau).
     """
 
     word: Word
@@ -375,6 +479,7 @@ class CompileReport(NamedTuple):
     verified: bool | None
     mismatch_mask: int | None
     notices: tuple[str, ...]
+    route: str = "clause-product"
 
 
 def compile_circuit(
@@ -383,7 +488,8 @@ def compile_circuit(
     verify: bool | None = None,
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> CompileReport:
-    """Compile a circuit or spec to the product of its prime-clause words.
+    """Compile a circuit or spec to the product of its prime-clause words,
+    or to x_sigma X_tau when its prime clauses allow (see the module docstring).
 
     ``budget`` guards against runaway output; pass None to disable.
     ``verify`` forces (True) or skips (False) exhaustive table verification;
@@ -397,21 +503,40 @@ def compile_circuit(
         validation = validate_spec(target)
         notices.extend(validation.notices)
         spec = validation.spec
+    route = "clause-product"
     if spec is not None and spec.threshold_k is not None:
         width = n - spec.threshold_k + 1
-        estimate = comb(n, width) * e_word_length(width)
-        check_budget(estimate, budget)
-        clauses = list(combinations(range(1, n + 1), width))
+        count = comb(n, width)
+        widest = width if count else 1
+        if width == 2 and n > 2:  # every pair: sigma = tau = 1..n
+            estimate = 2 * n
+            check_budget(estimate, budget)
+            word = Word((*range(1, n + 1), *range(-1, -n - 1, -1)), reduced=True)
+            route = "two-cnf"
+        else:
+            estimate = count * e_word_length(width)
+            check_budget(estimate, budget)
+            word = clause_product(combinations(range(1, n + 1), width))
     else:
         clauses = _prime_clauses(spec.to_circuit() if spec is not None else target, budget)
         if not clauses:
             notices.append("circuit is constantly true; compiles to the empty word")
+        count = len(clauses)
+        widest = max(map(len, clauses), default=1)
         estimate = sum(e_word_length(len(clause)) for clause in clauses)
         check_budget(estimate, budget)
-    word = clause_product(clauses)
+        word = clause_product(clauses)
+        pairs = [clause for clause in clauses if len(clause) == 2]
+        orders = _permutation_orders(pairs, limit) if widest == 2 else None
+        if orders is not None:
+            sigma, tau = orders
+            singles = [clause[0] for clause in clauses if len(clause) == 1]
+            shorter = Word((*singles, *sigma, *(-x for x in tau)), reduced=True)
+            # the product can tie: clause words (a, b), (b, c) side by side cancel two letters
+            if len(shorter.letters) < len(word.letters):
+                word, estimate, route = shorter, len(shorter.letters), "two-cnf"
     reduced_length = len(word.letters)
-    widest = max(map(len, clauses), default=1)
-    depth = (max(len(clauses), 1) - 1).bit_length() + (widest - 1).bit_length()
+    depth = (max(count, 1) - 1).bit_length() + (widest - 1).bit_length()
     verified: bool | None = None
     mismatch_mask: int | None = None
     if verify is None:
@@ -447,4 +572,5 @@ def compile_circuit(
         verified=verified,
         mismatch_mask=mismatch_mask,
         notices=tuple(notices),
+        route=route,
     )

@@ -8,7 +8,8 @@ small.  Deleting nails is a homomorphism, so the residual of a subset is
 its parent's residual with one more nail stripped: `min_fell_exact` builds
 each layer of subsets from the one below it, and `greedy_min_fell` keeps
 the residual of the nail it picks.  `max_survive_exact` scans each layer
-from the top down and strips each subset's nails from the reduced word.
+of the nails the reduced word holds from the top down and strips each
+subset's nails from the reduced word.
 All three pack the reduced word one byte per letter when its nails are at
 most 127 (`words._pack`), so every strip drops letters in C.
 """
@@ -21,8 +22,9 @@ from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     NailSubset,
     Word,
-    _pack,
+    _held_nails,
     _residual,
+    _search_root,
     check_limit,
     check_nails,
 )
@@ -65,12 +67,12 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     exist, and a subset holding nail 1 has no children, so it keeps no
     residual.
     """
-    check_nails(w, n)
+    top = check_nails(w, n)
     check_limit("min_fell_exact", n, limit)
-    root = w.reduce().letters
+    root, _ = _search_root(w, top)
     if not root:
         return NailSubset(n, 0)
-    layer: list[tuple[int, Sequence[int]]] = [(0, _pack(root))]
+    layer: list[tuple[int, Sequence[int]]] = [(0, root)]
     while layer:
         children: list[tuple[int, Sequence[int]]] = []
         layer.reverse()
@@ -93,19 +95,34 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     Same tie-break as min_fell_exact.  A trivial word has no answer: it
     has already fallen with no nails removed.
 
-    Each layer is scanned in numeric order from size n - 1 down, and each
-    subset's nails are stripped from the packed reduced word at once; the
-    first subset that leaves letters is the answer.
+    Only the h nails the reduced word holds are scanned.  The others change
+    nothing, so they belong to every largest answer, and with their bits
+    fixed the numeric order of the answers is that of their held parts.
+    Each layer of held nails is scanned in numeric order from size h - 1
+    down, and each subset's nails are stripped from the packed reduced word
+    at once; the first subset that leaves letters, with every nail not
+    held, is the answer.
     """
-    check_nails(w, n)
+    top = check_nails(w, n)
     check_limit("max_survive_exact", n, limit)
-    letters = _pack(w.reduce().letters)
+    letters, _ = _search_root(w, top)
     if not letters:
         raise ValueError("word is trivial: the picture has already fallen")
-    for k in range(n - 1, -1, -1):
-        for mask in _masks_of_size(n, k):
+    bits = [1 << nail - 1 for nail in _held_nails(letters)]
+    h = len(bits)
+    absent = ((1 << n) - 1) ^ sum(bits)
+    spread = bits[-1] != 1 << h - 1  # else the held nails are 1..h, each mask its own
+    for k in range(h - 1, -1, -1):
+        for chosen in _masks_of_size(h, k):
+            mask = chosen
+            if spread:
+                mask = 0
+                while chosen:
+                    low = chosen & -chosen
+                    mask |= bits[low.bit_length() - 1]
+                    chosen ^= low
             if _residual(letters, mask):
-                return NailSubset(n, mask)
+                return NailSubset(n, mask | absent)
     raise AssertionError("unreachable: the empty subset hangs a nontrivial word")
 
 
@@ -117,9 +134,8 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     for the next step.  No approximation guarantee is claimed; the exact
     optimum is never larger.
     """
-    check_nails(w, n)
     chosen = 0
-    residual = _pack(w.reduce().letters)
+    residual, _ = _search_root(w, check_nails(w, n))
     while residual:
         best_nail = -1
         best = residual

@@ -57,12 +57,17 @@ def check_budget(letters: int, budget: int | None) -> None:
         )
 
 
-def check_nails(w: Word, n: int) -> None:
-    """Refuse a negative n, then a word that wraps a nail above n."""
+def check_nails(w: Word, n: int) -> int:
+    """Refuse a negative n, then a word that wraps a nail above n.
+
+    Returns the word's largest nail, 0 for the empty word.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if w.max_nail > n:
-        raise ValueError(f"word uses nail {w.max_nail} beyond n={n}")
+    top = w.max_nail
+    if top > n:
+        raise ValueError(f"word uses nail {top} beyond n={n}")
+    return top
 
 
 class WordFormatError(ValueError):
@@ -149,8 +154,7 @@ class Word(_Record):
     @property
     def max_nail(self) -> int:
         """Largest nail index used, 0 for the empty word."""
-        letters = self.letters
-        return max(max(letters), -min(letters)) if letters else 0
+        return _max_nail(self.letters)
 
     def reduce(self) -> "Word":
         if self.reduced:
@@ -228,16 +232,41 @@ def _residual(letters: Sequence[int], mask: int = 0) -> Sequence[int]:
 _PACKED_NAILS = (1 << 127) - 1  # mask bits of the nails a packed word can hold
 
 
-def _pack(letters: Sequence[int]) -> Sequence[int]:
+def _max_nail(letters: Sequence[int]) -> int:
+    """Largest nail of int letters, 0 for none."""
+    return max(max(letters), -min(letters)) if letters else 0
+
+
+def _pack(letters: Sequence[int], top: int | None = None) -> Sequence[int]:
     """Letters packed for ``_residual``, one byte per letter (x mod 256).
 
+    ``top`` is the letters' largest nail, read here when not given.
     Returns ``letters`` unchanged when a nail is above 127.
     """
-    if letters and max(max(letters), -min(letters)) > 127:
+    if (_max_nail(letters) if top is None else top) > 127:
         return letters
     from array import array  # loaded here: only the subset searches pack
 
     return array("b", letters).tobytes()  # two's complement bytes are x mod 256
+
+
+def _search_root(w: Word, top: int) -> tuple[Sequence[int], int]:
+    """The reduced letters of w, packed when they allow, and their largest nail.
+
+    ``top`` is w's largest nail, as ``check_nails`` returns it.  Reduction
+    only deletes letters, so it is read again only when some cancelled.
+    """
+    root = w.reduce().letters
+    if len(root) < len(w.letters):
+        top = _max_nail(root)
+    return _pack(root, top), top
+
+
+def _held_nails(letters: Sequence[int]) -> list[int]:
+    """The nails that int or packed letters hold, in increasing order."""
+    if isinstance(letters, bytes):
+        return sorted({x if x < 128 else 256 - x for x in set(letters)})
+    return sorted({abs(x) for x in set(letters)})
 
 
 def reduce(w: Word) -> Word:
@@ -323,10 +352,9 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
     the table over the lower nails is repeated for them.  The residuals are
     packed when the nails allow it (see ``_residual``).
     """
-    check_nails(w, n)
+    top = check_nails(w, n)
     check_limit("fall_table", n, limit)
-    root = w.reduce().letters
-    top = max(map(abs, root), default=0)  # nails above top change nothing
+    root, top = _search_root(w, top)  # nails above top change nothing
     table = [not root] * (1 << top)
 
     def walk(residual: Sequence[int], mask: int, start: int) -> None:
@@ -338,7 +366,7 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
                 table[mask | 1 << i :: 2 << i] = [True] * (1 << (top - 1 - i))
 
     if root:
-        walk(_pack(root), 0, 0)
+        walk(root, 0, 0)
     return table * (1 << (n - top))
 
 

@@ -65,6 +65,7 @@ def test_compile_formula_reports(capsys):
     report = json.loads(err)
     assert report["verified"] is True
     assert report["depth"] == 1
+    assert report["route"] == "clause-product"
 
 
 def test_compile_spec_file(capsys, tmp_path):
@@ -74,6 +75,8 @@ def test_compile_spec_file(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["verified"] is True
+    assert report["route"] == "two-cnf"
+    assert report["word"] == "x1 x2 x3 X1 X3 X2"
 
 
 def test_compile_threshold_spec_is_exact(capsys, tmp_path):

@@ -34,12 +34,14 @@ from picturehang.compiler import (
 import picturehang.compiler as compiler
 from picturehang.constructions import build_e, e_word_length
 from picturehang.circuits import UnrealizableSpecError
+from picturehang.puzzles import fixture_by_id
 from picturehang.words import (
     EMPTY_WORD,
     Word,
     commutator,
     concat,
     fall_table,
+    format_word,
     inverse,
     raw_concat,
 )
@@ -244,12 +246,15 @@ def test_compile_and_of_identical_operands_collapses(monkeypatch):
 def test_compile_every_monotone_function_on_four_nails():
     # A nonconstant monotone function is the nonempty antichain of its
     # minimal felling subsets; on 4 nails there are 166 of them.  Its prime
-    # clauses are the complements of its maximal hanging subsets, and the
-    # word lays out exactly one balanced word per prime clause.
+    # clauses are the complements of its maximal hanging subsets.  The
+    # product lays out exactly one balanced word per prime clause; x_sigma
+    # X_tau lays out one letter per one-nail clause and two per nail of the
+    # two-nail clauses, and is never longer.
     subsets = [
         frozenset(c) for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)
     ]
     count = 0
+    routes = {"clause-product": 0, "two-cnf": 0}
     for bits in range(1, 1 << len(subsets)):
         family = [s for i, s in enumerate(subsets) if bits >> i & 1]
         if any(a < b for a in family for b in family):
@@ -264,9 +269,93 @@ def test_compile_every_monotone_function_on_four_nails():
             m for m in range(16)
             if not table[m] and all(table[m | 1 << i] for i in range(4) if not m >> i & 1)
         ]
-        prime_lengths = [e_word_length(4 - bin(m).count("1")) for m in maximal_hanging]
-        assert report.as_constructed_length == sum(prime_lengths), family
+        clauses = [[i + 1 for i in range(4) if not m >> i & 1] for m in maximal_hanging]
+        product_length = sum(e_word_length(len(clause)) for clause in clauses)
+        if report.route == "two-cnf":
+            singles = [clause for clause in clauses if len(clause) == 1]
+            support = {nail for clause in clauses if len(clause) == 2 for nail in clause}
+            assert report.as_constructed_length == len(singles) + 2 * len(support), family
+        else:
+            assert report.as_constructed_length == product_length, family
+        assert report.as_constructed_length <= product_length, family
+        routes[report.route] += 1
     assert count == 166
+    assert routes == {"clause-product": 104, "two-cnf": 62}
+
+
+def test_compile_n_minus_one_of_n_is_x_then_its_inverses():
+    for n in range(3, 13):
+        report = compile_circuit(PuzzleSpec.from_threshold(n, n - 1))
+        assert report.word.letters == (*range(1, n + 1), *range(-1, -n - 1, -1)), n
+        assert report.route == "two-cnf"
+        assert report.verified is True
+        assert report.estimate == report.as_constructed_length == report.reduced_length == 2 * n
+        assert report.bound == 1078**report.depth >= report.estimate
+    # 1-of-2 is the one clause {1, 2}: x1 x2 X1 X2 either way, so the product stays.
+    assert compile_circuit(PuzzleSpec.from_threshold(2, 1)).route == "clause-product"
+    # The budget is checked against the 2n letters, not the C(n, 2) clause words.
+    spec = PuzzleSpec.from_threshold(3000, 2999)
+    assert len(compile_circuit(spec, verify=False).word) == 6000
+    with pytest.raises(BudgetExceededError):
+        compile_circuit(spec, budget=5999, verify=False)
+
+
+@pytest.mark.parametrize("fid", [2, 3, 6, 7])
+def test_compile_reproduces_the_two_cnf_fixtures(fid):
+    fx = fixture_by_id(fid)
+    report = compile_circuit(fx.spec)
+    assert report.word.letters == fx.word.letters
+    assert report.route == "two-cnf"
+    assert report.verified is True
+
+
+def test_five_cycle_is_no_permutation_graph_and_keeps_the_product():
+    report = compile_circuit(parse_formula("(r1|r2)&(r2|r3)&(r3|r4)&(r4|r5)&(r5|r1)"))
+    assert report.route == "clause-product"
+    assert report.word == clause_product([(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)])
+    assert report.verified is True
+
+
+def test_two_cnf_word_needs_its_nails_within_the_limit():
+    star = parse_formula("(r1|r2)&(r1|r3)&(r1|r4)")
+    assert compile_circuit(star, limit=3).route == "clause-product"
+    report = compile_circuit(star, limit=4)
+    assert report.route == "two-cnf"
+    assert format_word(report.word) == "x1 x2 x3 x4 X1 X4 X3 X2"
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(*[st.permutations(range(1, n + 1))] * 2)))
+def test_compile_agreement_graph_two_cnfs(orders):
+    # x_sigma X_tau realizes the 2-CNF of the pairs sigma and tau put in the
+    # same order, a permutation graph, so the compiler must find some such
+    # word whenever it is shorter than the product.
+    sigma, tau = orders
+    n = len(sigma)
+    at_tau = {x: i for i, x in enumerate(tau)}
+    pairs = sorted(
+        tuple(sorted((a, b))) for a, b in itertools.combinations(sigma, 2) if at_tau[a] < at_tau[b]
+    )
+    if not pairs:
+        return
+    product = clause_product(pairs)
+    support = {nail for pair in pairs for nail in pair}
+    route = "two-cnf" if 2 * len(support) < len(product.letters) else "clause-product"
+    covers = {
+        mask for mask in range(1 << n)
+        if all(mask >> a - 1 & 1 or mask >> b - 1 & 1 for a, b in pairs)
+    }
+    # covering is monotone, so a cover is minimal when no one nail can go
+    minimal = [m for m in covers if all(m & ~(1 << i) not in covers for i in range(n) if m >> i & 1)]
+    subsets = [[i + 1 for i in range(n) if m >> i & 1] for m in sorted(minimal)]
+    formula = " & ".join(f"(r{a} | r{b})" for a, b in pairs)
+    for spec in (PuzzleSpec.from_subsets(n, subsets), PuzzleSpec.from_formula(n, formula)):
+        report = compile_circuit(spec)
+        assert report.verified is True
+        assert report.route == route
+        assert len(report.word) <= len(product.letters)
+        if route == "clause-product":
+            assert report.word == product
 
 
 def _formulas(n):

@@ -197,7 +197,9 @@ def _differential_corpus():
         corpus.append((set_cover_to_hanging(m, sets)[0], n))
     # Packed words (every nail at most 127) searched over n = 200 nails: a
     # mask bit i >= 128 must not strip nail 256 - i.  Nail 128 stays on ints.
+    # max_survive_exact scans only the held nails 1 and 127 of the commutator.
     corpus += [(Word((127,)), 200), (Word((1, 127, 1, -127)), 200),
+               (Word((1, 127, -1, -127)), 200),
                (Word((125, 126, 127, -125, -126, -127, 127)), 200),
                (Word((1, 128, 1, -128)), 200)]
     return corpus
