@@ -22,39 +22,27 @@ product modulo gamma_(w+1) is the sum of their weight-w classes, nonzero
 since distinct sets have distinct multidegrees.  So W falls exactly when R
 hits every clause, that is, when f holds.
 
-Some 2-CNFs take a shorter word, x_sigma X_tau = x_sigma(1) ... x_sigma(s)
-X_tau(1) ... X_tau(s) for two orders sigma and tau of the s nails the
-2-nail clauses hold, when those clauses are exactly the pairs that sigma
-and tau put in the same order.  After removing R, the residual is
-x_sigma|S X_tau|S over the survivors S, a positive word then a negative
-one.  It cancels iff tau reverses sigma on S.  That holds iff no surviving
-pair is a clause, that is, iff R hits every clause.  Such clause graphs are
-the permutation graphs (Pnueli, Lempel & Even, Canad. J. Math. 23, 1971):
-G is one iff G and its complement have transitive orientations P and Q,
-and then sigma = P + Q and tau = P + Q^-1 are linear orders (Golumbic,
-*Algorithmic Graph Theory and Perfect Graphs*, 1980, ch. 5 and 7).
-
-So when every prime clause has one or two nails, at least one has two, the
-s nails number at most the exhaustive limit and 2s is less than the
-product's 4 letters per 2-nail clause, the compiler looks for P and Q by
-Golumbic's implication classes and checks that sigma and tau agree exactly
-on the clauses.  If they do, and the one-nail clauses' letters followed by
-x_sigma X_tau are fewer than the reduced product's, it emits that word;
-else the product.  The singletons' nails are disjoint from the others, so
-their letters lie in another free factor and the word falls iff both parts
-do.  The word is reduced: a nail last in sigma and first in tau would be
-in no 2-nail clause.  A report's ``route`` says which word was emitted,
-"clause-product" or "two-cnf".
+A 2-CNF whose 2-nail clauses hold s nails may take a shorter word,
+x_sigma X_tau = x_sigma(1) ... x_sigma(s) X_tau(1) ... X_tau(s), after
+the one-nail clauses' letters (disjoint nails, another free factor).
+Let those clauses be the pairs that sigma and tau put in the same order.
+After removing R, the residual is x_sigma|S X_tau|S over the survivors S.
+It cancels iff tau reverses sigma on S, iff no surviving pair is a
+clause, iff R hits every clause.  The clause graphs reached are the
+permutation graphs (Pnueli, Lempel & Even, Canad. J. Math. 23, 1971),
+found by `_permutation_orders` on at most `_TWO_CNF_NAILS` nails.  The
+word is emitted, with ``route`` "two-cnf", when shorter than the reduced
+product.  It is reduced: a nail last in sigma and first in tau would be in
+no clause.  The budget is checked against the word emitted, so the
+lowering lets clauses run past it by `_TWO_CNF_SAVING`.
 
 A threshold "at least k of n removed" has every (n-k+1)-subset as a clause,
 and its closed-form length is checked against the budget before any clause
-is listed.  For k = n - 1 and n >= 3 the clauses are every pair, the
-complete graph, and sigma = tau = 1..n gives the 2n-letter word
-x1 ... xn X1 ... Xn.  Every other spec is dualized in one postorder pass
-over its circuit, where true has no clause and false the empty one; an AND
-absorbs only across its two sides and checks the budget on the clauses it
-keeps, an OR on the unions it forms.  A report's ``depth`` is that of the equivalent
-CNF circuit, a balanced AND of balanced ORs, and ``bound`` is 1078**depth.
+is listed; (n-1)-of-n, n >= 3, is x1 ... xn X1 ... Xn.  Every other spec
+is dualized in one postorder pass over its circuit, where true has no
+clause and false the empty one; an AND absorbs only across its two sides.
+A report's ``depth`` is that of the equivalent CNF circuit, a balanced AND
+of balanced ORs, and ``bound`` is 1078**depth.
 
 The gate gadgets remain library functions; `set_cover_to_hanging` uses
 `gadget_and_tree`.  Both templates anchor on nails 1 and 2, which are then
@@ -110,6 +98,12 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
 # Above this much table work (2^n subsets times word length) auto-verification
 # backs off and the report says so instead of silently burning minutes.
 _AUTO_VERIFY_WORK = 300_000_000
+
+# The 2-CNF recognizer runs on at most this many nails, about 40 ms at worst.
+# Pair clauses on s nails are worth at most 4 C(s, 2) letters and x_sigma
+# X_tau has 2s, so the lowering's budget guard allows that much more.
+_TWO_CNF_NAILS = 64
+_TWO_CNF_SAVING = 2 * _TWO_CNF_NAILS * (_TWO_CNF_NAILS - 2)
 
 
 def gadget_and(p: Word, q: Word) -> Word:
@@ -296,13 +290,14 @@ def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> list[tuple[int, ..
     sides' clauses and an OR the unions of one from each, each keeping the
     minimal sets; neither absorbs anything over disjoint nails.  Raises
     BudgetExceededError once an AND's kept clauses, or an OR's distinct
-    unions, are worth more letters than ``budget``, and
-    UnrealizableSpecError if the root holds the empty clause.
+    unions, are worth more letters than ``budget`` plus `_TWO_CNF_SAVING`,
+    and UnrealizableSpecError if the root holds the empty clause.
     """
     worth_of = [0] + [e_word_length(size) for size in range(1, c.n + 1)]
+    cap = None if budget is None else budget + _TWO_CNF_SAVING
 
     def check(worth: int) -> int:
-        if budget is not None and worth > budget:
+        if cap is not None and worth > cap:
             raise BudgetExceededError(
                 f"the spec's clauses are worth more than the budget of "
                 f"{budget} letters; raise the budget to proceed"
@@ -380,14 +375,12 @@ def _minimal_sets(sets: Iterable[int]) -> list[int]:
     return minimal
 
 
-def _permutation_orders(
-    pairs: Sequence[tuple[int, ...]], limit: int
-) -> tuple[list[int], list[int]] | None:
+def _permutation_orders(pairs: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]] | None:
     """Orders sigma and tau of the pairs' nails that agree exactly on the pairs.
 
     None when the pairs' graph is not a permutation graph, when x_sigma
     X_tau would not be shorter than the pairs' product (2s >= 4 |pairs| for
-    s nails), or when s exceeds ``limit``.  sigma is P + Q and tau is
+    s nails), or when s exceeds `_TWO_CNF_NAILS`.  sigma is P + Q and tau is
     P + Q^-1 for transitive orientations P of the graph and Q of its
     complement; each nail goes after as many nails as point into it.  The
     agreement is checked pair by pair, so an order returned is a proof.
@@ -396,7 +389,7 @@ def _permutation_orders(
     for a, b in pairs:
         adjacent.setdefault(a, set()).add(b)
         adjacent.setdefault(b, set()).add(a)
-    if len(adjacent) > limit or 2 * len(adjacent) >= 4 * len(pairs):
+    if len(adjacent) > _TWO_CNF_NAILS or 2 * len(adjacent) >= 4 * len(pairs):
         return None
     nails = set(adjacent)
     p = _transitive_orientation(adjacent)
@@ -524,10 +517,9 @@ def compile_circuit(
         count = len(clauses)
         widest = max(map(len, clauses), default=1)
         estimate = sum(e_word_length(len(clause)) for clause in clauses)
-        check_budget(estimate, budget)
-        word = clause_product(clauses)
+        word = clause_product(clauses)  # within the budget plus _TWO_CNF_SAVING
         pairs = [clause for clause in clauses if len(clause) == 2]
-        orders = _permutation_orders(pairs, limit) if widest == 2 else None
+        orders = _permutation_orders(pairs) if widest == 2 else None
         if orders is not None:
             sigma, tau = orders
             singles = [clause[0] for clause in clauses if len(clause) == 1]
@@ -535,6 +527,7 @@ def compile_circuit(
             # the product can tie: clause words (a, b), (b, c) side by side cancel two letters
             if len(shorter.letters) < len(word.letters):
                 word, estimate, route = shorter, len(shorter.letters), "two-cnf"
+        check_budget(estimate, budget)
     reduced_length = len(word.letters)
     depth = (max(count, 1) - 1).bit_length() + (widest - 1).bit_length()
     verified: bool | None = None

@@ -7,9 +7,9 @@ exact searches go by cardinality with early exit; answers in practice are
 small.  Deleting nails is a homomorphism, so the residual of a subset is
 its parent's residual with one more nail stripped: `min_fell_exact` builds
 each layer of subsets from the one below it, and `greedy_min_fell` keeps
-the residual of the nail it picks.  `max_survive_exact` scans each layer
-of the nails the reduced word holds from the top down and strips each
-subset's nails from the reduced word.
+the residual of the nail it picks.  `max_survive_exact` relabels the nails
+the reduced word holds 1..h, scans each layer of them from the top down and
+strips each subset's nails from the relabeled word.
 All three pack the reduced word one byte per letter when its nails are at
 most 127 (`words._pack`), so every strip drops letters in C.
 """
@@ -22,7 +22,7 @@ from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     NailSubset,
     Word,
-    _held_nails,
+    _pack,
     _residual,
     _search_root,
     check_limit,
@@ -98,31 +98,28 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     Only the h nails the reduced word holds are scanned.  The others change
     nothing, so they belong to every largest answer, and with their bits
     fixed the numeric order of the answers is that of their held parts.
-    Each layer of held nails is scanned in numeric order from size h - 1
-    down, and each subset's nails are stripped from the packed reduced word
-    at once; the first subset that leaves letters, with every nail not
-    held, is the answer.
+    The held nails are relabeled 1..h in order once, which keeps that
+    order.  Each layer of masks on h nails is scanned in numeric order from
+    size h - 1 down, and each subset's nails are stripped from the packed
+    relabeled word at once; the first subset that leaves letters, mapped
+    back and with every nail not held, is the answer.
     """
-    top = check_nails(w, n)
+    check_nails(w, n)
     check_limit("max_survive_exact", n, limit)
-    letters, _ = _search_root(w, top)
-    if not letters:
+    root = w.reduce().letters
+    if not root:
         raise ValueError("word is trivial: the picture has already fallen")
-    bits = [1 << nail - 1 for nail in _held_nails(letters)]
-    h = len(bits)
-    absent = ((1 << n) - 1) ^ sum(bits)
-    spread = bits[-1] != 1 << h - 1  # else the held nails are 1..h, each mask its own
-    for k in range(h - 1, -1, -1):
-        for chosen in _masks_of_size(h, k):
-            mask = chosen
-            if spread:
-                mask = 0
-                while chosen:
-                    low = chosen & -chosen
-                    mask |= bits[low.bit_length() - 1]
-                    chosen ^= low
-            if _residual(letters, mask):
-                return NailSubset(n, mask | absent)
+    held = sorted({abs(x) for x in set(root)})
+    rank = {nail: i for i, nail in enumerate(held, start=1)}
+    letters = _pack([rank[x] if x > 0 else -rank[-x] for x in root], len(held))
+    for k in range(len(held) - 1, -1, -1):
+        for chosen in _masks_of_size(len(held), k):
+            if _residual(letters, chosen):
+                mask = (1 << n) - 1
+                for i, nail in enumerate(held):
+                    if chosen >> i & 1 == 0:
+                        mask ^= 1 << nail - 1
+                return NailSubset(n, mask)
     raise AssertionError("unreachable: the empty subset hangs a nontrivial word")
 
 

@@ -262,13 +262,6 @@ def _search_root(w: Word, top: int) -> tuple[Sequence[int], int]:
     return _pack(root, top), top
 
 
-def _held_nails(letters: Sequence[int]) -> list[int]:
-    """The nails that int or packed letters hold, in increasing order."""
-    if isinstance(letters, bytes):
-        return sorted({x if x < 128 else 256 - x for x in set(letters)})
-    return sorted({abs(x) for x in set(letters)})
-
-
 def reduce(w: Word) -> Word:
     """Normal form of w: all adjacent inverse pairs cancelled."""
     return w.reduce()

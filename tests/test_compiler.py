@@ -316,12 +316,36 @@ def test_five_cycle_is_no_permutation_graph_and_keeps_the_product():
     assert report.verified is True
 
 
-def test_two_cnf_word_needs_its_nails_within_the_limit():
+def test_two_cnf_recognizer_runs_on_a_fixed_number_of_nails():
+    # The word does not depend on the verification limit, only on the
+    # recognizer's own bound on the nails of the 2-nail clauses.
     star = parse_formula("(r1|r2)&(r1|r3)&(r1|r4)")
-    assert compile_circuit(star, limit=3).route == "clause-product"
-    report = compile_circuit(star, limit=4)
-    assert report.route == "two-cnf"
-    assert format_word(report.word) == "x1 x2 x3 x4 X1 X4 X3 X2"
+    for limit in (3, 4, 20):
+        report = compile_circuit(star, limit=limit)
+        assert report.route == "two-cnf"
+        assert format_word(report.word) == "x1 x2 x3 x4 X1 X4 X3 X2"
+    most = compiler._TWO_CNF_NAILS
+    for s, route in ((most, "two-cnf"), (most + 1, "clause-product")):
+        star = parse_formula(" & ".join(f"(r1 | r{i})" for i in range(2, s + 1)))
+        assert compile_circuit(star).route == route, s
+
+
+def test_compile_checks_the_budget_against_the_word_emitted():
+    # 2-of-3 as a formula holds three 4-letter clause words, but the word
+    # emitted is x1 x2 x3 X1 X2 X3, as from the threshold.
+    for target in (parse_formula("(r1|r2)&(r1|r3)&(r2|r3)"), PuzzleSpec.from_threshold(3, 2)):
+        report = compile_circuit(target, budget=6)
+        assert format_word(report.word) == "x1 x2 x3 X1 X2 X3"
+        assert report.estimate == 6
+        with pytest.raises(BudgetExceededError, match="would have 6 letters"):
+            compile_circuit(target, budget=5)
+    # Every pair on the recognizer's most nails saves the most letters.
+    most = compiler._TWO_CNF_NAILS
+    pairs = itertools.combinations(range(1, most + 1), 2)
+    clique = parse_formula(" & ".join(f"(r{a} | r{b})" for a, b in pairs))
+    assert len(compile_circuit(clique, budget=2 * most).word) == 2 * most
+    with pytest.raises(BudgetExceededError):
+        compile_circuit(clique, budget=2 * most - 1)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
