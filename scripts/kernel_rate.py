@@ -6,9 +6,14 @@ word three ways: plain reduction, a one-nail strip (each nail in turn) and
 a keep-one-nail strip (every nail but one, each in turn), the last two
 being what ``fall_table`` and ``max_survive_exact`` ask most.  Each way
 runs on the word as a tuple of ints and packed one byte per letter
-(``words._pack``).  The rate counts the letters the kernel is handed, so a
-strip that drops most of them still counts them all; each figure is the
-best of ``--repeat`` rounds.
+(``words._pack``).  A second table times the two routines that take work
+off that loop: keep-few strips (every set of one to three kept nails) by
+``_residual`` and by ``words._kept_residual``, which cancels the kept
+nails' adjacent pairs in C first, both packed; and the top AND gadget of
+each encoding, its layout reduced whole by ``_residual`` and its reduced
+pieces joined by ``words._product``.  The rate counts the letters the
+kernel is handed, so a strip that drops most of them still counts them
+all; each figure is the best of ``--repeat`` rounds.
 
     PYTHONPATH=src python scripts/kernel_rate.py --seed 1 --words 6
 """
@@ -18,13 +23,16 @@ from __future__ import annotations
 import argparse
 import random
 import time
+from itertools import combinations
 
+from picturehang.compiler import _AND_TEMPLATE, _pieces, gadget_and_tree
+from picturehang.constructions import build_e
 from picturehang.spectator import set_cover_to_hanging
-from picturehang.words import _pack, _residual
+from picturehang.words import _kept_residual, _pack, _product, _residual
 
 
-def set_cover_words(seed: int, count: int) -> list[tuple[tuple[int, ...], int]]:
-    """``count`` reduced Set Cover words with their nail counts, m in 8..12, n in 6..8."""
+def set_cover_instances(seed: int, count: int) -> list[tuple[int, list[list[int]]]]:
+    """``count`` Set Cover instances (m, sets), m in 8..12, n in 6..8."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -33,19 +41,17 @@ def set_cover_words(seed: int, count: int) -> list[tuple[tuple[int, ...], int]]:
         for e in range(1, m + 1):
             for s in rng.sample(range(n), r):
                 sets[s].add(e)
-        word, _ = set_cover_to_hanging(m, [sorted(s) for s in sets])
-        out.append((word.reduce().letters, n))
+        out.append((m, [sorted(s) for s in sets]))
     return out
 
 
-def rate(calls: list[tuple[object, int]], repeat: int) -> float:
-    """Letters handed to the kernel per second, best of ``repeat`` rounds."""
-    letters = sum(len(word) for word, _ in calls)
+def rate(kernel, calls: list[tuple[object, object]], letters: int, repeat: int) -> float:
+    """``letters`` handed to ``kernel`` per second over the calls, best of ``repeat`` rounds."""
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for word, mask in calls:
-            _residual(word, mask)
+        for args in calls:
+            kernel(*args)
         best = min(best, time.perf_counter() - t0)
     return letters / best
 
@@ -56,7 +62,8 @@ def main() -> None:
     ap.add_argument("--words", type=int, default=6)
     ap.add_argument("--repeat", type=int, default=20)
     args = ap.parse_args()
-    words = set_cover_words(args.seed, args.words)
+    instances = set_cover_instances(args.seed, args.words)
+    words = [(set_cover_to_hanging(m, sets)[0].letters, len(sets)) for m, sets in instances]
     total = sum(len(letters) for letters, _ in words)
     print(f"{len(words)} Set Cover words, {total} reduced letters, seed {args.seed}")
     print(f"{'kernel call':>16} {'int letters/s':>14} {'packed letters/s':>17} {'ratio':>6}")
@@ -67,8 +74,34 @@ def main() -> None:
     ]:
         ints = [(letters, mask) for letters, n in words for mask in masks(n)]
         packed = [(_pack(letters), mask) for letters, mask in ints]
-        int_rate, packed_rate = rate(ints, args.repeat), rate(packed, args.repeat)
+        letters = sum(len(word) for word, _ in ints)
+        int_rate = rate(_residual, ints, letters, args.repeat)
+        packed_rate = rate(_residual, packed, letters, args.repeat)
         print(f"{name:>16} {int_rate:>14.3e} {packed_rate:>17.3e} {packed_rate / int_rate:>6.2f}")
+
+    print(f"{'work':>16} {'_residual letters/s':>20} {'routine letters/s':>18} {'ratio':>6}")
+    keeps = [
+        (_pack(letters), sum(1 << i for i in kept), (1 << n) - 1)
+        for letters, n in words
+        for size in (1, 2, 3)
+        for kept in combinations(range(n), size)
+    ]
+    letters = sum(len(word) for word, _, _ in keeps)
+    old = rate(_residual, [(word, full ^ keep) for word, keep, full in keeps], letters, args.repeat)
+    new = rate(_kept_residual, [(word, keep) for word, keep, _ in keeps], letters, args.repeat)
+    print(f"{'keep-few strip':>16} {old:>20.3e} {new:>18.3e} {new / old:>6.2f}")
+    layouts = []
+    for m, sets in instances:
+        owners = [[i for i, s in enumerate(sets, start=1) if j in s] for j in range(1, m + 1)]
+        leaves = [build_e(who) for who in owners]
+        half = (len(leaves) + 1) // 2
+        layouts.append(_pieces(_AND_TEMPLATE, gadget_and_tree(leaves[:half]),
+                               gadget_and_tree(leaves[half:])))
+    flat = [([x for piece in pieces for x in piece],) for pieces in layouts]
+    letters = sum(len(word) for word, in flat)
+    old = rate(_residual, flat, letters, args.repeat)
+    new = rate(_product, [(pieces,) for pieces in layouts], letters, args.repeat)
+    print(f"{'gadget layout':>16} {old:>20.3e} {new:>18.3e} {new / old:>6.2f}")
 
 
 if __name__ == "__main__":

@@ -177,6 +177,8 @@ def circuit_table(c: MonotoneCircuit, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> 
 
     Evaluates all subsets at once: each node's table is packed into one big
     integer with bit `mask` holding the node value under that removal set.
+    The root's integer is unpacked once, in linear time, through its binary
+    digits, lowest first.
     """
     check_limit("circuit_table", c.n, limit)
     size = 1 << c.n
@@ -188,7 +190,7 @@ def circuit_table(c: MonotoneCircuit, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> 
         ),
         _BOOLEAN,
     )
-    return [bool((pack >> mask) & 1) for mask in range(size)]
+    return list(map("1".__eq__, bin(pack)[:1:-1].ljust(size, "0")))
 
 
 def _var_pack(index: int, n: int) -> int:

@@ -120,7 +120,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         circuit = parse_formula(args.formula, n=args.n)
         target = PuzzleSpec(n=circuit.n, formula=args.formula, circuit=circuit)
     verify = {"auto": None, "on": True, "off": False}[args.verify]
-    report = compile_circuit(target, budget=args.budget, verify=verify)
+    report = compile_circuit(target, budget=args.budget, verify=verify, limit=args.limit)
     return _emit_compile(report, args.json)
 
 
@@ -144,9 +144,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     word = _load_word(args.word)
     if args.problem == "min-fell":
-        subset = min_fell_exact(word, args.n)
+        subset = min_fell_exact(word, args.n, args.limit)
     else:
-        subset = max_survive_exact(word, args.n)
+        subset = max_survive_exact(word, args.n, args.limit)
     if args.json:
         print(json.dumps({"members": sorted(subset.members), "size": subset.size}))
     else:
@@ -242,6 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--n", type=int, default=None, help="variable count for --formula")
     comp.add_argument("--budget", type=int, default=DEFAULT_LETTER_BUDGET)
     comp.add_argument("--verify", choices=["auto", "on", "off"], default="auto")
+    comp.add_argument("--limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
     comp.add_argument("--json", action="store_true")
     comp.set_defaults(func=_cmd_compile)
 
@@ -255,6 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("problem", choices=["min-fell", "max-survive"])
     solve.add_argument("--word", required=True)
     solve.add_argument("--n", type=int, required=True)
+    solve.add_argument("--limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 

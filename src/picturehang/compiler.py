@@ -8,8 +8,8 @@ of balanced 1-of-|C| words over the prime clauses C_i of its fall function
 f, in lexicographic order.  A clause C says "some nail of C is removed", and
 f is the AND of its prime clauses.  No gadget, anchor nail or inverse is used.
 The clause words are laid out from one letter template per width
-(`constructions.e_template`), relabeled onto each clause's nails, into one
-letter list that is reduced once.
+(`constructions.e_template`) and relabeled onto each clause's nails.  Each
+is reduced, so the product is reduced at the joins only (`words._product`).
 
 Why W is exact.  The quotients gamma_w / gamma_(w+1) of the lower central
 series of the free group form the free Lie ring on x_1..x_n, which is
@@ -55,14 +55,14 @@ ordinary removable nails and the glue of every gadget.
 
 Each template is one token list (`and_template_tokens`,
 `or_template_tokens`) that drives both building and accounting: a gadget
-splices its arguments into the slots and reduces once.  Laid out with
-single-letter arguments the AND template has 14 letters (4 copies of p, 4
-of q, 6 glue) and the OR template 1,078.  The flat bookkeeping of the OR
-counts 256 p-slots, 256 q-slots and 566 glue letters; the folded one
-tallies each conjugating bracket u a u a^-1 as one recursive unit plus
-three glue letters, giving 256 units and 822 glue.  `estimate_length` uses
-the flat counts, so a gadget circuit of depth d lays out at most 1078**d
-letters.
+splices its reduced arguments into the slots and reduces at the joins.
+Laid out with single-letter arguments the AND template has 14 letters (4
+copies of p, 4 of q, 6 glue) and the OR template 1,078.  The flat
+bookkeeping of the OR counts 256 p-slots, 256 q-slots and 566 glue
+letters; the folded one tallies each conjugating bracket u a u a^-1 as one
+recursive unit plus three glue letters, giving 256 units and 822 glue.
+`estimate_length` uses the flat counts, so a gadget circuit of depth d
+lays out at most 1078**d letters.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
     BudgetExceededError,
     NailSubset,
     Word,
-    _residual,
+    _product,
     check_budget,
     first_mismatch,
     raw_inverse,
@@ -108,12 +108,12 @@ _TWO_CNF_SAVING = 2 * _TWO_CNF_NAILS * (_TWO_CNF_NAILS - 2)
 
 def gadget_and(p: Word, q: Word) -> Word:
     """Word falling iff both argument words have fallen, reduced."""
-    return _lay_out(_AND_TEMPLATE, p, q).reduce()
+    return _lay_out(_AND_TEMPLATE, p, q)
 
 
 def gadget_or(p: Word, q: Word) -> Word:
     """Word falling iff at least one argument word has fallen, reduced."""
-    return _lay_out(_OR_TEMPLATE, p, q).reduce()
+    return _lay_out(_OR_TEMPLATE, p, q)
 
 
 def gadget_and_tree(words: Sequence[Word]) -> Word:
@@ -174,19 +174,21 @@ _OR_TEMPLATE = tuple(or_template_tokens())
 
 
 def _lay_out(template: tuple[_Token, ...], p: Word, q: Word) -> Word:
-    """The template with p, p^-1, q and q^-1 spliced into its slots, unreduced."""
-    args = {"P": p, "Q": q}
-    slots = {
-        (name, sign): (args[name] if sign > 0 else raw_inverse(args[name])).letters
-        for name, sign in {t for t in template if not isinstance(t, int)}
-    }
-    out: list[int] = []
-    for t in template:
-        if isinstance(t, int):
-            out.append(t)
-        else:
-            out.extend(slots[t])
-    return Word(tuple(out))
+    """The template with p, p^-1, q and q^-1 spliced into its slots, reduced.
+
+    Its pieces are reduced, so the product is reduced at their joins only
+    (``words._product``).
+    """
+    return Word(tuple(_product(_pieces(template, p, q))), reduced=True)
+
+
+def _pieces(template: tuple[_Token, ...], p: Word, q: Word) -> list[Sequence[int]]:
+    """The template's tokens as reduced pieces: glue letters alone, words in the slots."""
+    args = {"P": p.reduce(), "Q": q.reduce()}
+    pieces: dict[_Token, Sequence[int]] = {glue: (glue,) for glue in (1, -1, 2, -2)}
+    for name, sign in {t for t in template if not isinstance(t, int)}:
+        pieces[name, sign] = (args[name] if sign > 0 else raw_inverse(args[name])).letters
+    return list(map(pieces.__getitem__, template))
 
 
 class TemplateCounts(NamedTuple):
@@ -271,12 +273,10 @@ def clause_product(clauses: Iterable[Sequence[int]]) -> Word:
     """The reduced product of the balanced clause words, in the order given.
 
     Each clause, a nonempty sequence of distinct nails, is laid out from
-    the template of its width into one letter list, which is reduced once.
+    the template of its width.  A clause word is reduced, so the product
+    is reduced at the joins only (``words._product``).
     """
-    letters: list[int] = []
-    for clause in clauses:
-        letters.extend(lay_out_e(clause))
-    return Word(tuple(_residual(letters)), reduced=True)
+    return Word(tuple(_product(map(lay_out_e, clauses))), reduced=True)
 
 
 # A node's clauses, the union of their nails, and their worth in letters.

@@ -10,8 +10,11 @@ each layer of subsets from the one below it, and `greedy_min_fell` keeps
 the residual of the nail it picks.  `max_survive_exact` relabels the nails
 the reduced word holds 1..h, scans each layer of them from the top down and
 strips each subset's nails from the relabeled word.
-All three pack the reduced word one byte per letter when its nails are at
-most 127 (`words._pack`), so every strip drops letters in C.
+All three check and pack the word once, one byte per letter when its nails
+are at most 127 (`words._search_root`), so every strip drops letters in C.
+The walks skip the strip of a nail the residual no longer holds, and
+`max_survive_exact` keeps few nails, whose adjacent pairs it cancels in C
+first (`words._kept_residual`).
 """
 
 from __future__ import annotations
@@ -19,14 +22,17 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .words import (
+    _BYTES,
     DEFAULT_EXHAUSTIVE_LIMIT,
     NailSubset,
     Word,
+    _holds,
+    _kept_residual,
+    _nails_of,
     _pack,
     _residual,
     _search_root,
     check_limit,
-    check_nails,
 )
 
 __all__ = [
@@ -65,11 +71,11 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     increasing i, so every layer comes out in numeric order and the first
     empty residual is the answer.  A parent is freed once its children
     exist, and a subset holding nail 1 has no children, so it keeps no
-    residual.
+    residual.  A child whose nail the parent's residual no longer holds
+    keeps that residual unstripped.
     """
-    top = check_nails(w, n)
+    root = _search_root(w, n)
     check_limit("min_fell_exact", n, limit)
-    root, _ = _search_root(w, top)
     if not root:
         return NailSubset(n, 0)
     layer: list[tuple[int, Sequence[int]]] = [(0, root)]
@@ -80,7 +86,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
             mask, residual = layer.pop()
             below = (mask & -mask).bit_length() - 1 if mask else n
             for i in range(below):
-                rest = _residual(residual, 1 << i)
+                rest = _residual(residual, 1 << i) if _holds(residual, i + 1) else residual
                 if not rest:
                     return NailSubset(n, mask | 1 << i)
                 if i:
@@ -98,23 +104,30 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     Only the h nails the reduced word holds are scanned.  The others change
     nothing, so they belong to every largest answer, and with their bits
     fixed the numeric order of the answers is that of their held parts.
-    The held nails are relabeled 1..h in order once, which keeps that
-    order.  Each layer of masks on h nails is scanned in numeric order from
-    size h - 1 down, and each subset's nails are stripped from the packed
-    relabeled word at once; the first subset that leaves letters, mapped
-    back and with every nail not held, is the answer.
+    The held nails are relabeled 1..h in order once, by one
+    ``bytes.translate`` on a packed word, which keeps that order.  Each
+    layer of masks on h nails is scanned in numeric order from size h - 1
+    down, and each subset's nails are stripped from the relabeled word at
+    once, keeping the few others; the first subset that leaves letters,
+    mapped back and with every nail not held, is the answer.
     """
-    check_nails(w, n)
+    root = _search_root(w, n)
     check_limit("max_survive_exact", n, limit)
-    root = w.reduce().letters
     if not root:
         raise ValueError("word is trivial: the picture has already fallen")
-    held = sorted({abs(x) for x in set(root)})
-    rank = {nail: i for i, nail in enumerate(held, start=1)}
-    letters = _pack([rank[x] if x > 0 else -rank[-x] for x in root], len(held))
+    held = sorted(_nails_of(root))
+    if isinstance(root, bytes):
+        relabel = bytearray(_BYTES)
+        for i, nail in enumerate(held, start=1):
+            relabel[nail], relabel[256 - nail] = i, 256 - i
+        letters = root.translate(relabel)
+    else:
+        rank = {nail: i for i, nail in enumerate(held, start=1)}
+        letters = _pack([rank[x] if x > 0 else -rank[-x] for x in root])
+    full = (1 << len(held)) - 1
     for k in range(len(held) - 1, -1, -1):
         for chosen in _masks_of_size(len(held), k):
-            if _residual(letters, chosen):
+            if _kept_residual(letters, full ^ chosen):
                 mask = (1 << n) - 1
                 for i, nail in enumerate(held):
                     if chosen >> i & 1 == 0:
@@ -132,12 +145,12 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     optimum is never larger.
     """
     chosen = 0
-    residual, _ = _search_root(w, check_nails(w, n))
+    residual = _search_root(w, n)
     while residual:
         best_nail = -1
         best = residual
         for i in range(n):
-            if chosen >> i & 1:
+            if not _holds(residual, i + 1):  # chosen, or cancelled: it cannot shorten
                 continue
             rest = _residual(residual, 1 << i)
             if best_nail < 0 or len(rest) < len(best):

@@ -16,10 +16,13 @@ under further deletions.  `fall_table` walks the subsets on both facts.
 
 One kernel, `_residual`, reduces and strips.  A word is handed to it as
 ints, or packed as bytes, one byte per letter (x mod 256), when every nail
-is at most 127.  The subset searches here and in `spectator` pack their
-reduced word once, so each of their many strips drops letters with
-`bytes.translate` in C; plain reduction of a word as built stays on ints,
-where packing would cost more than it saves.
+is at most 127.  The subset searches here and in `spectator` check and
+pack their word once (`_search_root`), so each of their many strips drops
+letters with `bytes.translate` in C; plain reduction of a word as built
+stays on ints, where packing would cost more than it saves.  Two routines
+take work off the kernel's per-letter loop: `_product` reduces a product of
+reduced pieces at their joins only, and `_kept_residual` cancels adjacent
+pairs of the few nails a strip keeps in C before the loop.
 """
 
 from __future__ import annotations
@@ -57,17 +60,13 @@ def check_budget(letters: int, budget: int | None) -> None:
         )
 
 
-def check_nails(w: Word, n: int) -> int:
-    """Refuse a negative n, then a word that wraps a nail above n.
-
-    Returns the word's largest nail, 0 for the empty word.
-    """
+def check_nails(w: Word, n: int) -> None:
+    """Refuse a negative n, then a word that wraps a nail above n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     top = w.max_nail
     if top > n:
         raise ValueError(f"word uses nail {top} beyond n={n}")
-    return top
 
 
 class WordFormatError(ValueError):
@@ -154,7 +153,8 @@ class Word(_Record):
     @property
     def max_nail(self) -> int:
         """Largest nail index used, 0 for the empty word."""
-        return _max_nail(self.letters)
+        letters = self.letters
+        return max(max(letters), -min(letters)) if letters else 0
 
     def reduce(self) -> "Word":
         if self.reduced:
@@ -230,36 +230,107 @@ def _residual(letters: Sequence[int], mask: int = 0) -> Sequence[int]:
 
 
 _PACKED_NAILS = (1 << 127) - 1  # mask bits of the nails a packed word can hold
+_BYTES = bytes(range(256))
+_NAIL_OF_BYTE = bytes(min(b, 256 - b) for b in range(256))
 
 
-def _max_nail(letters: Sequence[int]) -> int:
-    """Largest nail of int letters, 0 for none."""
-    return max(max(letters), -min(letters)) if letters else 0
-
-
-def _pack(letters: Sequence[int], top: int | None = None) -> Sequence[int]:
+def _pack(letters: Sequence[int]) -> Sequence[int]:
     """Letters packed for ``_residual``, one byte per letter (x mod 256).
 
-    ``top`` is the letters' largest nail, read here when not given.
-    Returns ``letters`` unchanged when a nail is above 127.
+    Returns ``letters`` unchanged when a nail is above 127: ``array('b')``
+    refuses a letter outside -128..127, and nail 128's inverse, -128, would
+    pack to the byte of its own inverse.
     """
-    if (_max_nail(letters) if top is None else top) > 127:
-        return letters
     from array import array  # loaded here: only the subset searches pack
 
-    return array("b", letters).tobytes()  # two's complement bytes are x mod 256
+    try:
+        packed = array("b", letters).tobytes()  # two's complement bytes are x mod 256
+    except OverflowError:
+        return letters
+    return letters if 128 in packed else packed
 
 
-def _search_root(w: Word, top: int) -> tuple[Sequence[int], int]:
-    """The reduced letters of w, packed when they allow, and their largest nail.
+def _search_root(w: Word, n: int) -> Sequence[int]:
+    """The reduced letters of w, packed when its nails allow, checked against n.
 
-    ``top`` is w's largest nail, as ``check_nails`` returns it.  Reduction
-    only deletes letters, so it is read again only when some cancelled.
+    Refuses what ``check_nails`` refuses, with its messages in its order.
+    The as-built letters are packed once, and one ``bytes.translate``
+    deleting nails 1..min(n, 127) shows whether any other nail is wrapped.
+    Only then, when a nail is above 127 or for a negative n, is
+    ``check_nails`` run, and a word it passes stays on ints.  A word known
+    to be reduced is not reduced again.
     """
-    root = w.reduce().letters
-    if len(root) < len(w.letters):
-        top = _max_nail(root)
-    return _pack(root, top), top
+    if n >= 0:
+        packed = _pack(w.letters)
+        top = min(n, 127)
+        allowed = _BYTES[1 : top + 1] + _BYTES[256 - top :]  # nails 1..top, both signs
+        if isinstance(packed, bytes) and not packed.translate(None, allowed):
+            return packed if w.reduced else _residual(packed)
+    check_nails(w, n)
+    return w.reduce().letters
+
+
+def _nails_of(letters: Sequence[int]) -> set[int]:
+    """The nails that packed or int letters wrap."""
+    if isinstance(letters, bytes):
+        return set(letters.translate(_NAIL_OF_BYTE))
+    return set(map(abs, letters))
+
+
+def _holds(letters: Sequence[int], nail: int) -> bool:
+    """True iff packed or int letters wrap ``nail``; two ``in`` tests in C."""
+    if isinstance(letters, bytes):
+        return nail < 128 and (nail in letters or 256 - nail in letters)
+    return nail in letters or -nail in letters
+
+
+def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
+    """Reduced letters left after deleting every nail not set in ``keep``.
+
+    Made for subset searches that keep a few nails.  Packed letters lose
+    the other nails in one ``bytes.translate``, and then each kept nail's
+    adjacent inverse pairs in one ``bytes.replace`` sweep per order, in C,
+    so the loop of ``_residual`` reads far fewer letters; cancelling a pair
+    never changes the reduced word.  Keep bits above 127 are left out, as
+    in ``_residual``.  Int letters are filtered, then reduced.
+    """
+    packed = isinstance(letters, bytes)
+    if packed:
+        keep &= _PACKED_NAILS
+    kept = []
+    while keep:
+        low = keep & -keep
+        kept.append(low.bit_length())
+        keep ^= low
+    if not packed:
+        return _residual(list(filter({*kept, *(-i for i in kept)}.__contains__, letters)))
+    dropped = _BYTES.translate(None, bytes(kept) + bytes(256 - i for i in kept))
+    letters = letters.translate(None, dropped)
+    for i in kept:
+        letters = letters.replace(bytes((i, 256 - i)), b"").replace(bytes((256 - i, i)), b"")
+    return _residual(letters)
+
+
+def _product(pieces: Iterable[Iterable[int]]) -> list[int]:
+    """The reduced product of reduced pieces of int letters.
+
+    Only letters where two pieces meet can cancel, so each piece first
+    cancels its head against the tail of the product so far, one pair per
+    turn, and the rest of it is copied whole, in C.  A piece that cancels
+    whole lets the next one cancel further back, across earlier pieces.
+    """
+    out = [0]  # a sentinel, as in _residual: no letter cancels it
+    pop = out.pop
+    for piece in pieces:
+        rest = iter(piece)
+        for x in rest:
+            if out[-1] != -x:
+                out.append(x)
+                break
+            pop()
+        out += rest
+    del out[0]
+    return out
 
 
 def reduce(w: Word) -> Word:
@@ -277,7 +348,7 @@ def raw_concat(*words: Word) -> Word:
 
 def raw_inverse(w: Word) -> Word:
     """Formal inverse without reduction: reverse the letters and flip signs."""
-    return Word(tuple(-x for x in reversed(w.letters)))
+    return Word(tuple([-x for x in reversed(w.letters)]))
 
 
 def raw_commutator(a: Word, b: Word) -> Word:
@@ -345,9 +416,9 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
     the table over the lower nails is repeated for them.  The residuals are
     packed when the nails allow it (see ``_residual``).
     """
-    top = check_nails(w, n)
+    root = _search_root(w, n)
     check_limit("fall_table", n, limit)
-    root, top = _search_root(w, top)  # nails above top change nothing
+    top = max(_nails_of(root), default=0)  # nails above top change nothing
     table = [not root] * (1 << top)
 
     def walk(residual: Sequence[int], mask: int, start: int) -> None:

@@ -1,6 +1,7 @@
 """Monotone circuits, formula parsing, specs and their validation."""
 
 import json
+import random
 from operator import add
 
 import pytest
@@ -27,6 +28,7 @@ from picturehang.circuits import (
     subsets_to_circuit,
     validate_spec,
 )
+from picturehang.words import NailSubset
 
 
 def test_eval_and_table_agree():
@@ -35,6 +37,24 @@ def test_eval_and_table_agree():
     for mask in range(8):
         removed = {i + 1 for i in range(3) if (mask >> i) & 1}
         assert table[mask] == eval_circuit(c, removed)
+
+
+def _random_formula(rng, n, size):
+    """A formula over r1..rn with ``size`` leaves, some nails shared among them."""
+    if size == 1:
+        return f"r{rng.randint(1, n)}"
+    left = rng.randint(1, size - 1)
+    op = rng.choice("&|")
+    return f"({_random_formula(rng, n, left)} {op} {_random_formula(rng, n, size - left)})"
+
+
+def test_circuit_table_is_eval_circuit_on_every_mask():
+    rng = random.Random(4)
+    for n in (1, 2, 3, 5, 8, 12, 16):
+        c = parse_formula(_random_formula(rng, n, rng.randint(1, n + 4)), n=n)
+        table = circuit_table(c)
+        assert len(table) == 1 << n
+        assert table == [eval_circuit(c, NailSubset(n, mask)) for mask in range(1 << n)]
 
 
 def test_circuit_table_matches_known_functions():

@@ -207,6 +207,30 @@ def test_solve_min_fell_and_max_survive(capsys, tmp_path):
     assert json.loads(out) == {"members": [1], "size": 1}
 
 
+def test_solve_takes_the_exhaustive_limit(capsys, tmp_path):
+    word = tmp_path / "w.txt"
+    word.write_text("x200 x1 X200 X1")
+    argv = ["solve", "min-fell", "--word", str(word), "--n", "200"]
+    code, out, _ = run(capsys, *argv, "--limit", "200")
+    assert code == 0
+    assert out.strip() == "{1} (size 1)"
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exhaustive limit 20" in err
+
+
+def test_compile_verifies_past_the_default_limit_when_given_one(capsys):
+    formula = " | ".join(f"r{i}" for i in range(1, 22))
+    code, _, err = run(capsys, "compile", "--formula", formula, "--verify", "on", "--limit", "21")
+    assert code == 0
+    assert json.loads(err)["verified"] is True
+    code, out, err = run(capsys, "compile", "--formula", formula, "--verify", "on")
+    assert code == 2
+    assert out == "" and "exhaustive limit 20" in err
+
+
 def test_render_text_and_vector(capsys, tmp_path):
     word = tmp_path / "w.txt"
     word.write_text("x1 X2")

@@ -12,7 +12,16 @@ from picturehang.spectator import (
     min_fell_exact,
     set_cover_to_hanging,
 )
-from picturehang.words import ExhaustiveLimitError, NailSubset, Word, falls, remove_nails
+from picturehang.words import (
+    ExhaustiveLimitError,
+    NailSubset,
+    Word,
+    falls,
+    raw_commutator,
+    raw_concat,
+    raw_inverse,
+    remove_nails,
+)
 
 
 def test_min_fell_on_one_out_of_n():
@@ -195,6 +204,16 @@ def _differential_corpus():
             if all(any(j in s for s in sets) for j in range(1, m + 1)):
                 break
         corpus.append((set_cover_to_hanging(m, sets)[0], n))
+    # Deeply nested commutators: S_n, commutators of commutators that share
+    # nails, and conjugates by their own parts, whose strips cancel across
+    # many levels at once.
+    corpus += [(build_s(n), n) for n in range(2, 8)]
+    deep = [Word((i,)) for i in (1, 2, 3, 1, 4, 2, 3)]
+    for _ in range(4):
+        deep = [raw_commutator(a, b) for a, b in zip(deep, deep[1:])]
+    corpus += [(w, 4) for w in deep]
+    corpus += [(raw_commutator(raw_commutator(build_s(3), build_e([2, 4])), build_s(4)), 5),
+               (raw_concat(deep[0], build_s(4), raw_inverse(deep[0])), 6)]
     # Packed words (every nail at most 127) searched over n = 200 nails: a
     # mask bit i >= 128 must not strip nail 256 - i.  Nail 128 stays on ints.
     # max_survive_exact scans only the held nails 1 and 127 of the commutator.

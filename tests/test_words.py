@@ -29,7 +29,17 @@ from picturehang.words import (
     word_from_json,
     word_to_json,
 )
-from picturehang.words import _pack, _residual
+from picturehang.words import (
+    _holds,
+    _kept_residual,
+    _nails_of,
+    _pack,
+    _product,
+    _residual,
+    _search_root,
+    check_limit,
+    check_nails,
+)
 
 letters_st = st.lists(
     st.integers(min_value=-6, max_value=6).filter(lambda x: x != 0), max_size=40
@@ -346,3 +356,108 @@ def test_nail_127_packs_and_nail_128_keeps_the_int_path():
     assert _pack(()) == b""
     for letters in [(128,), (-128,), (1, 128, -1, -128), (-300, 2)]:
         assert _pack(letters) is letters
+
+
+@st.composite
+def reduced_pieces(draw):
+    """Reduced pieces whose product cancels at the joins.
+
+    A piece is either a random reduced word or the inverse of a tail of the
+    product so far, which can reach back across several pieces, followed
+    by a random reduced word; a tail of exactly the last piece cancels it
+    whole.
+    """
+    pieces: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        piece = list(draw(letters_st))
+        if pieces and draw(st.booleans()):
+            product = _residual([x for p in pieces for x in p])
+            cut = draw(st.integers(min_value=0, max_value=len(product)))
+            piece = [-x for x in reversed(product[cut:])] + piece
+        pieces.append(tuple(_residual(piece)))
+    return pieces
+
+
+@settings(derandomize=True, max_examples=300)
+@given(reduced_pieces())
+@example([(1, 2), (3,), (-3,), (-2, -1), (4,)])  # a piece cancels whole, then a cascade
+@example([(1, 2, 3), (-3,), (-2,), (-1, 5)])  # the product empties, then grows again
+@example([(1,), (), (-1,), (-1,)])
+def test_product_of_reduced_pieces_is_the_residual_of_their_concatenation(pieces):
+    assert _product(pieces) == _residual([x for p in pieces for x in p])
+
+
+def test_product_takes_pieces_of_any_iterable_type():
+    assert _product([[1, 2], (-2, 3), iter([-3, -1])]) == []
+    assert _product([(1, 2), map(abs, [-3, -4]), iter([-4, 5])]) == [1, 2, 3, 5]
+
+
+@st.composite
+def packable_letters_and_keep(draw):
+    """Letters over a few nails in 1..127, and a mask of nails to keep."""
+    letters, _ = draw(packable_letters_and_mask())
+    nails = sorted({abs(x) for x in letters}) or [1]
+    kept = draw(st.sets(st.one_of(st.sampled_from(nails), st.integers(1, 300)), max_size=4))
+    return letters, sum(1 << (i - 1) for i in kept)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(packable_letters_and_keep())
+@example(([1, -1, 1, 1, -1, -1, 2, -2, -2], 0b1))  # x X x x X X strips to x X, then nothing
+@example(([127, 1, -127, -1], 1 << 128 | 1))  # keep bit 129 must not keep nail 127
+def test_kept_residual_is_the_residual_of_the_complement_strip(case):
+    letters, keep = case
+    want = _residual(letters, ((1 << 127) - 1) & ~keep)
+    assert _kept_residual(letters, keep) == want
+    assert _unpack(_kept_residual(_pack(letters), keep)) == want
+
+
+def test_holds_and_nails_of_read_both_forms():
+    letters = (3, -5, 127, -127)
+    for form in (letters, _pack(letters)):
+        assert _nails_of(form) == {3, 5, 127}
+        assert [nail for nail in range(1, 300) if _holds(form, nail)] == [3, 5, 127]
+    assert _nails_of((200, -1)) == {1, 200}
+    assert _holds((200, -1), 200) and not _holds(b"\x01", 255)
+
+
+def _check_errors(w, n, limit):
+    """The errors of check_nails then check_limit, as (type, message), or None."""
+    try:
+        check_nails(w, n)
+        check_limit("fall_table", n, limit)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# Words and n: a negative n, a cancelling nail beyond n, nails 127, 128 and
+# -128 (whose byte would be its own inverse) on both sides of n, and nails
+# beyond n when n is also over the limit.
+SEARCH_ROOTS = [
+    ((1,), -1), ((), -1), ((9, -9), 3), ((127,), 3), ((127, -127, 2), 127),
+    ((128,), 127), ((-128,), 127), ((-128,), 128), ((-128, -128), 200),
+    ((1, -128, 2, -2, 128, -1), 130), ((300, -300), 25), ((30,), 25), ((3,), 25),
+    ((2, 1, -2), 2), ((), 0), ((1,), 0),
+]
+
+
+@pytest.mark.parametrize("letters, n", SEARCH_ROOTS)
+def test_search_root_refuses_as_check_nails_does_in_the_same_order(letters, n):
+    w = Word(letters)
+    want = _check_errors(w, n, 20)
+    try:
+        fall_table(w, n, limit=20)
+    except ValueError as exc:
+        assert (type(exc), str(exc)) == want
+    else:
+        assert want is None
+    try:
+        root = _search_root(w, n)
+    except ValueError as exc:
+        assert (type(exc), str(exc)) == _check_errors(w, n, n)
+    else:
+        assert _check_errors(w, n, n) is None
+        unpacked = _unpack(root) if isinstance(root, bytes) else list(root)
+        assert unpacked == list(w.reduce().letters)
+        assert isinstance(root, bytes) == all(abs(x) < 128 for x in letters)
