@@ -25,8 +25,8 @@ import random
 import time
 from itertools import combinations
 
-from picturehang.compiler import _AND_TEMPLATE, _pieces, gadget_and_tree
 from picturehang.constructions import build_e
+from picturehang.gadgets import _AND_TEMPLATE, _pieces, gadget_and_tree
 from picturehang.spectator import set_cover_to_hanging
 from picturehang.words import _kept_residual, _pack, _product, _residual
 

@@ -11,8 +11,9 @@ _NAMES = {
     "circuits": "FormulaSyntaxError MonotoneCircuit PuzzleSpec UnrealizableSpecError "
     "circuit_table eval_circuit format_formula parse_formula "
     "spec_from_json spec_to_json subsets_to_circuit validate_spec",
-    "compiler": "CompileReport compile_circuit estimate_length gadget_and gadget_or",
+    "compiler": "CompileReport compile_circuit",
     "constructions": "build_disjoint build_e build_s e_word_length s_word_length",
+    "gadgets": "estimate_length gadget_and gadget_or",
     "puzzles": "PuzzleFixture fixture_by_id load_fixtures",
     "render": "to_diagram",
     "sortnet": "Comparator ComparatorNetwork batcher_network build_k_of_n "

@@ -273,6 +273,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.max_var = 0  # the largest index taken, folded away or not
 
     def peek(self) -> tuple[str, int, int]:
         return self.tokens[self.i]
@@ -306,12 +307,9 @@ class _Parser:
         return node
 
     def factor(self) -> Node:
-        kind, value, pos = self.peek()
+        kind, _, pos = self.peek()
         if kind == "var":
-            self.i += 1
-            if value < 1:
-                raise FormulaSyntaxError(f"variable r{value}: indices are 1-based", pos)
-            return Var(value)
+            return Var(self.var())
         if kind == "(":
             if self.depth == MAX_NESTING:
                 raise FormulaSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", pos)
@@ -330,10 +328,10 @@ class _Parser:
         self.take("(")
         _, k, kpos = self.take("int")
         self.take(";")
-        indices = [self._atleast_var()]
+        indices = [self.var()]
         while self.peek()[0] == ",":
             self.take(",")
-            indices.append(self._atleast_var())
+            indices.append(self.var())
         self.take(")")
         if len(set(indices)) != len(indices):
             raise FormulaSyntaxError("atleast variables must be distinct", start)
@@ -345,10 +343,11 @@ class _Parser:
 
         return threshold_over(k, [Var(i) for i in indices])
 
-    def _atleast_var(self) -> int:
+    def var(self) -> int:
         _, value, pos = self.take("var")
         if value < 1:
             raise FormulaSyntaxError(f"variable r{value}: indices are 1-based", pos)
+        self.max_var = max(self.max_var, value)
         return value
 
 
@@ -358,14 +357,12 @@ def parse_formula(text: str, n: int | None = None) -> MonotoneCircuit:
     `&` binds tighter than `|`; both chain to the left.  If n is omitted it
     defaults to the largest variable index mentioned.
     """
-    root = _Parser(text).parse()
-    max_var = max(
-        (node.index for node in _walk(root) if isinstance(node, Var)), default=0
-    )
+    parser = _Parser(text)
+    root = parser.parse()
     if n is None:
-        n = max_var
-    if max_var > n:
-        raise FormulaSyntaxError(f"variable r{max_var} exceeds n={n}", 0)
+        n = parser.max_var
+    if parser.max_var > n:
+        raise FormulaSyntaxError(f"variable r{parser.max_var} exceeds n={n}", 0)
     return MonotoneCircuit(n, root)
 
 

@@ -127,26 +127,13 @@ def sorts_all_zero_one(
     return all(packs[i] & ~packs[i + 1] == 0 for i in range(net.width - 1))
 
 
-def network_to_circuit(
-    net: ComparatorNetwork,
-    output_wire: int,
-    inputs: Sequence[Node] | None = None,
-) -> MonotoneCircuit:
-    """Run the network on circuit nodes: min becomes AND, max becomes OR.
-
-    ``inputs`` defaults to Var(1)..Var(width); constants given as inputs are
-    folded away as the wiring proceeds.
-    """
+def network_to_circuit(net: ComparatorNetwork, output_wire: int) -> MonotoneCircuit:
+    """Run the network on Var(1)..Var(width): min becomes AND, max becomes OR."""
     if not 1 <= output_wire <= net.width:
         raise ValueError(f"output wire {output_wire} out of range 1..{net.width}")
-    wires: list[Node] = list(inputs) if inputs is not None else [
-        Var(i) for i in range(1, net.width + 1)
-    ]
-    if len(wires) != net.width:
-        raise ValueError(f"expected {net.width} inputs, got {len(wires)}")
-    n = max((node.index for node in wires if isinstance(node, Var)), default=0)
+    wires: list[Node] = [Var(i) for i in range(1, net.width + 1)]
     _wire(net, wires)
-    return MonotoneCircuit(n, wires[output_wire - 1])
+    return MonotoneCircuit(net.width, wires[output_wire - 1])
 
 
 def _wire(net: ComparatorNetwork, wires: list[Node]) -> None:

@@ -8,13 +8,16 @@ small.  Deleting nails is a homomorphism, so the residual of a subset is
 its parent's residual with one more nail stripped: `min_fell_exact` builds
 each layer of subsets from the one below it, and `greedy_min_fell` keeps
 the residual of the nail it picks.  `max_survive_exact` relabels the nails
-the reduced word holds 1..h, scans each layer of them from the top down and
-strips each subset's nails from the relabeled word.
-All three check and pack the word once, one byte per letter when its nails
-are at most 127 (`words._search_root`), so every strip drops letters in C.
+the reduced word holds 1..h (`words._relabel_held`), scans each layer of
+them from the top down and strips each subset's nails from the relabeled
+word.  All three check and pack the word once, one byte per letter when
+its nails are at most 127 (`words._search_root`), so every strip drops
+letters in C.
 The walks skip the strip of a nail the residual no longer holds, and
 `max_survive_exact` keeps few nails, whose adjacent pairs it cancels in C
-first (`words._kept_residual`).
+first (`words._kept_residual`).  `set_cover_to_hanging` joins its element
+words with `gadgets.gadget_and_tree`, the one use of a gadget left; the
+gadgets load with its first call, so the solvers load none of them.
 """
 
 from __future__ import annotations
@@ -22,14 +25,12 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .words import (
-    _BYTES,
     DEFAULT_EXHAUSTIVE_LIMIT,
     NailSubset,
     Word,
     _holds,
     _kept_residual,
-    _nails_of,
-    _pack,
+    _relabel_held,
     _residual,
     _search_root,
     check_limit,
@@ -105,7 +106,8 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     nothing, so they belong to every largest answer, and with their bits
     fixed the numeric order of the answers is that of their held parts.
     The held nails are relabeled 1..h in order once, by one
-    ``bytes.translate`` on a packed word, which keeps that order.  Each
+    ``bytes.translate`` on a packed word, which keeps that order
+    (``words._relabel_held``).  Each
     layer of masks on h nails is scanned in numeric order from size h - 1
     down, and each subset's nails are stripped from the relabeled word at
     once, keeping the few others; the first subset that leaves letters,
@@ -115,15 +117,7 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     check_limit("max_survive_exact", n, limit)
     if not root:
         raise ValueError("word is trivial: the picture has already fallen")
-    held = sorted(_nails_of(root))
-    if isinstance(root, bytes):
-        relabel = bytearray(_BYTES)
-        for i, nail in enumerate(held, start=1):
-            relabel[nail], relabel[256 - nail] = i, 256 - i
-        letters = root.translate(relabel)
-    else:
-        rank = {nail: i for i, nail in enumerate(held, start=1)}
-        letters = _pack([rank[x] if x > 0 else -rank[-x] for x in root])
+    held, letters = _relabel_held(root)
     full = (1 << len(held)) - 1
     for k in range(len(held) - 1, -1, -1):
         for chosen in _masks_of_size(len(held), k):
@@ -171,7 +165,7 @@ def set_cover_to_hanging(
     minimum felling subset has the Set Cover optimum's cardinality.
     Returns the word and the per-element owner lists.
     """
-    from .compiler import gadget_and_tree  # loaded here: the solvers need none of it
+    from .gadgets import gadget_and_tree  # loaded here: the solvers need none of it
     from .constructions import build_e
 
     if m < 1:

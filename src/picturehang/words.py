@@ -277,6 +277,18 @@ def _nails_of(letters: Sequence[int]) -> set[int]:
     return set(map(abs, letters))
 
 
+def _relabel_held(letters: Sequence[int]) -> tuple[list[int], Sequence[int]]:
+    """The nails the letters wrap, sorted, and the letters relabeled 1..h, packed if h <= 127."""
+    held = sorted(_nails_of(letters))
+    if isinstance(letters, bytes):
+        relabel = bytearray(_BYTES)
+        for i, nail in enumerate(held, start=1):
+            relabel[nail], relabel[256 - nail] = i, 256 - i
+        return held, letters.translate(relabel)
+    rank = {nail: i for i, nail in enumerate(held, start=1)}
+    return held, _pack([rank[x] if x > 0 else -rank[-x] for x in letters])
+
+
 def _holds(letters: Sequence[int], nail: int) -> bool:
     """True iff packed or int letters wrap ``nail``; two ``in`` tests in C."""
     if isinstance(letters, bytes):

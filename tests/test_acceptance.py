@@ -23,22 +23,21 @@ from picturehang.circuits import (
     parse_formula,
     subsets_to_circuit,
 )
-from picturehang.compiler import (
-    BudgetExceededError,
-    and_template_tokens,
-    compile_circuit,
-    estimate_length,
-    flat_counts,
-    folded_counts,
-    gadget_and,
-    or_template_tokens,
-)
+from picturehang.compiler import BudgetExceededError, compile_circuit
 from picturehang.constructions import (
     build_disjoint,
     build_e,
     build_s,
     e_word_length,
     s_word_length,
+)
+from picturehang.gadgets import (
+    and_template_tokens,
+    estimate_length,
+    flat_counts,
+    folded_counts,
+    gadget_and,
+    or_template_tokens,
 )
 from picturehang.puzzles import load_fixtures
 from picturehang.sortnet import batcher_network, build_k_of_n, network_to_circuit, sorts_all_zero_one

@@ -83,6 +83,15 @@ def test_parse_formula_atleast_macro():
     ]
 
 
+def test_parse_formula_default_n_counts_variables_that_fold_away():
+    assert parse_formula("atleast(0; r1)").n == 1
+    c = parse_formula("r2 & atleast(0; r5)")
+    assert c.n == 5
+    assert circuit_table(c) == [mask >> 1 & 1 == 1 for mask in range(32)]
+    with pytest.raises(FormulaSyntaxError, match="r3 exceeds n=2"):
+        parse_formula("r1 | atleast(0; r3)", n=2)
+
+
 def test_parse_formula_rejects_garbage():
     for bad in ("", "r1 &", "r0", "r1 | | r2", "foo", "(r1", "atleast(4; r1, r2)"):
         with pytest.raises(FormulaSyntaxError):

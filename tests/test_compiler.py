@@ -17,12 +17,12 @@ from picturehang.circuits import (
     parse_formula,
     subsets_to_circuit,
 )
-from picturehang.compiler import (
-    BudgetExceededError,
+from picturehang.compiler import BudgetExceededError, clause_product, compile_circuit
+import picturehang.compiler as compiler
+from picturehang.constructions import build_e, e_word_length
+from picturehang.gadgets import (
     and_splice_cost,
     and_template_tokens,
-    clause_product,
-    compile_circuit,
     estimate_length,
     flat_counts,
     folded_counts,
@@ -31,8 +31,6 @@ from picturehang.compiler import (
     or_splice_cost,
     or_template_tokens,
 )
-import picturehang.compiler as compiler
-from picturehang.constructions import build_e, e_word_length
 from picturehang.circuits import UnrealizableSpecError
 from picturehang.puzzles import fixture_by_id
 from picturehang.words import (

@@ -15,6 +15,7 @@ import picturehang
 WATCHED = (
     "picturehang.circuits",
     "picturehang.compiler",
+    "picturehang.gadgets",
     "picturehang.sortnet",
     "picturehang.puzzles",
     "picturehang.render",

@@ -11,7 +11,8 @@ from picturehang.circuits import (
     Var,
     parse_formula,
 )
-from picturehang.compiler import CompileReport, TemplateCounts
+from picturehang.compiler import CompileReport
+from picturehang.gadgets import TemplateCounts
 from picturehang.puzzles import PuzzleFixture
 from picturehang.sortnet import Comparator, ComparatorNetwork
 from picturehang.words import NailSubset, Word
