@@ -22,7 +22,7 @@ _NAMES = {
     "words": "BudgetExceededError DEFAULT_EXHAUSTIVE_LIMIT DEFAULT_LETTER_BUDGET "
     "EMPTY_WORD ExhaustiveLimitError NailSubset Word WordFormatError commutator concat "
     "fall_table falls format_word inverse is_monotone_table nail_counts parse_word "
-    "power reduce remove_nails word_from_json word_to_json",
+    "power reduce remove_nails verify_threshold word_from_json word_to_json",
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names.split()}
 

@@ -22,7 +22,17 @@ import re
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from .words import DEFAULT_EXHAUSTIVE_LIMIT, NailSubset, _as_mask, _Record, _set, check_limit
+from .words import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
+    NailSubset,
+    Word,
+    _as_mask,
+    _Record,
+    _set,
+    check_limit,
+    first_mismatch,
+    verify_threshold,
+)
 
 
 class FormulaSyntaxError(ValueError):
@@ -274,6 +284,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.max_var = 0  # the largest index taken, folded away or not
+        self.max_var_at = 0  # where it is first taken
 
     def peek(self) -> tuple[str, int, int]:
         return self.tokens[self.i]
@@ -347,7 +358,8 @@ class _Parser:
         _, value, pos = self.take("var")
         if value < 1:
             raise FormulaSyntaxError(f"variable r{value}: indices are 1-based", pos)
-        self.max_var = max(self.max_var, value)
+        if value > self.max_var:
+            self.max_var, self.max_var_at = value, pos
         return value
 
 
@@ -362,7 +374,7 @@ def parse_formula(text: str, n: int | None = None) -> MonotoneCircuit:
     if n is None:
         n = parser.max_var
     if parser.max_var > n:
-        raise FormulaSyntaxError(f"variable r{parser.max_var} exceeds n={n}", 0)
+        raise FormulaSyntaxError(f"variable r{parser.max_var} exceeds n={n}", parser.max_var_at)
     return MonotoneCircuit(n, root)
 
 
@@ -473,6 +485,18 @@ class PuzzleSpec(_Record):
             masks = [sum(1 << (i - 1) for i in s) for s in self.subsets]
             return [any(mask & m == m for m in masks) for mask in range(size)]
         return circuit_table(self.to_circuit(), limit)
+
+    def verify(self, w: Word, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[int | None, str, int]:
+        """Check w against the spec on nails 1..n.
+
+        Returns the first mask where they differ, or None; the method that
+        decided, "boundary" or "table"; and how many masks it checked.  A
+        threshold goes through `words.verify_threshold`, subsets and
+        formulas through `table`, mask by mask.
+        """
+        if self.threshold_k is not None:
+            return verify_threshold(w, self.n, self.threshold_k, limit)
+        return first_mismatch(w, self.n, self.table(limit), limit), "table", 1 << self.n
 
 
 def spec_to_json(spec: PuzzleSpec) -> str:

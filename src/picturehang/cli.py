@@ -24,7 +24,7 @@ from .words import (
     Word,
     check_budget,
     fall_table,
-    first_mismatch,
+    falls,
     format_word,
     parse_word,
     word_from_json,
@@ -67,6 +67,8 @@ def _report_dict(report: CompileReport) -> dict:
         "bound": report.bound,
         "verified": report.verified,
         "mismatch_mask": report.mismatch_mask,
+        "verify_method": report.verify_method,
+        "masks_checked": report.masks_checked,
         "notices": list(report.notices),
     }
 
@@ -127,14 +129,14 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     word = _load_word(args.word)
     spec = _load_spec(args.spec)
-    expected = spec.table(args.limit)
-    mask = first_mismatch(word, spec.n, expected, args.limit)
+    mask, _, _ = spec.verify(word, args.limit)
     if mask is None:
         print(f"verified: word realizes the spec on all {1 << spec.n} subsets")
         return 0
     subset = NailSubset(spec.n, mask)
-    got = "hangs" if expected[mask] else "falls"
-    want = "fall" if expected[mask] else "hang"
+    fell = falls(word, subset)
+    got = "falls" if fell else "hangs"
+    want = "hang" if fell else "fall"
     print(f"mismatch at subset {subset}: word {got} but spec says {want}")
     return 1
 

@@ -45,6 +45,19 @@ clause and false the empty one; an AND absorbs only across its two sides.
 A report's ``depth`` is that of the equivalent CNF circuit, a balanced AND
 of balanced ORs, and ``bound`` is 1078**depth, the letters a gadget
 circuit of that depth lays out at most (`gadgets` derives the 1,078).
+
+Verification checks the word emitted, not the argument above.  A
+threshold spec is checked on its boundary when that reads fewer letters
+than the table (`words.verify_threshold`).  The boundary is exact because
+every word's fall function is monotone: deleting nails is a homomorphism,
+so a subset's residual is a homomorphic image of each smaller subset's,
+and the image of the empty word is empty.  So the word falls exactly on
+the subsets of at least k nails if, and only if, it hangs at every
+(k-1)-subset and falls at every k-subset.  A smaller subset that fell
+would make every (k-1)-subset above it fall, and a larger one that hung
+would keep every k-subset below it hanging.  Subsets and formulas are
+checked on their whole table, which stays independent of the
+dualization that built the word.
 """
 
 from __future__ import annotations
@@ -72,6 +85,7 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
     Word,
     _product,
     check_budget,
+    falls,
     first_mismatch,
 )
 
@@ -272,12 +286,15 @@ class CompileReport(NamedTuple):
 
     ``as_constructed_length`` counts the letters of the clause words laid
     out before the closing reduction; ``reduced_length`` counts the final
-    normal form.  ``verified`` is None when table verification was skipped
+    normal form.  ``verified`` is None when verification was skipped
     (n beyond the limit, disabled, or past the auto-verification work cap);
     on a mismatch it is False and ``mismatch_mask`` holds the first subset
     bitmask where the word disagrees with the requested fall function.
     ``route`` names the word emitted: "clause-product" or "two-cnf" (the
-    one-nail clauses' letters, then x_sigma X_tau).
+    one-nail clauses' letters, then x_sigma X_tau).  ``verify_method``
+    says how the word was checked: "boundary" (a threshold's (k-1)- and
+    k-subsets), "table" (every subset) or "skipped"; ``masks_checked``
+    counts the subsets it decided.
     """
 
     word: Word
@@ -291,6 +308,8 @@ class CompileReport(NamedTuple):
     mismatch_mask: int | None
     notices: tuple[str, ...]
     route: str = "clause-product"
+    verify_method: str = "skipped"
+    masks_checked: int = 0
 
 
 def compile_circuit(
@@ -303,9 +322,10 @@ def compile_circuit(
     or to x_sigma X_tau when its prime clauses allow (see the module docstring).
 
     ``budget`` guards against runaway output; pass None to disable.
-    ``verify`` forces (True) or skips (False) exhaustive table verification;
-    the default verifies whenever n is within the exhaustive limit and the
-    table work is affordable.
+    ``verify`` forces (True) or skips (False) verification; the default
+    verifies whenever n is within the exhaustive limit and the table work
+    is affordable.  A spec is checked by `PuzzleSpec.verify`, a circuit
+    against its table.
     """
     notices: list[str] = []
     spec: PuzzleSpec | None = None
@@ -350,6 +370,8 @@ def compile_circuit(
     depth = (max(count, 1) - 1).bit_length() + (widest - 1).bit_length()
     verified: bool | None = None
     mismatch_mask: int | None = None
+    verify_method = "skipped"
+    masks_checked = 0
     if verify is None:
         verify_now = n <= limit and (1 << n) * max(reduced_length, 1) <= _AUTO_VERIFY_WORK
         if not verify_now:
@@ -362,15 +384,19 @@ def compile_circuit(
     else:
         verify_now = verify
     if verify_now:
-        expected = spec.table(limit) if spec is not None else circuit_table(target, limit)
-        mismatch_mask = first_mismatch(word, n, expected, limit)
+        if spec is not None:
+            mismatch_mask, verify_method, masks_checked = spec.verify(word, limit)
+        else:
+            mismatch_mask = first_mismatch(word, n, circuit_table(target, limit), limit)
+            verify_method, masks_checked = "table", 1 << n
         verified = mismatch_mask is None
         if mismatch_mask is not None:
-            want = expected[mismatch_mask]
+            subset = NailSubset(n, mismatch_mask)
+            fell = falls(word, subset)
             notices.append(
-                f"fall table mismatch at subset {NailSubset(n, mismatch_mask)}: "
-                f"spec says {'fall' if want else 'hang'}, word says "
-                f"{'hang' if want else 'fall'}"
+                f"fall table mismatch at subset {subset}: "
+                f"spec says {'hang' if fell else 'fall'}, word says "
+                f"{'fall' if fell else 'hang'}"
             )
     return CompileReport(
         word=word,
@@ -384,4 +410,6 @@ def compile_circuit(
         mismatch_mask=mismatch_mask,
         notices=tuple(notices),
         route=route,
+        verify_method=verify_method,
+        masks_checked=masks_checked,
     )

@@ -22,7 +22,7 @@ gadgets load with its first call, so the solvers load none of them.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -30,6 +30,7 @@ from .words import (
     Word,
     _holds,
     _kept_residual,
+    _masks_of_size,
     _relabel_held,
     _residual,
     _search_root,
@@ -42,21 +43,6 @@ __all__ = [
     "greedy_min_fell",
     "set_cover_to_hanging",
 ]
-
-
-def _masks_of_size(n: int, k: int) -> Iterator[int]:
-    """All n-bit masks with k bits set, in increasing numeric order."""
-    if k == 0:
-        yield 0
-        return
-    mask = (1 << k) - 1
-    top = 1 << n
-    while mask < top:
-        yield mask
-        # Gosper's hack: next mask with the same popcount.
-        low = mask & -mask
-        ripple = mask + low
-        mask = (((ripple ^ mask) >> 2) // low) | ripple
 
 
 def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> NailSubset:

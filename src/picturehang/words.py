@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 from itertools import filterfalse
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
@@ -430,6 +431,11 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
     """
     root = _search_root(w, n)
     check_limit("fall_table", n, limit)
+    return _walk_table(root, n)
+
+
+def _walk_table(root: Sequence[int], n: int) -> list[bool]:
+    """The fall table of checked, reduced letters on nails 1..n (see ``fall_table``)."""
     top = max(_nails_of(root), default=0)  # nails above top change nothing
     table = [not root] * (1 << top)
 
@@ -450,10 +456,117 @@ def first_mismatch(
     w: Word, n: int, expected: Sequence[bool], limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> int | None:
     """First mask where the word's fall table on nails 1..n differs, or None."""
-    got = fall_table(w, n, limit)
+    return _first_difference(fall_table(w, n, limit), expected)
+
+
+def _first_difference(got: list[bool], expected: Sequence[bool]) -> int | None:
+    """First mask where two fall tables differ, or None."""
     if got == expected:
         return None
     return next((mask for mask, want in enumerate(expected) if got[mask] != want), None)
+
+
+def _masks_of_size(n: int, k: int) -> Iterator[int]:
+    """All n-bit masks with k bits set, in increasing numeric order."""
+    if k == 0:
+        yield 0
+        return
+    mask = (1 << k) - 1
+    top = 1 << n
+    while mask < top:
+        yield mask
+        # Gosper's hack: next mask with the same popcount.
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
+
+
+def verify_threshold(
+    w: Word, n: int, k: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
+) -> tuple[int | None, str, int]:
+    """Check w against "at least k of nails 1..n removed", 0 <= k <= n.
+
+    Returns the first mask where the word's fall table differs from the
+    threshold's, or None; the method that decided, "boundary" or "table";
+    and how many masks it checked.  Refuses what ``fall_table`` refuses.
+
+    Falling is monotone, so the word realizes the threshold exactly when
+    it hangs at every (k-1)-subset and falls at every k-subset (the
+    argument is in the `compiler` docstring).  The boundary method checks
+    those two layers (``_boundary_mismatch``), the table walks the subsets
+    (``_walk_table``), and the one expected to read fewer letters runs
+    (``_boundary_reads_less``).  A boundary check that fails hands over to
+    the table, which names the first mask that differs.
+    """
+    root = _search_root(w, n)
+    check_limit("verify_threshold", n, limit)
+    if not 0 <= k <= n:
+        raise ValueError(f"threshold k={k} out of range 0..{n}")
+    if _boundary_reads_less(n, k) and _boundary_mismatch(root, n, k) is None:
+        return None, "boundary", comb(n, k) + (k and comb(n, k - 1))
+    expected = [mask.bit_count() >= k for mask in range(1 << n)]
+    return _first_difference(_walk_table(root, n), expected), "table", 1 << n
+
+
+def _boundary_reads_less(n: int, k: int) -> bool:
+    """True unless the walk should read fewer letters than k-of-n's boundary check.
+
+    Counted on the compiled word, the C(n, w) clause words of w = n - k + 1
+    nails, and only the letters the loop of ``_residual`` reads: a strip
+    first drops its nails' letters in C, 1/m of a residual for one nail of
+    m.  The walk strips C(n, j+1) residuals at each depth j < k, each the
+    C(n-j, w) clause words that miss the j nails removed.  The boundary
+    keeps w of the n nails for each of the C(n, k-1) subsets below the
+    threshold, none to do for the empty one, and strips the one clause word
+    left for each of the C(n, k) at it.  The counts are kept in integers,
+    in clause words times w n.  The word's length is a factor of both, so
+    the choice rests on n and k alone.  A tie, as for k <= 2, where both
+    make the same strips, goes to the boundary, which builds no table.
+    """
+    if k == 0:
+        return True
+    w = n - k + 1
+    walk = sum(comb(n, j + 1) * comb(n - j - 1, w - 1) * (n - j - 1) * n for j in range(k))
+    boundary = comb(n, k) * (w - 1) * n
+    if k > 1:
+        boundary += comb(n, k - 1) * comb(n, w) * w * w
+    return boundary <= walk
+
+
+def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:
+    """A mask where the checked, reduced letters disagree with k-of-n, or None.
+
+    Each (k-1)-subset R must leave a nonempty residual, and each k-subset,
+    R and one nail above R's highest, must empty it; every k-subset is
+    reached once.  R's residual is stripped from the root, or built by
+    ``_kept_residual`` from the n - k + 1 nails it keeps when they are no
+    more than R's and a strip would leave the loop over
+    `_PRE_CANCEL_LETTERS` letters.  The mask returned is not always the
+    first that disagrees.
+    """
+    if not k:
+        return 0 if root else None
+    full = (1 << n) - 1
+    w = n - k + 1
+    few = w < k and len(root) * w > _PRE_CANCEL_LETTERS * n
+    for below in _masks_of_size(n, k - 1):
+        if not below:
+            residual = root
+        elif few:
+            residual = _kept_residual(root, full ^ below)
+        else:
+            residual = _residual(root, below)
+        if not residual:
+            return below
+        for i in range(below.bit_length(), n):
+            if not _holds(residual, i + 1) or _residual(residual, 1 << i):
+                return below | 1 << i
+    return None
+
+
+# Below this many letters left to the loop, the pair pre-cancel of
+# ``_kept_residual`` costs more than it saves (threshold words, n <= 14).
+_PRE_CANCEL_LETTERS = 64
 
 
 def is_monotone_table(table: list[bool], n: int) -> bool:

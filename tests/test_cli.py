@@ -106,6 +106,24 @@ def test_compile_has_a_default_budget(capsys):
     assert "budget" in err
 
 
+def test_compile_json_names_the_verify_method(capsys):
+    code, out, _ = run(capsys, "construct", "k-of", "--k", "6", "--n", "6", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["verify_method"], report["masks_checked"]) == ("boundary", 7)
+    code, _, err = run(capsys, "compile", "--formula", "r1 | r2 & r3", "--verify", "off")
+    assert code == 0
+    assert (json.loads(err)["verify_method"], json.loads(err)["masks_checked"]) == ("skipped", 0)
+
+
+def test_compile_points_at_the_variable_beyond_n(capsys):
+    code, out, err = run(capsys, "compile", "--formula", "r1 | r2 | r9", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: variable r9 exceeds n=2 (at position 10)\n"
+    code, _, err = run(capsys, "compile", "--formula", "r7 & r3 | r7", "--n", "5")
+    assert err == "error: variable r7 exceeds n=5 (at position 0)\n"
+
+
 def test_compile_atleast_formula_is_exact(capsys):
     code, out, err = run(capsys, "compile", "--formula", "atleast(3; r1, r2, r3, r4)", "--n", "4")
     assert code == 0
@@ -136,6 +154,24 @@ def test_verify_ok_and_corrupted(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--word", str(word), "--spec", str(spec))
     assert code == 1
     assert "mismatch at subset {" in out
+
+
+def test_verify_threshold_spec_ok_and_corrupted(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 5, "threshold_k": 4}')
+    word = tmp_path / "w.txt"
+    _, out, _ = run(capsys, "construct", "k-of", "--k", "4", "--n", "5", "--no-verify")
+    word.write_text(out)
+    code, out, _ = run(capsys, "verify", "--word", str(word), "--spec", str(spec))
+    assert (code, out) == (0, "verified: word realizes the spec on all 32 subsets\n")
+    # Without x5 the word hangs on X5 until nail 5 goes; the first 4-subset is {1,2,3,4}.
+    word.write_text("x1 x2 x3 x4 X1 X2 X3 X4 X5")
+    code, out, _ = run(capsys, "verify", "--word", str(word), "--spec", str(spec))
+    assert (code, out) == (1, "mismatch at subset {1,2,3,4}: word hangs but spec says fall\n")
+    # Nail 1 cancelled: 3-of-4 on nails 2..5, which falls at {2,3,4} already.
+    word.write_text("x1 X1 x2 x3 x4 x5 X2 X3 X4 X5")
+    code, out, _ = run(capsys, "verify", "--word", str(word), "--spec", str(spec))
+    assert (code, out) == (1, "mismatch at subset {2,3,4}: word falls but spec says hang\n")
 
 
 def test_verify_limit_applies_to_the_spec_table(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Gate gadgets, template accounting, and the circuit-to-word compiler."""
 
 import itertools
+import math
 import random
 import time
 
@@ -33,15 +34,23 @@ from picturehang.gadgets import (
 )
 from picturehang.circuits import UnrealizableSpecError
 from picturehang.puzzles import fixture_by_id
+from picturehang.sortnet import build_k_of_n
 from picturehang.words import (
     EMPTY_WORD,
+    NailSubset,
     Word,
+    _boundary_mismatch,
+    _boundary_reads_less,
+    _search_root,
     commutator,
     concat,
     fall_table,
+    falls,
+    first_mismatch,
     format_word,
     inverse,
     raw_concat,
+    verify_threshold,
 )
 
 X3, X4 = Word((3,)), Word((4,))
@@ -464,3 +473,88 @@ def test_compile_1000_overlapping_pair_clauses_quickly():
         *(commutator(Word((i,)), Word((i + 1,))) for i in range(1, 1001))
     )
     assert seconds < 2
+
+
+# --- threshold verification on the boundary ----------------------------------
+
+
+def _threshold_word(k: int, n: int) -> Word:
+    return compile_circuit(PuzzleSpec.from_threshold(n, k), budget=None, verify=False).word
+
+
+def _table_mismatch(w: Word, n: int, k: int):
+    return first_mismatch(w, n, [m.bit_count() >= k for m in range(1 << n)])
+
+
+def test_threshold_verdicts_equal_the_table_on_every_k_of_n_up_to_ten():
+    for n in range(1, 11):
+        for k in range(n + 1):
+            w = _threshold_word(k, n)
+            assert _table_mismatch(w, n, k) is None
+            assert _boundary_mismatch(_search_root(w, n), n, k) is None, (k, n)
+            mask, method, checked = verify_threshold(w, n, k)
+            assert mask is None, (k, n)
+            if method == "boundary":
+                assert checked == math.comb(n, k) + (k and math.comb(n, k - 1))
+            else:
+                assert checked == 1 << n
+
+
+def test_threshold_verdicts_equal_the_table_on_corrupted_words():
+    rng = random.Random(17)
+    checked = mismatches = 0
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            letters = list(_threshold_word(k, n).letters)
+            for _ in range(2):
+                at = rng.randrange(len(letters))
+                dropped = Word(tuple(letters[:at] + letters[at + 1 :]))
+                negated = Word(tuple(letters[:at] + [-letters[at]] + letters[at + 1 :]))
+                for w in (dropped, negated):
+                    want = _table_mismatch(w, n, k)
+                    found = _boundary_mismatch(_search_root(w, n), n, k)
+                    assert (found is None) == (want is None), (k, n, w)
+                    if found is not None:
+                        assert (found.bit_count() >= k) != falls(w, NailSubset(n, found))
+                    assert verify_threshold(w, n, k)[0] == want, (k, n, w)
+                    checked += 1
+                    mismatches += want is not None
+    assert mismatches > checked // 2  # most corruptions break the word
+
+
+def test_compile_reports_the_first_mismatch_of_a_corrupted_threshold_word(monkeypatch):
+    w = _threshold_word(4, 6)
+    bad = Word(w.letters[:7] + w.letters[8:])
+    monkeypatch.setattr(compiler, "clause_product", lambda clauses: bad)
+    report = compile_circuit(PuzzleSpec.from_threshold(6, 4))
+    assert report.verified is False
+    assert report.mismatch_mask == _table_mismatch(bad, 6, 4) is not None
+    assert report.verify_method == "table"
+    assert report.masks_checked == 64
+
+
+def test_twenty_of_twenty_verifies_on_its_boundary():
+    report = build_k_of_n(20, 20)
+    assert report.verified is True
+    assert report.verify_method == "boundary"
+    assert report.masks_checked == 21
+
+
+def test_the_walk_stays_where_it_reads_less():
+    # 7-of-12 walks in about a third of the boundary's time, 3-of-12 in half.
+    assert not _boundary_reads_less(12, 7)
+    assert not _boundary_reads_less(12, 3)
+    assert _boundary_reads_less(14, 11) and _boundary_reads_less(14, 12)
+    # k <= 2: both make the same strips, and the boundary builds no table.
+    assert all(_boundary_reads_less(n, k) for n in range(1, 21) for k in range(min(n, 2) + 1))
+    report = build_k_of_n(3, 12)
+    assert (report.verified, report.verify_method, report.masks_checked) == (True, "table", 4096)
+
+
+def test_verify_method_of_other_specs_and_of_skipped_checks():
+    report = compile_circuit(PuzzleSpec.from_subsets(3, [{1, 2}, {3}]))
+    assert (report.verified, report.verify_method, report.masks_checked) == (True, "table", 8)
+    report = compile_circuit(parse_formula("r1 & r2"))
+    assert (report.verify_method, report.masks_checked) == ("table", 4)
+    report = compile_circuit(PuzzleSpec.from_threshold(4, 2), verify=False)
+    assert (report.verified, report.verify_method, report.masks_checked) == (None, "skipped", 0)

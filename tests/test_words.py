@@ -26,12 +26,14 @@ from picturehang.words import (
     raw_commutator,
     reduce,
     remove_nails,
+    verify_threshold,
     word_from_json,
     word_to_json,
 )
 from picturehang.words import (
     _holds,
     _kept_residual,
+    _masks_of_size,
     _nails_of,
     _pack,
     _product,
@@ -85,6 +87,29 @@ def test_first_mismatch_reports_the_first_differing_mask():
     assert first_mismatch(w, 2, tuple(table)) is None
     assert first_mismatch(w, 2, [False, True, False, False]) == 2
     assert first_mismatch(w, 2, [True, False, True, False]) == 0
+
+
+def test_masks_of_size_in_numeric_order():
+    assert list(_masks_of_size(4, 0)) == [0]
+    assert list(_masks_of_size(4, 2)) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
+    assert list(_masks_of_size(3, 4)) == []
+    for n in range(7):
+        for k in range(n + 1):
+            assert list(_masks_of_size(n, k)) == [m for m in range(1 << n) if m.bit_count() == k]
+
+
+def test_verify_threshold_decides_on_the_boundary_and_names_the_first_mismatch():
+    w = Word((1, 2, 3, -1, -2, -3))  # 2-of-3
+    assert verify_threshold(w, 3, 2) == (None, "boundary", 6)
+    assert verify_threshold(EMPTY_WORD, 3, 0) == (None, "boundary", 1)
+    assert verify_threshold(Word((1,)), 3, 0) == (0, "table", 8)
+    # x1 x2 X1 X2 is 1-of-2: against 2-of-2 it falls at {1}, mask 1, first.
+    assert verify_threshold(Word((1, 2, -1, -2)), 2, 2) == (1, "table", 4)
+    assert verify_threshold(Word((1, 2, -1, -2)), 3, 1) == (4, "table", 8)
+    with pytest.raises(ValueError, match="k=4 out of range 0..3"):
+        verify_threshold(w, 3, 4)
+    with pytest.raises(ValueError, match="beyond n=2"):
+        verify_threshold(w, 2, 1)
 
 
 def test_equality_is_up_to_reduction():
@@ -184,6 +209,7 @@ def test_exhaustive_limit_is_one_check_with_one_wording():
 
     calls = {
         "fall_table": lambda: fall_table(Word((1,)), 3, limit=2),
+        "verify_threshold": lambda: verify_threshold(Word((1,)), 3, 1, limit=2),
         "circuit_table": lambda: circuit_table(parse_formula("r3"), limit=2),
         "PuzzleSpec.table": lambda: PuzzleSpec.from_threshold(3, 1).table(limit=2),
         "min_fell_exact": lambda: min_fell_exact(Word((1,)), 3, limit=2),
