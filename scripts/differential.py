@@ -1,0 +1,261 @@
+"""Print the package's outputs as deterministic JSON lines, for diffing checkouts.
+
+Each line is one outcome: a case name and what the code returned for it.
+Run it in two checkouts and compare the files with ``diff``; a refactor
+that keeps every word, circuit, table, count and answer prints the same
+lines.  It covers:
+
+- every ``CompileReport`` field on the 166 nonconstant monotone functions
+  of four nails, compiled as a circuit and as a subsets spec;
+- ``build_k_of_n`` for 1 <= k <= n <= 10, and ``atleast(k; r1..rm)`` for
+  m <= 9 with the gate count and depth of ``threshold_circuit(k, m)``;
+- seeded random formulas on six variables: table, gates, depth and report;
+- ``NailSubset`` members of seeded masks on up to 200 nails;
+- Batcher networks of widths 1..12: comparators, the zero-one check, a
+  seeded ``apply`` and the gate counts of ``network_to_circuit``;
+- the gadget templates' counts, and ``gadget_and``/``gadget_or`` on
+  seeded pairs of words;
+- seeded Set Cover words with the three solvers, and the fixtures;
+- ``build_s``, ``build_e``, and ``build_disjoint`` with ``e_tree_length``;
+- the output and exit code of a few CLI commands that read no file.
+
+Standard library only; seeded, so two runs print the same bytes.
+
+    PYTHONPATH=src python scripts/differential.py > outcomes.jsonl
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+
+from picturehang.circuits import (
+    PuzzleSpec,
+    circuit_table,
+    parse_formula,
+    spec_to_json,
+    subsets_to_circuit,
+)
+from picturehang.cli import main as main_cli
+from picturehang.compiler import BudgetExceededError, compile_circuit
+from picturehang.constructions import build_disjoint, build_e, build_s, e_tree_length
+from picturehang.gadgets import (
+    and_splice_cost,
+    and_template_tokens,
+    estimate_length,
+    flat_counts,
+    folded_counts,
+    gadget_and,
+    gadget_or,
+    or_splice_cost,
+    or_template_tokens,
+)
+from picturehang.puzzles import load_fixtures
+from picturehang.sortnet import (
+    batcher_network,
+    build_k_of_n,
+    network_to_circuit,
+    sorts_all_zero_one,
+    threshold_circuit,
+)
+from picturehang.spectator import (
+    greedy_min_fell,
+    max_survive_exact,
+    min_fell_exact,
+    set_cover_to_hanging,
+)
+from picturehang.words import NailSubset, Word, fall_table
+
+
+def emit(case: str, **fields) -> None:
+    print(json.dumps({"case": case, **fields}, sort_keys=True))
+
+
+def report_fields(report) -> dict:
+    fields = report._asdict()
+    fields["word"] = list(report.word.letters)
+    fields["notices"] = list(report.notices)
+    return fields
+
+
+def four_nail_functions() -> None:
+    subsets = [c for size in range(1, 5) for c in combinations(range(1, 5), size)]
+    for bits in range(1, 1 << len(subsets)):
+        family = [s for i, s in enumerate(subsets) if bits >> i & 1]
+        if any(set(a) < set(b) for a in family for b in family):
+            continue
+        name = "/".join("".join(map(str, s)) for s in family)
+        circuit = subsets_to_circuit(family, 4)
+        emit("four-nail-circuit", family=name, gates=circuit.gate_count,
+             estimate=estimate_length(circuit), report=report_fields(compile_circuit(circuit)))
+        spec = PuzzleSpec.from_subsets(4, family)
+        emit("four-nail-spec", family=name, report=report_fields(compile_circuit(spec)))
+
+
+def thresholds() -> None:
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            emit("k-of-n", k=k, n=n, report=report_fields(build_k_of_n(k, n)))
+    for m in range(1, 10):
+        variables = ", ".join(f"r{i}" for i in range(1, m + 1))
+        for k in range(0, m + 1):
+            c = threshold_circuit(k, m)
+            report = compile_circuit(parse_formula(f"atleast({k}; {variables})"))
+            emit("atleast", k=k, m=m, gates=c.gate_count, depth=c.depth, report=report_fields(report))
+
+
+def random_formula(rng: random.Random, variables: int, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.3:
+        return f"r{rng.randint(1, variables)}"
+    op = rng.choice(" & | ".split())
+    left, right = (random_formula(rng, variables, depth - 1) for _ in range(2))
+    return f"({left} {op} {right})"
+
+
+def formulas(rng: random.Random) -> None:
+    for _ in range(60):
+        text = random_formula(rng, 6, 4)
+        circuit = parse_formula(text, 6)
+        emit("formula", text=text, table=circuit_table(circuit), gates=circuit.gate_count,
+             depth=circuit.depth, report=report_fields(compile_circuit(circuit)))
+
+
+def subsets(rng: random.Random) -> None:
+    for _ in range(40):
+        n = rng.randint(0, 200)
+        subset = NailSubset(n, rng.getrandbits(n))
+        emit("nail-subset", n=n, mask=subset.mask, members=sorted(subset.members),
+             size=subset.size, text=str(subset))
+
+
+def networks(rng: random.Random) -> None:
+    for width in range(1, 13):
+        net = batcher_network(width)
+        values = [rng.randint(0, 9) for _ in range(width)]
+        emit(
+            "batcher",
+            width=width,
+            layers=[[(c.low, c.high) for c in layer] for layer in net.layers],
+            size=net.size,
+            depth=net.depth,
+            sorts=sorts_all_zero_one(net),
+            values=values,
+            applied=net.apply(values),
+            wire_gates=[network_to_circuit(net, w).gate_count for w in range(1, width + 1)],
+        )
+
+
+def random_word(rng: random.Random, nails: int, most: int) -> Word:
+    letters = [rng.choice((1, -1)) * rng.randint(1, nails) for _ in range(rng.randint(1, most))]
+    return Word(tuple(letters)).reduce()
+
+
+def gadgets(rng: random.Random) -> None:
+    for name, tokens in (("and", and_template_tokens()), ("or", or_template_tokens())):
+        folded = folded_counts(tokens)
+        emit("template", name=name, flat=list(flat_counts(tokens)),
+             folded=[folded.recursive_units, folded.auxiliary_letters, folded.total])
+    x3, x4 = Word((3,)), Word((4,))
+    emit("gadget-x3-x4", gadget_and=list(gadget_and(x3, x4).letters),
+         gadget_or=list(gadget_or(x3, x4).letters),
+         splice=[and_splice_cost(1, 1), or_splice_cost(1, 1), and_splice_cost(2, 3)])
+    for _ in range(40):
+        p, q = random_word(rng, 5, 7), random_word(rng, 5, 7)
+        emit("gadget-pair", p=list(p.letters), q=list(q.letters),
+             gadget_and=list(gadget_and(p, q).letters), gadget_or=list(gadget_or(p, q).letters))
+
+
+def solve(case: str, word: Word, n: int, **fields) -> None:
+    answers = {}
+    for name, solver in (("min_fell", min_fell_exact), ("greedy", greedy_min_fell)):
+        answers[name] = sorted(solver(word, n).members)
+    try:
+        answers["max_survive"] = sorted(max_survive_exact(word, n).members)
+    except ValueError as exc:
+        answers["max_survive"] = str(exc)
+    emit(case, n=n, word=list(word.letters), **answers, **fields)
+
+
+def set_covers(rng: random.Random) -> None:
+    for _ in range(60):
+        m, n, r = rng.randint(3, 10), rng.randint(2, 7), rng.choice((1, 2, 3))
+        sets: list[set[int]] = [set() for _ in range(n)]
+        for element in range(1, m + 1):
+            for i in rng.sample(range(n), min(r, n)):
+                sets[i].add(element)
+        word, owners = set_cover_to_hanging(m, [sorted(s) for s in sets])
+        solve("set-cover", word, n, m=m, sets=[sorted(s) for s in sets],
+              owners={j: list(who) for j, who in owners.items()})
+    for fx in load_fixtures():
+        report = compile_circuit(fx.spec)
+        solve("fixture", fx.word, fx.n, id=fx.id, spec=spec_to_json(fx.spec),
+              table=fall_table(fx.word, fx.n) == fx.spec.table(), report=report_fields(report))
+
+
+def constructions(rng: random.Random) -> None:
+    for n in range(1, 9):
+        emit("build_s", n=n, word=list(build_s(n).letters))
+    for m in range(1, 13):
+        indices = rng.sample(range(1, 20), m)
+        emit("build_e", indices=indices, word=list(build_e(indices).letters))
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        nails = list(range(1, n + 1))
+        rng.shuffle(nails)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+        classes = [nails[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        emit("build_disjoint", classes=classes, word=list(build_disjoint(classes).letters),
+             tree_length=e_tree_length([len(c) for c in classes]))
+
+
+def budgets() -> None:
+    for k, n in ((30, 60), (5, 30)):
+        try:
+            build_k_of_n(k, n)
+            emit("budget", k=k, n=n, refused=None)
+        except BudgetExceededError as exc:
+            emit("budget", k=k, n=n, refused=str(exc))
+
+
+def cli() -> None:
+    commands = [
+        ["puzzles"],
+        ["puzzles", "--json"],
+        ["puzzles", "--id", "5", "--json"],
+        ["puzzles", "--id", "9"],
+        ["construct", "one-of", "--n", "5"],
+        ["construct", "classes", "--classes", "1,2/3/4,5,6"],
+        ["construct", "k-of", "--k", "3", "--n", "5", "--json"],
+        ["compile", "--formula", "atleast(2; r1, r2, r3) & (r4 | r1)", "--json"],
+        ["compile", "--formula", "r1 | r2", "--n", "3", "--json"],
+    ]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main_cli(argv)
+        emit("cli", argv=argv, code=code, out=out.getvalue(), err=err.getvalue())
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    rng = random.Random(args.seed)
+    four_nail_functions()
+    thresholds()
+    formulas(rng)
+    subsets(rng)
+    networks(rng)
+    gadgets(rng)
+    set_covers(rng)
+    constructions(rng)
+    budgets()
+    cli()
+
+
+if __name__ == "__main__":
+    main()

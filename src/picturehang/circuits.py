@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
 from operator import and_, or_
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     NailSubset,
     Word,
+    _T,
     _as_mask,
+    _balanced,
     _Record,
     _set,
     check_limit,
@@ -109,9 +112,6 @@ def _walk(root: Node):
             stack.append((node, True))
             stack.append((node.right, False))
             stack.append((node.left, False))
-
-
-_T = TypeVar("_T")
 
 
 def evaluate(
@@ -218,10 +218,7 @@ def balanced_tree(op: str, leaves: Sequence[Node]) -> Node:
     """Balanced gate tree over the leaves; first half rounds up."""
     if not leaves:
         raise ValueError("balanced_tree needs at least one leaf")
-    if len(leaves) == 1:
-        return leaves[0]
-    half = (len(leaves) + 1) // 2
-    return Gate(op, balanced_tree(op, leaves[:half]), balanced_tree(op, leaves[half:]))
+    return _balanced(leaves, partial(Gate, op))
 
 
 def _check_subsets(subsets: Sequence[Iterable[int]], n: int) -> None:
@@ -482,7 +479,7 @@ class PuzzleSpec(_Record):
         if self.threshold_k is not None:
             return [mask.bit_count() >= self.threshold_k for mask in range(size)]
         if self.subsets is not None:
-            masks = [sum(1 << (i - 1) for i in s) for s in self.subsets]
+            masks = list(map(_as_mask, self.subsets))
             return [any(mask & m == m for m in masks) for mask in range(size)]
         return circuit_table(self.to_circuit(), limit)
 

@@ -83,6 +83,7 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
     BudgetExceededError,
     NailSubset,
     Word,
+    _nails,
     _product,
     check_budget,
     falls,
@@ -118,14 +119,16 @@ _Clauses = tuple[list[int], int, int]
 def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> list[tuple[int, ...]]:
     """Prime clauses of a circuit, in lexicographic order, as nail tuples.
 
-    Each node's clauses are an antichain of bitmasks.  An AND takes both
+    Each node's clauses are an antichain of bitmasks, bit i for the i-th
+    variable met, so n and the indices size nothing.  An AND takes both
     sides' clauses and an OR the unions of one from each, each keeping the
     minimal sets; neither absorbs anything over disjoint nails.  Raises
     BudgetExceededError once an AND's kept clauses, or an OR's distinct
     unions, are worth more letters than ``budget`` plus `_TWO_CNF_SAVING`,
     and UnrealizableSpecError if the root holds the empty clause.
     """
-    worth_of = [0] + [e_word_length(size) for size in range(1, c.n + 1)]
+    bit_of: dict[int, int] = {}  # variable index -> bit, in order of first sight
+    worth_of = [0]  # the letters of a clause word, by width up to len(bit_of)
     cap = None if budget is None else budget + _TWO_CNF_SAVING
 
     def check(worth: int) -> int:
@@ -138,7 +141,10 @@ def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> list[tuple[int, ..
 
     def leaf(node: Var | Const) -> _Clauses:
         if isinstance(node, Var):
-            return [1 << (node.index - 1)], 1 << (node.index - 1), 1
+            bit = bit_of.setdefault(node.index, len(bit_of))
+            if len(worth_of) <= len(bit_of):  # a new variable: price one more width
+                worth_of.append(e_word_length(len(bit_of)))
+            return [1 << bit], 1 << bit, 1
         return ([], 0, 0) if node.value else ([0], 0, 0)
 
     def and_(left: _Clauses, right: _Clauses) -> _Clauses:
@@ -172,17 +178,8 @@ def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> list[tuple[int, ..
     clauses, _, _ = evaluate(c.root, leaf, {"and": and_, "or": or_})
     if 0 in clauses:
         raise UnrealizableSpecError("circuit is constantly false: the picture could never fall")
-    return sorted(map(_nails, clauses))
-
-
-def _nails(mask: int) -> tuple[int, ...]:
-    """The nails of a bitmask, in increasing order."""
-    nails = []
-    while mask:
-        low = mask & -mask
-        nails.append(low.bit_length())
-        mask ^= low
-    return tuple(nails)
+    nail_of = list(bit_of)
+    return sorted(tuple(sorted(nail_of[bit - 1] for bit in _nails(x))) for x in clauses)
 
 
 def _minimal_sets(sets: Iterable[int]) -> list[int]:

@@ -12,7 +12,7 @@ from itertools import chain
 from operator import neg
 from typing import Iterable, Iterator, Sequence
 
-from .words import Word, raw_commutator
+from .words import Word, _balanced, raw_commutator
 
 
 def build_s(n: int) -> Word:
@@ -54,17 +54,16 @@ def e_template(m: int) -> tuple[int, ...]:
 
     Every balanced word of width m is this template with letter +-i standing
     for the i-th argument or its inverse, so it is built once per width:
-    the commutator left right left^-1 right^-1 of the templates of the two
-    halves, the second shifted onto nails ceil(m/2)+1..m.
+    the ``raw_commutator`` of the cached templates of the two halves, the
+    second shifted onto nails ceil(m/2)+1..m.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if m == 1:
         return (1,)
     half = (m + 1) // 2
-    left = e_template(half)
-    right = tuple(x + half if x > 0 else x - half for x in e_template(m - half))
-    return left + right + tuple(map(neg, left[::-1])) + tuple(map(neg, right[::-1]))
+    right = (x + half if x > 0 else x - half for x in e_template(m - half))
+    return raw_commutator(Word(e_template(half)), Word(tuple(right))).letters
 
 
 def lay_out_e(indices: Sequence[int]) -> Iterator[int]:
@@ -112,7 +111,4 @@ def build_disjoint(partition: Sequence[Iterable[int]]) -> Word:
 
 def e_tree_length(sizes: Sequence[int]) -> int:
     """Letter count of the balanced recursion over words of the given lengths."""
-    if len(sizes) == 1:
-        return sizes[0]
-    half = (len(sizes) + 1) // 2
-    return 2 * (e_tree_length(sizes[:half]) + e_tree_length(sizes[half:]))
+    return _balanced(sizes, lambda left, right: 2 * (left + right))

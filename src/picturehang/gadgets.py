@@ -9,9 +9,10 @@ ordinary removable nails and the glue of every gadget.
                 with a = p x1 p x1^-1, a~ = p x1^-1 p x1,
                      b = q x2 q x2^-1, b~ = q x2^-1 q x2
 
-Each template is one token list (`and_template_tokens`,
-`or_template_tokens`) that drives both building and accounting: a gadget
-splices its reduced arguments into the slots and reduces at the joins.
+Each template (`and_template_tokens`, `or_template_tokens`) is its gadget
+laid out, unreduced, on p = x3 and q = x4: letters +-3 and +-4 are slots,
++-1 and +-2 glue.  It drives both building and accounting: a gadget splices
+its reduced arguments into the slots and reduces at the joins.
 Laid out with single-letter arguments the AND template has 14 letters (4
 copies of p, 4 of q, 6 glue) and the OR template 1,078.  The flat
 bookkeeping of the OR counts 256 p-slots, 256 q-slots and 566 glue
@@ -23,10 +24,10 @@ lays out at most 1078**d letters.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 from .circuits import MonotoneCircuit, Var, evaluate
-from .words import Word, _product, raw_inverse
+from .words import Word, _balanced, _product, nail_counts, raw_commutator, raw_concat, raw_inverse
 
 
 def gadget_and(p: Word, q: Word) -> Word:
@@ -40,58 +41,42 @@ def gadget_or(p: Word, q: Word) -> Word:
 
 
 def gadget_and_tree(words: Sequence[Word]) -> Word:
-    """Balanced tree of AND gadgets over the words; first half rounds up.
-
-    A single word is returned as given.
-    """
-    if len(words) == 1:
-        return words[0]
-    half = (len(words) + 1) // 2
-    return gadget_and(gadget_and_tree(words[:half]), gadget_and_tree(words[half:]))
+    """Balanced tree of AND gadgets over the words (see ``words._balanced``)."""
+    return _balanced(words, gadget_and)
 
 
-# The templates are expanded symbolically: a token is either a glue letter
-# (int, nail 1 or 2) or a marker ("P"/"Q", sign) standing for one copy of an
-# argument word or its inverse.
-
-_Token = Union[int, tuple[str, int]]
+_P, _Q, _G1, _G2 = Word((3,)), Word((4,)), Word((1,)), Word((2,))
 
 
-def _t_inv(tokens: list[_Token]) -> list[_Token]:
-    return [-t if isinstance(t, int) else (t[0], -t[1]) for t in reversed(tokens)]
+def _bracket(u: Word, glue: Word) -> Word:
+    """u glue u glue^-1, unreduced."""
+    return raw_concat(u, glue, u, raw_inverse(glue))
 
 
-def _t_and(p: list[_Token], q: list[_Token]) -> list[_Token]:
-    block = _t_inv(q + [2] + q + [-2])
-    return p + p + [1] + p + p + [-1] + block + block
+def _and_layout(p: Word, q: Word) -> Word:
+    """p^2 x1 p^2 x1^-1 (q x2 q x2^-1)^-2, unreduced."""
+    block = raw_inverse(_bracket(q, _G2))
+    return raw_concat(_bracket(raw_concat(p, p), _G1), block, block)
 
 
-def _t_comm(a: list[_Token], b: list[_Token]) -> list[_Token]:
-    return a + b + _t_inv(a) + _t_inv(b)
+def and_template_tokens() -> tuple[int, ...]:
+    return _and_layout(_P, _Q).letters
 
 
-def and_template_tokens() -> list[_Token]:
-    return _t_and([("P", 1)], [("Q", 1)])
+def or_template_tokens() -> tuple[int, ...]:
+    a, a_flip = _bracket(_P, _G1), _bracket(_P, raw_inverse(_G1))
+    b, b_flip = _bracket(_Q, _G2), _bracket(_Q, raw_inverse(_G2))
+    return _and_layout(
+        _and_layout(raw_commutator(a, b), raw_commutator(a, b_flip)),
+        _and_layout(raw_commutator(a_flip, b), raw_commutator(a_flip, b_flip)),
+    ).letters
 
 
-def or_template_tokens() -> list[_Token]:
-    p, q = [("P", 1)], [("Q", 1)]
-    a = p + [1] + p + [-1]
-    a_flip = p + [-1] + p + [1]
-    b = q + [2] + q + [-2]
-    b_flip = q + [-2] + q + [2]
-    k11 = _t_comm(a, b)
-    k12 = _t_comm(a, b_flip)
-    k21 = _t_comm(a_flip, b)
-    k22 = _t_comm(a_flip, b_flip)
-    return _t_and(_t_and(k11, k12), _t_and(k21, k22))
+_AND_TEMPLATE = and_template_tokens()
+_OR_TEMPLATE = or_template_tokens()
 
 
-_AND_TEMPLATE = tuple(and_template_tokens())
-_OR_TEMPLATE = tuple(or_template_tokens())
-
-
-def _lay_out(template: tuple[_Token, ...], p: Word, q: Word) -> Word:
+def _lay_out(template: tuple[int, ...], p: Word, q: Word) -> Word:
     """The template with p, p^-1, q and q^-1 spliced into its slots, reduced.
 
     Its pieces are reduced, so the product is reduced at their joins only
@@ -100,12 +85,13 @@ def _lay_out(template: tuple[_Token, ...], p: Word, q: Word) -> Word:
     return Word(tuple(_product(_pieces(template, p, q))), reduced=True)
 
 
-def _pieces(template: tuple[_Token, ...], p: Word, q: Word) -> list[Sequence[int]]:
-    """The template's tokens as reduced pieces: glue letters alone, words in the slots."""
-    args = {"P": p.reduce(), "Q": q.reduce()}
-    pieces: dict[_Token, Sequence[int]] = {glue: (glue,) for glue in (1, -1, 2, -2)}
-    for name, sign in {t for t in template if not isinstance(t, int)}:
-        pieces[name, sign] = (args[name] if sign > 0 else raw_inverse(args[name])).letters
+def _pieces(template: tuple[int, ...], p: Word, q: Word) -> list[Sequence[int]]:
+    """The template's letters as reduced pieces: glue letters alone, words in the slots."""
+    args = {3: p.reduce(), 4: q.reduce()}
+    pieces: dict[int, Sequence[int]] = {glue: (glue,) for glue in (1, -1, 2, -2)}
+    for slot in set(template) - pieces.keys():
+        word = args[abs(slot)]
+        pieces[slot] = (word if slot > 0 else raw_inverse(word)).letters
     return list(map(pieces.__getitem__, template))
 
 
@@ -118,14 +104,13 @@ class TemplateCounts(NamedTuple):
         return self.recursive_units + self.auxiliary_letters
 
 
-def flat_counts(tokens: Sequence[_Token]) -> tuple[int, int, int]:
-    """(p-slots, q-slots, bare glue letters) of a template expansion."""
-    p_slots = sum(1 for t in tokens if not isinstance(t, int) and t[0] == "P")
-    q_slots = sum(1 for t in tokens if not isinstance(t, int) and t[0] == "Q")
-    return p_slots, q_slots, len(tokens) - p_slots - q_slots
+def flat_counts(template: Sequence[int]) -> tuple[int, int, int]:
+    """(p-slots, q-slots, bare glue letters) of a template."""
+    counts = nail_counts(Word(tuple(template)), 4)
+    return counts[3], counts[4], counts[1] + counts[2]
 
 
-def _splice_cost(template: tuple[_Token, ...]) -> Callable[[int, int], int]:
+def _splice_cost(template: tuple[int, ...]) -> Callable[[int, int], int]:
     """Letters the template lays out around reduced arguments of the given lengths."""
     p_slots, q_slots, glue = flat_counts(template)
     return lambda len_p, len_q: p_slots * len_p + q_slots * len_q + glue
@@ -135,21 +120,22 @@ and_splice_cost = _splice_cost(_AND_TEMPLATE)
 or_splice_cost = _splice_cost(_OR_TEMPLATE)
 
 
-def folded_counts(tokens: list[_Token]) -> TemplateCounts:
-    """Bracket-folded tally of a template expansion.
+def folded_counts(template: Sequence[int]) -> TemplateCounts:
+    """Bracket-folded tally of a template.
 
-    Every argument marker in the templates sits inside a conjugating bracket
-    u a u a^-1 (or its inverse a u a^-1 u).  Such a bracket is charged as one
-    recursive unit; its other three letters, including the second copy of u,
-    count as glue.  Letters outside brackets count singly.
+    Every slot in the templates sits inside a conjugating bracket u a u a^-1
+    (or its inverse a u a^-1 u).  Such a bracket is charged as one recursive
+    unit; its other three letters, including the second copy of u, count as
+    glue.  Letters outside brackets count singly: a slot as a unit, glue as
+    glue.
     """
     units = aux = i = 0
-    while i < len(tokens):
-        if _is_bracket(tokens[i : i + 4]):
+    while i < len(template):
+        if _is_bracket(template[i : i + 4]):
             units += 1
             aux += 3
             i += 4
-        elif isinstance(tokens[i], int):
+        elif abs(template[i]) <= 2:
             aux += 1
             i += 1
         else:
@@ -158,14 +144,14 @@ def folded_counts(tokens: list[_Token]) -> TemplateCounts:
     return TemplateCounts(units, aux)
 
 
-def _is_bracket(window: list[_Token]) -> bool:
+def _is_bracket(window: Sequence[int]) -> bool:
     if len(window) < 4:
         return False
     a, b, c, d = window
-    if not isinstance(a, int) and not isinstance(c, int):
-        return a == c and isinstance(b, int) and isinstance(d, int) and d == -b
-    if isinstance(a, int) and isinstance(c, int):
-        return c == -a and not isinstance(b, int) and b == d
+    if abs(a) > 2 and abs(c) > 2:
+        return a == c and abs(b) <= 2 and d == -b
+    if abs(a) <= 2 and abs(c) <= 2:
+        return c == -a and abs(b) > 2 and b == d
     return False
 
 

@@ -7,11 +7,13 @@ monotone circuit: after sorting, output wire w-k+1 carries a one iff at
 least k inputs were ones.  The zero-one principle says checking all 0/1
 inputs certifies the network for arbitrary values.
 
-Widths that are not powers of two are handled two ways, both standard: the
-public network generator drops comparators that would touch phantom wires
-beyond n (they would carry values larger than everything and never move),
-while the threshold builder pads to a power of two with constant-false
-inputs and lets constant folding erase the padding.
+Widths that are not powers of two: the network generator drops comparators
+that would touch phantom wires beyond n (they would carry values larger
+than everything and never move).  The threshold builder pads its inputs to
+a power of two with constant-false ones, which constant folding erases.
+Unpadded wiring only mirrors the gate counts, k-of-m costing what
+(m-k+1)-of-m costs padded, and a k*m dynamic-programming circuit was
+slower (ROADMAP, "`atleast` in a formula").
 
 Which route a threshold takes: the compiler dualizes the circuits built
 here, the parse of the `atleast(k; ...)` macro, into prime clauses, and a
@@ -20,7 +22,8 @@ threshold spec compiles straight to the product of its clause words.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from operator import and_, or_
+from typing import Callable, Iterator, Sequence
 
 from .circuits import (
     FALSE,
@@ -74,14 +77,14 @@ class ComparatorNetwork(_Record):
     def size(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
-    def apply(self, values: Sequence) -> list:
+    def apply(self, values: Sequence, lo: Callable = min, hi: Callable = max) -> list:
+        """Run every comparator in order: lo(a, b) to its low wire, hi(a, b) to its high."""
         out = list(values)
         if len(out) != self.width:
             raise ValueError(f"expected {self.width} values, got {len(out)}")
         for comp in self.comparators():
             a, b = out[comp.low - 1], out[comp.high - 1]
-            if b < a:
-                out[comp.low - 1], out[comp.high - 1] = b, a
+            out[comp.low - 1], out[comp.high - 1] = lo(a, b), hi(a, b)
         return out
 
 
@@ -120,10 +123,7 @@ def sorts_all_zero_one(
 ) -> bool:
     """Exhaustive 0/1 soundness check, bit-packed across all inputs at once."""
     check_limit("sorts_all_zero_one", net.width, limit)
-    packs = [_var_pack(i + 1, net.width) for i in range(net.width)]
-    for comp in net.comparators():
-        a, b = packs[comp.low - 1], packs[comp.high - 1]
-        packs[comp.low - 1], packs[comp.high - 1] = a & b, a | b
+    packs = net.apply([_var_pack(i + 1, net.width) for i in range(net.width)], and_, or_)
     return all(packs[i] & ~packs[i + 1] == 0 for i in range(net.width - 1))
 
 
@@ -131,17 +131,8 @@ def network_to_circuit(net: ComparatorNetwork, output_wire: int) -> MonotoneCirc
     """Run the network on Var(1)..Var(width): min becomes AND, max becomes OR."""
     if not 1 <= output_wire <= net.width:
         raise ValueError(f"output wire {output_wire} out of range 1..{net.width}")
-    wires: list[Node] = [Var(i) for i in range(1, net.width + 1)]
-    _wire(net, wires)
+    wires = net.apply([Var(i) for i in range(1, net.width + 1)], make_and, make_or)
     return MonotoneCircuit(net.width, wires[output_wire - 1])
-
-
-def _wire(net: ComparatorNetwork, wires: list[Node]) -> None:
-    """Run the network over the nodes in place: min becomes AND, max becomes OR."""
-    for comp in net.comparators():
-        a, b = wires[comp.low - 1], wires[comp.high - 1]
-        wires[comp.low - 1] = make_and(a, b)
-        wires[comp.high - 1] = make_or(a, b)
 
 
 def threshold_over(k: int, inputs: Sequence[Node]) -> Node:
@@ -151,21 +142,15 @@ def threshold_over(k: int, inputs: Sequence[Node]) -> Node:
         raise ValueError(f"threshold k={k} out of range 0..{m}")
     if k == 0:
         return TRUE
-    width = 1 if m == 1 else 1 << (m - 1).bit_length()
-    net = batcher_network(width)
+    width = 1 << (m - 1).bit_length()
     # Constant-false pads sit on the lowest wires, where an ascending sort
     # would leave them anyway; folding then erases every pad comparator.
-    wires: list[Node] = [FALSE] * (width - m) + list(inputs)
-    _wire(net, wires)
+    wires = batcher_network(width).apply([FALSE] * (width - m) + list(inputs), make_and, make_or)
     return wires[width - k]
 
 
 def threshold_circuit(k: int, n: int) -> MonotoneCircuit:
-    """Monotone circuit for "at least k of nails 1..n removed"."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= k <= n:
-        raise ValueError(f"threshold k={k} out of range 0..{n}")
+    """Monotone circuit for "at least k of nails 1..n removed"; n >= 1, 0 <= k <= n."""
     return MonotoneCircuit(n, threshold_over(k, [Var(i) for i in range(1, n + 1)]))
 
 

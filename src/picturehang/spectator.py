@@ -31,6 +31,7 @@ from .words import (
     _holds,
     _kept_residual,
     _masks_of_size,
+    _nails,
     _relabel_held,
     _residual,
     _search_root,
@@ -108,11 +109,8 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     for k in range(len(held) - 1, -1, -1):
         for chosen in _masks_of_size(len(held), k):
             if _kept_residual(letters, full ^ chosen):
-                mask = (1 << n) - 1
-                for i, nail in enumerate(held):
-                    if chosen >> i & 1 == 0:
-                        mask ^= 1 << nail - 1
-                return NailSubset(n, mask)
+                kept = sum(1 << held[i - 1] - 1 for i in _nails(full ^ chosen))
+                return NailSubset(n, (1 << n) - 1 ^ kept)
     raise AssertionError("unreachable: the empty subset hangs a nontrivial word")
 
 

@@ -30,10 +30,11 @@ from __future__ import annotations
 import json
 from itertools import filterfalse
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 DEFAULT_LETTER_BUDGET = 10**7
+_T = TypeVar("_T")
 
 
 class ExhaustiveLimitError(ValueError):
@@ -297,6 +298,16 @@ def _holds(letters: Sequence[int], nail: int) -> bool:
     return nail in letters or -nail in letters
 
 
+def _nails(mask: int) -> tuple[int, ...]:
+    """The nails of a bitmask, in increasing order."""
+    nails = []
+    while mask:
+        low = mask & -mask
+        nails.append(low.bit_length())
+        mask ^= low
+    return tuple(nails)
+
+
 def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
     """Reduced letters left after deleting every nail not set in ``keep``.
 
@@ -308,13 +319,7 @@ def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
     in ``_residual``.  Int letters are filtered, then reduced.
     """
     packed = isinstance(letters, bytes)
-    if packed:
-        keep &= _PACKED_NAILS
-    kept = []
-    while keep:
-        low = keep & -keep
-        kept.append(low.bit_length())
-        keep ^= low
+    kept = _nails(keep & _PACKED_NAILS if packed else keep)
     if not packed:
         return _residual(list(filter({*kept, *(-i for i in kept)}.__contains__, letters)))
     dropped = _BYTES.translate(None, bytes(kept) + bytes(256 - i for i in kept))
@@ -322,6 +327,14 @@ def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
     for i in kept:
         letters = letters.replace(bytes((i, 256 - i)), b"").replace(bytes((256 - i, i)), b"")
     return _residual(letters)
+
+
+def _balanced(items: Sequence[_T], join: Callable[[_T, _T], _T]) -> _T:
+    """The items joined up a balanced tree, the first half rounding up; one item as given."""
+    if len(items) == 1:
+        return items[0]
+    half = (len(items) + 1) // 2
+    return join(_balanced(items[:half], join), _balanced(items[half:], join))
 
 
 def _product(pieces: Iterable[Iterable[int]]) -> list[int]:
@@ -612,7 +625,7 @@ class NailSubset(_Record):
 
     @property
     def members(self) -> frozenset[int]:
-        return frozenset(i + 1 for i in range(self.n) if (self.mask >> i) & 1)
+        return frozenset(_nails(self.mask))
 
     @property
     def size(self) -> int:
@@ -622,7 +635,7 @@ class NailSubset(_Record):
         return 1 <= nail <= self.n and bool((self.mask >> (nail - 1)) & 1)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
+        return iter(_nails(self.mask))
 
     def __str__(self) -> str:
         return "{" + ",".join(str(i) for i in self) + "}"

@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -122,6 +125,28 @@ def test_compile_points_at_the_variable_beyond_n(capsys):
     assert err == "error: variable r9 exceeds n=2 (at position 10)\n"
     code, _, err = run(capsys, "compile", "--formula", "r7 & r3 | r7", "--n", "5")
     assert err == "error: variable r7 exceeds n=5 (at position 0)\n"
+
+
+BIG = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [(["--formula", "r1", "--n", BIG], "x1"), (["--formula", f"r{BIG}"], f"x{BIG}")],
+)
+def test_compile_with_a_huge_n_or_index_ends_quickly(argv, word):
+    # Run in a subprocess: a lowering sized by n or by the highest index
+    # would run out of time here instead of hanging the suite.
+    proc = subprocess.run(
+        [sys.executable, "-m", "picturehang.cli", "compile", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, word + "\n")
+    report = json.loads(proc.stderr)
+    assert (report["n"], report["verified"]) == (int(BIG), None)
 
 
 def test_compile_atleast_formula_is_exact(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import signal
 import time
 
 import pytest
@@ -122,6 +123,11 @@ def test_template_accounting():
     assert folded.total == 1078
 
 
+def test_each_template_reduced_is_its_gadget_on_x3_and_x4():
+    assert Word(and_template_tokens()).reduce() == gadget_and(X3, X4)
+    assert Word(or_template_tokens()).reduce() == gadget_or(X3, X4)
+
+
 def test_splice_costs_match_templates():
     assert and_splice_cost(1, 1) == 14
     assert or_splice_cost(1, 1) == 1078
@@ -215,6 +221,28 @@ def test_compile_skips_verification_beyond_limit():
     report = compile_circuit(MonotoneCircuit(21, Var(21)))
     assert report.verified is None
     assert any("verification skipped" in note for note in report.notices)
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("the clause lowering ran past its alarm")
+
+
+def test_compile_sizes_its_clauses_by_the_variables_in_use():
+    # Neither n nor a variable's index sizes the clause lowering.  The alarm
+    # turns a lowering that they size into a failure instead of a hang.
+    signal.signal(signal.SIGALRM, _out_of_time)
+    signal.alarm(10)
+    try:
+        for text, n, nail in (("r1", 10**20, 1), (f"r{10**20}", None, 10**20)):
+            report = compile_circuit(parse_formula(text, n))
+            assert report.word.letters == (nail,)
+            assert report.n == 10**20
+            assert report.verified is None
+        report = compile_circuit(parse_formula(f"(r{10**20} | r7) & r{10**19}"), verify=False)
+        assert report.word == clause_product([(7, 10**20), (10**19,)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
 
 def test_compile_verify_off_leaves_none():

@@ -8,6 +8,7 @@ from picturehang.constructions import (
     build_disjoint,
     build_e,
     build_s,
+    e_tree_length,
     e_word_length,
     s_word_length,
 )
@@ -150,3 +151,4 @@ def test_disjoint_length_bound_random_partitions():
             classes.append(set(nails[prev:cut]))
             prev = cut
         assert len(build_disjoint(classes)) <= 2 * k * n
+        assert e_tree_length([len(c) for c in classes]) == len(build_disjoint(classes))
