@@ -10,6 +10,8 @@ lines.  It covers:
 - ``build_k_of_n`` for 1 <= k <= n <= 10, and ``atleast(k; r1..rm)`` for
   m <= 9 with the gate count and depth of ``threshold_circuit(k, m)``;
 - seeded random formulas on six variables: table, gates, depth and report;
+- ``&`` chains of 100 to 2,000 pair clauses, overlapping (ri | ri+1) and
+  disjoint (r2i-1 | r2i): the compiled word and report, unverified;
 - ``NailSubset`` members of seeded masks on up to 200 nails;
 - Batcher networks of widths 1..12: comparators, the zero-one check, a
   seeded ``apply`` and the gate counts of ``network_to_circuit``;
@@ -122,6 +124,14 @@ def formulas(rng: random.Random) -> None:
         circuit = parse_formula(text, 6)
         emit("formula", text=text, table=circuit_table(circuit), gates=circuit.gate_count,
              depth=circuit.depth, report=report_fields(compile_circuit(circuit)))
+
+
+def chains() -> None:
+    for clauses in (100, 500, 2000):
+        for shape, step in (("overlapping", 1), ("disjoint", 2)):
+            text = " & ".join(f"(r{i} | r{i + 1})" for i in range(1, step * clauses, step))
+            report = compile_circuit(parse_formula(text), verify=False)
+            emit("chain", shape=shape, clauses=clauses, report=report_fields(report))
 
 
 def subsets(rng: random.Random) -> None:
@@ -248,6 +258,7 @@ def main() -> None:
     four_nail_functions()
     thresholds()
     formulas(rng)
+    chains()
     subsets(rng)
     networks(rng)
     gadgets(rng)

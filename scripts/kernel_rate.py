@@ -25,10 +25,10 @@ import random
 import time
 from itertools import combinations
 
-from picturehang.constructions import build_e
-from picturehang.gadgets import _AND_TEMPLATE, _pieces, gadget_and_tree
+from picturehang.constructions import _splice, build_e
+from picturehang.gadgets import _AND_TEMPLATE, _G1, _G2, gadget_and_tree
 from picturehang.spectator import set_cover_to_hanging
-from picturehang.words import _kept_residual, _pack, _product, _residual
+from picturehang.words import _kept_residual, _pack, _product, _residual, raw_inverse
 
 
 def set_cover_instances(seed: int, count: int) -> list[tuple[int, list[list[int]]]]:
@@ -95,8 +95,8 @@ def main() -> None:
         owners = [[i for i, s in enumerate(sets, start=1) if j in s] for j in range(1, m + 1)]
         leaves = [build_e(who) for who in owners]
         half = (len(leaves) + 1) // 2
-        layouts.append(_pieces(_AND_TEMPLATE, gadget_and_tree(leaves[:half]),
-                               gadget_and_tree(leaves[half:])))
+        glue_p_q = (_G1, _G2, gadget_and_tree(leaves[:half]), gadget_and_tree(leaves[half:]))
+        layouts.append([piece.letters for piece in _splice(_AND_TEMPLATE, glue_p_q, raw_inverse)])
     flat = [([x for piece in pieces for x in piece],) for pieces in layouts]
     letters = sum(len(word) for word, in flat)
     old = rate(_residual, flat, letters, args.repeat)

@@ -30,6 +30,7 @@ from .words import (
     _T,
     _as_mask,
     _balanced,
+    _check_range,
     _Record,
     _set,
     check_limit,
@@ -216,8 +217,6 @@ def _var_pack(index: int, n: int) -> int:
 
 def balanced_tree(op: str, leaves: Sequence[Node]) -> Node:
     """Balanced gate tree over the leaves; first half rounds up."""
-    if not leaves:
-        raise ValueError("balanced_tree needs at least one leaf")
     return _balanced(leaves, partial(Gate, op))
 
 
@@ -228,9 +227,7 @@ def _check_subsets(subsets: Sequence[Iterable[int]], n: int) -> None:
     for s in subsets:
         if not s:
             raise ValueError("felling subsets must be nonempty")
-        for i in s:
-            if not 1 <= i <= n:
-                raise ValueError(f"nail {i} out of range 1..{n}")
+        _check_range(s, n)
 
 
 def subsets_to_circuit(subsets: Sequence[Iterable[int]], n: int) -> MonotoneCircuit:
@@ -300,19 +297,19 @@ class _Parser:
             raise FormulaSyntaxError(f"unexpected {token[0]!r} after formula", token[2])
         return node
 
+    def separated(self, separator: str, item: Callable[[], _T]) -> list[_T]:
+        """One or more items with a separator token between each two."""
+        items = [item()]
+        while self.peek()[0] == separator:
+            self.take(separator)
+            items.append(item())
+        return items
+
     def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[0] == "|":
-            self.take("|")
-            node = make_or(node, self.term())
-        return node
+        return _balanced(self.separated("|", self.term), make_or)
 
     def term(self) -> Node:
-        node = self.factor()
-        while self.peek()[0] == "&":
-            self.take("&")
-            node = make_and(node, self.factor())
-        return node
+        return _balanced(self.separated("&", self.factor), make_and)
 
     def factor(self) -> Node:
         kind, _, pos = self.peek()
@@ -336,10 +333,7 @@ class _Parser:
         self.take("(")
         _, k, kpos = self.take("int")
         self.take(";")
-        indices = [self.var()]
-        while self.peek()[0] == ",":
-            self.take(",")
-            indices.append(self.var())
+        indices = self.separated(",", self.var)
         self.take(")")
         if len(set(indices)) != len(indices):
             raise FormulaSyntaxError("atleast variables must be distinct", start)
@@ -363,8 +357,9 @@ class _Parser:
 def parse_formula(text: str, n: int | None = None) -> MonotoneCircuit:
     """Parse `r<k>`, `&`, `|`, parentheses and the atleast(k; ...) macro.
 
-    `&` binds tighter than `|`; both chain to the left.  If n is omitted it
-    defaults to the largest variable index mentioned.
+    `&` binds tighter than `|`; each chain is joined up a balanced tree
+    (``words._balanced``).  If n is omitted it defaults to the largest
+    variable index mentioned.
     """
     parser = _Parser(text)
     root = parser.parse()

@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k_of = shapes.add_parser("k-of", help="falls when any k of n nails are removed")
     k_of.add_argument("--k", type=int, required=True)
     k_of.add_argument("--n", type=int, required=True)
-    k_of.add_argument("--budget", type=int, default=None)
+    k_of.add_argument("--budget", type=int, default=DEFAULT_LETTER_BUDGET)
     k_of.add_argument("--no-verify", action="store_true")
     k_of.add_argument("--json", action="store_true")
     classes = shapes.add_parser(

@@ -116,8 +116,8 @@ def clause_product(clauses: Iterable[Sequence[int]]) -> Word:
 _Clauses = tuple[list[int], int, int]
 
 
-def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> list[tuple[int, ...]]:
-    """Prime clauses of a circuit, in lexicographic order, as nail tuples.
+def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> tuple[list[tuple[int, ...]], int]:
+    """Prime clauses of a circuit, in lexicographic order, as nail tuples, and their words' letters.
 
     Each node's clauses are an antichain of bitmasks, bit i for the i-th
     variable met, so n and the indices size nothing.  An AND takes both
@@ -175,11 +175,11 @@ def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> list[tuple[int, ..
         clauses = _minimal_sets(held) if a_nails & b_nails else list(held)
         return clauses, a_nails | b_nails, sum(worth_of[x.bit_count()] for x in clauses)
 
-    clauses, _, _ = evaluate(c.root, leaf, {"and": and_, "or": or_})
+    clauses, _, worth = evaluate(c.root, leaf, {"and": and_, "or": or_})
     if 0 in clauses:
         raise UnrealizableSpecError("circuit is constantly false: the picture could never fall")
     nail_of = list(bit_of)
-    return sorted(tuple(sorted(nail_of[bit - 1] for bit in _nails(x))) for x in clauses)
+    return sorted(tuple(sorted(nail_of[bit - 1] for bit in _nails(x))) for x in clauses), worth
 
 
 def _minimal_sets(sets: Iterable[int]) -> list[int]:
@@ -346,12 +346,11 @@ def compile_circuit(
             check_budget(estimate, budget)
             word = clause_product(combinations(range(1, n + 1), width))
     else:
-        clauses = _prime_clauses(spec.to_circuit() if spec is not None else target, budget)
+        clauses, estimate = _prime_clauses(target if spec is None else spec.to_circuit(), budget)
         if not clauses:
             notices.append("circuit is constantly true; compiles to the empty word")
         count = len(clauses)
         widest = max(map(len, clauses), default=1)
-        estimate = sum(e_word_length(len(clause)) for clause in clauses)
         word = clause_product(clauses)  # within the budget plus _TWO_CNF_SAVING
         pairs = [clause for clause in clauses if len(clause) == 2]
         orders = _permutation_orders(pairs) if widest == 2 else None

@@ -3,16 +3,17 @@
 All three builders return as-constructed words: every letter laid out by the
 recursion is kept, no reduction is applied.  The classic length formulas are
 stated against exactly these sequences (none of them admits a cancellation).
+A template's letter +-i stands for its i-th argument or that argument's inverse;
+`_splice` lays out every template: balanced and class words here, and the gadgets.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain
 from operator import neg
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .words import Word, _balanced, raw_commutator
+from .words import _T, Word, _balanced, raw_commutator, raw_concat, raw_inverse
 
 
 def build_s(n: int) -> Word:
@@ -62,19 +63,22 @@ def e_template(m: int) -> tuple[int, ...]:
     if m == 1:
         return (1,)
     half = (m + 1) // 2
-    right = (x + half if x > 0 else x - half for x in e_template(m - half))
+    right = _splice(e_template(m - half), range(half + 1, m + 1), neg)
     return raw_commutator(Word(e_template(half)), Word(tuple(right))).letters
 
 
-def lay_out_e(indices: Sequence[int]) -> Iterator[int]:
-    """The letters of ``build_e(indices)``, without checking the indices.
+def _splice(template: Iterable[int], args: Sequence[_T], invert: Callable) -> Iterator[_T]:
+    """The template with +i read as ``args[i-1]`` and -i as its ``invert``, inverted once.
 
-    ``label`` maps letter +-i of the template to +-indices[i-1]: +i reads
-    position i, and -i, through Python's negative indexing, reads position
-    2m+1-i, where the negated indices are stored in reverse.
+    Label -i reads position 2m+1-i by negative indexing: the inverses are stored in reverse.
     """
-    label = [0, *indices, *map(neg, reversed(indices))]
-    return map(label.__getitem__, e_template(len(indices)))
+    label = [None, *args, *map(invert, reversed(args))]
+    return map(label.__getitem__, template)
+
+
+def lay_out_e(indices: Sequence[int]) -> Iterator[int]:
+    """The letters of ``build_e(indices)``, without checking the indices."""
+    return _splice(e_template(len(indices)), indices, neg)
 
 
 def e_word_length(n: int) -> int:
@@ -104,9 +108,8 @@ def build_disjoint(partition: Sequence[Iterable[int]]) -> Word:
     n = len(flat)
     if flat != list(range(1, n + 1)):
         raise ValueError("classes must partition 1..n with no overlap or gap")
-    # Labelled as in lay_out_e, with class words in place of single nails.
-    pieces = [(), *classes, *([-i for i in reversed(c)] for c in reversed(classes))]
-    return Word(tuple(chain.from_iterable(map(pieces.__getitem__, e_template(len(classes))))))
+    class_words = [Word(tuple(c)) for c in classes]
+    return raw_concat(*_splice(e_template(len(classes)), class_words, raw_inverse))
 
 
 def e_tree_length(sizes: Sequence[int]) -> int:

@@ -11,8 +11,9 @@ ordinary removable nails and the glue of every gadget.
 
 Each template (`and_template_tokens`, `or_template_tokens`) is its gadget
 laid out, unreduced, on p = x3 and q = x4: letters +-3 and +-4 are slots,
-+-1 and +-2 glue.  It drives both building and accounting: a gadget splices
-its reduced arguments into the slots and reduces at the joins.
++-1 and +-2 glue.  It drives both building and accounting: a gadget lays
+the template out with `constructions._splice` on the arguments (x1, x2, p,
+q), glue letters as arguments 1 and 2, and reduces at the joins.
 Laid out with single-letter arguments the AND template has 14 letters (4
 copies of p, 4 of q, 6 glue) and the OR template 1,078.  The flat
 bookkeeping of the OR counts 256 p-slots, 256 q-slots and 566 glue
@@ -27,6 +28,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 from .circuits import MonotoneCircuit, Var, evaluate
+from .constructions import _splice
 from .words import Word, _balanced, _product, nail_counts, raw_commutator, raw_concat, raw_inverse
 
 
@@ -82,17 +84,8 @@ def _lay_out(template: tuple[int, ...], p: Word, q: Word) -> Word:
     Its pieces are reduced, so the product is reduced at their joins only
     (``words._product``).
     """
-    return Word(tuple(_product(_pieces(template, p, q))), reduced=True)
-
-
-def _pieces(template: tuple[int, ...], p: Word, q: Word) -> list[Sequence[int]]:
-    """The template's letters as reduced pieces: glue letters alone, words in the slots."""
-    args = {3: p.reduce(), 4: q.reduce()}
-    pieces: dict[int, Sequence[int]] = {glue: (glue,) for glue in (1, -1, 2, -2)}
-    for slot in set(template) - pieces.keys():
-        word = args[abs(slot)]
-        pieces[slot] = (word if slot > 0 else raw_inverse(word)).letters
-    return list(map(pieces.__getitem__, template))
+    pieces = _splice(template, (_G1, _G2, p.reduce(), q.reduce()), raw_inverse)
+    return Word(tuple(_product(piece.letters for piece in pieces)), reduced=True)
 
 
 class TemplateCounts(NamedTuple):

@@ -9,7 +9,7 @@ isotopy.  Output is deterministic text line art or SVG.
 
 from __future__ import annotations
 
-from .words import Word, check_nails, nail_counts
+from .words import DEFAULT_LETTER_BUDGET, Word, check_nails, nail_counts
 
 __all__ = ["to_diagram", "SUPPORTED_FORMATS"]
 
@@ -113,6 +113,10 @@ def _vector_diagram(w: Word, n: int) -> str:
 def to_diagram(w: Word, n: int, format: str = "text") -> str:
     """Render the weaving diagram for w on n nails in the given format."""
     check_nails(w, n)
+    if n * (len(w) + 1) > DEFAULT_LETTER_BUDGET:  # a row of n cells per letter and header
+        raise ValueError(
+            f"a diagram of {n} nails by {len(w)} letters exceeds {DEFAULT_LETTER_BUDGET} cells"
+        )
     if format == "text":
         return _text_diagram(w, n)
     if format == "vector":

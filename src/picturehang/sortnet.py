@@ -30,12 +30,13 @@ from .circuits import (
     TRUE,
     MonotoneCircuit,
     Node,
+    PuzzleSpec,
     Var,
     _var_pack,
     make_and,
     make_or,
 )
-from .words import DEFAULT_EXHAUSTIVE_LIMIT, _Record, _set, check_limit
+from .words import DEFAULT_EXHAUSTIVE_LIMIT, DEFAULT_LETTER_BUDGET, _Record, _set, check_limit
 
 
 class Comparator(_Record):
@@ -154,21 +155,18 @@ def threshold_circuit(k: int, n: int) -> MonotoneCircuit:
     return MonotoneCircuit(n, threshold_over(k, [Var(i) for i in range(1, n + 1)]))
 
 
-def build_k_of_n(k: int, n: int, budget: int | None = None, verify: bool | None = None):
+def build_k_of_n(
+    k: int, n: int, budget: int | None = DEFAULT_LETTER_BUDGET, verify: bool | None = None
+):
     """Compile the k-of-n threshold to a hanging word; returns a CompileReport.
 
     The word is the reduced product of the balanced 1-of-(n-k+1) words over
     every (n-k+1)-subset of the nails, in lexicographic order; the budget is
-    checked against its closed-form length before any subset is listed.
+    checked against its closed-form length before any subset is listed, and
+    None disables it, as in ``compile_circuit``.
     """
-    from .compiler import DEFAULT_LETTER_BUDGET, compile_circuit
-    from .circuits import PuzzleSpec
+    from .compiler import compile_circuit
 
     if not 1 <= k <= n:
         raise ValueError(f"build_k_of_n needs 1 <= k <= n, got k={k}, n={n}")
-    spec = PuzzleSpec.from_threshold(n, k)
-    return compile_circuit(
-        spec,
-        budget=DEFAULT_LETTER_BUDGET if budget is None else budget,
-        verify=verify,
-    )
+    return compile_circuit(PuzzleSpec.from_threshold(n, k), budget=budget, verify=verify)

@@ -71,6 +71,13 @@ def check_nails(w: Word, n: int) -> None:
         raise ValueError(f"word uses nail {top} beyond n={n}")
 
 
+def _check_range(nails: Iterable[int], n: int) -> None:
+    """Refuse a nail outside 1..n."""
+    for i in nails:
+        if not 1 <= i <= n:
+            raise ValueError(f"nail {i} out of range 1..{n}")
+
+
 class WordFormatError(ValueError):
     """Raised when word text or word JSON cannot be parsed."""
 
@@ -330,9 +337,14 @@ def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
 
 
 def _balanced(items: Sequence[_T], join: Callable[[_T, _T], _T]) -> _T:
-    """The items joined up a balanced tree, the first half rounding up; one item as given."""
+    """The items joined up a balanced tree, the first half rounding up; one item as given.
+
+    Every n-ary chain is built here: formula chains, gate trees, gadget AND trees, e_tree_length.
+    """
     if len(items) == 1:
         return items[0]
+    if not items:
+        raise ValueError("a balanced tree needs at least one item")
     half = (len(items) + 1) // 2
     return join(_balanced(items[:half], join), _balanced(items[half:], join))
 
@@ -382,12 +394,6 @@ def raw_commutator(a: Word, b: Word) -> Word:
     return raw_concat(a, b, raw_inverse(a), raw_inverse(b))
 
 
-def raw_power(w: Word, k: int) -> Word:
-    if k < 0:
-        return raw_power(raw_inverse(w), -k)
-    return Word(w.letters * k)
-
-
 def concat(*words: Word) -> Word:
     """Reduced concatenation (the group product)."""
     return raw_concat(*words).reduce()
@@ -398,7 +404,8 @@ def inverse(w: Word) -> Word:
 
 
 def power(w: Word, k: int) -> Word:
-    return raw_power(w, k).reduce()
+    """w^k, reduced; a negative k takes the inverse."""
+    return Word((w if k >= 0 else raw_inverse(w)).letters * abs(k)).reduce()
 
 
 def commutator(a: Word, b: Word) -> Word:
@@ -469,11 +476,7 @@ def first_mismatch(
     w: Word, n: int, expected: Sequence[bool], limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> int | None:
     """First mask where the word's fall table on nails 1..n differs, or None."""
-    return _first_difference(fall_table(w, n, limit), expected)
-
-
-def _first_difference(got: list[bool], expected: Sequence[bool]) -> int | None:
-    """First mask where two fall tables differ, or None."""
+    got = fall_table(w, n, limit)
     if got == expected:
         return None
     return next((mask for mask, want in enumerate(expected) if got[mask] != want), None)
@@ -518,7 +521,7 @@ def verify_threshold(
     if _boundary_reads_less(n, k) and _boundary_mismatch(root, n, k) is None:
         return None, "boundary", comb(n, k) + (k and comb(n, k - 1))
     expected = [mask.bit_count() >= k for mask in range(1 << n)]
-    return _first_difference(_walk_table(root, n), expected), "table", 1 << n
+    return first_mismatch(w, n, expected, limit), "table", 1 << n
 
 
 def _boundary_reads_less(n: int, k: int) -> bool:
@@ -608,12 +611,9 @@ class NailSubset(_Record):
 
     @classmethod
     def from_members(cls, n: int, members: Iterable[int]) -> "NailSubset":
-        mask = 0
-        for i in members:
-            if not 1 <= i <= n:
-                raise ValueError(f"nail {i} out of range 1..{n}")
-            mask |= 1 << (i - 1)
-        return cls(n, mask)
+        members = tuple(members)
+        _check_range(members, n)
+        return cls(n, sum(1 << (i - 1) for i in set(members)))
 
     @classmethod
     def empty(cls, n: int) -> "NailSubset":

@@ -166,6 +166,19 @@ def test_balanced_tree_depth():
     assert c.depth == 3
 
 
+def test_balanced_tree_refuses_no_leaves():
+    with pytest.raises(ValueError):
+        balanced_tree("and", [])
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_parse_formula_joins_operator_chains_up_a_balanced_tree(op):
+    leaves = [Var(i) for i in range(1, 1025)]
+    chain = parse_formula(f" {op} ".join(f"r{i}" for i in range(1, 1025)))
+    assert chain.depth == 10
+    assert chain.root == balanced_tree("and" if op == "&" else "or", leaves)
+
+
 def test_subsets_to_circuit_semantics():
     c = subsets_to_circuit([{1}, {2, 3}], 3)
     table = circuit_table(c)

@@ -247,6 +247,23 @@ def test_render_refuses_a_json_boolean_letter(capsys, tmp_path):
     assert err == "error: word JSON must be an array of nonzero integers\n"
 
 
+def test_render_refuses_a_diagram_over_the_letter_budget(tmp_path):
+    # Run in a subprocess: a renderer that loops over every nail up to n
+    # would run out of time here instead of hanging the suite.
+    word = tmp_path / "w.txt"
+    word.write_text("x1 X2 x1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "picturehang.cli", "render", "--word", str(word), "--n", BIG],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith("exceeds 10000000 cells\n")
+
+
 @pytest.mark.parametrize("command", [["render"], ["table"], ["solve", "min-fell"]])
 def test_negative_n_is_a_usage_error(capsys, tmp_path, command):
     word = tmp_path / "empty.txt"

@@ -21,14 +21,19 @@ from picturehang.circuits import (
 )
 from picturehang.compiler import BudgetExceededError, clause_product, compile_circuit
 import picturehang.compiler as compiler
-from picturehang.constructions import build_e, e_word_length
+from picturehang.constructions import _splice, build_e, e_word_length
 from picturehang.gadgets import (
+    _AND_TEMPLATE,
+    _OR_TEMPLATE,
+    _and_layout,
+    _bracket,
     and_splice_cost,
     and_template_tokens,
     estimate_length,
     flat_counts,
     folded_counts,
     gadget_and,
+    gadget_and_tree,
     gadget_or,
     or_splice_cost,
     or_template_tokens,
@@ -50,7 +55,9 @@ from picturehang.words import (
     first_mismatch,
     format_word,
     inverse,
+    raw_commutator,
     raw_concat,
+    raw_inverse,
     verify_threshold,
 )
 
@@ -112,6 +119,30 @@ def test_gadgets_equal_their_group_formulas_on_random_words():
         p, q = random_word(), random_word()
         assert gadget_and(p, q).letters == and_formula(p, q).letters
         assert gadget_or(p, q).letters == or_formula(p, q).letters
+
+
+def test_spliced_templates_are_the_gadget_layouts():
+    # Glue x1 and x2 are the templates' arguments 1 and 2, p and q are 3 and 4.
+    rng = random.Random(19)
+    for _ in range(10):
+        p, q = (
+            Word(tuple(rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(rng.randint(1, 5))))
+            for _ in range(2)
+        )
+        a, a_flip = _bracket(p, Word((1,))), _bracket(p, Word((-1,)))
+        b, b_flip = _bracket(q, Word((2,))), _bracket(q, Word((-2,)))
+        or_layout = _and_layout(
+            _and_layout(raw_commutator(a, b), raw_commutator(a, b_flip)),
+            _and_layout(raw_commutator(a_flip, b), raw_commutator(a_flip, b_flip)),
+        )
+        glue_p_q = (Word((1,)), Word((2,)), p, q)
+        for template, layout in ((_AND_TEMPLATE, _and_layout(p, q)), (_OR_TEMPLATE, or_layout)):
+            assert raw_concat(*_splice(template, glue_p_q, raw_inverse)).letters == layout.letters
+
+
+def test_gadget_and_tree_refuses_no_words():
+    with pytest.raises(ValueError):
+        gadget_and_tree([])
 
 
 def test_template_accounting():
@@ -496,11 +527,15 @@ def test_compile_4000_term_and_chain_quickly():
 
 
 def test_compile_1000_overlapping_pair_clauses_quickly():
-    report, seconds = _timed_compile(" & ".join(f"(r{i} | r{i + 1})" for i in range(1, 1001)))
-    assert report.word == concat(
-        *(commutator(Word((i,)), Word((i + 1,))) for i in range(1, 1001))
-    )
-    assert seconds < 2
+    # The parser joins the chain up a balanced tree, so the clause lowering
+    # stays near linear in the number of clauses.
+    for clauses in (1000, 4000):
+        text = " & ".join(f"(r{i} | r{i + 1})" for i in range(1, clauses + 1))
+        report, seconds = _timed_compile(text)
+        assert report.word == concat(
+            *(commutator(Word((i,)), Word((i + 1,))) for i in range(1, clauses + 1))
+        )
+        assert seconds < 2, clauses
 
 
 # --- threshold verification on the boundary ----------------------------------

@@ -1,15 +1,19 @@
 """Commutator constructions: S_n, the quadratic E words, disjoint classes."""
 
 import random
+from operator import neg
 
 import pytest
 
 from picturehang.constructions import (
+    _splice,
     build_disjoint,
     build_e,
     build_s,
+    e_template,
     e_tree_length,
     e_word_length,
+    lay_out_e,
     s_word_length,
 )
 from picturehang.words import (
@@ -20,6 +24,7 @@ from picturehang.words import (
     nail_counts,
     parse_word,
     raw_commutator,
+    raw_inverse,
 )
 
 
@@ -152,3 +157,34 @@ def test_disjoint_length_bound_random_partitions():
             prev = cut
         assert len(build_disjoint(classes)) <= 2 * k * n
         assert e_tree_length([len(c) for c in classes]) == len(build_disjoint(classes))
+
+
+def test_e_tree_length_refuses_no_sizes():
+    with pytest.raises(ValueError):
+        e_tree_length([])
+
+
+def test_splice_reads_plus_i_as_argument_i_and_minus_i_as_its_inverse():
+    template = (1, -2, 3, -1, 2, -3, -3)
+    assert list(_splice(template, [7, 5, 9], neg)) == [7, -5, 9, -7, 5, -9, -9]
+    a, b, c = Word((1, 2)), Word((3,)), Word((-4, 5))
+    got = list(_splice(template, [a, b, c], raw_inverse))
+    assert got == [a, raw_inverse(b), c, raw_inverse(a), b, raw_inverse(c), raw_inverse(c)]
+
+
+def test_splice_lays_out_the_balanced_and_class_words_letter_by_letter():
+    rng = random.Random(19)
+    for m in range(1, 13):
+        nails = rng.sample(range(1, 40), m)
+        want = [nails[x - 1] if x > 0 else -nails[-x - 1] for x in e_template(m)]
+        assert list(lay_out_e(nails)) == want == list(build_e(nails).letters)
+    for _ in range(30):
+        n = rng.randint(1, 10)
+        nails = list(range(1, n + 1))
+        rng.shuffle(nails)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        classes = [sorted(nails[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+        want = []
+        for x in e_template(len(classes)):
+            want += classes[x - 1] if x > 0 else [-i for i in reversed(classes[-x - 1])]
+        assert list(build_disjoint(classes).letters) == want

@@ -2,6 +2,7 @@
 
 import pytest
 
+import picturehang.compiler as compiler
 from picturehang.circuits import Const, circuit_table
 from picturehang.compiler import BudgetExceededError
 from picturehang.sortnet import (
@@ -13,7 +14,7 @@ from picturehang.sortnet import (
     sorts_all_zero_one,
     threshold_circuit,
 )
-from picturehang.words import fall_table
+from picturehang.words import DEFAULT_LETTER_BUDGET, fall_table
 
 
 def test_comparator_validation():
@@ -117,6 +118,21 @@ def test_build_k_of_n_every_threshold_up_to_six_is_exact():
                 <= report.estimate
                 <= report.bound
             ), (k, n)
+
+
+def test_build_k_of_n_passes_its_budget_through_unchanged(monkeypatch):
+    budgets = []
+    real = compiler.compile_circuit
+
+    def spy(spec, budget, verify):
+        budgets.append(budget)
+        return real(spec, budget=budget, verify=verify)
+
+    monkeypatch.setattr(compiler, "compile_circuit", spy)
+    build_k_of_n(2, 3, budget=None)
+    build_k_of_n(2, 3, budget=50)
+    build_k_of_n(2, 3)
+    assert budgets == [None, 50, DEFAULT_LETTER_BUDGET]
 
 
 def test_build_k_of_n_refuses_large_n_from_the_closed_form_estimate():
