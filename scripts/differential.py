@@ -19,7 +19,12 @@ lines.  It covers:
   seeded pairs of words;
 - seeded Set Cover words with the three solvers, and the fixtures;
 - ``build_s``, ``build_e``, and ``build_disjoint`` with ``e_tree_length``;
-- the output and exit code of a few CLI commands that read no file.
+- the output and exit code of a few CLI commands that read no file;
+- ``(r1 & ... & rN) | (r1 & ... & rN)`` and ORs of ANDs over shifted
+  nails, subset specs listing duplicate and superset subsets, and seeded
+  ANDs of two DNFs over shared nails: every report field;
+- every k-of-n for 14 <= n <= 20 within 10^6 letters: its length and how
+  auto-verification went (the fields that follow the verification rule).
 
 Standard library only; seeded, so two runs print the same bytes.
 
@@ -250,6 +255,48 @@ def cli() -> None:
         emit("cli", argv=argv, code=code, out=out.getvalue(), err=err.getvalue())
 
 
+def absorption(rng: random.Random) -> None:
+    for size in (1, 2, 5, 12, 20, 30):
+        for shift in (0, 1, size // 2):
+            left = " & ".join(f"r{i}" for i in range(1, size + 1))
+            right = " & ".join(f"r{i + shift}" for i in range(1, size + 1))
+            report = compile_circuit(parse_formula(f"({left}) | ({right})"))
+            emit("or-of-ands", size=size, shift=shift, report=report_fields(report))
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        family = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+        for s in rng.sample(family, len(family) // 2):  # supersets
+            rest = [x for x in range(1, n + 1) if x not in s]
+            if rest:
+                family.append(s + [rng.choice(rest)])
+        family += rng.sample(family, len(family) // 2)  # duplicates
+        rng.shuffle(family)
+        report = compile_circuit(PuzzleSpec.from_subsets(n, family))
+        emit("subsets-with-repeats", n=n, family=family, report=report_fields(report))
+    for _ in range(40):
+        text = f"({random_dnf(rng, 7)}) & ({random_dnf(rng, 7)})"
+        report = compile_circuit(parse_formula(text))
+        emit("and-over-shared-nails", text=text, report=report_fields(report))
+
+
+def random_dnf(rng: random.Random, variables: int) -> str:
+    terms = [rng.sample(range(1, variables + 1), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+    return " | ".join("(" + " & ".join(f"r{i}" for i in term) + ")" for term in terms)
+
+
+def threshold_verification() -> None:
+    for n in range(14, 21):
+        for k in range(1, n + 1):
+            try:
+                r = build_k_of_n(k, n, budget=10**6)
+            except BudgetExceededError as exc:
+                emit("threshold-verify", k=k, n=n, refused=str(exc))
+                continue
+            emit("threshold-verify", k=k, n=n, route=r.route, reduced_length=r.reduced_length,
+                 verified=r.verified, verify_method=r.verify_method,
+                 masks_checked=r.masks_checked, notices=list(r.notices))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -266,6 +313,8 @@ def main() -> None:
     constructions(rng)
     budgets()
     cli()
+    absorption(rng)
+    threshold_verification()
 
 
 if __name__ == "__main__":

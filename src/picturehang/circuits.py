@@ -31,6 +31,7 @@ from .words import (
     _as_mask,
     _balanced,
     _check_range,
+    _minimal_sets,
     _Record,
     _set,
     check_limit,
@@ -549,16 +550,13 @@ def validate_spec(spec: PuzzleSpec) -> SpecValidation:
     if spec.threshold_k == 0:
         notices.append("threshold 0 falls for every subset; compiles to the empty word")
     if spec.subsets is not None:
-        kept: list[frozenset[int]] = []
-        seen: set[frozenset[int]] = set()
+        mask_of = dict(zip(spec.subsets, map(_as_mask, spec.subsets)))  # in order of first sight
+        minimal = set(_minimal_sets(mask_of.values()))
+        kept = [sorted(s) for s, mask in mask_of.items() if mask in minimal]
         for s in spec.subsets:
-            if s in seen:
+            if s not in mask_of:  # popped at its first sight
                 notices.append(f"dropped duplicate subset {sorted(s)}")
-                continue
-            seen.add(s)
-            if any(other < s for other in spec.subsets):
+            elif mask_of.pop(s) not in minimal:
                 notices.append(f"dropped subset {sorted(s)}: superset of another listed subset")
-                continue
-            kept.append(s)
-        spec = PuzzleSpec.from_subsets(spec.n, [sorted(s) for s in kept])
+        spec = PuzzleSpec.from_subsets(spec.n, kept)
     return SpecValidation(spec, tuple(notices))

@@ -83,6 +83,9 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
     BudgetExceededError,
     NailSubset,
     Word,
+    _boundary_masks,
+    _boundary_reads_less,
+    _minimal_sets,
     _nails,
     _product,
     check_budget,
@@ -91,7 +94,7 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
 )
 
 
-# Above this much table work (2^n subsets times word length) auto-verification
+# Above this much work (subsets checked times word length) auto-verification
 # backs off and the report says so instead of silently burning minutes.
 _AUTO_VERIFY_WORK = 300_000_000
 
@@ -154,14 +157,14 @@ def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> tuple[list[tuple[i
         if not b_nails:
             return right if b else left
         worth = a_worth + b_worth
-        if a_nails & b_nails:  # only clauses meeting the other side's nails absorb across
-            meet_a = list(filter(b_nails.__and__, a))
-            meet_b = list(filter(a_nails.__and__, b))
-            drop_b = {y for y in meet_b if any(x & y == x for x in meet_a)}
-            drop_a = {x for x in meet_a if any(x & y == y for y in meet_b if y not in drop_b)}
-            a = list(filterfalse(drop_a.__contains__, a))
-            b = list(filterfalse(drop_b.__contains__, b))
-            worth -= sum(worth_of[x.bit_count()] for x in (*drop_a, *drop_b))
+        shared = a_nails & b_nails  # a clause that absorbs across lies within these nails
+        meet = [*filter(shared.__and__, a), *filter(shared.__and__, b)] if shared else []
+        if any(x & shared == x for x in meet):  # and the clauses it absorbs meet them
+            kept = _minimal_sets(meet)
+            worth -= sum(worth_of[x.bit_count()] for x in meet)
+            worth += sum(worth_of[x.bit_count()] for x in kept)
+            a = [*filterfalse(shared.__and__, a), *kept]
+            b = list(filterfalse(shared.__and__, b))
         return a + b, a_nails | b_nails, check(worth)
 
     def or_(left: _Clauses, right: _Clauses) -> _Clauses:
@@ -180,28 +183,6 @@ def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> tuple[list[tuple[i
         raise UnrealizableSpecError("circuit is constantly false: the picture could never fall")
     nail_of = list(bit_of)
     return sorted(tuple(sorted(nail_of[bit - 1] for bit in _nails(x))) for x in clauses), worth
-
-
-def _minimal_sets(sets: Iterable[int]) -> list[int]:
-    """The bitmasks among ``sets`` that contain no other one of them.
-
-    Sets are taken by increasing size, and each one kept goes into a trie
-    keyed by its nails in increasing order; a set is dropped when the trie
-    holds a path made of its own nails only.
-    """
-    trie: dict = {}
-    minimal: list[int] = []
-    for mask in sorted(sets, key=int.bit_count):
-        stack = [trie]
-        while stack and None not in stack[-1]:
-            stack.extend(child for nail, child in stack.pop().items() if mask >> nail - 1 & 1)
-        if not stack:
-            minimal.append(mask)
-            node = trie
-            for nail in _nails(mask):
-                node = node.setdefault(nail, {})
-            node[None] = {}
-    return minimal
 
 
 def _permutation_orders(pairs: Sequence[tuple[int, ...]]) -> tuple[list[int], list[int]] | None:
@@ -320,9 +301,9 @@ def compile_circuit(
 
     ``budget`` guards against runaway output; pass None to disable.
     ``verify`` forces (True) or skips (False) verification; the default
-    verifies whenever n is within the exhaustive limit and the table work
-    is affordable.  A spec is checked by `PuzzleSpec.verify`, a circuit
-    against its table.
+    verifies whenever n is within the exhaustive limit and the work of the
+    method that would run, table or boundary, is affordable.  A spec is
+    checked by `PuzzleSpec.verify`, a circuit against its table.
     """
     notices: list[str] = []
     spec: PuzzleSpec | None = None
@@ -369,14 +350,21 @@ def compile_circuit(
     verify_method = "skipped"
     masks_checked = 0
     if verify is None:
-        verify_now = n <= limit and (1 << n) * max(reduced_length, 1) <= _AUTO_VERIFY_WORK
+        method, verify_now = "table", n <= limit
+        if verify_now:  # a boundary check runs only where it reads less: price it past the cap
+            letters = max(reduced_length, 1)
+            work = (1 << n) * letters
+            k = None if spec is None else spec.threshold_k
+            if work > _AUTO_VERIFY_WORK and k is not None and _boundary_reads_less(n, k):
+                method, work = "boundary", _boundary_masks(n, k) * letters
+            verify_now = work <= _AUTO_VERIFY_WORK
         if not verify_now:
             reason = (
                 f"n={n} beyond the exhaustive limit {limit}"
                 if n > limit
                 else "past the auto-verification work cap"
             )
-            notices.append(f"table verification skipped: {reason}")
+            notices.append(f"{method} verification skipped: {reason}")
     else:
         verify_now = verify
     if verify_now:

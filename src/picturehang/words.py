@@ -315,6 +315,29 @@ def _nails(mask: int) -> tuple[int, ...]:
     return tuple(nails)
 
 
+def _minimal_sets(sets: Iterable[int]) -> list[int]:
+    """The bitmasks among ``sets`` that contain no other one of them, each once.
+
+    Taken by increasing size, each set kept goes into a trie keyed by its
+    nails in increasing order.  A set is dropped when a path of its own
+    nails ends at a kept set; the search follows only the children they name.
+    """
+    trie: dict = {}
+    minimal: list[int] = []
+    for mask in sorted(sets, key=int.bit_count):
+        nails = _nails(mask)
+        stack = [trie]
+        while stack and None not in stack[-1]:
+            stack.extend(filter(None, map(stack.pop().get, nails)))  # no child is empty
+        if not stack:
+            minimal.append(mask)
+            node = trie
+            for nail in nails:
+                node = node.setdefault(nail, {})
+            node[None] = {}
+    return minimal
+
+
 def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
     """Reduced letters left after deleting every nail not set in ``keep``.
 
@@ -519,7 +542,7 @@ def verify_threshold(
     if not 0 <= k <= n:
         raise ValueError(f"threshold k={k} out of range 0..{n}")
     if _boundary_reads_less(n, k) and _boundary_mismatch(root, n, k) is None:
-        return None, "boundary", comb(n, k) + (k and comb(n, k - 1))
+        return None, "boundary", _boundary_masks(n, k)
     expected = [mask.bit_count() >= k for mask in range(1 << n)]
     return first_mismatch(w, n, expected, limit), "table", 1 << n
 
@@ -547,6 +570,11 @@ def _boundary_reads_less(n: int, k: int) -> bool:
     if k > 1:
         boundary += comb(n, k - 1) * comb(n, w) * w * w
     return boundary <= walk
+
+
+def _boundary_masks(n: int, k: int) -> int:
+    """The subsets the boundary check of k-of-n decides: its k- and (k-1)-subsets."""
+    return comb(n, k) + (k and comb(n, k - 1))
 
 
 def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:

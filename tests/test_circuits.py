@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from operator import add
 
 import pytest
@@ -241,6 +242,21 @@ def test_validate_spec_normalizes_antichain():
     checked = validate_spec(PuzzleSpec.from_subsets(3, [{1}, {1, 2}, {1}]))
     assert checked.spec.subsets == (frozenset({1}),)
     assert len(checked.notices) == 2
+    checked = validate_spec(PuzzleSpec.from_subsets(3, [{1, 2}, {3}, {2}, {1, 2}, {2}]))
+    assert checked.spec.subsets == (frozenset({3}), frozenset({2}))
+    assert checked.notices == (
+        "dropped subset [1, 2]: superset of another listed subset",
+        "dropped duplicate subset [1, 2]",
+        "dropped duplicate subset [2]",
+    )
+
+
+def test_validate_spec_on_8000_chained_pairs_quickly():
+    spec = PuzzleSpec.from_subsets(8001, [{i, i + 1} for i in range(1, 8001)])
+    start = time.perf_counter()
+    checked = validate_spec(spec)
+    assert time.perf_counter() - start < 1
+    assert checked.spec == spec and checked.notices == ()
 
 
 def test_spec_construction_flags_unrealizable():

@@ -538,6 +538,14 @@ def test_compile_1000_overlapping_pair_clauses_quickly():
         assert seconds < 2, clauses
 
 
+def test_compile_or_of_two_400_term_ands_quickly():
+    # 80,200 distinct unions; each is tested for a kept subset through its own two nails.
+    half = " & ".join(f"r{i}" for i in range(1, 401))
+    report, seconds = _timed_compile(f"({half}) | ({half})")
+    assert report.word.letters == tuple(range(1, 401))
+    assert seconds < 2
+
+
 # --- threshold verification on the boundary ----------------------------------
 
 
@@ -601,6 +609,20 @@ def test_twenty_of_twenty_verifies_on_its_boundary():
     assert report.verified is True
     assert report.verify_method == "boundary"
     assert report.masks_checked == 21
+
+
+def test_auto_verification_caps_the_method_that_would_run(monkeypatch):
+    # 14-of-16's table is past the work cap and its boundary of 680 subsets is not.
+    report = build_k_of_n(14, 16)
+    assert (report.verified, report.verify_method, report.masks_checked) == (True, "boundary", 680)
+    for k, n, method in ((17, 20, "boundary"), (9, 14, "table")):  # over the cap either way
+        report = build_k_of_n(k, n)
+        assert (report.verified, report.verify_method) == (None, "skipped")
+        notice = f"{method} verification skipped: past the auto-verification work cap"
+        assert report.notices == (notice,)
+    # Under the cap the boundary's work is not priced.
+    monkeypatch.setattr(compiler, "_boundary_reads_less", None)
+    assert build_k_of_n(3, 6).verified is True
 
 
 def test_the_walk_stays_where_it_reads_less():

@@ -34,6 +34,7 @@ from picturehang.words import (
     _holds,
     _kept_residual,
     _masks_of_size,
+    _minimal_sets,
     _nails_of,
     _pack,
     _product,
@@ -487,3 +488,19 @@ def test_search_root_refuses_as_check_nails_does_in_the_same_order(letters, n):
         unpacked = _unpack(root) if isinstance(root, bytes) else list(root)
         assert unpacked == list(w.reduce().letters)
         assert isinstance(root, bytes) == all(abs(x) < 128 for x in letters)
+
+
+def test_minimal_sets_equal_the_pairwise_rule():
+    rng = random.Random(20)
+    for _ in range(300):
+        bits = rng.randint(0, 12)
+        sets = [rng.getrandbits(bits) | rng.getrandbits(bits) for _ in range(rng.randint(0, 30))]
+        sets += [s & ~(s & -s) for s in rng.sample(sets, len(sets) // 2)]  # nested: one nail less
+        sets += rng.sample(sets, len(sets) // 3)  # duplicates
+        if rng.random() < 0.2:
+            sets.append(0)
+        want = [s for s in dict.fromkeys(sets) if not any(o & s == o != s for o in sets)]
+        got = _minimal_sets(sets)
+        assert sorted(got) == sorted(want)
+        assert len(got) == len(set(got))
+        assert [s.bit_count() for s in got] == sorted(s.bit_count() for s in got)
