@@ -550,7 +550,8 @@ def validate_spec(spec: PuzzleSpec) -> SpecValidation:
     if spec.threshold_k == 0:
         notices.append("threshold 0 falls for every subset; compiles to the empty word")
     if spec.subsets is not None:
-        mask_of = dict(zip(spec.subsets, map(_as_mask, spec.subsets)))  # in order of first sight
+        bit = {x: 1 << i for i, x in enumerate(dict.fromkeys(j for s in spec.subsets for j in s))}
+        mask_of = {s: sum(map(bit.get, s)) for s in spec.subsets}  # a bit per nail, as first seen
         minimal = set(_minimal_sets(mask_of.values()))
         kept = [sorted(s) for s, mask in mask_of.items() if mask in minimal]
         for s in spec.subsets:

@@ -13,7 +13,7 @@ from functools import cache
 from operator import neg
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .words import _T, Word, _as_mask, _balanced, raw_commutator, raw_concat, raw_inverse
+from .words import _T, Word, _balanced, _check_positive, raw_commutator, raw_concat, raw_inverse
 
 
 def build_s(n: int) -> Word:
@@ -43,7 +43,7 @@ def build_e(indices: Sequence[int]) -> Word:
         raise ValueError("build_e needs at least one nail index")
     if len(set(idx)) != len(idx):
         raise ValueError("build_e indices must be distinct")
-    _as_mask(idx)  # refuses a nail below 1
+    _check_positive(idx)
     return Word(tuple(lay_out_e(idx)))
 
 

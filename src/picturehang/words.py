@@ -435,13 +435,20 @@ def commutator(a: Word, b: Word) -> Word:
     return raw_commutator(a, b).reduce()
 
 
-def _as_mask(nails: "NailSubset | Iterable[int]") -> int:
-    if isinstance(nails, NailSubset):
-        return nails.mask
-    mask = 0
+def _check_positive(nails: Iterable[int]) -> None:
+    """Refuse the first nail index below 1."""
     for i in nails:
         if i < 1:
             raise ValueError(f"nail index {i} out of range: nails are 1-based")
+
+
+def _as_mask(nails: "NailSubset | Iterable[int]") -> int:
+    if isinstance(nails, NailSubset):
+        return nails.mask
+    nails = tuple(nails)
+    _check_positive(nails)
+    mask = 0
+    for i in nails:
         mask |= 1 << (i - 1)
     return mask
 

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 from operator import add
 
 import pytest
@@ -257,6 +258,24 @@ def test_validate_spec_on_8000_chained_pairs_quickly():
     checked = validate_spec(spec)
     assert time.perf_counter() - start < 1
     assert checked.spec == spec and checked.notices == ()
+
+
+def test_validate_spec_masks_only_the_nails_in_use():
+    # A mask bit per nail index would take n/8 bytes per subset here.
+    top = 10**9
+    spec = PuzzleSpec.from_subsets(top, [[top - 2], [top - 2, top], [top - 1, top], [top - 2]])
+    tracemalloc.start()
+    try:
+        checked = validate_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert checked.spec.subsets == (frozenset({top - 2}), frozenset({top - 1, top}))
+    assert checked.notices == (
+        f"dropped subset [{top - 2}, {top}]: superset of another listed subset",
+        f"dropped duplicate subset [{top - 2}]",
+    )
 
 
 def test_spec_construction_flags_unrealizable():

@@ -5,6 +5,7 @@ import math
 import random
 import signal
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -287,6 +288,21 @@ def test_compile_spec_normalization_notices():
     assert report.verified is True
     assert len([n for n in report.notices if "dropped" in n]) == 2
     assert fall_table(report.word, 2) == [False, True, False, True]
+
+
+def test_compile_spec_on_high_nails_of_a_huge_n():
+    top = 10**9
+    spec = PuzzleSpec.from_subsets(top, [[i] for i in range(top - 29, top + 1)] + [[top - 1, top]])
+    tracemalloc.start()
+    try:
+        report = compile_circuit(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+    assert report.verified is None
+    assert f"dropped subset [{top - 1}, {top}]: superset of another listed subset" in report.notices
+    assert set(map(abs, report.word.letters)) == set(range(top - 29, top + 1))
 
 
 def test_compile_threshold_zero_is_empty_word():

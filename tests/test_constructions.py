@@ -1,6 +1,7 @@
 """Commutator constructions: S_n, the quadratic E words, disjoint classes."""
 
 import random
+import tracemalloc
 from operator import neg
 
 import pytest
@@ -77,8 +78,20 @@ def test_e_rejects_bad_indices():
         build_e([])
     with pytest.raises(ValueError):
         build_e([1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nail index 0 out of range"):
         build_e([0, 1])
+
+
+def test_e_on_high_nails_stays_small():
+    top = 10**9
+    tracemalloc.start()
+    try:
+        w = build_e([top - 1, top])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert w.letters == (top - 1, top, 1 - top, -top)
 
 
 def test_e_lengths_formula_and_quadratic_bound():
