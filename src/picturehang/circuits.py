@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from functools import partial
+from functools import partial, reduce
 from operator import and_, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -29,7 +29,6 @@ from .words import (
     Word,
     _T,
     _as_mask,
-    _balanced,
     _check_range,
     _minimal_sets,
     _Record,
@@ -67,12 +66,11 @@ class Const(_Record):
 
 
 class Gate(_Record):
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "operands")
 
-    def __init__(self, op: str, left: Node, right: Node) -> None:
+    def __init__(self, op: str, operands: tuple[Node, ...]) -> None:
         _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _set(self, "operands", operands)
 
 
 Node = Var | Const | Gate
@@ -81,22 +79,17 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-def make_and(a: Node, b: Node) -> Node:
-    """AND with constants folded on the spot."""
-    if isinstance(a, Const):
-        return b if a.value else FALSE
-    if isinstance(b, Const):
-        return a if b.value else FALSE
-    return Gate("and", a, b)
+def _make_gate(op: str, *nodes: Node) -> Node:
+    """One gate over the nodes, constants folded; operand gates are kept whole, not flattened."""
+    decider = op == "or"  # true decides an OR, false an AND
+    if any(isinstance(node, Const) and node.value == decider for node in nodes):
+        return Const(decider)
+    kept = [node for node in nodes if not isinstance(node, Const)]
+    return Gate(op, tuple(kept)) if len(kept) > 1 else kept[0] if kept else Const(not decider)
 
 
-def make_or(a: Node, b: Node) -> Node:
-    """OR with constants folded on the spot."""
-    if isinstance(a, Const):
-        return TRUE if a.value else b
-    if isinstance(b, Const):
-        return TRUE if b.value else a
-    return Gate("or", a, b)
+make_and = partial(_make_gate, "and")
+make_or = partial(_make_gate, "or")
 
 
 def _walk(root: Node):
@@ -112,32 +105,31 @@ def _walk(root: Node):
             yield node
         else:
             stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
+            stack.extend((x, False) for x in reversed(node.operands))
 
 
 def evaluate(
-    root: Node, leaf: Callable[[Var | Const], _T], gates: Mapping[str, Callable[[_T, _T], _T]]
+    root: Node, leaf: Callable[[Var | Const], _T], gates: Mapping[str, Callable[[list[_T]], _T]]
 ) -> _T:
     """Value of the root, each distinct node valued once in postorder.
 
     A Var or Const is valued by ``leaf``; a gate by ``gates[op]`` applied
-    to the values of its left and right child.  A value is dropped once its
-    last parent has used it, so a long chain keeps only a few alive.
+    to the list of its operands' values.  A value is dropped once its last
+    parent has used it, so a long chain keeps only a few alive.
     """
     order = list(_walk(root))
     last_use: dict[int, Gate] = {}
     for node in order:
         if isinstance(node, Gate):
-            last_use[id(node.left)] = last_use[id(node.right)] = node
+            last_use.update(dict.fromkeys(map(id, node.operands), node))
     values: dict[int, _T] = {}
     for node in order:
         if isinstance(node, Gate):
-            left, right = id(node.left), id(node.right)
-            values[id(node)] = gates[node.op](values[left], values[right])
-            for child in (left, right):
-                if last_use[child] is node:
-                    values.pop(child, None)  # not del: both inputs may be one node
+            operands = list(map(id, node.operands))
+            values[id(node)] = gates[node.op](list(map(values.__getitem__, operands)))
+            for operand in operands:
+                if last_use[operand] is node:
+                    values.pop(operand, None)  # not del: an operand may repeat
         else:
             values[id(node)] = leaf(node)
     return values[id(root)]
@@ -156,6 +148,8 @@ class MonotoneCircuit(_Record):
                 raise ValueError(f"variable r{node.index} out of range 1..{n}")
             if isinstance(node, Gate) and node.op not in ("and", "or"):
                 raise ValueError(f"unknown gate op {node.op!r}")
+            if isinstance(node, Gate) and len(node.operands) < 2:
+                raise ValueError(f"an {node.op} gate needs at least two operands")
         _set(self, "n", n)
         _set(self, "root", root)
 
@@ -168,11 +162,11 @@ class MonotoneCircuit(_Record):
         return evaluate(self.root, lambda leaf: 0, {"and": _deeper, "or": _deeper})
 
 
-def _deeper(a: int, b: int) -> int:
-    return 1 + max(a, b)
+def _deeper(depths: list[int]) -> int:
+    return 1 + max(depths)
 
 
-_BOOLEAN = {"and": and_, "or": or_}
+_BOOLEAN = {"and": partial(reduce, and_), "or": partial(reduce, or_)}
 
 
 def eval_circuit(c: MonotoneCircuit, removed: NailSubset | Iterable[int]) -> bool:
@@ -216,11 +210,6 @@ def _var_pack(index: int, n: int) -> int:
     return pack
 
 
-def balanced_tree(op: str, leaves: Sequence[Node]) -> Node:
-    """Balanced gate tree over the leaves; first half rounds up."""
-    return _balanced(leaves, partial(Gate, op))
-
-
 def _check_subsets(subsets: Sequence[Iterable[int]], n: int) -> None:
     """Refuse an empty list, an empty subset or a nail outside 1..n."""
     if not subsets:
@@ -232,11 +221,10 @@ def _check_subsets(subsets: Sequence[Iterable[int]], n: int) -> None:
 
 
 def subsets_to_circuit(subsets: Sequence[Iterable[int]], n: int) -> MonotoneCircuit:
-    """Balanced OR of balanced ANDs: true iff some listed subset is fully removed."""
+    """An OR of ANDs: true iff some listed subset is fully removed."""
     groups = [sorted(set(s)) for s in subsets]
     _check_subsets(groups, n)
-    terms = [balanced_tree("and", [Var(i) for i in group]) for group in groups]
-    return MonotoneCircuit(n, balanced_tree("or", terms))
+    return MonotoneCircuit(n, make_or(*(make_and(*map(Var, group)) for group in groups)))
 
 
 # --- formula text ---------------------------------------------------------
@@ -307,10 +295,10 @@ class _Parser:
         return items
 
     def expr(self) -> Node:
-        return _balanced(self.separated("|", self.term), make_or)
+        return make_or(*self.separated("|", self.term))
 
     def term(self) -> Node:
-        return _balanced(self.separated("&", self.factor), make_and)
+        return make_and(*self.separated("&", self.factor))
 
     def factor(self) -> Node:
         kind, _, pos = self.peek()
@@ -358,9 +346,8 @@ class _Parser:
 def parse_formula(text: str, n: int | None = None) -> MonotoneCircuit:
     """Parse `r<k>`, `&`, `|`, parentheses and the atleast(k; ...) macro.
 
-    `&` binds tighter than `|`; each chain is joined up a balanced tree
-    (``words._balanced``).  If n is omitted it defaults to the largest
-    variable index mentioned.
+    `&` binds tighter than `|`; each chain is one gate over its operands.
+    If n is omitted it defaults to the largest variable index mentioned.
     """
     parser = _Parser(text)
     root = parser.parse()
@@ -374,7 +361,7 @@ def parse_formula(text: str, n: int | None = None) -> MonotoneCircuit:
 def format_formula(c: MonotoneCircuit) -> str:
     """Render a circuit back to formula text, parenthesizing only where needed.
 
-    Iterative, so chains thousands of gates deep render without recursion:
+    Iterative, so circuits thousands of gates deep render without recursion:
     the stack holds text still to emit and (node, parent op) pairs still to
     expand, pushed right to left.
     """
@@ -392,11 +379,11 @@ def format_formula(c: MonotoneCircuit) -> str:
             out.append("true" if node.value else "false")
         else:
             wrap = parent == "and" and node.op == "or"
+            separator = " & " if node.op == "and" else " | "
             stack.append(")" if wrap else "")
-            stack.append((node.right, node.op))
-            stack.append(" & " if node.op == "and" else " | ")
-            stack.append((node.left, node.op))
-            stack.append("(" if wrap else "")
+            for operand in reversed(node.operands[1:]):
+                stack += (operand, node.op), separator
+            stack += (node.operands[0], node.op), "(" if wrap else ""
     return "".join(out)
 
 

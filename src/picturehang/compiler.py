@@ -41,7 +41,8 @@ A threshold "at least k of n removed" has every (n-k+1)-subset as a clause,
 and its closed-form length is checked against the budget before any clause
 is listed; (n-1)-of-n, n >= 3, is x1 ... xn X1 ... Xn.  Every other spec
 is dualized in one postorder pass over its circuit, where true has no
-clause and false the empty one; an AND absorbs only across its two sides.
+clause and false the empty one.  A gate is a whole operator chain: an AND
+absorbs once across all its operands, an OR folds them in one at a time.
 A report's ``depth`` is that of the equivalent CNF circuit, a balanced AND
 of balanced ORs, and ``bound`` is 1078**depth, the letters a gadget
 circuit of that depth lays out at most (`gadgets` derives the 1,078).
@@ -62,7 +63,7 @@ dualization that built the word.
 
 from __future__ import annotations
 
-from itertools import combinations, filterfalse
+from itertools import chain, combinations, filterfalse
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -123,10 +124,11 @@ def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> tuple[list[tuple[i
     """Prime clauses of a circuit, in lexicographic order, as nail tuples, and their words' letters.
 
     Each node's clauses are an antichain of bitmasks, bit i for the i-th
-    variable met, so n and the indices size nothing.  An AND takes both
-    sides' clauses and an OR the unions of one from each, each keeping the
-    minimal sets; neither absorbs anything over disjoint nails.  Raises
-    BudgetExceededError once an AND's kept clauses, or an OR's distinct
+    variable met, so n and the indices size nothing.  An AND keeps the
+    minimal clauses of its operands, testing only those on nails two share;
+    an OR folds its operands in one at a time, keeping the minimal unions
+    of one clause from each side (Berge, *Hypergraphs*, 1989).  Raises
+    BudgetExceededError once an AND's kept clauses, or one OR step's
     unions, are worth more letters than ``budget`` plus `_TWO_CNF_SAVING`,
     and UnrealizableSpecError if the root holds the empty clause.
     """
@@ -150,33 +152,34 @@ def _prime_clauses(c: MonotoneCircuit, budget: int | None) -> tuple[list[tuple[i
             return [1 << bit], 1 << bit, 1
         return ([], 0, 0) if node.value else ([0], 0, 0)
 
-    def and_(left: _Clauses, right: _Clauses) -> _Clauses:
-        (a, a_nails, a_worth), (b, b_nails, b_worth) = left, right
-        if not a_nails:  # a constant: true holds no clause, false the empty one
-            return left if a else right
-        if not b_nails:
-            return right if b else left
-        worth = a_worth + b_worth
-        shared = a_nails & b_nails  # a clause that absorbs across lies within these nails
-        meet = [*filter(shared.__and__, a), *filter(shared.__and__, b)] if shared else []
-        if any(x & shared == x for x in meet):  # and the clauses it absorbs meet them
+    def and_(operands: list[_Clauses]) -> _Clauses:
+        seen = shared = worth = 0  # shared: the nails of two operands or more
+        for clauses, nails, operand_worth in operands:
+            if not nails and clauses:  # false holds the empty clause; true, no clause
+                return clauses, 0, 0
+            shared |= seen & nails
+            seen |= nails
+            worth += operand_worth
+        clauses = list(chain.from_iterable(operand[0] for operand in operands))
+        meet = list(filter(shared.__and__, clauses))
+        if any(x & shared == x for x in meet):  # a clause absorbing across lies within shared
             kept = _minimal_sets(meet)
-            worth -= sum(worth_of[x.bit_count()] for x in meet)
             worth += sum(worth_of[x.bit_count()] for x in kept)
-            a = [*filterfalse(shared.__and__, a), *kept]
-            b = list(filterfalse(shared.__and__, b))
-        return a + b, a_nails | b_nails, check(worth)
+            worth -= sum(worth_of[x.bit_count()] for x in meet)
+            clauses = [*filterfalse(shared.__and__, clauses), *kept]
+        return clauses, seen, check(worth)
 
-    def or_(left: _Clauses, right: _Clauses) -> _Clauses:
-        (a, a_nails, _), (b, b_nails, _) = left, right
-        held: set[int] = set()
-        worth = 0
-        for clause in (x | y for x in a for y in b):
-            if clause not in held:
-                held.add(clause)
-                worth = check(worth + worth_of[clause.bit_count()])
-        clauses = _minimal_sets(held) if a_nails & b_nails else list(held)
-        return clauses, a_nails | b_nails, sum(worth_of[x.bit_count()] for x in clauses)
+    def or_(operands: list[_Clauses]) -> _Clauses:
+        a, a_nails, _ = operands[0]
+        for b, b_nails, _ in operands[1:]:
+            held, worth = set(), 0
+            for clause in (x | y for x in a for y in b):
+                if clause not in held:
+                    held.add(clause)
+                    worth = check(worth + worth_of[clause.bit_count()])
+            a = _minimal_sets(held) if a_nails & b_nails else list(held)
+            a_nails |= b_nails
+        return a, a_nails, sum(worth_of[x.bit_count()] for x in a)
 
     clauses, _, worth = evaluate(c.root, leaf, {"and": and_, "or": or_})
     if 0 in clauses:

@@ -9,7 +9,6 @@ A template's letter +-i stands for its i-th argument or that argument's inverse;
 
 from __future__ import annotations
 
-from functools import cache
 from operator import neg
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -47,22 +46,28 @@ def build_e(indices: Sequence[int]) -> Word:
     return Word(tuple(lay_out_e(idx)))
 
 
-@cache
-def e_template(m: int) -> tuple[int, ...]:
-    """The balanced 1-of-m word over nails 1..m, as constructed.
+class _Templates(dict):
+    """Width m -> the balanced 1-of-m word over nails 1..m, as constructed.
 
     Every balanced word of width m is this template with letter +-i standing
-    for the i-th argument or its inverse, so it is built once per width:
-    the ``raw_commutator`` of the cached templates of the two halves, the
-    second shifted onto nails ceil(m/2)+1..m.
+    for the i-th argument or its inverse: the ``raw_commutator`` of the
+    templates of the two halves, the second shifted onto nails
+    ceil(m/2)+1..m.  Only widths up to 64 are kept, about 1 MB in all; a
+    wider template is rebuilt from kept parts on each lookup.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m == 1:
-        return (1,)
-    half = (m + 1) // 2
-    right = _splice(e_template(m - half), range(half + 1, m + 1), neg)
-    return raw_commutator(Word(e_template(half)), Word(tuple(right))).letters
+
+    def __missing__(self, m: int) -> tuple[int, ...]:
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        half = (m + 1) // 2
+        right = _splice(self[m - half], range(half + 1, m + 1), neg)
+        template = raw_commutator(Word(self[half]), Word(tuple(right))).letters
+        if m <= 64:
+            self[m] = template
+        return template
+
+
+e_template = _Templates({1: (1,)}).__getitem__  # a kept width is one C-level dict lookup
 
 
 def _splice(template: Iterable[int], args: Sequence[_T], invert: Callable) -> Iterator[_T]:

@@ -25,6 +25,7 @@ lays out at most 1078**d letters.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .circuits import MonotoneCircuit, Var, evaluate
@@ -151,9 +152,10 @@ def _is_bracket(window: Sequence[int]) -> bool:
 def estimate_length(c: MonotoneCircuit) -> int:
     """Upper bound on letters the gadgets lay out for this circuit.
 
-    Per gate the flat template slot counts apply to the children's own
-    estimates: an AND costs 4+4 slots plus 6 glue, an OR 256+256 plus 566.
-    Shared subcircuits count once per occurrence, matching the splicing.
+    A gate is priced as a balanced tree of binary gadgets over its operands
+    (``words._balanced``), each applying the flat template slot counts to
+    its arguments' own estimates: an AND costs 4+4 slots plus 6 glue, an
+    OR 256+256 plus 566.  Shared subcircuits count once per occurrence.
     """
-    costs = {"and": and_splice_cost, "or": or_splice_cost}
-    return evaluate(c.root, lambda leaf: int(isinstance(leaf, Var)), costs)
+    and_, or_ = partial(_balanced, join=and_splice_cost), partial(_balanced, join=or_splice_cost)
+    return evaluate(c.root, lambda leaf: int(isinstance(leaf, Var)), {"and": and_, "or": or_})

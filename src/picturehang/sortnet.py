@@ -13,7 +13,7 @@ than everything and never move).  The threshold builder pads its inputs to
 a power of two with constant-false ones, which constant folding erases.
 Unpadded wiring only mirrors the gate counts, k-of-m costing what
 (m-k+1)-of-m costs padded, and a k*m dynamic-programming circuit was
-slower (ROADMAP, "`atleast` in a formula").
+slower (ROADMAP item 2, "`atleast` in closed form").
 
 Which route a threshold takes: the compiler dualizes the circuits built
 here, the parse of the `atleast(k; ...)` macro, into prime clauses, and a

@@ -362,7 +362,7 @@ def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
 def _balanced(items: Sequence[_T], join: Callable[[_T, _T], _T]) -> _T:
     """The items joined up a balanced tree, the first half rounding up; one item as given.
 
-    Every n-ary chain is built here: formula chains, gate trees, gadget AND trees, e_tree_length.
+    Gadget AND trees, ``e_tree_length`` and ``estimate_length``'s price of a gate are built here.
     """
     if len(items) == 1:
         return items[0]

@@ -4,7 +4,6 @@ import json
 import random
 import time
 import tracemalloc
-from operator import add
 
 import pytest
 
@@ -17,7 +16,6 @@ from picturehang.circuits import (
     PuzzleSpec,
     UnrealizableSpecError,
     Var,
-    balanced_tree,
     circuit_table,
     eval_circuit,
     evaluate,
@@ -68,8 +66,9 @@ def test_parse_formula_precedence_and_associativity():
     c = parse_formula("r1 | r2 & r3")
     assert isinstance(c.root, Gate) and c.root.op == "or"
     assert format_formula(c) == "r1 | r2 & r3"
-    left = parse_formula("r1 & r2 & r3").root
-    assert isinstance(left.left, Gate) and left.left.op == "and"
+    assert parse_formula("r1 & r2 & r3").root == Gate("and", (Var(1), Var(2), Var(3)))
+    nested = Gate("and", (Gate("and", (Var(1), Var(2))), Var(3)))
+    assert parse_formula("(r1 & r2) & r3").root == nested  # operand gates are not flattened
 
 
 def test_parse_formula_parentheses_and_n_override():
@@ -148,8 +147,8 @@ def test_make_gates_fold_constants():
 
 
 def test_evaluate_values_each_shared_node_once():
-    shared = Gate("or", Var(1), Const(False))
-    root = Gate("and", Gate("and", shared, shared), Gate("or", shared, Var(1)))
+    shared = Gate("or", (Var(1), Const(False)))
+    root = Gate("and", (Gate("and", (shared, shared)), Gate("or", (shared, Var(1)))))
     leaves = []
 
     def leaf(node):
@@ -158,27 +157,40 @@ def test_evaluate_values_each_shared_node_once():
 
     # Counts leaf occurrences in the unshared tree: 2 + 2 under the first
     # AND, 2 + 1 under the OR.
-    assert evaluate(root, leaf, {"and": add, "or": add}) == 7
+    assert evaluate(root, leaf, {"and": sum, "or": sum}) == 7
     assert leaves == [Var(1), Const(False), Var(1)]
     assert MonotoneCircuit(1, root).depth == 3
 
 
-def test_balanced_tree_depth():
-    c = MonotoneCircuit(8, balanced_tree("or", [Var(i) for i in range(1, 9)]))
-    assert c.depth == 3
+def test_subsets_to_circuit_builds_one_gate_per_chain():
+    c = subsets_to_circuit([[1, 2, 3], [4], [5, 6]], 6)
+    terms = (Gate("and", (Var(1), Var(2), Var(3))), Var(4), Gate("and", (Var(5), Var(6))))
+    assert c.root == Gate("or", terms)
+    assert c.depth == 2
+    assert subsets_to_circuit([[i] for i in range(1, 9)], 8).depth == 1
 
 
-def test_balanced_tree_refuses_no_leaves():
-    with pytest.raises(ValueError):
-        balanced_tree("and", [])
+@pytest.mark.parametrize("operands", [(), (Var(1),)], ids=["none", "one"])
+def test_circuit_refuses_a_gate_with_fewer_than_two_operands(operands):
+    with pytest.raises(ValueError, match="^an and gate needs at least two operands$"):
+        MonotoneCircuit(2, Gate("or", (Var(2), Gate("and", operands))))
+
+
+def test_make_gates_take_any_number_of_operands():
+    assert make_and(Var(1), Const(True), Var(2), Var(3)) == Gate("and", (Var(1), Var(2), Var(3)))
+    assert make_or(Var(1), Const(False), Var(2)) == Gate("or", (Var(1), Var(2)))
+    assert make_and(Const(True), Const(True)) == Const(True)
+    assert make_or(Const(False), Const(False)) == Const(False)
+    assert make_or(Var(1), Var(2), Const(True)) == Const(True)
 
 
 @pytest.mark.parametrize("op", ["&", "|"])
-def test_parse_formula_joins_operator_chains_up_a_balanced_tree(op):
-    leaves = [Var(i) for i in range(1, 1025)]
+def test_parse_formula_joins_each_operator_chain_in_one_gate(op):
+    leaves = tuple(Var(i) for i in range(1, 1025))
     chain = parse_formula(f" {op} ".join(f"r{i}" for i in range(1, 1025)))
-    assert chain.depth == 10
-    assert chain.root == balanced_tree("and" if op == "&" else "or", leaves)
+    assert chain.depth == 1
+    assert chain.root == Gate("and" if op == "&" else "or", leaves)
+    assert format_formula(chain) == f" {op} ".join(f"r{i}" for i in range(1, 1025))
 
 
 def test_subsets_to_circuit_semantics():

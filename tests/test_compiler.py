@@ -236,7 +236,7 @@ def test_compile_constant_roots():
 
 
 def test_compile_folds_constants_before_gadgets():
-    c = MonotoneCircuit(2, Gate("and", Var(1), Const(True)))
+    c = MonotoneCircuit(2, Gate("and", (Var(1), Const(True))))
     report = compile_circuit(c)
     assert report.word == Word((1,))
     assert report.depth == 0
@@ -244,7 +244,7 @@ def test_compile_folds_constants_before_gadgets():
 
 def test_compile_gate_on_one_nail_is_its_generator():
     for op in ("and", "or"):
-        report = compile_circuit(MonotoneCircuit(1, Gate(op, Var(1), Var(1))))
+        report = compile_circuit(MonotoneCircuit(1, Gate(op, (Var(1), Var(1)))))
         assert report.word.letters == (1,)
         assert report.verified is True
 
@@ -318,8 +318,8 @@ def test_compile_and_of_identical_operands_collapses(monkeypatch):
     # place of the clause product, the report must say so.
     p = gadget_and(X3, X4)
     monkeypatch.setattr(compiler, "clause_product", lambda clauses: gadget_and(p, p))
-    shared = Gate("and", Var(3), Var(4))
-    c = MonotoneCircuit(4, Gate("and", shared, shared))
+    shared = Gate("and", (Var(3), Var(4)))
+    c = MonotoneCircuit(4, Gate("and", (shared, shared)))
     report = compile_circuit(c)
     assert report.verified is False
     assert report.mismatch_mask == 0b0011
@@ -497,15 +497,15 @@ def test_compile_realizes_random_monotone_specs(data):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.data())
 def test_compile_lowers_inner_constants_and_shared_nodes(data):
-    # Each gate takes its children from every node built so far, so
-    # constants land at any depth and subcircuits are shared.
+    # Each gate takes two to four operands from every node built so far, so
+    # constants land at any depth, subcircuits are shared and operands repeat.
     n = data.draw(st.integers(1, 6))
     leaves = st.integers(1, n).map(Var) | st.sampled_from([Const(True), Const(False)])
     nodes = data.draw(st.lists(leaves, min_size=1, max_size=4))
     for _ in range(data.draw(st.integers(0, 12))):
         op = data.draw(st.sampled_from(["and", "or"]))
-        left, right = data.draw(st.sampled_from(nodes)), data.draw(st.sampled_from(nodes))
-        nodes.append(Gate(op, left, right))
+        operands = data.draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=4))
+        nodes.append(Gate(op, tuple(operands)))
     c = MonotoneCircuit(n, nodes[-1])
     table = circuit_table(c)
     if not any(table):
@@ -543,8 +543,8 @@ def test_compile_4000_term_and_chain_quickly():
 
 
 def test_compile_1000_overlapping_pair_clauses_quickly():
-    # The parser joins the chain up a balanced tree, so the clause lowering
-    # stays near linear in the number of clauses.
+    # The chain is one AND gate, which absorbs once over all its operands,
+    # so the clause lowering stays near linear in the number of clauses.
     for clauses in (1000, 4000):
         text = " & ".join(f"(r{i} | r{i + 1})" for i in range(1, clauses + 1))
         report, seconds = _timed_compile(text)
@@ -560,6 +560,36 @@ def test_compile_or_of_two_400_term_ands_quickly():
     report, seconds = _timed_compile(f"({half}) | ({half})")
     assert report.word.letters == tuple(range(1, 401))
     assert seconds < 2
+
+
+def test_compile_or_of_24_three_nail_terms_within_the_budget():
+    # The OR chain is one gate folded a term at a time, so each step's
+    # unions stay near the clauses kept.  Joined up a balanced tree, the
+    # last OR multiplied two large halves and was refused by the budget.
+    rng = random.Random(1)
+    terms = [rng.sample(range(1, 25), 3) for _ in range(24)]
+    text = " | ".join("(" + " & ".join(f"r{i}" for i in term) + ")" for term in terms)
+    words = []
+    for target in (parse_formula(text, 24), PuzzleSpec.from_subsets(24, terms)):
+        start = time.perf_counter()
+        words.append(compile_circuit(target, verify=False).word)
+        assert time.perf_counter() - start < 5
+    assert len(words[0].letters) == 148_300
+    assert words[1] == words[0]
+
+
+def test_compile_of_a_2000_nail_clause_keeps_no_template():
+    # The clause word has 4,046,848 letters; its template is not kept once
+    # the compile returns.
+    tracemalloc.start()
+    try:
+        report = compile_circuit(parse_formula(" | ".join(f"r{i}" for i in range(1, 2001))))
+        assert report.reduced_length == e_word_length(2000)
+        del report
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2_000_000
 
 
 # --- threshold verification on the boundary ----------------------------------

@@ -26,8 +26,8 @@ RECORDS = {
     "NailSubset": (NailSubset, {"n": 3, "mask": 5}),
     "Var": (Var, {"index": 2}),
     "Const": (Const, {"value": True}),
-    "Gate": (Gate, {"op": "and", "left": Var(1), "right": Var(2)}),
-    "MonotoneCircuit": (MonotoneCircuit, {"n": 2, "root": Gate("or", Var(1), Var(2))}),
+    "Gate": (Gate, {"op": "and", "operands": (Var(1), Var(2))}),
+    "MonotoneCircuit": (MonotoneCircuit, {"n": 2, "root": Gate("or", (Var(1), Var(2)))}),
     "PuzzleSpec": (
         PuzzleSpec,
         {"n": 3, "subsets": (frozenset({1, 2}),), "formula": None, "circuit": None,
