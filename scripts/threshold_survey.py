@@ -13,10 +13,11 @@ rather than aborting the survey.
 
 ``build_s`` times the compile alone (``verify=False``); ``total_s`` times
 build_k_of_n again with its default verification, which runs under the
-compiler's own rule (within the exhaustive limit, and within the
-auto-verification work cap on the method that would run: the table, or a
-threshold's boundary when the table is over the cap and the boundary reads
-less), so ``total_s - build_s`` is what verification took.  With
+compiler's own rule: within the exhaustive limit, and within the
+auto-verification work cap on the plan that then runs
+(``words._verify_plan``: the boundary's C(n, k) + C(n, k-1) subsets when
+it reads less, else the table's 2^n).  So ``total_s - build_s`` is what
+verification took.  With
 ``--no-verify`` the second compile is not made and a row shows ``-``.
 
     PYTHONPATH=src python scripts/threshold_survey.py --max-n 6

@@ -80,7 +80,11 @@ FALSE = Const(False)
 
 
 def _make_gate(op: str, *nodes: Node) -> Node:
-    """One gate over the nodes, constants folded; operand gates are kept whole, not flattened."""
+    """One gate over the nodes, constants folded; operand gates are kept whole, not flattened.
+
+    So build a chain as one gate, ``make_and(*operands)``: folded with
+    ``reduce(make_and, ...)``, 4,000 pair clauses compile in 1.0 to 1.6 s, not 0.12 s.
+    """
     decider = op == "or"  # true decides an OR, false an AND
     if any(isinstance(node, Const) and node.value == decider for node in nodes):
         return Const(decider)
@@ -196,6 +200,11 @@ def circuit_table(c: MonotoneCircuit, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> 
         ),
         _BOOLEAN,
     )
+    return _unpack(pack, size)
+
+
+def _unpack(pack: int, size: int) -> list[bool]:
+    """Bits 0..size-1 of a packed table, through its binary digits, lowest first."""
     return list(map("1".__eq__, bin(pack)[:1:-1].ljust(size, "0")))
 
 
@@ -461,9 +470,10 @@ class PuzzleSpec(_Record):
         size = 1 << self.n
         if self.threshold_k is not None:
             return [mask.bit_count() >= self.threshold_k for mask in range(size)]
-        if self.subsets is not None:
-            masks = list(map(_as_mask, self.subsets))
-            return [any(mask & m == m for m in masks) for mask in range(size)]
+        if self.subsets is not None:  # packed as in `circuit_table`, from the body itself
+            pack = {i: _var_pack(i, self.n) for i in set().union(*self.subsets)}
+            terms = (reduce(and_, map(pack.get, s)) for s in self.subsets)
+            return _unpack(reduce(or_, terms), size)
         return circuit_table(self.to_circuit(), limit)
 
     def verify(self, w: Word, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[int | None, str, int]:

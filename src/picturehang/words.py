@@ -28,6 +28,7 @@ pairs of the few nails a strip keeps in C before the loop.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import filterfalse
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -512,6 +513,13 @@ def first_mismatch(
     return next((mask for mask, want in enumerate(expected) if got[mask] != want), None)
 
 
+def mismatch_line(w: Word, n: int, mask: int) -> str:
+    """How w disagrees with a spec on nails 1..n at the removal ``mask``."""
+    subset = NailSubset(n, mask)
+    word, spec = ("falls", "hang") if falls(w, subset) else ("hangs", "fall")
+    return f"mismatch at subset {subset}: word {word} but spec says {spec}"
+
+
 def _masks_of_size(n: int, k: int) -> Iterator[int]:
     """All n-bit masks with k bits set, in increasing numeric order."""
     if k == 0:
@@ -540,18 +548,32 @@ def verify_threshold(
     it hangs at every (k-1)-subset and falls at every k-subset (the
     argument is in the `compiler` docstring).  The boundary method checks
     those two layers (``_boundary_mismatch``), the table walks the subsets
-    (``_walk_table``), and the one expected to read fewer letters runs
-    (``_boundary_reads_less``).  A boundary check that fails hands over to
-    the table, which names the first mask that differs.
+    (``_walk_table``), and ``_verify_plan`` picks the one to run.  A
+    boundary check that fails hands over to the table, which names the
+    first mask that differs.
     """
     root = _search_root(w, n)
     check_limit("verify_threshold", n, limit)
     if not 0 <= k <= n:
         raise ValueError(f"threshold k={k} out of range 0..{n}")
-    if _boundary_reads_less(n, k) and _boundary_mismatch(root, n, k) is None:
-        return None, "boundary", _boundary_masks(n, k)
+    method, masks = _verify_plan(n, k)
+    if method == "boundary" and _boundary_mismatch(root, n, k) is None:
+        return None, method, masks
     expected = [mask.bit_count() >= k for mask in range(1 << n)]
     return first_mismatch(w, n, expected, limit), "table", 1 << n
+
+
+@lru_cache  # a compile prices its check, then runs it
+def _verify_plan(n: int, k: int | None) -> tuple[str, int]:
+    """The method that would check a spec on nails 1..n, and the subsets it decides.
+
+    ``k`` is a k-of-n spec's threshold, None for any other spec.  A threshold
+    is checked on its boundary, its k- and (k-1)-subsets, when that reads
+    fewer letters (``_boundary_reads_less``); the rest walk all 2^n subsets.
+    """
+    if k is not None and _boundary_reads_less(n, k):
+        return "boundary", comb(n, k) + (k and comb(n, k - 1))
+    return "table", 1 << n
 
 
 def _boundary_reads_less(n: int, k: int) -> bool:
@@ -577,11 +599,6 @@ def _boundary_reads_less(n: int, k: int) -> bool:
     if k > 1:
         boundary += comb(n, k - 1) * comb(n, w) * w * w
     return boundary <= walk
-
-
-def _boundary_masks(n: int, k: int) -> int:
-    """The subsets the boundary check of k-of-n decides: its k- and (k-1)-subsets."""
-    return comb(n, k) + (k and comb(n, k - 1))
 
 
 def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:

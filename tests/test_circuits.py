@@ -224,6 +224,16 @@ def test_spec_tables_three_routes_agree():
     assert circuit_table(by_threshold.to_circuit()) == by_threshold.table()
 
 
+def test_subset_table_equals_the_per_mask_reference():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        family = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+        masks = [sum(1 << (i - 1) for i in s) for s in family]
+        want = [any(mask & m == m for m in masks) for mask in range(1 << n)]
+        assert PuzzleSpec.from_subsets(n, family).table() == want, family
+
+
 def test_spec_json_round_trip():
     for spec in (
         PuzzleSpec.from_subsets(3, [{1}, {2, 3}]),

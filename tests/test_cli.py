@@ -119,6 +119,19 @@ def test_compile_json_names_the_verify_method(capsys):
     assert (json.loads(err)["verify_method"], json.loads(err)["masks_checked"]) == ("skipped", 0)
 
 
+def test_compile_json_keys_in_order(capsys):
+    keys = [
+        "word", "n", "route", "as_constructed_length", "reduced_length", "depth", "estimate",
+        "bound", "verified", "mismatch_mask", "verify_method", "masks_checked", "notices",
+    ]
+    code, out, _ = run(capsys, "compile", "--formula", "r1 & r2", "--json")
+    assert code == 0
+    assert list(json.loads(out)) == keys
+    code, out, err = run(capsys, "compile", "--formula", "r1 & r2")
+    assert (code, out) == (0, "x1 x2\n")
+    assert list(json.loads(err)) == keys[1:]  # the word went to stdout
+
+
 def test_compile_points_at_the_variable_beyond_n(capsys):
     code, out, err = run(capsys, "compile", "--formula", "r1 | r2 | r9", "--n", "2")
     assert (code, out) == (2, "")
@@ -262,6 +275,27 @@ def test_render_refuses_a_diagram_over_the_letter_budget(tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert proc.stderr.endswith("exceeds 10000000 cells\n")
+
+
+@pytest.mark.parametrize("fmt, n, letters", [("vector", 300_000, 2), ("vector", 6, 1_000_000),
+                                              ("text", 3_000_000, 2)])
+def test_render_refuses_a_diagram_over_its_format_size(tmp_path, fmt, n, letters):
+    # Each drew within the cell cap and peaked at 260 to 634 MB.
+    word = tmp_path / "w.txt"
+    word.write_text(" ".join(["x1", "X2", "x2", "X1"][i % 4] for i in range(letters)))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "picturehang.cli", "render", "--word", str(word), "--n", str(n),
+         "--format", fmt],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        timeout=10,
+    )
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: a {fmt} diagram takes at most")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", [["render"], ["table"], ["solve", "min-fell"]])

@@ -20,6 +20,7 @@ from picturehang.circuits import (
     parse_formula,
     subsets_to_circuit,
 )
+from picturehang.cli import main
 from picturehang.compiler import BudgetExceededError, clause_product, compile_circuit
 import picturehang.compiler as compiler
 from picturehang.constructions import _splice, build_e, e_word_length
@@ -49,6 +50,7 @@ from picturehang.words import (
     _boundary_mismatch,
     _boundary_reads_less,
     _search_root,
+    _verify_plan,
     commutator,
     concat,
     fall_table,
@@ -650,6 +652,19 @@ def test_compile_reports_the_first_mismatch_of_a_corrupted_threshold_word(monkey
     assert report.masks_checked == 64
 
 
+def test_compile_notice_is_the_verify_line(monkeypatch, capsys, tmp_path):
+    w = _threshold_word(4, 6)
+    bad = Word(w.letters[:7] + w.letters[8:])
+    monkeypatch.setattr(compiler, "clause_product", lambda clauses: bad)
+    notice = compile_circuit(PuzzleSpec.from_threshold(6, 4)).notices[-1]
+    (tmp_path / "w.txt").write_text(format_word(bad))
+    (tmp_path / "spec.json").write_text('{"n": 6, "threshold_k": 4}')
+    argv = ["verify", "--word", str(tmp_path / "w.txt"), "--spec", str(tmp_path / "spec.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == notice + "\n"
+    assert notice.startswith("mismatch at subset {")
+
+
 def test_twenty_of_twenty_verifies_on_its_boundary():
     report = build_k_of_n(20, 20)
     assert report.verified is True
@@ -657,7 +672,7 @@ def test_twenty_of_twenty_verifies_on_its_boundary():
     assert report.masks_checked == 21
 
 
-def test_auto_verification_caps_the_method_that_would_run(monkeypatch):
+def test_auto_verification_caps_the_method_that_would_run():
     # 14-of-16's table is past the work cap and its boundary of 680 subsets is not.
     report = build_k_of_n(14, 16)
     assert (report.verified, report.verify_method, report.masks_checked) == (True, "boundary", 680)
@@ -666,8 +681,10 @@ def test_auto_verification_caps_the_method_that_would_run(monkeypatch):
         assert (report.verified, report.verify_method) == (None, "skipped")
         notice = f"{method} verification skipped: past the auto-verification work cap"
         assert report.notices == (notice,)
-    # Under the cap the boundary's work is not priced.
-    monkeypatch.setattr(compiler, "_boundary_reads_less", None)
+    # The cap prices what `_verify_plan` says would run, and the check runs it.
+    assert _verify_plan(16, 14) == ("boundary", 680)
+    assert _verify_plan(12, 7) == ("table", 4096)
+    assert _verify_plan(9, None) == ("table", 512)
     assert build_k_of_n(3, 6).verified is True
 
 

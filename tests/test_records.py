@@ -37,9 +37,9 @@ RECORDS = {
     "TemplateCounts": (TemplateCounts, {"recursive_units": 4, "auxiliary_letters": 6}),
     "CompileReport": (
         CompileReport,
-        {"word": WORD, "n": 2, "as_constructed_length": 4, "reduced_length": 4, "depth": 1,
-         "estimate": 4, "bound": 1078, "verified": True, "mismatch_mask": None,
-         "notices": ()},
+        {"word": WORD, "n": 2, "route": "clause-product", "as_constructed_length": 4,
+         "reduced_length": 4, "depth": 1, "estimate": 4, "bound": 1078, "verified": True,
+         "mismatch_mask": None, "verify_method": "table", "masks_checked": 4, "notices": ()},
     ),
     "PuzzleFixture": (
         PuzzleFixture, {"id": 2, "n": 3, "word": WORD, "spec": SPEC, "title": "a title"}
