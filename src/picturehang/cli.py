@@ -44,7 +44,10 @@ def _read_text(path: str) -> str:
 
 
 def _load_word(path: str) -> Word:
-    text = _read_text(path).strip()
+    return _parse_word(_read_text(path).strip())
+
+
+def _parse_word(text: str) -> Word:
     if text.startswith("["):
         return word_from_json(text)
     return parse_word(text)
@@ -136,9 +139,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    from .render import to_diagram
+    from .render import check_size, to_diagram
 
-    word = _load_word(args.word)
+    # A parsed word takes about 85 bytes a letter, so the letters are
+    # counted in C and the diagram's size checked before the parse.
+    text = _read_text(args.word).strip()
+    letters = text.count(",") + 1 if text.startswith("[") else text.count("x") + text.count("X")
+    check_size(args.n or 0, letters, args.format)
+    word = _parse_word(text)
     n = args.n if args.n is not None else word.max_nail
     sys.stdout.write(to_diagram(word, n, args.format))
     return 0

@@ -1,51 +1,78 @@
 """Compile monotone fall functions into hanging words on the same n nails.
 
-A nonconstant spec compiles to the reduced product
+A nonconstant spec's fall function f is the AND of its prime clauses; a
+clause C says "some nail of C is removed".  The spec compiles to the
+product, reduced at the joins only (`words._product`), of a plan's pieces
+over its clause family F.  A piece is one of
 
-    W = e(C_1) e(C_2) ... e(C_m),   e(C) = build_e(sorted(C)),
+    e(C) = build_e(sorted(C)), the balanced 1-of-|C| word over a clause;
+    x_sigma X_tau = x_sigma(1) ... x_sigma(s) X_tau(1) ... X_tau(s);
+    [e(P), W] = e(P) W e(P)^-1 W^-1, for W a plan's word on nails off P.
 
-of balanced 1-of-|C| words over the prime clauses C_i of its fall function
-f, in lexicographic order.  A clause C says "some nail of C is removed", and
-f is the AND of its prime clauses.  No gadget, anchor nail or inverse is used.
-The clause words are laid out from one letter template per width
-(`constructions.e_template`) and relabeled onto each clause's nails.  Each
-is reduced, so the product is reduced at the joins only (`words._product`).
+The plain plan is the product e(C_1) ... e(C_m) of the prime clauses in
+lexicographic order.  No gadget or anchor nail is used.  The balanced
+words are laid out from one letter template per width
+(`constructions.e_template`), relabeled onto each piece's nails by
+`constructions._splice`, and `lay_out` multiplies the pieces' words.
 
-Why W is exact.  The quotients gamma_w / gamma_(w+1) of the lower central
-series of the free group form the free Lie ring on x_1..x_n, which is
-torsion-free and multigraded (Magnus, Karrass & Solitar, *Combinatorial
-Group Theory*, ch. 5).  e(C) lies in gamma_|C|, where its class is a
-multilinear, hence nonzero, bracket of the generators of C.  e(C) uses only
-the nails of C and collapses once one is removed, so the residual of W at a
-removal set R is the product of the clause words R does not hit.  If w is
-the least |C| among those, their product modulo gamma_(w+1) is the sum of
-their weight-w classes, nonzero since distinct sets have distinct
-multidegrees.  So W falls exactly when R hits every clause, that is, when f
-holds.
+Why a plan is exact.  The quotients gamma_w / gamma_(w+1) of the lower
+central series of the free group form the free Lie ring on x_1..x_n,
+which is torsion-free and multigraded (Magnus, Karrass & Solitar,
+*Combinatorial Group Theory*, ch. 5).  Call W graded over an antichain F
+of clauses when, at every removal set R, W|R is trivial iff R hits every
+clause of F, and otherwise W|R lies in gamma_w, for w the least size of a
+clause R misses, with a class there that sums nonzero multilinear
+brackets, one for each such clause of size w, of that clause's
+multidegree.  Four constructions are graded:
 
-A 2-CNF whose 2-nail clauses hold s nails may take a shorter word,
-x_sigma X_tau = x_sigma(1) ... x_sigma(s) X_tau(1) ... X_tau(s), after
-the one-nail clauses' letters (disjoint nails, another free factor).
-Let those clauses be the pairs that sigma and tau put in the same order.
-After removing R, the residual is x_sigma|S X_tau|S over the survivors S.
-It cancels iff tau reverses sigma on S, iff no surviving pair is a
-clause, iff R hits every clause.  The clause graphs reached are the
-permutation graphs (Pnueli, Lempel & Even, Canad. J. Math. 23, 1971),
-found by `_permutation_orders` on at most `_TWO_CNF_NAILS` nails.  The
-word is emitted, with ``route`` "two-cnf", when shorter than the reduced
-product.  It is reduced: a nail last in sigma and first in tau would be in
-no clause.  The budget is checked against the word emitted, so the
-lowering lets clauses run past it by `_TWO_CNF_SAVING`.
+- e(C) over {C}: it lies in gamma_|C| with a multilinear, hence nonzero,
+  class, uses only the nails of C, and collapses once one is removed;
+- x_sigma X_tau over the pairs that sigma and tau put in the same order
+  (below);
+- a product of words graded over disjoint families, over their union: the
+  classes of least weight have distinct multidegrees, so they cannot
+  cancel, even on shared nails;
+- [e(P), W(G)], for W(G) graded over G on nails off P, over
+  {P + C : C in G}: it collapses when R hits P or every clause of G, and
+  otherwise its class is the bracket of the two classes.  In a free Lie
+  ring [a, b] = 0 for homogeneous a and b only when they are dependent
+  (Shirshov-Witt; Reutenauer, *Free Lie Algebras*, 1993), and disjoint
+  multidegrees are independent.
 
-A threshold "at least k of n removed" has every (n-k+1)-subset as a clause,
-and its closed-form length is checked against the budget before any clause
-is listed; (n-1)-of-n, n >= 3, is x1 ... xn X1 ... Xn.  Every other spec
-is dualized in one postorder pass over its circuit, where true has no
-clause and false the empty one.  A gate is a whole operator chain: an AND
-absorbs once across all its operands, an OR folds them in one at a time.
-A report's ``depth`` is that of the equivalent CNF circuit, a balanced AND
-of balanced ORs, and ``bound`` is 1078**depth, the letters a gadget
-circuit of that depth lays out at most (`gadgets` derives the 1,078).
+So every plan's word falls exactly when R hits every clause, that is,
+when f holds.  Only the shapes differ in length, and each plan is priced
+from closed forms before it is laid out.
+
+x_sigma X_tau, after the one-nail clauses' letters (disjoint nails,
+another free factor), serves a 2-CNF whose 2-nail clauses are the pairs
+that sigma and tau order alike.  After removing R, the residual is
+x_sigma|S X_tau|S over the survivors S.  It cancels iff tau reverses sigma
+on S, iff no surviving pair is a clause, iff R hits every clause, and it
+lies in gamma_2 otherwise, with the class sum of [x_a, x_b] over the
+surviving pairs.  The clause graphs reached are the permutation graphs
+(Pnueli, Lempel & Even, Canad. J. Math. 23, 1971), found by
+`_permutation_orders` on at most `_TWO_CNF_NAILS` nails.  The word is
+reduced: a nail last in sigma and first in tau would be in no clause.
+
+Factoring.  For a nail set P shared by clauses of F, W(F) = [e(P),
+W(F_P)] W(F - {C : C contains P}), with F_P = {C - P : C contains P}, writes
+P once where the product writes it once per clause.  A threshold "at
+least k of n removed" has every w-subset, w = n - k + 1, as a clause;
+`_threshold_table` picks the shortest of the product, x_sigma X_tau and the
+brackets of each prefix size in closed form, and its length is checked
+against the budget before any clause is listed.  Every other spec is
+dualized in one postorder pass over its circuit, where true has no clause
+and false the empty one.  A gate is a whole operator chain: an AND absorbs
+once across all its operands, an OR folds them in one at a time.
+`_family_plan` then factors the clauses greedily.  Its word is emitted
+when strictly shorter than the reduced product, with ``route`` "two-cnf"
+for x_sigma X_tau alone and "factored" otherwise, so a tie keeps the
+product.  The budget is checked against the word emitted, so the lowering
+lets clauses run past it by `_TWO_CNF_SAVING`.  A report's ``depth`` is
+that of the equivalent CNF circuit, a balanced AND of balanced ORs, and
+``bound`` is 1078**depth, the letters a gadget circuit of that depth lays
+out at most (`gadgets` derives the 1,078); a plan is never longer than
+the product, so the bound covers it.
 
 Verification checks the word emitted, not the argument above.  A
 threshold spec is checked on its boundary when that reads fewer letters
@@ -64,8 +91,12 @@ dualization that built the word.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, filterfalse
+from bisect import bisect_right
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from itertools import chain, combinations, compress, filterfalse
 from math import comb
+from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .circuits import (
@@ -105,14 +136,187 @@ _TWO_CNF_NAILS = 64
 _TWO_CNF_SAVING = 2 * _TWO_CNF_NAILS * (_TWO_CNF_NAILS - 2)
 
 
-def clause_product(clauses: Iterable[Sequence[int]]) -> Word:
-    """The reduced product of the balanced clause words, in the order given.
+class _Bracket(NamedTuple):
+    """A plan piece laid out as the commutator [e(prefix), W(inner)]."""
 
-    Each clause, a nonempty sequence of distinct nails, is laid out from
-    the template of its width.  A clause word is reduced, so the product
-    is reduced at the joins only (``words._product``).
+    prefix: Sequence[int]
+    inner: Iterable  # the pieces of W, on nails disjoint from the prefix
+
+
+class _Pairs(NamedTuple):
+    """A plan piece laid out as x_sigma X_tau."""
+
+    sigma: Sequence[int]
+    tau: Sequence[int]
+
+
+def lay_out(plan: Iterable) -> Word:
+    """The reduced word of a plan: its pieces' words multiplied in order.
+
+    A piece is a clause, a nonempty sequence of distinct nails laid out as
+    its balanced word from the template of its width, or a `_Bracket` or
+    `_Pairs`.  Each piece's word is reduced, so the product is reduced at
+    the joins only (``words._product``).  A list of clauses is their product.
     """
-    return Word(tuple(_product(map(lay_out_e, clauses))), reduced=True)
+    return Word(tuple(_lay_out(plan)), reduced=True)
+
+
+def _lay_out(plan: Iterable) -> list[int]:
+    return _product(map(_piece_letters, plan))
+
+
+def _piece_letters(piece: Sequence) -> Iterable[int]:
+    kind = type(piece)
+    if kind is _Bracket:  # two reduced words on disjoint nails: no letter cancels
+        a, b = [*lay_out_e(piece.prefix)], _lay_out(piece.inner)
+        return [*a, *b, *map(neg, reversed(a)), *map(neg, reversed(b))]
+    if kind is _Pairs:
+        return [*piece.sigma, *map(neg, piece.tau)]
+    return lay_out_e(piece)
+
+
+def _clause_letters(clauses: Iterable[Sequence[int]]) -> int:
+    return sum(e_word_length(len(clause)) for clause in clauses)
+
+
+def _family_plan(clauses: list[tuple[int, ...]]) -> tuple[int, str, list]:
+    """The letters, route and pieces of the shortest plan found for an antichain F of clauses.
+
+    The plan is the product, or W(F) = [e(P), W(F_P)] W(F - H), greedily:
+    H is the clauses holding the nail that most clauses of F hold (the
+    least nail on a tie), P the nails common to H, F_P = {C - P : C in H}
+    is planned the same way, and H keeps its clause words when they are
+    shorter than the bracket.  Each step takes all clauses of one nail,
+    so there are fewer steps than nails.  The first F, or F - H further
+    on, whose clauses hold at most two nails each and `_TWO_CNF_NAILS` in
+    all, and whose pairs `_permutation_orders` accepts, may take x_sigma
+    X_tau after its one-nail clauses instead.  Clauses that share no nail
+    end the product.  A tie goes to the product, then to the brackets.
+    Every w-subset of its nails, for w > 2, takes `_threshold_plan` instead,
+    which is never longer than the greedy's single-nail brackets.
+    """
+    holders: dict[int, list[int]] = {}
+    for i, clause in enumerate(clauses):
+        for nail in clause:
+            holders.setdefault(nail, []).append(i)
+    count = {nail: len(held) for nail, held in holders.items()}
+    best = _clause_letters(clauses), "clause-product", clauses
+    width = len(clauses[0]) if clauses else 0
+    if width > 2 and len(clauses) == comb(len(count), width) and all(len(c) == width for c in clauses):
+        letters, route, pieces = _threshold_plan(sorted(count), width)  # every width-subset
+        return (letters, route, pieces) if letters < best[0] else best
+    heap = [(-held, nail) for nail, held in count.items() if held > 1]
+    heapify(heap)  # an entry whose count went down since is passed over
+    left = [True] * len(clauses)
+    wide, live = sum(len(clause) > 2 for clause in clauses), len(count)
+    letters, pieces = 0, []
+    orders = None
+    while True:
+        if not wide and orders is None and live <= _TWO_CNF_NAILS:
+            rest = list(compress(clauses, left))
+            orders = _permutation_orders([clause for clause in rest if len(clause) == 2])
+            if orders is not None:
+                singles = [clause for clause in rest if len(clause) == 1]
+                total = letters + len(singles) + 2 * len(orders[0])
+                if total < best[0]:
+                    best = total, "factored" if pieces else "two-cnf", [*pieces, *singles, _Pairs(*orders)]
+        while heap and -heap[0][0] != count[heap[0][1]]:
+            heappop(heap)
+        if not heap:
+            break
+        group = []
+        for i in holders[heappop(heap)[1]]:
+            if left[i]:
+                left[i] = False
+                group.append(clauses[i])
+                wide -= len(clauses[i]) > 2
+                for x in clauses[i]:
+                    count[x] -= 1
+                    live -= not count[x]
+                    if count[x] > 1:
+                        heappush(heap, (-count[x], x))
+        prefix = sorted(set(group[0]).intersection(*group[1:]))
+        inner_letters, _, inner = _family_plan([tuple(x for x in c if x not in prefix) for c in group])
+        bracket = 2 * (e_word_length(len(prefix)) + inner_letters)
+        product = _clause_letters(group)
+        if bracket < product:
+            letters += bracket
+            pieces.append(_Bracket(prefix, inner))
+        else:
+            letters += product
+            pieces += group
+    rest = list(compress(clauses, left))
+    total = letters + _clause_letters(rest)
+    return (total, "factored", pieces + rest) if total < best[0] else best
+
+
+# `_threshold_table` sums at most this many terms, C(w, 2) C(d + 2, 2) for w
+# nails per clause and d = n - w, in about 0.15 s; past it a threshold keeps
+# its product.  Every k-of-n within the default budget but w = 3, d > 363
+# stays under it.
+_PLAN_WORK = 200_000
+
+
+def _threshold_plan(nails: Sequence[int], w: int) -> tuple[int, str, Iterable]:
+    """The letters, route and pieces of the plan for every w-subset of the increasing ``nails``.
+
+    Every pair of n nails is x1 ... xn X1 ... Xn, and one clause, or one
+    nail per clause, is the product.  Otherwise the plan is the shortest in
+    `_threshold_table`, and each piece is listed as it is laid out.
+    """
+    n = len(nails)
+    if w == 2 and n > 2:
+        return 2 * n, "two-cnf", [_Pairs(nails, nails)]
+    if 2 < w < n and comb(w, 2) * comb(n - w + 2, 2) <= _PLAN_WORK:
+        plans = _threshold_table(w, n - w)
+        letters, how = plans[w][n - w]
+        if how != "product":
+            return letters, "factored", _threshold_pieces(nails, w, plans)
+    return comb(n, w) * e_word_length(w), "clause-product", combinations(nails, w)
+
+
+@lru_cache(maxsize=16)  # a compile prices its plan, then lays it out
+def _threshold_table(w: int, d: int) -> list[list[tuple[int, int | str]]]:
+    """``plans[v][c]``: the letters of the shortest plan for every v-subset
+    of v + c nails, v <= w and c <= d, and how it is laid out.
+
+    How is "product", "pairs" (2m letters for v = 2 and m >= 3 nails) or a
+    prefix size j: each j-subset P of the nails, in lexicographic order,
+    is bracketed with the plan for the (v - j)-subsets of the nails after
+    P's last.  Every v-subset is P plus one of those for exactly one P, so
+    for P ending at the p-th nail that is C(p-1, j-1) brackets of
+    2 (e(j) + plans[v-j][c-p+j]) letters.  A tie goes to the product.
+    """
+    plans: list[list[tuple[int, int | str]]] = [[]]
+    for v in range(1, w + 1):
+        row = []
+        for c in range(d + 1):
+            best: tuple[int, int | str] = (comb(v + c, v) * e_word_length(v), "product")
+            if v == 2 and c and 2 * (v + c) < best[0]:
+                best = 2 * (v + c), "pairs"
+            for j in range(1, v) if c else ():  # one clause: the balanced word is shortest
+                letters = 2 * sum(
+                    comb(p - 1, j - 1) * (e_word_length(j) + plans[v - j][c + j - p][0])
+                    for p in range(j, j + c + 1)
+                )
+                if letters < best[0]:
+                    best = letters, j
+            row.append(best)
+        plans.append(row)
+    return plans
+
+
+def _threshold_pieces(nails: Sequence[int], v: int, plans: list) -> Iterable:
+    """The pieces of the plan for every v-subset of the increasing ``nails``, listed lazily."""
+    how = plans[v][len(nails) - v][1]
+    if how == "product":
+        return combinations(nails, v)
+    if how == "pairs":
+        return [_Pairs(nails, nails)]
+    return (
+        _Bracket(prefix, _threshold_pieces(nails[bisect_right(nails, prefix[-1]) :], v - how, plans))
+        for prefix in combinations(nails[: len(nails) - v + how], how)
+    )
 
 
 # A node's clauses, the union of their nails, and their worth in letters.
@@ -265,10 +469,13 @@ class CompileReport(NamedTuple):
     """What the compiler produced and how the emitted word checked out.
 
     The fields are the keys of ``compile --json``, in order.  ``route`` names
-    the word emitted: "clause-product" or "two-cnf" (the one-nail clauses'
-    letters, then x_sigma X_tau).  ``as_constructed_length`` counts the
-    letters of the clause words laid out before the closing reduction;
-    ``reduced_length`` counts the final normal form.  ``verified`` is None
+    the word emitted: "clause-product" (the prime clauses' words side by
+    side), "two-cnf" (the one-nail clauses' letters, then x_sigma X_tau) or
+    "factored" (brackets [e(P), W] of shared nails P, see the module
+    docstring).  ``as_constructed_length`` counts the letters of the pieces
+    laid out before the reduction at their joins, and equals ``estimate``,
+    the plan's closed-form length; ``reduced_length`` counts the final
+    normal form.  ``verified`` is None
     when verification was skipped (n beyond the limit, disabled, or past the
     auto-verification work cap); on a mismatch it is False, ``mismatch_mask``
     holds the first subset bitmask where the word disagrees with the
@@ -315,36 +522,25 @@ def compile_circuit(
         validation = validate_spec(target)
         notices.extend(validation.notices)
         spec = validation.spec
-    route = "clause-product"
     if spec is not None and spec.threshold_k is not None:
         width = n - spec.threshold_k + 1
         count = comb(n, width)
         widest = width if count else 1
-        if width == 2 and n > 2:  # every pair: sigma = tau = 1..n
-            estimate = 2 * n
-            check_budget(estimate, budget)
-            word = Word((*range(1, n + 1), *range(-1, -n - 1, -1)), reduced=True)
-            route = "two-cnf"
-        else:
-            estimate = count * e_word_length(width)
-            check_budget(estimate, budget)
-            word = clause_product(combinations(range(1, n + 1), width))
+        estimate, route, plan = _threshold_plan(range(1, n + 1), width)
+        check_budget(estimate, budget)
+        word = lay_out(plan)
     else:
         clauses, estimate = _prime_clauses(target if spec is None else spec.to_circuit(), budget)
         if not clauses:
             notices.append("circuit is constantly true; compiles to the empty word")
         count = len(clauses)
         widest = max(map(len, clauses), default=1)
-        word = clause_product(clauses)  # within the budget plus _TWO_CNF_SAVING
-        pairs = [clause for clause in clauses if len(clause) == 2]
-        orders = _permutation_orders(pairs) if widest == 2 else None
-        if orders is not None:
-            sigma, tau = orders
-            singles = [clause[0] for clause in clauses if len(clause) == 1]
-            shorter = Word((*singles, *sigma, *(-x for x in tau)), reduced=True)
-            # the product can tie: clause words (a, b), (b, c) side by side cancel two letters
+        word, route = lay_out(clauses), "clause-product"  # within the budget plus _TWO_CNF_SAVING
+        letters, shorter_route, plan = _family_plan(clauses)
+        if letters < len(word.letters):  # the product can cancel at its joins
+            shorter = lay_out(plan)
             if len(shorter.letters) < len(word.letters):
-                word, estimate, route = shorter, len(shorter.letters), "two-cnf"
+                word, estimate, route = shorter, letters, shorter_route
         check_budget(estimate, budget)
     reduced_length = len(word.letters)
     depth = (max(count, 1) - 1).bit_length() + (widest - 1).bit_length()

@@ -79,8 +79,10 @@ def _splice(template: Iterable[int], args: Sequence[_T], invert: Callable) -> It
     return map(label.__getitem__, template)
 
 
-def lay_out_e(indices: Sequence[int]) -> Iterator[int]:
+def lay_out_e(indices: Sequence[int]) -> Iterable[int]:
     """The letters of ``build_e(indices)``, without checking the indices."""
+    if len(indices) == 1:  # the generator itself, without a splice
+        return indices
     return _splice(e_template(len(indices)), indices, neg)
 
 

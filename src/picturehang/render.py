@@ -122,18 +122,23 @@ SUPPORTED_FORMATS = tuple(_FORMATS)
 def to_diagram(w: Word, n: int, format: str = "text") -> str:
     """Render the weaving diagram for w on n nails in the given format."""
     check_nails(w, n)
-    if n * (len(w) + 1) > DEFAULT_LETTER_BUDGET:  # a row of n cells per letter and header
+    check_size(n, len(w), format)
+    return _FORMATS[format][0](w, n)
+
+
+def check_size(n: int, letters: int, format: str) -> None:
+    """Refuse, in one line, a diagram past the cell cap or its format's bounds."""
+    if n * (letters + 1) > DEFAULT_LETTER_BUDGET:  # a row of n cells per letter and header
         raise ValueError(
-            f"a diagram of {n} nails by {len(w)} letters exceeds {DEFAULT_LETTER_BUDGET} cells"
+            f"a diagram of {n} nails by {letters} letters exceeds {DEFAULT_LETTER_BUDGET} cells"
         )
     if format not in _FORMATS:
         raise ValueError(
             f"unsupported format {format!r}; supported formats: {', '.join(SUPPORTED_FORMATS)}"
         )
-    draw, nails, letters = _FORMATS[format]
-    if n > nails or len(w) > letters:
+    _, nails, most = _FORMATS[format]
+    if n > nails or letters > most:
         raise ValueError(
-            f"a {format} diagram takes at most {nails} nails and {letters} letters, "
-            f"not {n} and {len(w)}"
+            f"a {format} diagram takes at most {nails} nails and {most} letters, "
+            f"not {n} and {letters}"
         )
-    return draw(w, n)

@@ -579,25 +579,30 @@ def _verify_plan(n: int, k: int | None) -> tuple[str, int]:
 def _boundary_reads_less(n: int, k: int) -> bool:
     """True unless the walk should read fewer letters than k-of-n's boundary check.
 
-    Counted on the compiled word, the C(n, w) clause words of w = n - k + 1
-    nails, and only the letters the loop of ``_residual`` reads: a strip
-    first drops its nails' letters in C, 1/m of a residual for one nail of
-    m.  The walk strips C(n, j+1) residuals at each depth j < k, each the
-    C(n-j, w) clause words that miss the j nails removed.  The boundary
+    Counted on the compiled word of w = n - k + 1, in the letters the loop
+    of ``_residual`` reads: a strip first drops its nails' letters in C,
+    1/m of a residual for one nail of m.  The compiler brackets shared
+    prefixes, and measured on its words for n <= 12 the residual left by
+    removing j nails averages about the share C(n-j, u) / C(n, u) of the
+    word for u = w - 1, as for a product of (w-1)-nail clause words: the
+    innermost words lose letters nail by nail, as x_sigma X_tau does.  The
+    walk strips the C(n, j+1) residuals of each depth j < k.  The boundary
     keeps w of the n nails for each of the C(n, k-1) subsets below the
-    threshold, none to do for the empty one, and strips the one clause word
-    left for each of the C(n, k) at it.  The counts are kept in integers,
-    in clause words times w n.  The word's length is a factor of both, so
-    the choice rests on n and k alone.  A tie, as for k <= 2, where both
-    make the same strips, goes to the boundary, which builds no table.
+    threshold, none to do for the empty one, and for each of the C(n, k)
+    at it strips the residual of the subset below, C(w, u) / C(n, u) of the
+    word.  The counts are kept in integers, scaled by C(n, u) n u w.  The word's length is a
+    factor of both, so the choice rests on n and k alone.  A tie, as for
+    k <= 2, where both make the same strips, goes to the boundary, which
+    builds no table.
     """
     if k == 0:
         return True
     w = n - k + 1
-    walk = sum(comb(n, j + 1) * comb(n - j - 1, w - 1) * (n - j - 1) * n for j in range(k))
-    boundary = comb(n, k) * (w - 1) * n
+    u = max(w - 1, 1)
+    walk = sum(comb(n, j + 1) * comb(n - j - 1, u - 1) * (n - j - 1) * n * w for j in range(k))
+    boundary = comb(n, k) * comb(w, u) * (w - 1) * n * u
     if k > 1:
-        boundary += comb(n, k - 1) * comb(n, w) * w * w
+        boundary += comb(n, k - 1) * comb(n, u) * w * u * w
     return boundary <= walk
 
 

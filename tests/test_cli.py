@@ -298,6 +298,33 @@ def test_render_refuses_a_diagram_over_its_format_size(tmp_path, fmt, n, letters
     assert proc.stderr.count("\n") == 1
 
 
+def test_render_refuses_an_oversize_word_before_parsing_it(tmp_path):
+    # Parsed, the 1,000,001 letters took a fresh process to 98 MB before the
+    # refusal; counted in the text, it peaks near 21 MB.  Traced, the parse
+    # allocated 70 MB at its peak and the count takes 6 MB.
+    word = tmp_path / "w.txt"
+    word.write_text(" ".join(["x1", "X2", "x2", "X1"][i % 4] for i in range(1_000_001)))
+    script = (
+        "import tracemalloc\n"
+        "from picturehang.cli import main\n"
+        "tracemalloc.start()\n"
+        f"code = main(['render', '--word', {str(word)!r}, '--n', '2'])\n"
+        "print(code, tracemalloc.get_traced_memory()[1] // 1024)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        timeout=10,
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 2 and peak_kb < 20_000
+    assert proc.stderr == (
+        "error: a text diagram takes at most 200000 nails and 1000000 letters, not 2 and 1000001\n"
+    )
+
+
 @pytest.mark.parametrize("command", [["render"], ["table"], ["solve", "min-fell"]])
 def test_negative_n_is_a_usage_error(capsys, tmp_path, command):
     word = tmp_path / "empty.txt"

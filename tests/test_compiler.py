@@ -21,7 +21,7 @@ from picturehang.circuits import (
     subsets_to_circuit,
 )
 from picturehang.cli import main
-from picturehang.compiler import BudgetExceededError, clause_product, compile_circuit
+from picturehang.compiler import BudgetExceededError, compile_circuit, lay_out
 import picturehang.compiler as compiler
 from picturehang.constructions import _splice, build_e, e_word_length
 from picturehang.gadgets import (
@@ -205,7 +205,7 @@ def test_compile_length_discipline():
 def test_compile_records_mismatch_with_witness(monkeypatch):
     # The OR gadget over nails 3,4 collapses at {1,2}; compiled in place of
     # the clause product, the report must say so.
-    monkeypatch.setattr(compiler, "clause_product", lambda clauses: gadget_or(X3, X4))
+    monkeypatch.setattr(compiler, "lay_out", lambda plan: gadget_or(X3, X4))
     spec = PuzzleSpec.from_subsets(4, [{3}, {4}])
     report = compile_circuit(spec, verify=True)
     assert report.verified is False
@@ -214,14 +214,16 @@ def test_compile_records_mismatch_with_witness(monkeypatch):
 
 
 def test_compile_budget_guard_uses_estimate():
-    # 3-of-6 is the product of C(6, 4) = 15 clause words of 16 letters.
+    # 3-of-6's plan brackets x1 .. x3 with the pairs after them: 112
+    # letters, against 240 for the product of its C(6, 4) = 15 clause words.
     spec = PuzzleSpec.from_threshold(6, 3)
     with pytest.raises(BudgetExceededError) as exc:
-        compile_circuit(spec, budget=100)
-    assert "240" in str(exc.value)
-    report = compile_circuit(spec, budget=None)
+        compile_circuit(spec, budget=111)
+    assert "112" in str(exc.value)
+    report = compile_circuit(spec, budget=112)
     assert report.verified is True
-    assert report.estimate == report.as_constructed_length == 240
+    assert report.estimate == report.as_constructed_length == report.reduced_length == 112
+    assert report.route == "factored"
     # (r1 | r2) & (r3 | r4) holds two 4-letter clause words.
     c = parse_formula("(r1 | r2) & (r3 | r4)")
     with pytest.raises(BudgetExceededError):
@@ -273,7 +275,7 @@ def test_compile_sizes_its_clauses_by_the_variables_in_use():
             assert report.n == 10**20
             assert report.verified is None
         report = compile_circuit(parse_formula(f"(r{10**20} | r7) & r{10**19}"), verify=False)
-        assert report.word == clause_product([(7, 10**20), (10**19,)])
+        assert report.word == lay_out([(7, 10**20), (10**19,)])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
@@ -319,7 +321,7 @@ def test_compile_and_of_identical_operands_collapses(monkeypatch):
     # gadget AND of a subcircuit with itself misfires at {1,2}.  Compiled in
     # place of the clause product, the report must say so.
     p = gadget_and(X3, X4)
-    monkeypatch.setattr(compiler, "clause_product", lambda clauses: gadget_and(p, p))
+    monkeypatch.setattr(compiler, "lay_out", lambda plan: gadget_and(p, p))
     shared = Gate("and", (Var(3), Var(4)))
     c = MonotoneCircuit(4, Gate("and", (shared, shared)))
     report = compile_circuit(c)
@@ -333,12 +335,13 @@ def test_compile_every_monotone_function_on_four_nails():
     # clauses are the complements of its maximal hanging subsets.  The
     # product lays out exactly one balanced word per prime clause; x_sigma
     # X_tau lays out one letter per one-nail clause and two per nail of the
-    # two-nail clauses, and is never longer.
+    # two-nail clauses; a factored word brackets shared nails.  Neither of
+    # the last two is emitted unless shorter than the product.
     subsets = [
         frozenset(c) for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)
     ]
     count = 0
-    routes = {"clause-product": 0, "two-cnf": 0}
+    routes = {"clause-product": 0, "two-cnf": 0, "factored": 0}
     for bits in range(1, 1 << len(subsets)):
         family = [s for i, s in enumerate(subsets) if bits >> i & 1]
         if any(a < b for a in family for b in family):
@@ -355,16 +358,20 @@ def test_compile_every_monotone_function_on_four_nails():
         ]
         clauses = [[i + 1 for i in range(4) if not m >> i & 1] for m in maximal_hanging]
         product_length = sum(e_word_length(len(clause)) for clause in clauses)
+        product = lay_out(sorted(clauses))
         if report.route == "two-cnf":
             singles = [clause for clause in clauses if len(clause) == 1]
             support = {nail for clause in clauses if len(clause) == 2 for nail in clause}
             assert report.as_constructed_length == len(singles) + 2 * len(support), family
-        else:
+        elif report.route == "clause-product":
             assert report.as_constructed_length == product_length, family
-        assert report.as_constructed_length <= product_length, family
+            assert report.word.letters == product.letters, family
+        else:
+            assert report.reduced_length < len(product.letters), family
+        assert report.reduced_length <= report.as_constructed_length <= product_length, family
         routes[report.route] += 1
     assert count == 166
-    assert routes == {"clause-product": 104, "two-cnf": 62}
+    assert routes == {"clause-product": 63, "two-cnf": 62, "factored": 41}
 
 
 def test_compile_n_minus_one_of_n_is_x_then_its_inverses():
@@ -393,10 +400,14 @@ def test_compile_reproduces_the_two_cnf_fixtures(fid):
     assert report.verified is True
 
 
-def test_five_cycle_is_no_permutation_graph_and_keeps_the_product():
+def test_five_cycle_is_no_permutation_graph_and_is_factored():
+    # [x1, x2 x5] takes the clauses of nail 1; the path 2-3-4-5 left is a
+    # permutation graph.  Their words cancel two letters where they meet.
     report = compile_circuit(parse_formula("(r1|r2)&(r2|r3)&(r3|r4)&(r4|r5)&(r5|r1)"))
-    assert report.route == "clause-product"
-    assert report.word == clause_product([(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)])
+    assert report.route == "factored"
+    assert format_word(report.word) == "x1 x2 x5 X1 X5 x4 x3 x5 X4 X5 X2 X3"
+    assert report.estimate == report.as_constructed_length == 14
+    assert len(lay_out([(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)])) == 16
     assert report.verified is True
 
 
@@ -408,10 +419,13 @@ def test_two_cnf_recognizer_runs_on_a_fixed_number_of_nails():
         report = compile_circuit(star, limit=limit)
         assert report.route == "two-cnf"
         assert format_word(report.word) == "x1 x2 x3 x4 X1 X4 X3 X2"
+    # Past the bound the star brackets its shared nail instead: [x1, x2 ... xs].
     most = compiler._TWO_CNF_NAILS
-    for s, route in ((most, "two-cnf"), (most + 1, "clause-product")):
+    for s, route in ((most, "two-cnf"), (most + 1, "factored")):
         star = parse_formula(" & ".join(f"(r1 | r{i})" for i in range(2, s + 1)))
-        assert compile_circuit(star).route == route, s
+        report = compile_circuit(star)
+        assert report.route == route, s
+        assert len(report.word) == 2 * s
 
 
 def test_compile_checks_the_budget_against_the_word_emitted():
@@ -446,9 +460,9 @@ def test_compile_agreement_graph_two_cnfs(orders):
     )
     if not pairs:
         return
-    product = clause_product(pairs)
+    product = lay_out(pairs)
     support = {nail for pair in pairs for nail in pair}
-    route = "two-cnf" if 2 * len(support) < len(product.letters) else "clause-product"
+    shorter = 2 * len(support) < len(product.letters)
     covers = {
         mask for mask in range(1 << n)
         if all(mask >> a - 1 & 1 or mask >> b - 1 & 1 for a, b in pairs)
@@ -460,9 +474,11 @@ def test_compile_agreement_graph_two_cnfs(orders):
     for spec in (PuzzleSpec.from_subsets(n, subsets), PuzzleSpec.from_formula(n, formula)):
         report = compile_circuit(spec)
         assert report.verified is True
-        assert report.route == route
+        if shorter:  # a factored word may beat x_sigma X_tau, never the other way
+            assert report.route in ("two-cnf", "factored")
+            assert len(report.word) <= 2 * len(support)
         assert len(report.word) <= len(product.letters)
-        if route == "clause-product":
+        if report.route == "clause-product":
             assert report.word == product
 
 
@@ -527,7 +543,7 @@ def test_compile_lowers_inner_constants_and_shared_nodes(data):
 @example([[1, 2], [2, 3], [3, 1, 2], [1, 2]])
 def test_clause_product_equals_the_product_of_clause_words(clauses):
     want = raw_concat(*(build_e(c) for c in clauses)).reduce()
-    got = clause_product(clauses)
+    got = lay_out(clauses)
     assert got.letters == want.letters
     assert got.reduced
 
@@ -619,6 +635,74 @@ def test_threshold_verdicts_equal_the_table_on_every_k_of_n_up_to_ten():
                 assert checked == 1 << n
 
 
+def test_threshold_words_are_factored_and_no_longer_than_the_product():
+    for n in range(1, 15):
+        for k in range(1, n + 1):
+            report = compile_circuit(PuzzleSpec.from_threshold(n, k), verify=False)
+            width = n - k + 1
+            product = 2 * n if width == 2 and n > 2 else math.comb(n, width) * e_word_length(width)
+            assert report.reduced_length <= report.as_constructed_length == report.estimate
+            assert report.estimate <= product, (k, n)
+            assert report.bound == 1078**report.depth >= report.estimate
+            # Ties keep the product: one clause, one nail per clause, every pair.
+            if width in (1, 2, n):
+                assert report.route == ("two-cnf" if width == 2 and n > 2 else "clause-product")
+                assert report.estimate == product
+            else:
+                assert report.route == "factored" and report.estimate < product, (k, n)
+    for k, n, letters in ((3, 6, 112), (7, 12, 5880), (11, 14, 1936)):
+        assert len(_threshold_word(k, n)) == letters
+    report = compile_circuit(PuzzleSpec.from_threshold(19, 10), verify=False)
+    assert report.estimate == report.reduced_length == 1_372_800  # the product: 10,346,336
+    # A formula or subset spec whose clauses are every w-subset of its nails takes the same plan.
+    report = compile_circuit(parse_formula("atleast(3; r2, r4, r6, r8, r10, r12)"))
+    assert (report.route, report.reduced_length, report.verified) == ("factored", 112, True)
+    assert report.word.letters == tuple(2 * x for x in _threshold_word(3, 6).letters)
+    # Past the plan table's work bound a threshold is priced as the product.
+    for k, n in ((2, 366), (3, 260), (30, 60)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            compile_circuit(PuzzleSpec.from_threshold(n, k))
+        assert time.perf_counter() - start < 1, (k, n)
+
+
+def test_corrupted_factored_threshold_words_are_reported():
+    rng = random.Random(24)
+    for k, n in ((4, 6), (7, 10)):
+        letters = list(_threshold_word(k, n).letters)
+        assert verify_threshold(Word(tuple(letters)), n, k)[0] is None
+        for _ in range(5):
+            at = rng.randrange(len(letters))
+            bad = Word(tuple(letters[:at] + [-letters[at]] + letters[at + 1 :]))
+            mask = verify_threshold(bad, n, k)[0]
+            assert mask is not None and mask == _table_mismatch(bad, n, k), (k, n, at)
+
+
+def test_compile_a_sample_of_five_nail_functions_exactly():
+    # 150 seeded antichains of subsets of five nails; the product, x_sigma
+    # X_tau or the factored word, whichever is emitted, falls on each
+    # function's whole table and is no longer than the product.
+    rng = random.Random(5)
+    subsets = [c for size in range(1, 6) for c in itertools.combinations(range(1, 6), size)]
+    routes = set()
+    for _ in range(150):
+        family: list = []
+        for subset in rng.sample(subsets, rng.randrange(1, 12)):
+            if not any(set(f) <= set(subset) or set(subset) <= set(f) for f in family):
+                family.append(subset)
+        spec = PuzzleSpec.from_subsets(5, family)
+        report = compile_circuit(spec, verify=False)
+        table = spec.table()
+        assert fall_table(report.word, 5) == table, family
+        clauses = [
+            tuple(i + 1 for i in range(5) if not m >> i & 1) for m in range(32)
+            if not table[m] and all(table[m | 1 << i] for i in range(5) if not m >> i & 1)
+        ]
+        assert report.reduced_length <= len(lay_out(sorted(clauses))), family
+        routes.add(report.route)
+    assert routes == {"clause-product", "two-cnf", "factored"}
+
+
 def test_threshold_verdicts_equal_the_table_on_corrupted_words():
     rng = random.Random(17)
     checked = mismatches = 0
@@ -644,7 +728,7 @@ def test_threshold_verdicts_equal_the_table_on_corrupted_words():
 def test_compile_reports_the_first_mismatch_of_a_corrupted_threshold_word(monkeypatch):
     w = _threshold_word(4, 6)
     bad = Word(w.letters[:7] + w.letters[8:])
-    monkeypatch.setattr(compiler, "clause_product", lambda clauses: bad)
+    monkeypatch.setattr(compiler, "lay_out", lambda plan: bad)
     report = compile_circuit(PuzzleSpec.from_threshold(6, 4))
     assert report.verified is False
     assert report.mismatch_mask == _table_mismatch(bad, 6, 4) is not None
@@ -655,7 +739,7 @@ def test_compile_reports_the_first_mismatch_of_a_corrupted_threshold_word(monkey
 def test_compile_notice_is_the_verify_line(monkeypatch, capsys, tmp_path):
     w = _threshold_word(4, 6)
     bad = Word(w.letters[:7] + w.letters[8:])
-    monkeypatch.setattr(compiler, "clause_product", lambda clauses: bad)
+    monkeypatch.setattr(compiler, "lay_out", lambda plan: bad)
     notice = compile_circuit(PuzzleSpec.from_threshold(6, 4)).notices[-1]
     (tmp_path / "w.txt").write_text(format_word(bad))
     (tmp_path / "spec.json").write_text('{"n": 6, "threshold_k": 4}')
@@ -676,7 +760,9 @@ def test_auto_verification_caps_the_method_that_would_run():
     # 14-of-16's table is past the work cap and its boundary of 680 subsets is not.
     report = build_k_of_n(14, 16)
     assert (report.verified, report.verify_method, report.masks_checked) == (True, "boundary", 680)
-    for k, n, method in ((17, 20, "boundary"), (9, 14, "table")):  # over the cap either way
+    # 16-of-20 is 20,349 boundary subsets of a 35,088-letter word, 6-of-14
+    # 16,384 table subsets of 43,416 letters: over the cap either way.
+    for k, n, method in ((16, 20, "boundary"), (6, 14, "table")):
         report = build_k_of_n(k, n)
         assert (report.verified, report.verify_method) == (None, "skipped")
         notice = f"{method} verification skipped: past the auto-verification work cap"
@@ -689,9 +775,12 @@ def test_auto_verification_caps_the_method_that_would_run():
 
 
 def test_the_walk_stays_where_it_reads_less():
-    # 7-of-12 walks in about a third of the boundary's time, 3-of-12 in half.
+    # On the factored words 7-of-12 and 3-of-12 walk in about half the
+    # boundary's time, and 8-of-12 and 9-of-13 check their boundary in a
+    # half and a third of the walk's.
     assert not _boundary_reads_less(12, 7)
     assert not _boundary_reads_less(12, 3)
+    assert _boundary_reads_less(12, 8) and _boundary_reads_less(13, 9)
     assert _boundary_reads_less(14, 11) and _boundary_reads_less(14, 12)
     # k <= 2: both make the same strips, and the boundary builds no table.
     assert all(_boundary_reads_less(n, k) for n in range(1, 21) for k in range(min(n, 2) + 1))
