@@ -13,7 +13,13 @@ nails' adjacent pairs in C first, both packed; and the top AND gadget of
 each encoding, its layout reduced whole by ``_residual`` and its reduced
 pieces joined by ``words._product``.  The rate counts the letters the
 kernel is handed, so a strip that drops most of them still counts them
-all; each figure is the best of ``--repeat`` rounds.
+all.  A last row counts strips instead: the boundary check
+``words._boundary_mismatch`` on the reduced word of every threshold of
+the compile-verify grid (k-of-n, 1 <= k <= n, 2 <= n <= 6), each word of 2
+to 112 letters, in strips per second.  An exact word takes one strip per
+(k-1)-subset but the empty one, and one per k-subset, so the rate is
+the per-call cost of a small strip.  Each figure is the best of
+``--repeat`` rounds.
 
     PYTHONPATH=src python scripts/kernel_rate.py --seed 1 --words 6
 """
@@ -24,11 +30,21 @@ import argparse
 import random
 import time
 from itertools import combinations
+from math import comb
 
 from picturehang.constructions import _splice, build_e
 from picturehang.gadgets import _AND_TEMPLATE, _G1, _G2, gadget_and_tree
+from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import set_cover_to_hanging
-from picturehang.words import _kept_residual, _pack, _product, _residual, raw_inverse
+from picturehang.words import (
+    _boundary_mismatch,
+    _kept_residual,
+    _pack,
+    _product,
+    _residual,
+    _search_root,
+    raw_inverse,
+)
 
 
 def set_cover_instances(seed: int, count: int) -> list[tuple[int, list[list[int]]]]:
@@ -102,6 +118,15 @@ def main() -> None:
     old = rate(_residual, flat, letters, args.repeat)
     new = rate(_product, [(pieces,) for pieces in layouts], letters, args.repeat)
     print(f"{'gadget layout':>16} {old:>20.3e} {new:>18.3e} {new / old:>6.2f}")
+
+    grid = [(k, n) for n in range(2, 7) for k in range(1, n + 1)]
+    calls = [(_search_root(build_k_of_n(k, n).word, n), n, k) for k, n in grid]
+    assert all(_boundary_mismatch(*call) is None for call in calls)
+    rounds = 50  # a grid pass, 218 strips, takes about 0.5 ms: a timed round makes this many
+    calls *= rounds
+    strips = rounds * sum(comb(n, k - 1) - 1 + comb(n, k) for k, n in grid)
+    print(f"{'work':>16} {'strips/s':>20}")
+    print(f"{'grid strips':>16} {rate(_boundary_mismatch, calls, strips, args.repeat):>20.3e}")
 
 
 if __name__ == "__main__":

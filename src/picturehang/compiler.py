@@ -77,16 +77,15 @@ the product, so the bound covers it.
 Verification checks the word emitted, not the argument above.  A
 threshold spec is checked on its boundary when that reads fewer letters
 than the table (`words._verify_plan`, which the auto-verification work cap
-prices too).  The boundary is exact because
-every word's fall function is monotone: deleting nails is a homomorphism,
-so a subset's residual is a homomorphic image of each smaller subset's,
-and the image of the empty word is empty.  So the word falls exactly on
-the subsets of at least k nails if, and only if, it hangs at every
-(k-1)-subset and falls at every k-subset.  A smaller subset that fell
-would make every (k-1)-subset above it fall, and a larger one that hung
-would keep every k-subset below it hanging.  Subsets and formulas are
-checked on their whole table, which stays independent of the
-dualization that built the word.
+prices too).  The boundary is exact because every word's fall function is
+monotone: deleting nails is a homomorphism, so a subset's residual is a
+homomorphic image of each smaller subset's, and the image of the empty
+word is empty.  So the word falls exactly on the subsets of at least k
+nails if, and only if, it hangs at every (k-1)-subset and falls at every
+k-subset.  A smaller subset that fell would make every (k-1)-subset above
+it fall, and a larger one that hung would keep every k-subset below it
+hanging.  Subsets and formulas are checked on their whole table, which
+stays independent of the dualization that built the word.
 """
 
 from __future__ import annotations
@@ -115,6 +114,7 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
     DEFAULT_LETTER_BUDGET,
     BudgetExceededError,
     Word,
+    _HUGE_LETTERS,
     _minimal_sets,
     _nails,
     _product,
@@ -262,7 +262,8 @@ def _threshold_plan(nails: Sequence[int], w: int) -> tuple[int, str, Iterable]:
 
     Every pair of n nails is x1 ... xn X1 ... Xn, and one clause, or one
     nail per clause, is the product.  Otherwise the plan is the shortest in
-    `_threshold_table`, and each piece is listed as it is laid out.
+    `_threshold_table`.  Pieces are listed only when laid out, after the
+    budget check.  C(n, w) is a running product, stopped past `_HUGE_LETTERS`.
     """
     n = len(nails)
     if w == 2 and n > 2:
@@ -272,7 +273,10 @@ def _threshold_plan(nails: Sequence[int], w: int) -> tuple[int, str, Iterable]:
         letters, how = plans[w][n - w]
         if how != "product":
             return letters, "factored", _threshold_pieces(nails, w, plans)
-    return comb(n, w) * e_word_length(w), "clause-product", combinations(nails, w)
+    count, i = int(w <= n), 0  # C(n, i), which grows with i up to n/2
+    while i < min(w, n - w) and count <= _HUGE_LETTERS:
+        count, i = count * (n - i) // (i + 1), i + 1
+    return count * e_word_length(w), "clause-product", chain.from_iterable(map(combinations, [nails], [w]))
 
 
 @lru_cache(maxsize=16)  # a compile prices its plan, then lays it out
@@ -475,11 +479,11 @@ class CompileReport(NamedTuple):
     docstring).  ``as_constructed_length`` counts the letters of the pieces
     laid out before the reduction at their joins, and equals ``estimate``,
     the plan's closed-form length; ``reduced_length`` counts the final
-    normal form.  ``verified`` is None
-    when verification was skipped (n beyond the limit, disabled, or past the
-    auto-verification work cap); on a mismatch it is False, ``mismatch_mask``
-    holds the first subset bitmask where the word disagrees with the
-    requested fall function, and a notice says how (`words.mismatch_line`).
+    normal form.  ``verified`` is None when verification was skipped (n
+    beyond the limit, disabled, or past the auto-verification work cap); on
+    a mismatch it is False, ``mismatch_mask`` holds the first subset bitmask
+    where the word disagrees with the requested fall function, and a notice
+    says how (`words.mismatch_line`).
     ``verify_method`` is "boundary" (a threshold's (k-1)- and k-subsets),
     "table" (every subset) or "skipped", as `words._verify_plan` picks it;
     ``masks_checked`` counts the subsets it decided.
@@ -524,10 +528,9 @@ def compile_circuit(
         spec = validation.spec
     if spec is not None and spec.threshold_k is not None:
         width = n - spec.threshold_k + 1
-        count = comb(n, width)
-        widest = width if count else 1
         estimate, route, plan = _threshold_plan(range(1, n + 1), width)
         check_budget(estimate, budget)
+        count, widest = comb(n, width), width if width <= n else 1
         word = lay_out(plan)
     else:
         clauses, estimate = _prime_clauses(target if spec is None else spec.to_circuit(), budget)

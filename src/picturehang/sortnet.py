@@ -160,10 +160,9 @@ def build_k_of_n(
 ):
     """Compile the k-of-n threshold to a hanging word; returns a CompileReport.
 
-    The word is the reduced product of the balanced 1-of-(n-k+1) words over
-    every (n-k+1)-subset of the nails, in lexicographic order; the budget is
-    checked against its closed-form length before any subset is listed, and
-    None disables it, as in ``compile_circuit``.
+    The word is `compiler._threshold_plan`'s over every (n-k+1)-subset of
+    the nails, its budget checked against the closed-form length before any
+    subset is listed; None disables it, as in ``compile_circuit``.
     """
     from .compiler import compile_circuit
 

@@ -11,9 +11,11 @@ the residual of the nail it picks.  `max_survive_exact` relabels the nails
 the reduced word holds 1..h (`words._relabel_held`), scans each layer of
 them from the top down and strips each subset's nails from the relabeled
 word.  All three check and pack the word once, one byte per letter when
-its nails are at most 127 (`words._search_root`), so every strip drops
-letters in C.
-The walks skip the strip of a nail the residual no longer holds, and
+n is at most 127 (`words._search_root`), so every strip drops letters in
+one `bytes.translate` whose bytes come from a table (`words._strip`).
+A nail the residual no longer holds is found by the translate's length,
+which it leaves alone: `min_fell_exact` skips its reduction and
+`greedy_min_fell` tries only the nails the residual holds.
 `max_survive_exact` keeps few nails, whose adjacent pairs it cancels in C
 first (`words._kept_residual`).  `set_cover_to_hanging` joins its element
 words with `gadgets.gadget_and_tree`, the one use of a gadget left; the
@@ -28,13 +30,14 @@ from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     NailSubset,
     Word,
-    _holds,
     _kept_residual,
     _masks_of_size,
     _nails,
+    _nails_of,
     _relabel_held,
     _residual,
     _search_root,
+    _strip,
     check_limit,
 )
 
@@ -74,7 +77,8 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
             mask, residual = layer.pop()
             below = (mask & -mask).bit_length() - 1 if mask else n
             for i in range(below):
-                rest = _residual(residual, 1 << i) if _holds(residual, i + 1) else residual
+                rest = _strip(residual, i + 1)  # as long as the residual iff it holds no nail i + 1
+                rest = _residual(rest) if len(rest) < len(residual) else residual
                 if not rest:
                     return NailSubset(n, mask | 1 << i)
                 if i:
@@ -94,11 +98,11 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     fixed the numeric order of the answers is that of their held parts.
     The held nails are relabeled 1..h in order once, by one
     ``bytes.translate`` on a packed word, which keeps that order
-    (``words._relabel_held``).  Each
-    layer of masks on h nails is scanned in numeric order from size h - 1
-    down, and each subset's nails are stripped from the relabeled word at
-    once, keeping the few others; the first subset that leaves letters,
-    mapped back and with every nail not held, is the answer.
+    (``words._relabel_held``).  Each layer of masks on h nails is scanned
+    in numeric order from size h - 1 down, and each subset's nails are
+    stripped from the relabeled word at once, keeping the few others; the
+    first subset that leaves letters, mapped back and with every nail not
+    held, is the answer.
     """
     root = _search_root(w, n)
     check_limit("max_survive_exact", n, limit)
@@ -119,22 +123,16 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
 
     Each step removes the nail that minimizes the reduced residual length,
     breaking ties toward the lowest index, and keeps that nail's residual
-    for the next step.  No approximation guarantee is claimed; the exact
-    optimum is never larger.
+    for the next step.  Only the nails the residual holds are tried: one
+    chosen or cancelled cannot shorten it.  No approximation guarantee is
+    claimed; the exact optimum is never larger.
     """
     chosen = 0
     residual = _search_root(w, n)
     while residual:
-        best_nail = -1
-        best = residual
-        for i in range(n):
-            if not _holds(residual, i + 1):  # chosen, or cancelled: it cannot shorten
-                continue
-            rest = _residual(residual, 1 << i)
-            if best_nail < 0 or len(rest) < len(best):
-                best_nail, best = i, rest
-        chosen |= 1 << best_nail
-        residual = best
+        strips = ((nail, _residual(_strip(residual, nail))) for nail in sorted(_nails_of(residual)))
+        nail, residual = min(strips, key=lambda strip: len(strip[1]))  # the first of the shortest
+        chosen |= 1 << nail - 1
     return NailSubset(n, chosen)
 
 

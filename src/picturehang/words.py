@@ -17,24 +17,26 @@ under further deletions.  `fall_table` walks the subsets on both facts.
 One kernel, `_residual`, reduces and strips.  A word is handed to it as
 ints, or packed as bytes, one byte per letter (x mod 256), when every nail
 is at most 127.  The subset searches here and in `spectator` check and
-pack their word once (`_search_root`), so each of their many strips drops
-letters with `bytes.translate` in C; plain reduction of a word as built
-stays on ints, where packing would cost more than it saves.  Two routines
-take work off the kernel's per-letter loop: `_product` reduces a product of
-reduced pieces at their joins only, and `_kept_residual` cancels adjacent
-pairs of the few nails a strip keeps in C before the loop.
+pack their word once (`_search_root`), so each of their many strips is
+one `bytes.translate` in C, with bytes read from tables (`_strip`,
+`_drop`), and its length shows whether the residual held the nail.  Plain
+reduction of a word as built stays on ints, where packing costs more.  Two
+routines take work off the kernel's per-letter loop: `_product` reduces a
+product of reduced pieces at their joins only, and `_kept_residual`
+cancels adjacent pairs of the few nails a strip keeps in C before the loop.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import filterfalse
+from itertools import combinations, filterfalse
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 DEFAULT_LETTER_BUDGET = 10**7
+_HUGE_LETTERS = 10**4000  # a count past it is not printed: str() stops at 4,300 digits
 _T = TypeVar("_T")
 
 
@@ -58,8 +60,9 @@ class BudgetExceededError(ValueError):
 def check_budget(letters: int, budget: int | None) -> None:
     """Refuse a word of ``letters`` letters over ``budget``; None disables."""
     if budget is not None and letters > budget:
+        count = letters if letters <= _HUGE_LETTERS else "over 10^4000"
         raise BudgetExceededError(
-            f"the word would have {letters} letters, more than the budget of {budget}"
+            f"the word would have {count} letters, more than the budget of {budget}"
         )
 
 
@@ -196,34 +199,20 @@ def _residual(letters: Sequence[int], mask: int = 0) -> Sequence[int]:
     stack loop.  The stack starts with the sentinel 0, so a pop always
     leaves a letter to read, and ``neg`` holds the negated top; letters are
     nonzero, so no letter cancels the sentinel.  Masked letters are dropped
-    in C before the loop rather than tested inside it.
+    in C by ``_drop`` before the loop rather than tested inside it.
 
-    The type of ``letters`` selects the form.  Ints are filtered against a
-    set of the dropped letters, and the result is a list.  Packed letters,
-    from ``_pack``, are bytes: nail i is byte i and its inverse byte
-    256 - i, which differ for nails 1..127, the only ones a packed word
-    holds.  They are dropped with ``bytes.translate``, the loop negates mod
-    256 with 256 as the sentinel's negation, and the result is bytes, ready
-    for the next strip.  Mask bits above 127 are left out there: those
-    nails are not in the word, and nail i >= 128 would alias the bytes of
-    nail 256 - i.  Plain reduction of a word as built stays on ints: packing
-    costs about as much as the loop, which runs no faster on bytes.
+    The type of ``letters`` selects the form.  Ints give a list.  Packed
+    letters, from ``_pack``, are bytes: nail i is byte i and its inverse
+    byte 256 - i, which differ for nails 1..127, the only ones a packed
+    word holds, so mask bits above 127 are left out (nail i >= 128 would
+    alias nail 256 - i).  The loop negates mod 256, with 256 as the
+    sentinel's negation, and the result is bytes, ready for the next strip.
+    Plain reduction of a word as built stays on ints: packing costs about
+    as much as the loop, which runs no faster on bytes.
     """
     base = 256 if isinstance(letters, bytes) else 0  # the modulus; the sentinel's negation
     if mask:
-        if base:
-            mask &= _PACKED_NAILS
-        drop: set[int] = set()
-        while mask:
-            low = mask & -mask
-            nail = low.bit_length()
-            drop.add(nail)
-            drop.add(base - nail)
-            mask ^= low
-        if base:
-            letters = letters.translate(None, bytes(drop))
-        else:
-            letters = filterfalse(drop.__contains__, letters)
+        letters = _drop(letters, _nails(mask & _PACKED_NAILS if base else mask))
     stack = [0]
     push = stack.append
     pop = stack.pop
@@ -242,6 +231,24 @@ def _residual(letters: Sequence[int], mask: int = 0) -> Sequence[int]:
 _PACKED_NAILS = (1 << 127) - 1  # mask bits of the nails a packed word can hold
 _BYTES = bytes(range(256))
 _NAIL_OF_BYTE = bytes(min(b, 256 - b) for b in range(256))
+_INVERSE = bytes(-b & 255 for b in range(256))  # the byte of each packed letter's inverse
+_PAIR = [bytes((i, -i & 255)) for i in range(128)]  # nail i's two bytes, x_i X_i
+
+
+def _strip(letters: Sequence[int], nail: int) -> Sequence[int]:
+    """The letters less nail's, unreduced, shorter iff they held it; packed, by `_PAIR`."""
+    if isinstance(letters, bytes):
+        return letters.translate(None, _PAIR[nail])
+    return [x for x in letters if x != nail and x != -nail]
+
+
+def _drop(letters: Sequence[int], nails: Sequence[int]) -> Iterable[int]:
+    """Letters less those on ``nails``, unreduced; packed, the bytes b + b.translate(_INVERSE)."""
+    if isinstance(letters, bytes):
+        b = bytes(nails)
+        return letters.translate(None, b + b.translate(_INVERSE))
+    drop = {*nails, *(-i for i in nails)}
+    return filterfalse(drop.__contains__, letters)
 
 
 def _pack(letters: Sequence[int]) -> Sequence[int]:
@@ -261,19 +268,18 @@ def _pack(letters: Sequence[int]) -> Sequence[int]:
 
 
 def _search_root(w: Word, n: int) -> Sequence[int]:
-    """The reduced letters of w, packed when its nails allow, checked against n.
+    """The reduced letters of w, packed when n allows, checked against n.
 
     Refuses what ``check_nails`` refuses, with its messages in its order.
-    The as-built letters are packed once, and one ``bytes.translate``
-    deleting nails 1..min(n, 127) shows whether any other nail is wrapped.
-    Only then, when a nail is above 127 or for a negative n, is
-    ``check_nails`` run, and a word it passes stays on ints.  A word known
-    to be reduced is not reduced again.
+    For n in 0..127, so that each nail a search strips has table bytes,
+    the as-built letters are packed once, and one ``bytes.translate``
+    deleting nails 1..n shows whether another nail is wrapped.  Only then,
+    for a nail above 127 or an n outside 0..127, is ``check_nails`` run,
+    and a word it passes stays on ints.  A reduced word is not reduced again.
     """
-    if n >= 0:
+    if 0 <= n <= 127:
         packed = _pack(w.letters)
-        top = min(n, 127)
-        allowed = _BYTES[1 : top + 1] + _BYTES[256 - top :]  # nails 1..top, both signs
+        allowed = _BYTES[1 : n + 1] + _BYTES[256 - n :]  # nails 1..n, both signs
         if isinstance(packed, bytes) and not packed.translate(None, allowed):
             return packed if w.reduced else _residual(packed)
     check_nails(w, n)
@@ -297,13 +303,6 @@ def _relabel_held(letters: Sequence[int]) -> tuple[list[int], Sequence[int]]:
         return held, letters.translate(relabel)
     rank = {nail: i for i, nail in enumerate(held, start=1)}
     return held, _pack([rank[x] if x > 0 else -rank[-x] for x in letters])
-
-
-def _holds(letters: Sequence[int], nail: int) -> bool:
-    """True iff packed or int letters wrap ``nail``; two ``in`` tests in C."""
-    if isinstance(letters, bytes):
-        return nail < 128 and (nail in letters or 256 - nail in letters)
-    return nail in letters or -nail in letters
 
 
 def _nails(mask: int) -> tuple[int, ...]:
@@ -349,14 +348,13 @@ def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
     never changes the reduced word.  Keep bits above 127 are left out, as
     in ``_residual``.  Int letters are filtered, then reduced.
     """
-    packed = isinstance(letters, bytes)
-    kept = _nails(keep & _PACKED_NAILS if packed else keep)
-    if not packed:
+    if not isinstance(letters, bytes):
+        kept = _nails(keep)
         return _residual(list(filter({*kept, *(-i for i in kept)}.__contains__, letters)))
-    dropped = _BYTES.translate(None, bytes(kept) + bytes(256 - i for i in kept))
-    letters = letters.translate(None, dropped)
+    kept = bytes(_nails(keep & _PACKED_NAILS))
+    letters = letters.translate(None, _BYTES.translate(None, kept + kept.translate(_INVERSE)))
     for i in kept:
-        letters = letters.replace(bytes((i, 256 - i)), b"").replace(bytes((256 - i, i)), b"")
+        letters = letters.replace(_PAIR[i], b"").replace(_PAIR[i][::-1], b"")
     return _residual(letters)
 
 
@@ -492,7 +490,7 @@ def _walk_table(root: Sequence[int], n: int) -> list[bool]:
 
     def walk(residual: Sequence[int], mask: int, start: int) -> None:
         for i in range(start, top):
-            rest = _residual(residual, 1 << i)
+            rest = _residual(_strip(residual, i + 1))
             if rest:
                 walk(rest, mask | 1 << i, i + 1)
             else:  # the subtree adds only nails above i, so it is one slice
@@ -611,29 +609,31 @@ def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:
 
     Each (k-1)-subset R must leave a nonempty residual, and each k-subset,
     R and one nail above R's highest, must empty it; every k-subset is
-    reached once.  R's residual is stripped from the root, or built by
+    reached once, R in the lexicographic order of ``combinations``.  R's
+    residual is stripped from the root by ``_drop``, or built by
     ``_kept_residual`` from the n - k + 1 nails it keeps when they are no
     more than R's and a strip would leave the loop over
-    `_PRE_CANCEL_LETTERS` letters.  The mask returned is not always the
-    first that disagrees.
+    `_PRE_CANCEL_LETTERS` letters.  The nail above goes by ``_strip``; one
+    that leaves the residual as long cannot empty it.  The mask returned
+    is not always the first that disagrees.
     """
     if not k:
         return 0 if root else None
-    full = (1 << n) - 1
     w = n - k + 1
     few = w < k and len(root) * w > _PRE_CANCEL_LETTERS * n
-    for below in _masks_of_size(n, k - 1):
+    for below in combinations(range(1, n + 1), k - 1):
         if not below:
             residual = root
         elif few:
-            residual = _kept_residual(root, full ^ below)
+            residual = _kept_residual(root, (1 << n) - 1 ^ _as_mask(below))
         else:
-            residual = _residual(root, below)
+            residual = _residual(_drop(root, below))
         if not residual:
-            return below
-        for i in range(below.bit_length(), n):
-            if not _holds(residual, i + 1) or _residual(residual, 1 << i):
-                return below | 1 << i
+            return _as_mask(below)
+        for nail in range(below[-1] + 1 if below else 1, n + 1):
+            rest = _strip(residual, nail)
+            if len(rest) == len(residual) or _residual(rest):
+                return _as_mask(below) | 1 << nail - 1
     return None
 
 

@@ -53,6 +53,36 @@ def test_construct_refuses_words_over_the_budget(capsys, argv, letters):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, letters",
+    [
+        (["construct", "k-of", "--k", "2", "--n", "4294967296"], "79228162486594221482979622912"),
+        ({"n": 4294967296, "threshold_k": 1}, "18446744073709551616"),
+        ({"n": 1000000, "threshold_k": 500000}, "over 10^4000"),  # C(10^6, 500001) letters and more
+    ],
+)
+def test_huge_thresholds_are_refused_by_the_budget_quickly(tmp_path, argv, letters):
+    # Run in a subprocess: listing 2^32 nails would run out of memory, and
+    # pricing C(10^6, 500001) exactly takes seconds and cannot be printed.
+    if isinstance(argv, dict):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(argv))
+        argv = ["compile", "--spec", str(spec)]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "picturehang.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: the word would have {letters} letters, more than the budget of 10000000\n"
+    )
+
+
 def test_construct_k_of_json(capsys):
     code, out, _ = run(capsys, "construct", "k-of", "--k", "4", "--n", "4", "--json")
     assert code == 0

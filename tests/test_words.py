@@ -31,7 +31,8 @@ from picturehang.words import (
     word_to_json,
 )
 from picturehang.words import (
-    _holds,
+    _as_mask,
+    _drop,
     _kept_residual,
     _masks_of_size,
     _minimal_sets,
@@ -40,6 +41,7 @@ from picturehang.words import (
     _product,
     _residual,
     _search_root,
+    _strip,
     check_limit,
     check_nails,
 )
@@ -439,13 +441,36 @@ def test_kept_residual_is_the_residual_of_the_complement_strip(case):
     assert _unpack(_kept_residual(_pack(letters), keep)) == want
 
 
-def test_holds_and_nails_of_read_both_forms():
+def test_nails_of_and_strip_read_both_forms():
     letters = (3, -5, 127, -127)
     for form in (letters, _pack(letters)):
         assert _nails_of(form) == {3, 5, 127}
-        assert [nail for nail in range(1, 300) if _holds(form, nail)] == [3, 5, 127]
+        held = [nail for nail in range(1, 128) if len(_strip(form, nail)) < len(form)]
+        assert held == [3, 5, 127]
     assert _nails_of((200, -1)) == {1, 200}
-    assert _holds((200, -1), 200) and not _holds(b"\x01", 255)
+    assert list(_strip((200, -1), 200)) == [-1]
+
+
+def test_table_strips_equal_the_int_path():
+    # Seeded words on nails up to 127, stripped through the byte tables:
+    # one nail by _strip, one to three by _drop and by a mask with bits
+    # for nails 128 and above, which a packed word ignores.
+    rng = random.Random(25)
+    for _ in range(400):
+        nails = rng.sample(range(1, 126), 3) + [126, 127]
+        letters = [rng.choice(nails) * rng.choice((1, -1)) for _ in range(rng.randint(0, 30))]
+        packed = _pack(letters)
+        held = set(map(abs, letters))
+        for nail in nails + [rng.randint(1, 127)]:
+            stripped = _strip(packed, nail)
+            assert (len(stripped) < len(packed)) == (nail in held), (letters, nail)
+            assert _unpack(_residual(stripped)) == _residual(letters, 1 << nail - 1)
+        dropped = rng.sample(nails, rng.randint(1, 3))
+        want = _residual(letters, _as_mask(dropped))
+        assert _unpack(_residual(_drop(packed, dropped))) == want
+        assert _residual(_drop(letters, dropped)) == want
+        high = rng.getrandbits(200) << 127  # nails 128 to 327
+        assert _unpack(_residual(packed, _as_mask(dropped) | high)) == want
 
 
 def _check_errors(w, n, limit):
@@ -459,13 +484,14 @@ def _check_errors(w, n, limit):
 
 
 # Words and n: a negative n, a cancelling nail beyond n, nails 127, 128 and
-# -128 (whose byte would be its own inverse) on both sides of n, and nails
-# beyond n when n is also over the limit.
+# -128 (whose byte would be its own inverse) on both sides of n, nails
+# beyond n when n is also over the limit, and low nails on n above 127,
+# which stay on ints.
 SEARCH_ROOTS = [
     ((1,), -1), ((), -1), ((9, -9), 3), ((127,), 3), ((127, -127, 2), 127),
     ((128,), 127), ((-128,), 127), ((-128,), 128), ((-128, -128), 200),
     ((1, -128, 2, -2, 128, -1), 130), ((300, -300), 25), ((30,), 25), ((3,), 25),
-    ((2, 1, -2), 2), ((), 0), ((1,), 0),
+    ((2, 1, -2), 2), ((), 0), ((1,), 0), ((3, -2), 200),
 ]
 
 
@@ -487,7 +513,7 @@ def test_search_root_refuses_as_check_nails_does_in_the_same_order(letters, n):
         assert _check_errors(w, n, n) is None
         unpacked = _unpack(root) if isinstance(root, bytes) else list(root)
         assert unpacked == list(w.reduce().letters)
-        assert isinstance(root, bytes) == all(abs(x) < 128 for x in letters)
+        assert isinstance(root, bytes) == (n < 128 and all(abs(x) < 128 for x in letters))
 
 
 def test_minimal_sets_equal_the_pairwise_rule():
