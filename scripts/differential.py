@@ -17,7 +17,8 @@ lines.  It covers:
   seeded ``apply`` and the gate counts of ``network_to_circuit``;
 - the gadget templates' counts, and ``gadget_and``/``gadget_or`` on
   seeded pairs of words;
-- seeded Set Cover words with the three solvers, and the fixtures;
+- seeded Set Cover words with the three solvers and whether each word's
+  fall table is the instance's cover table, and the fixtures;
 - ``build_s``, ``build_e``, and ``build_disjoint`` with ``e_tree_length``;
 - the output and exit code of a few CLI commands that read no file;
 - ``(r1 & ... & rN) | (r1 & ... & rN)`` and ORs of ANDs over shifted
@@ -203,8 +204,10 @@ def set_covers(rng: random.Random) -> None:
             for i in rng.sample(range(n), min(r, n)):
                 sets[i].add(element)
         word, owners = set_cover_to_hanging(m, [sorted(s) for s in sets])
+        masks = [sum(1 << i - 1 for i in who) for who in owners.values()]
+        covers = [all(mask & owner for owner in masks) for mask in range(1 << n)]
         solve("set-cover", word, n, m=m, sets=[sorted(s) for s in sets],
-              owners={j: list(who) for j, who in owners.items()})
+              owners={j: list(who) for j, who in owners.items()}, table=fall_table(word, n) == covers)
     for fx in load_fixtures():
         report = compile_circuit(fx.spec)
         solve("fixture", fx.word, fx.n, id=fx.id, spec=spec_to_json(fx.spec),

@@ -10,8 +10,8 @@ runs on the word as a tuple of ints and packed one byte per letter
 off that loop: keep-few strips (every set of one to three kept nails) by
 ``_residual`` and by ``words._kept_residual``, which cancels the kept
 nails' adjacent pairs in C first, both packed; and the top AND gadget of
-each encoding, its layout reduced whole by ``_residual`` and its reduced
-pieces joined by ``words._product``.  The rate counts the letters the
+each encoding of two leaves or more, its layout reduced whole by
+``_residual`` and its reduced pieces joined by ``words._product``.  The rate counts the letters the
 kernel is handed, so a strip that drops most of them still counts them
 all.  A last row counts strips instead: the boundary check
 ``words._boundary_mismatch`` on the reduced word of every threshold of
@@ -19,7 +19,10 @@ the compile-verify grid (k-of-n, 1 <= k <= n, 2 <= n <= 6), each word of 2
 to 112 letters, in strips per second.  An exact word takes one strip per
 (k-1)-subset but the empty one, and one per k-subset, so the rate is
 the per-call cost of a small strip.  Each figure is the best of
-``--repeat`` rounds.
+``--repeat`` rounds, followed by the median and the worst round: rounds
+on a shared machine spread widely, and a rate is only as good as its
+spread.  The Set Cover words encode one E-word per distinct minimal owner
+set, so their rates compare only with rates taken on that encoding.
 
     PYTHONPATH=src python scripts/kernel_rate.py --seed 1 --words 6
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import statistics
 import time
 from itertools import combinations
 from math import comb
@@ -39,6 +43,8 @@ from picturehang.spectator import set_cover_to_hanging
 from picturehang.words import (
     _boundary_mismatch,
     _kept_residual,
+    _minimal_sets,
+    _nails,
     _pack,
     _product,
     _residual,
@@ -61,15 +67,30 @@ def set_cover_instances(seed: int, count: int) -> list[tuple[int, list[list[int]
     return out
 
 
-def rate(kernel, calls: list[tuple[object, object]], letters: int, repeat: int) -> float:
-    """``letters`` handed to ``kernel`` per second over the calls, best of ``repeat`` rounds."""
-    best = float("inf")
+def leaves(m: int, sets: list[list[int]]) -> list:
+    """The encoding's AND-tree leaves: E over each distinct minimal owner set, in element order."""
+    word, owners = set_cover_to_hanging(m, sets)
+    masks = [sum(1 << i - 1 for i in who) for who in owners.values()]
+    minimal = set(_minimal_sets(masks))
+    out = [build_e(_nails(mask)) for mask in dict.fromkeys(masks) if mask in minimal]
+    assert gadget_and_tree(out) == word, "the leaves must rebuild the encoding"
+    return out
+
+
+def rate(kernel, calls: list[tuple[object, object]], letters: int, repeat: int) -> list[float]:
+    """``letters`` handed to ``kernel`` per second in each of ``repeat`` rounds, best first."""
+    times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         for args in calls:
             kernel(*args)
-        best = min(best, time.perf_counter() - t0)
-    return letters / best
+        times.append(time.perf_counter() - t0)
+    return [letters / t for t in sorted(times)]
+
+
+def spread(rates: list[float]) -> str:
+    """The best, median and worst of the rates."""
+    return f"{rates[0]:.3e} {statistics.median(rates):.2e} {rates[-1]:.2e}"
 
 
 def main() -> None:
@@ -82,7 +103,8 @@ def main() -> None:
     words = [(set_cover_to_hanging(m, sets)[0].letters, len(sets)) for m, sets in instances]
     total = sum(len(letters) for letters, _ in words)
     print(f"{len(words)} Set Cover words, {total} reduced letters, seed {args.seed}")
-    print(f"{'kernel call':>16} {'int letters/s':>14} {'packed letters/s':>17} {'ratio':>6}")
+    print("each figure: the best, median and worst round; each ratio: of the bests")
+    print(f"{'kernel call':>16} {'int letters/s':>28} {'packed letters/s':>28} {'ratio':>6}")
     for name, masks in [
         ("plain", lambda n: [0]),
         ("one-nail strip", lambda n: [1 << i for i in range(n)]),
@@ -93,9 +115,10 @@ def main() -> None:
         letters = sum(len(word) for word, _ in ints)
         int_rate = rate(_residual, ints, letters, args.repeat)
         packed_rate = rate(_residual, packed, letters, args.repeat)
-        print(f"{name:>16} {int_rate:>14.3e} {packed_rate:>17.3e} {packed_rate / int_rate:>6.2f}")
+        ratio = packed_rate[0] / int_rate[0]
+        print(f"{name:>16} {spread(int_rate):>28} {spread(packed_rate):>28} {ratio:>6.2f}")
 
-    print(f"{'work':>16} {'_residual letters/s':>20} {'routine letters/s':>18} {'ratio':>6}")
+    print(f"{'work':>16} {'_residual letters/s':>28} {'routine letters/s':>28} {'ratio':>6}")
     keeps = [
         (_pack(letters), sum(1 << i for i in kept), (1 << n) - 1)
         for letters, n in words
@@ -105,19 +128,20 @@ def main() -> None:
     letters = sum(len(word) for word, _, _ in keeps)
     old = rate(_residual, [(word, full ^ keep) for word, keep, full in keeps], letters, args.repeat)
     new = rate(_kept_residual, [(word, keep) for word, keep, _ in keeps], letters, args.repeat)
-    print(f"{'keep-few strip':>16} {old:>20.3e} {new:>18.3e} {new / old:>6.2f}")
+    print(f"{'keep-few strip':>16} {spread(old):>28} {spread(new):>28} {new[0] / old[0]:>6.2f}")
     layouts = []
     for m, sets in instances:
-        owners = [[i for i, s in enumerate(sets, start=1) if j in s] for j in range(1, m + 1)]
-        leaves = [build_e(who) for who in owners]
-        half = (len(leaves) + 1) // 2
-        glue_p_q = (_G1, _G2, gadget_and_tree(leaves[:half]), gadget_and_tree(leaves[half:]))
+        words = leaves(m, sets)
+        if len(words) < 2:
+            continue  # a lone leaf is the whole word: no top gadget
+        half = (len(words) + 1) // 2
+        glue_p_q = (_G1, _G2, gadget_and_tree(words[:half]), gadget_and_tree(words[half:]))
         layouts.append([piece.letters for piece in _splice(_AND_TEMPLATE, glue_p_q, raw_inverse)])
     flat = [([x for piece in pieces for x in piece],) for pieces in layouts]
     letters = sum(len(word) for word, in flat)
     old = rate(_residual, flat, letters, args.repeat)
     new = rate(_product, [(pieces,) for pieces in layouts], letters, args.repeat)
-    print(f"{'gadget layout':>16} {old:>20.3e} {new:>18.3e} {new / old:>6.2f}")
+    print(f"{'gadget layout':>16} {spread(old):>28} {spread(new):>28} {new[0] / old[0]:>6.2f}")
 
     grid = [(k, n) for n in range(2, 7) for k in range(1, n + 1)]
     calls = [(_search_root(build_k_of_n(k, n).word, n), n, k) for k, n in grid]
@@ -125,8 +149,8 @@ def main() -> None:
     rounds = 50  # a grid pass, 218 strips, takes about 0.5 ms: a timed round makes this many
     calls *= rounds
     strips = rounds * sum(comb(n, k - 1) - 1 + comb(n, k) for k, n in grid)
-    print(f"{'work':>16} {'strips/s':>20}")
-    print(f"{'grid strips':>16} {rate(_boundary_mismatch, calls, strips, args.repeat):>20.3e}")
+    print(f"{'work':>16} {'strips/s':>28}")
+    print(f"{'grid strips':>16} {spread(rate(_boundary_mismatch, calls, strips, args.repeat)):>28}")
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ A nail the residual no longer holds is found by the translate's length,
 which it leaves alone: `min_fell_exact` skips its reduction and
 `greedy_min_fell` tries only the nails the residual holds.
 `max_survive_exact` keeps few nails, whose adjacent pairs it cancels in C
-first (`words._kept_residual`).  `set_cover_to_hanging` joins its element
-words with `gadgets.gadget_and_tree`, the one use of a gadget left; the
-gadgets load with its first call, so the solvers load none of them.
+first (`words._kept_residual`).  `set_cover_to_hanging` joins one E-word
+per distinct minimal owner set under `gadgets.gadget_and_tree`; the gadgets
+load with its first call, so the solvers load none of them.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .words import (
     Word,
     _kept_residual,
     _masks_of_size,
+    _minimal_sets,
     _nails,
     _nails_of,
     _relabel_held,
@@ -141,10 +142,13 @@ def set_cover_to_hanging(
 ) -> tuple[Word, dict[int, tuple[int, ...]]]:
     """Encode a Set Cover instance as a hanging word over one nail per set.
 
-    Element u_j becomes E over the sets containing it; the E-words combine
-    under a balanced AND tree.  Removing the nails of a chosen family then
-    fells the word exactly when the family covers the universe, so the
-    minimum felling subset has the Set Cover optimum's cardinality.
+    A family covers element u_j when it meets its owner set, the sets
+    containing it, and so every owner set containing that one: it covers the
+    universe exactly when it meets each distinct minimal owner set.  Those
+    become E-words, in the order of the first element owning each, under a
+    balanced AND tree of unequal leaves (equal AND operands collapse).
+    Removing a family's nails fells the word exactly when the family is a
+    cover, so the minimum felling subset has the Set Cover optimum's size.
     Returns the word and the per-element owner lists.
     """
     from .gadgets import gadget_and_tree  # loaded here: the solvers need none of it
@@ -152,14 +156,10 @@ def set_cover_to_hanging(
 
     if m < 1:
         raise ValueError("universe must be nonempty")
-    n = len(sets)
-    owner_sets = [tuple(sorted(set(s))) for s in sets]
-    owners: dict[int, tuple[int, ...]] = {}
-    for j in range(1, m + 1):
-        who = tuple(i for i, s in enumerate(owner_sets, start=1) if j in s)
-        if not who:
-            raise ValueError(f"element {j} is not covered by any set")
-        owners[j] = who
-    if m > 1 and n < 2:
-        raise ValueError("AND gadgets need at least 2 nails; got n=1 with m >= 2")
-    return gadget_and_tree([build_e(owners[j]) for j in range(1, m + 1)]), owners
+    owner_sets = [set(s) for s in sets]
+    masks = [sum(1 << i for i, s in enumerate(owner_sets) if j in s) for j in range(1, m + 1)]
+    if 0 in masks:
+        raise ValueError(f"element {masks.index(0) + 1} is not covered by any set")
+    minimal = set(_minimal_sets(masks))
+    leaves = [build_e(_nails(mask)) for mask in dict.fromkeys(masks) if mask in minimal]
+    return gadget_and_tree(leaves), dict(enumerate(map(_nails, masks), start=1))

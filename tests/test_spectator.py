@@ -6,6 +6,7 @@ import random
 import pytest
 
 from picturehang.constructions import build_disjoint, build_e, build_s
+from picturehang.gadgets import gadget_and_tree
 from picturehang.spectator import (
     greedy_min_fell,
     max_survive_exact,
@@ -16,6 +17,7 @@ from picturehang.words import (
     ExhaustiveLimitError,
     NailSubset,
     Word,
+    fall_table,
     falls,
     raw_commutator,
     raw_concat,
@@ -123,6 +125,35 @@ def test_set_cover_shared_element_is_e_word():
 def test_set_cover_rejects_uncovered_element():
     with pytest.raises(ValueError):
         set_cover_to_hanging(2, [[1], [1]])
+
+
+def test_set_cover_words_fall_exactly_on_covers():
+    """Seeded instances, repeated and dominated owner sets included, fall on covers alone.
+
+    An instance whose owner sets are all distinct and minimal keeps the
+    word of one E-word per element.
+    """
+    rng = random.Random(26)
+    repeated = dominated = plain = 0
+    for _ in range(200):
+        n, m = rng.randint(1, 8), rng.randint(1, 16)
+        owners = [sorted(rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))) for _ in range(m)]
+        sets = [[j for j, who in enumerate(owners, start=1) if i in who] for i in range(1, n + 1)]
+        word, got = set_cover_to_hanging(m, sets)
+        assert got == {j: tuple(who) for j, who in enumerate(owners, start=1)}
+        masks = [sum(1 << i - 1 for i in who) for who in owners]
+        covers = [all(mask & owner for owner in masks) for mask in range(1 << n)]
+        assert fall_table(word, n) == covers, (n, owners)
+        if len(set(masks)) < m:
+            repeated += 1
+        elif any(a != b and a & b == a for a in masks for b in masks):
+            dominated += 1
+        else:
+            plain += 1
+            assert word == gadget_and_tree([build_e(who) for who in owners]), owners
+    assert repeated and dominated and plain
+    assert set_cover_to_hanging(2, [[1, 2], [1, 2]])[0] == build_e([1, 2])
+    assert set_cover_to_hanging(2, [[1, 2]])[0].letters == (1,)
 
 
 def _brute_cover_optimum(m, sets):
