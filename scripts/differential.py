@@ -7,8 +7,9 @@ lines.  It covers:
 
 - every ``CompileReport`` field on the 166 nonconstant monotone functions
   of four nails, compiled as a circuit and as a subsets spec;
-- ``build_k_of_n`` for 1 <= k <= n <= 10, and ``atleast(k; r1..rm)`` for
-  m <= 9 with the gate count and depth of ``threshold_circuit(k, m)``;
+- ``build_k_of_n`` for 1 <= k <= n <= 10 with the answers of the three
+  spectator solvers on its word, and ``atleast(k; r1..rm)`` for m <= 9
+  with the gate count and depth of ``threshold_circuit(k, m)``;
 - seeded random formulas on six variables: table, gates, depth and report;
 - ``&`` chains of 100 to 2,000 pair clauses, overlapping (ri | ri+1) and
   disjoint (r2i-1 | r2i): the compiled word and report, unverified;
@@ -107,7 +108,8 @@ def four_nail_functions() -> None:
 def thresholds() -> None:
     for n in range(1, 11):
         for k in range(1, n + 1):
-            emit("k-of-n", k=k, n=n, report=report_fields(build_k_of_n(k, n)))
+            report = build_k_of_n(k, n)
+            solve("k-of-n", report.word, n, k=k, report=report_fields(report))
     for m in range(1, 10):
         variables = ", ".join(f"r{i}" for i in range(1, m + 1))
         for k in range(0, m + 1):

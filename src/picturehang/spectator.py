@@ -2,29 +2,30 @@
 
 Three questions about a hanging word: the fewest nail removals that drop
 the picture, the most removals it survives, and a Set-Cover-shaped
-instance generator whose optimum transfers to the felling problem.  Both
-exact searches go by cardinality with early exit; answers in practice are
-small.  Deleting nails is a homomorphism, so the residual of a subset is
-its parent's residual with one more nail stripped: `min_fell_exact` builds
-each layer of subsets from the one below it, and `greedy_min_fell` keeps
-the residual of the nail it picks.  `max_survive_exact` relabels the nails
-the reduced word holds 1..h (`words._relabel_held`), scans each layer of
-them from the top down and strips each subset's nails from the relabeled
-word.  All three check and pack the word once, one byte per letter when
-n is at most 127 (`words._search_root`), so every strip drops letters in
-one `bytes.translate` whose bytes come from a table (`words._strip`).
-A nail the residual no longer holds is found by the translate's length,
-which it leaves alone: `min_fell_exact` skips its reduction and
-`greedy_min_fell` tries only the nails the residual holds.
-`max_survive_exact` keeps few nails, whose adjacent pairs it cancels in C
-first (`words._kept_residual`).  `set_cover_to_hanging` joins one E-word
-per distinct minimal owner set under `gadgets.gadget_and_tree`; the gadgets
-load with its first call, so the solvers load none of them.
+instance generator whose optimum transfers to the felling problem.  The
+exact searches run on the nails the reduced word holds, relabeled 1..h
+(`words._relabel_held`).  Deleting nails is a homomorphism, so the
+residual of a subset is its parent's residual with one more nail
+stripped: `min_fell_exact` grows the hanging sets layer by layer from the
+empty set, and `greedy_min_fell` keeps the residual of the nail it picks.
+From the other end, `_kept_sets` scans the sets of t = 1, 2, ... kept
+nails, whose adjacent pairs it cancels in C first (`words._kept_residual`):
+`max_survive_exact` stops at the first whose word does not fall, and
+`min_fell_exact` keeps such sets as clauses, which every felling set
+meets, and tests the first smallest set that meets them all.  All three
+check and pack the word once, one byte per letter when n is at most 127
+(`words._search_root`), so every strip drops letters in one
+`bytes.translate` whose bytes come from a table (`words._strip`); a nail
+the residual no longer holds leaves its length alone, so the residual is
+not reduced again, and the greedy does not try that nail.  The gadgets of
+`set_cover_to_hanging`, one E-word per distinct minimal owner set under
+`gadgets.gadget_and_tree`, load with its first call, not with the solvers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from math import comb
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -56,36 +57,68 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     Ties within a cardinality class break toward the numerically smallest
     bitmask.  Always well defined: removing every nail empties the word.
 
-    The scan goes layer by layer.  A subset of size k is its parent, the
-    subset less its lowest nail, plus one nail i below the parent's lowest,
-    and its residual is the parent's residual with nail i stripped.
-    Parents are taken in increasing order and each one's children by
-    increasing i, so every layer comes out in numeric order and the first
-    empty residual is the answer.  A parent is freed once its children
-    exist, and a subset holding nail 1 has no children, so it keeps no
-    residual.  A child whose nail the parent's residual no longer holds
-    keeps that residual unstripped.
+    The search runs from both ends on the h nails the reduced word holds,
+    the only ones in a smallest answer, relabeled 1..h in order
+    (``words._relabel_held``).  The bottom side walks the hanging sets by
+    size: a subset's parent is the subset less its lowest nail, and its
+    residual is the parent's with the new nail stripped (unstripped if the
+    parent's no longer holds it).  Parents go in increasing order and their
+    children by increasing nail, so each layer comes out in numeric order
+    and its first empty residual is the answer; a subset holding nail 1
+    has no children and keeps no residual.
+
+    The top side keeps t = 1, 2, ... nails.  Keeping more nails never fells
+    a word, so a removal hangs exactly when the nails it keeps hold a
+    clause, a kept set whose word does not fall; the minimal ones are kept,
+    each read from the bottom layer's residual of its highest removed nails.
+    After each top layer, the candidate is the numerically first of the
+    smallest sets that meet every clause and outsize the bottom's cleared
+    layers.  Every smaller or earlier set misses a clause or was cleared,
+    so it hangs, and if the candidate falls it is the answer; if not, the
+    nails it keeps become a clause.  The cheaper side advances first: a
+    bottom layer costs each parent's residual length times its children,
+    a top layer of t nails about C(h - 1, t - 1) L, for a word of L letters.
     """
     root = _search_root(w, n)
     check_limit("min_fell_exact", n, limit)
     if not root:
         return NailSubset(n, 0)
-    layer: list[tuple[int, Sequence[int]]] = [(0, root)]
-    while layer:
-        children: list[tuple[int, Sequence[int]]] = []
-        layer.reverse()
-        while layer:
-            mask, residual = layer.pop()
-            below = (mask & -mask).bit_length() - 1 if mask else n
-            for i in range(below):
-                rest = _strip(residual, i + 1)  # as long as the residual iff it holds no nail i + 1
-                rest = _residual(rest) if len(rest) < len(residual) else residual
-                if not rest:
-                    return NailSubset(n, mask | 1 << i)
-                if i:
-                    children.append((mask | 1 << i, rest))
-        layer = children
-    raise AssertionError("unreachable: the full subset always fells")
+    held, letters = _relabel_held(root)
+    h, full = len(held), (1 << len(held)) - 1
+    layer: dict[int, Sequence[int]] = {0: letters}  # every set of `cleared` nails hangs
+    clauses: list[int] = []  # no set of fewer than `least` nails meets them all
+    cleared, least, t = 0, 1, 1
+
+    def kept(keep: int) -> Sequence[int]:
+        source = full ^ keep
+        for _ in range(source.bit_count() - cleared):
+            source &= source - 1  # down to its highest `cleared` nails
+        return _kept_residual(layer.get(source, letters), keep)
+
+    while True:
+        price = sum(len(r) * ((m & -m).bit_length() - 1 if m else h) for m, r in layer.items())
+        if price <= comb(h - 1, t - 1) * len(letters):
+            children: dict[int, Sequence[int]] = {}
+            for mask in list(layer):
+                residual = layer.pop(mask)
+                for i in range((mask & -mask).bit_length() - 1 if mask else h):
+                    rest = _strip(residual, i + 1)  # as long as the residual iff it holds no nail i + 1
+                    rest = _residual(rest) if len(rest) < len(residual) else residual
+                    if not rest:
+                        return NailSubset(n, _unlabel(held, mask | 1 << i))
+                    if i:
+                        children[mask | 1 << i] = rest
+            layer, cleared = children, cleared + 1
+        else:
+            clauses += list(_kept_sets(h, t, kept, clauses))
+            t += 1
+            if clauses:  # else the candidate is the first set of the bottom side's next layer
+                ordered, least = sorted(clauses, key=int.bit_count), max(least, cleared + 1)
+                while (candidate := _hit(ordered, h, least, 0)) is None:
+                    least += 1
+                if not kept(full ^ candidate):
+                    return NailSubset(n, _unlabel(held, candidate))
+                clauses.append(full ^ candidate)
 
 
 def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> NailSubset:
@@ -99,24 +132,58 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     fixed the numeric order of the answers is that of their held parts.
     The held nails are relabeled 1..h in order once, by one
     ``bytes.translate`` on a packed word, which keeps that order
-    (``words._relabel_held``).  Each layer of masks on h nails is scanned
-    in numeric order from size h - 1 down, and each subset's nails are
-    stripped from the relabeled word at once, keeping the few others; the
-    first subset that leaves letters, mapped back and with every nail not
-    held, is the answer.
+    (``words._relabel_held``).  The kept sets of t = 1, 2, ... nails are
+    scanned as ``_kept_sets`` orders them; the first whose word does not
+    fall, mapped back, is kept, and every other nail is the answer.
     """
     root = _search_root(w, n)
     check_limit("max_survive_exact", n, limit)
     if not root:
         raise ValueError("word is trivial: the picture has already fallen")
     held, letters = _relabel_held(root)
-    full = (1 << len(held)) - 1
-    for k in range(len(held) - 1, -1, -1):
-        for chosen in _masks_of_size(len(held), k):
-            if _kept_residual(letters, full ^ chosen):
-                kept = sum(1 << held[i - 1] - 1 for i in _nails(full ^ chosen))
-                return NailSubset(n, (1 << n) - 1 ^ kept)
+    for t in range(1, len(held) + 1):
+        for keep in _kept_sets(len(held), t, lambda mask: _kept_residual(letters, mask)):
+            return NailSubset(n, (1 << n) - 1 ^ _unlabel(held, keep))
     raise AssertionError("unreachable: the empty subset hangs a nontrivial word")
+
+
+def _unlabel(held: list[int], mask: int) -> int:
+    """The mask over the original nails of a mask over the held nails relabeled 1..h."""
+    return sum(1 << held[i - 1] - 1 for i in _nails(mask))
+
+
+def _kept_sets(h: int, t: int, kept: Callable, clauses: Sequence[int] = ()) -> Iterator[int]:
+    """Each set of t of nails 1..h holding no clause whose ``kept`` word hangs, last first.
+
+    So the removals, their complements, come in numeric order.
+    """
+    for removed in _masks_of_size(h, h - t):
+        keep = (1 << h) - 1 ^ removed
+        if not any(keep & c == c for c in clauses) and kept(keep):
+            yield keep
+
+
+def _hit(clauses: list[int], j: int, left: int, chosen: int) -> int | None:
+    """``chosen`` plus the numerically first ``left`` of nails 1..j meeting each clause, or None.
+
+    Clauses are cut to nails 1..j, none empty.  Nail j is left out before it
+    is taken in; a branch is cut when more clauses are disjoint than it may take.
+    """
+    if left > j:
+        return None
+    if not clauses:
+        return chosen | (1 << left) - 1
+    used = disjoint = 0
+    for c in clauses:
+        if not c & used:
+            used, disjoint = used | c, disjoint + 1
+    if disjoint > left:
+        return None
+    low = (1 << j - 1) - 1
+    rest = [c & low for c in clauses]
+    if left < j and all(rest) and (found := _hit(rest, j - 1, left, chosen)) is not None:
+        return found
+    return _hit([c for c in clauses if c <= low], j - 1, left - 1, chosen | low + 1)
 
 
 def greedy_min_fell(w: Word, n: int) -> NailSubset:
@@ -157,6 +224,9 @@ def set_cover_to_hanging(
     if m < 1:
         raise ValueError("universe must be nonempty")
     owner_sets = [set(s) for s in sets]
+    outside = [(i, j) for i, s in enumerate(owner_sets, start=1) for j in sorted(s) if not 1 <= j <= m]
+    if outside:
+        raise ValueError("set {} holds element {}, outside the universe 1..{}".format(*outside[0], m))
     masks = [sum(1 << i for i, s in enumerate(owner_sets) if j in s) for j in range(1, m + 1)]
     if 0 in masks:
         raise ValueError(f"element {masks.index(0) + 1} is not covered by any set")

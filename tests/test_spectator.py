@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from picturehang.constructions import build_disjoint, build_e, build_s
 from picturehang.gadgets import gadget_and_tree
+from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import (
+    _hit,
     greedy_min_fell,
     max_survive_exact,
     min_fell_exact,
@@ -127,6 +130,13 @@ def test_set_cover_rejects_uncovered_element():
         set_cover_to_hanging(2, [[1], [1]])
 
 
+def test_set_cover_rejects_element_outside_universe():
+    with pytest.raises(ValueError, match=r"^set 1 holds element 5, outside the universe 1\.\.2$"):
+        set_cover_to_hanging(2, [[1, 5], [2, 0]])
+    with pytest.raises(ValueError, match="^set 2 holds element 0,"):
+        set_cover_to_hanging(2, [[1, 2], [2, 0]])
+
+
 def test_set_cover_words_fall_exactly_on_covers():
     """Seeded instances, repeated and dominated owner sets included, fall on covers alone.
 
@@ -235,6 +245,17 @@ def _differential_corpus():
             if all(any(j in s for s in sets) for j in range(1, m + 1)):
                 break
         corpus.append((set_cover_to_hanging(m, sets)[0], n))
+    # Every element in exactly r sets: owner sets of 2 and 3 nails, the
+    # clauses the top side of min_fell_exact finds after two or three layers.
+    for r in (2, 3):
+        for _ in range(12):
+            m, n = rng.randint(4, 10), rng.randint(r + 1, 8)
+            sets = [set() for _ in range(n)]
+            for element in range(1, m + 1):
+                for i in rng.sample(range(n), r):
+                    sets[i].add(element)
+            corpus.append((set_cover_to_hanging(m, sets)[0], n))
+    corpus += [(build_k_of_n(k, n, verify=False).word, n) for n in range(1, 9) for k in range(1, n + 1)]
     # Deeply nested commutators: S_n, commutators of commutators that share
     # nails, and conjugates by their own parts, whose strips cancel across
     # many levels at once.
@@ -253,6 +274,26 @@ def _differential_corpus():
                (Word((125, 126, 127, -125, -126, -127, 127)), 200),
                (Word((1, 128, 1, -128)), 200)]
     return corpus
+
+
+def test_min_fell_decides_near_the_top_fast():
+    """20-of-20 and 19-of-20 fall on every nail but one at most; the top side sees it at once."""
+    for k in (20, 19):
+        w = build_k_of_n(k, 20, verify=False).word
+        start = time.perf_counter()
+        assert min_fell_exact(w, 20).mask == (1 << k) - 1
+        assert time.perf_counter() - start < 0.5, k
+
+
+def test_hitting_set_search_finds_the_numerically_first():
+    """The candidate search against a scan of every mask of each size."""
+    rng = random.Random(27)
+    for _ in range(150):
+        h = rng.randint(1, 7)
+        clauses = sorted({rng.randint(1, (1 << h) - 1) for _ in range(rng.randint(1, 6))}, key=int.bit_count)
+        for size in range(h + 1):
+            hits = (m for m in range(1 << h) if m.bit_count() == size and all(m & c for c in clauses))
+            assert _hit(clauses, h, size, 0) == next(hits, None), (h, clauses, size)
 
 
 def test_solvers_return_the_masks_of_the_per_mask_references():
