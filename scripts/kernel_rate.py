@@ -13,7 +13,10 @@ nails' adjacent pairs in C first, both packed; and the top AND gadget of
 each encoding of two leaves or more, its layout reduced whole by
 ``_residual`` and its reduced pieces joined by ``words._product``.  The rate counts the letters the
 kernel is handed, so a strip that drops most of them still counts them
-all.  A last row counts strips instead: the boundary check
+all.  A set-up row times what an exact spectator search does before its
+first strip, in letters per second: ``words._search_root`` (check and
+pack) and ``words._relabel_held`` (find the held nails and relabel them)
+on each Set Cover word as encoded.  A last row counts strips instead: the boundary check
 ``words._boundary_mismatch`` on the reduced word of every threshold of
 the compile-verify grid (k-of-n, 1 <= k <= n, 2 <= n <= 6), each word of 2
 to 112 letters, in strips per second.  An exact word takes one strip per
@@ -47,6 +50,7 @@ from picturehang.words import (
     _nails,
     _pack,
     _product,
+    _relabel_held,
     _residual,
     _search_root,
     raw_inverse,
@@ -100,7 +104,8 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=20)
     args = ap.parse_args()
     instances = set_cover_instances(args.seed, args.words)
-    words = [(set_cover_to_hanging(m, sets)[0].letters, len(sets)) for m, sets in instances]
+    encoded = [(set_cover_to_hanging(m, sets)[0], len(sets)) for m, sets in instances]
+    words = [(word.letters, n) for word, n in encoded]
     total = sum(len(letters) for letters, _ in words)
     print(f"{len(words)} Set Cover words, {total} reduced letters, seed {args.seed}")
     print("each figure: the best, median and worst round; each ratio: of the bests")
@@ -142,6 +147,10 @@ def main() -> None:
     old = rate(_residual, flat, letters, args.repeat)
     new = rate(_product, [(pieces,) for pieces in layouts], letters, args.repeat)
     print(f"{'gadget layout':>16} {spread(old):>28} {spread(new):>28} {new[0] / old[0]:>6.2f}")
+
+    setup = rate(lambda word, n: _relabel_held(_search_root(word, n), n), encoded, total, args.repeat)
+    print(f"{'work':>16} {'letters/s':>28}")
+    print(f"{'search set-up':>16} {spread(setup):>28}")
 
     grid = [(k, n) for n in range(2, 7) for k in range(1, n + 1)]
     calls = [(_search_root(build_k_of_n(k, n).word, n), n, k) for k, n in grid]

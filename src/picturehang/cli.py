@@ -23,6 +23,7 @@ from .words import (
     NailSubset,
     Word,
     check_budget,
+    check_limit,
     fall_table,
     format_word,
     mismatch_line,
@@ -192,6 +193,7 @@ def _cmd_puzzles(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    check_limit("fall_table", args.n, args.limit)  # before the file is read: it may be large
     word = _load_word(args.word)
     table = fall_table(word, args.n, limit=args.limit)
     for mask, fell in enumerate(table):

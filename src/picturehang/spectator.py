@@ -13,11 +13,13 @@ nails, whose adjacent pairs it cancels in C first (`words._kept_residual`):
 `max_survive_exact` stops at the first whose word does not fall, and
 `min_fell_exact` keeps such sets as clauses, which every felling set
 meets, and tests the first smallest set that meets them all.  All three
-check and pack the word once, one byte per letter when n is at most 127
-(`words._search_root`), so every strip drops letters in one
-`bytes.translate` whose bytes come from a table (`words._strip`); a nail
-the residual no longer holds leaves its length alone, so the residual is
-not reduced again, and the greedy does not try that nail.  The gadgets of
+check and pack the word once, one byte per letter by one `struct.pack`
+when n is at most 127 (`words._search_root`), and find the nails a packed
+residual holds by one memchr for each of nails 1..n (`words._nails_of`).
+Every strip drops letters in one `bytes.translate` whose bytes come from
+a table (`words._strip`); a nail the residual no longer holds leaves its
+length alone, so the residual is not reduced again, and the greedy does
+not try that nail.  The gadgets of
 `set_cover_to_hanging`, one E-word per distinct minimal owner set under
 `gadgets.gadget_and_tree`, load with its first call, not with the solvers.
 """
@@ -83,7 +85,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     check_limit("min_fell_exact", n, limit)
     if not root:
         return NailSubset(n, 0)
-    held, letters = _relabel_held(root)
+    held, letters = _relabel_held(root, n)
     h, full = len(held), (1 << len(held)) - 1
     layer: dict[int, Sequence[int]] = {0: letters}  # every set of `cleared` nails hangs
     clauses: list[int] = []  # no set of fewer than `least` nails meets them all
@@ -140,7 +142,7 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     check_limit("max_survive_exact", n, limit)
     if not root:
         raise ValueError("word is trivial: the picture has already fallen")
-    held, letters = _relabel_held(root)
+    held, letters = _relabel_held(root, n)
     for t in range(1, len(held) + 1):
         for keep in _kept_sets(len(held), t, lambda mask: _kept_residual(letters, mask)):
             return NailSubset(n, (1 << n) - 1 ^ _unlabel(held, keep))
@@ -198,7 +200,8 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     chosen = 0
     residual = _search_root(w, n)
     while residual:
-        strips = ((nail, _residual(_strip(residual, nail))) for nail in sorted(_nails_of(residual)))
+        nails = sorted(_nails_of(residual, n))
+        strips = ((nail, _residual(_strip(residual, nail))) for nail in nails)
         nail, residual = min(strips, key=lambda strip: len(strip[1]))  # the first of the shortest
         chosen |= 1 << nail - 1
     return NailSubset(n, chosen)

@@ -17,10 +17,11 @@ under further deletions.  `fall_table` walks the subsets on both facts.
 One kernel, `_residual`, reduces and strips.  A word is handed to it as
 ints, or packed as bytes, one byte per letter (x mod 256), when every nail
 is at most 127.  The subset searches here and in `spectator` check and
-pack their word once (`_search_root`), so each of their many strips is
-one `bytes.translate` in C, with bytes read from tables (`_strip`,
-`_drop`), and its length shows whether the residual held the nail.  Plain
-reduction of a word as built stays on ints, where packing costs more.  Two
+pack their word once (`_search_root`, by one `struct.pack`), so each of
+their many strips is one `bytes.translate` in C, with bytes read from
+tables (`_strip`, `_drop`), and its length shows whether the residual held
+the nail; the nails a packed word holds are found by one memchr each
+(`_nails_of`).  Plain reduction of a word as built stays on ints.  Two
 routines take work off the kernel's per-letter loop: `_product` reduces a
 product of reduced pieces at their joins only, and `_kept_residual`
 cancels adjacent pairs of the few nails a strip keeps in C before the loop.
@@ -29,6 +30,8 @@ cancels adjacent pairs of the few nails a strip keeps in C before the loop.
 from __future__ import annotations
 
 import json
+import struct
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, filterfalse
 from math import comb
@@ -205,15 +208,16 @@ def _residual(letters: Sequence[int], mask: int = 0) -> Sequence[int]:
     letters, from ``_pack``, are bytes: nail i is byte i and its inverse
     byte 256 - i, which differ for nails 1..127, the only ones a packed
     word holds, so mask bits above 127 are left out (nail i >= 128 would
-    alias nail 256 - i).  The loop negates mod 256, with 256 as the
-    sentinel's negation, and the result is bytes, ready for the next strip.
-    Plain reduction of a word as built stays on ints: packing costs about
-    as much as the loop, which runs no faster on bytes.
+    alias nail 256 - i).  Their stack is a bytearray, which stores a byte
+    where a list stores a pointer; the loop negates mod 256, with 256 as
+    the sentinel's negation, and the result is bytes, ready for the next
+    strip.  Plain reduction of a word as built stays on ints: the loop
+    runs no faster on bytes, so packing would be a cost with no return.
     """
     base = 256 if isinstance(letters, bytes) else 0  # the modulus; the sentinel's negation
     if mask:
         letters = _drop(letters, _nails(mask & _PACKED_NAILS if base else mask))
-    stack = [0]
+    stack = bytearray(1) if base else [0]
     push = stack.append
     pop = stack.pop
     neg = base
@@ -254,15 +258,14 @@ def _drop(letters: Sequence[int], nails: Sequence[int]) -> Iterable[int]:
 def _pack(letters: Sequence[int]) -> Sequence[int]:
     """Letters packed for ``_residual``, one byte per letter (x mod 256).
 
-    Returns ``letters`` unchanged when a nail is above 127: ``array('b')``
-    refuses a letter outside -128..127, and nail 128's inverse, -128, would
-    pack to the byte of its own inverse.
+    One ``struct.pack`` of signed bytes, in C.  Returns ``letters``
+    unchanged when a nail is above 127: the format refuses a letter
+    outside -128..127, and nail 128's inverse, -128, would pack to the
+    byte of its own inverse.
     """
-    from array import array  # loaded here: only the subset searches pack
-
     try:
-        packed = array("b", letters).tobytes()  # two's complement bytes are x mod 256
-    except OverflowError:
+        packed = struct.pack(f"{len(letters)}b", *letters)  # two's complement bytes are x mod 256
+    except struct.error:
         return letters
     return letters if 128 in packed else packed
 
@@ -286,16 +289,25 @@ def _search_root(w: Word, n: int) -> Sequence[int]:
     return w.reduce().letters
 
 
-def _nails_of(letters: Sequence[int]) -> set[int]:
-    """The nails that packed or int letters wrap."""
+def _nails_of(letters: Sequence[int], n: int) -> set[int]:
+    """The nails that packed or int letters wrap, checked to be at most n.
+
+    Packed letters are read as nails by one ``bytes.translate``, and each
+    of nails 1..n is looked for by one ``in``, a memchr in C; a packed word
+    holds no nail above 127.
+    """
     if isinstance(letters, bytes):
-        return set(letters.translate(_NAIL_OF_BYTE))
+        nails = letters.translate(_NAIL_OF_BYTE)
+        return {i for i in range(1, min(n, 127) + 1) if i in nails}
     return set(map(abs, letters))
 
 
-def _relabel_held(letters: Sequence[int]) -> tuple[list[int], Sequence[int]]:
-    """The nails the letters wrap, sorted, and the letters relabeled 1..h, packed if h <= 127."""
-    held = sorted(_nails_of(letters))
+def _relabel_held(letters: Sequence[int], n: int) -> tuple[list[int], Sequence[int]]:
+    """The nails the letters wrap, sorted, and the letters relabeled 1..h, packed if h <= 127.
+
+    The letters are checked against n, which bounds the nails looked for.
+    """
+    held = sorted(_nails_of(letters, n))
     if isinstance(letters, bytes):
         relabel = bytearray(_BYTES)
         for i, nail in enumerate(held, start=1):
@@ -485,7 +497,7 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
 
 def _walk_table(root: Sequence[int], n: int) -> list[bool]:
     """The fall table of checked, reduced letters on nails 1..n (see ``fall_table``)."""
-    top = max(_nails_of(root), default=0)  # nails above top change nothing
+    top = max(_nails_of(root, n), default=0)  # nails above top change nothing
     table = [not root] * (1 << top)
 
     def walk(residual: Sequence[int], mask: int, start: int) -> None:
@@ -699,11 +711,13 @@ class NailSubset(_Record):
 
 
 def nail_counts(w: Word, n: int | None = None) -> dict[int, int]:
-    """Letters per nail in the as-constructed sequence (zero rows included)."""
-    counts = {i: 0 for i in range(1, (n or w.max_nail) + 1)}
-    for x in w.letters:
-        nail = x if x > 0 else -x
-        counts[nail] = counts.get(nail, 0) + 1
+    """Letters per nail in the as-constructed sequence (zero rows included).
+
+    The rows run 1..n (or to the highest nail), then any nail above, in
+    order of first appearance; the letters are counted in C.
+    """
+    counts = dict.fromkeys(range(1, (n or w.max_nail) + 1), 0)
+    counts.update(Counter(map(abs, w.letters)))
     return counts
 
 

@@ -438,6 +438,17 @@ def test_table_lists_all_subsets(capsys, tmp_path):
     assert out.splitlines() == ["{} hangs", "{1} falls", "{2} falls", "{1,2} falls"]
 
 
+def test_table_checks_the_limit_before_reading_the_word(capsys, tmp_path):
+    word = tmp_path / "bad.txt"
+    word.write_text("x1 y2")  # malformed: read first, it would be the error
+    code, out, err = run(capsys, "table", "--word", str(word), "--n", "21")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: fall_table over n=21 enumerates 2^21 subsets")
+    assert err.count("\n") == 1 and "exhaustive limit 20" in err
+    code, _, err = run(capsys, "table", "--word", str(word), "--n", "21", "--limit", "21")
+    assert code == 2 and "bad token 'y2'" in err
+
+
 def test_word_json_file_accepted(capsys, tmp_path):
     word = tmp_path / "w.json"
     word.write_text("[1, 2, -1, -2]")

@@ -371,6 +371,7 @@ def packable_letters_and_mask(draw):
 @given(packable_letters_and_mask())
 @example(([127, 1, -127, -1], 1 << 128))  # nail 129's bytes are nail 127's
 @example(([-127, 127, 2, -2, 127], 1 << 127 | 1 << 1))  # nail 128 and nail 2
+@example(([5, 127, -127, -5, 1, -1], 0))  # cancels down to the stack's sentinel
 def test_packed_residual_equals_the_int_residual(case):
     letters, mask = case
     packed = _pack(letters)
@@ -378,13 +379,16 @@ def test_packed_residual_equals_the_int_residual(case):
     assert _unpack(packed) == letters
     assert _unpack(_residual(packed)) == _residual(letters)
     assert _unpack(_residual(packed, mask)) == _residual(letters, mask)
+    for residual in (_residual(packed), _residual(packed, mask)):
+        assert type(residual) is bytes  # the bytearray stack is handed back as bytes
 
 
 def test_nail_127_packs_and_nail_128_keeps_the_int_path():
     assert _pack((127, -127, 1, -1)) == bytes((127, 129, 1, 255))
     assert _pack(()) == b""
-    for letters in [(128,), (-128,), (1, 128, -1, -128), (-300, 2)]:
+    for letters in [(128,), (-128,), (1, 128, -1, -128), (-300, 2), (-129, 1), (200,)]:
         assert _pack(letters) is letters
+    assert _pack([1, -2]) == bytes((1, 254))  # a list packs as a tuple does
 
 
 @st.composite
@@ -444,11 +448,20 @@ def test_kept_residual_is_the_residual_of_the_complement_strip(case):
 def test_nails_of_and_strip_read_both_forms():
     letters = (3, -5, 127, -127)
     for form in (letters, _pack(letters)):
-        assert _nails_of(form) == {3, 5, 127}
+        assert _nails_of(form, 127) == {3, 5, 127}
         held = [nail for nail in range(1, 128) if len(_strip(form, nail)) < len(form)]
         assert held == [3, 5, 127]
-    assert _nails_of((200, -1)) == {1, 200}
+    assert _nails_of((200, -1), 200) == {1, 200}
+    assert _nails_of(_pack(letters), 300) == {3, 5, 127}  # a packed word holds no nail above 127
     assert list(_strip((200, -1), 200)) == [-1]
+    # Seeded words on nails up to n, packed, read under the bound n a caller
+    # checked them against: every wrapped nail is found, and no other.
+    rng = random.Random(28)
+    for _ in range(300):
+        n = rng.choice((1, 2, 8, 20, 126, 127))
+        nails = rng.sample(range(1, n + 1), min(n, rng.randint(1, 5))) + [n]
+        letters = [rng.choice(nails) * rng.choice((1, -1)) for _ in range(rng.randint(0, 40))]
+        assert _nails_of(_pack(letters), n) == set(map(abs, letters)) == _nails_of(letters, n)
 
 
 def test_table_strips_equal_the_int_path():
