@@ -6,17 +6,18 @@ word three ways: plain reduction, a one-nail strip (each nail in turn) and
 a keep-one-nail strip (every nail but one, each in turn), the last two
 being what ``fall_table`` and ``max_survive_exact`` ask most.  Each way
 runs on the word as a tuple of ints and packed one byte per letter
-(``words._pack``).  A second table times the two routines that take work
-off that loop: keep-few strips (every set of one to three kept nails) by
-``_residual`` and by ``words._kept_residual``, which cancels the kept
-nails' adjacent pairs in C first, both packed; and the top AND gadget of
-each encoding of two leaves or more, its layout reduced whole by
-``_residual`` and its reduced pieces joined by ``words._product``.  The rate counts the letters the
-kernel is handed, so a strip that drops most of them still counts them
-all.  A set-up row times what an exact spectator search does before its
-first strip, in letters per second: ``words._search_root`` (check and
-pack) and ``words._relabel_held`` (find the held nails and relabel them)
-on each Set Cover word as encoded.  A last row counts strips instead: the boundary check
+(``words._pack``), as does the join product ``words._product`` on the
+reduced pieces of the top AND gadget of each encoding of two leaves or
+more, which ``gadgets.gadget_and_tree`` lays out.  A second table times
+keep-few strips (every set of one to three kept nails, packed) by
+``_residual`` and by ``words._kept_residual``, which counts a lone kept
+nail's letters and cancels several kept nails' adjacent pairs in C first.
+The rate counts the letters the kernel is handed, so a strip that drops
+most of them still counts them all.  A set-up row times what an exact
+spectator search does before its first strip, in letters per second:
+``words._search_root`` (check and pack) and ``words._relabel_held`` (find
+the held nails and relabel them) on each Set Cover word as encoded.  A
+last row counts strips instead: the boundary check
 ``words._boundary_mismatch`` on the reduced word of every threshold of
 the compile-verify grid (k-of-n, 1 <= k <= n, 2 <= n <= 6), each word of 2
 to 112 letters, in strips per second.  An exact word takes one strip per
@@ -123,6 +124,21 @@ def main() -> None:
         ratio = packed_rate[0] / int_rate[0]
         print(f"{name:>16} {spread(int_rate):>28} {spread(packed_rate):>28} {ratio:>6.2f}")
 
+    layouts = []
+    for m, sets in instances:
+        tree = leaves(m, sets)
+        if len(tree) < 2:
+            continue  # a lone leaf is the whole word: no top gadget
+        half = (len(tree) + 1) // 2
+        glue_p_q = (_G1, _G2, gadget_and_tree(tree[:half]), gadget_and_tree(tree[half:]))
+        layouts.append([piece.letters for piece in _splice(_AND_TEMPLATE, glue_p_q, raw_inverse)])
+    letters = sum(len(piece) for pieces in layouts for piece in pieces)
+    ints = rate(_product, [(pieces,) for pieces in layouts], letters, args.repeat)
+    packed = [([_pack(piece) for piece in pieces], True) for pieces in layouts]
+    packed_rate = rate(_product, packed, letters, args.repeat)
+    ratio = packed_rate[0] / ints[0]
+    print(f"{'gadget layout':>16} {spread(ints):>28} {spread(packed_rate):>28} {ratio:>6.2f}")
+
     print(f"{'work':>16} {'_residual letters/s':>28} {'routine letters/s':>28} {'ratio':>6}")
     keeps = [
         (_pack(letters), sum(1 << i for i in kept), (1 << n) - 1)
@@ -134,19 +150,6 @@ def main() -> None:
     old = rate(_residual, [(word, full ^ keep) for word, keep, full in keeps], letters, args.repeat)
     new = rate(_kept_residual, [(word, keep) for word, keep, _ in keeps], letters, args.repeat)
     print(f"{'keep-few strip':>16} {spread(old):>28} {spread(new):>28} {new[0] / old[0]:>6.2f}")
-    layouts = []
-    for m, sets in instances:
-        words = leaves(m, sets)
-        if len(words) < 2:
-            continue  # a lone leaf is the whole word: no top gadget
-        half = (len(words) + 1) // 2
-        glue_p_q = (_G1, _G2, gadget_and_tree(words[:half]), gadget_and_tree(words[half:]))
-        layouts.append([piece.letters for piece in _splice(_AND_TEMPLATE, glue_p_q, raw_inverse)])
-    flat = [([x for piece in pieces for x in piece],) for pieces in layouts]
-    letters = sum(len(word) for word, in flat)
-    old = rate(_residual, flat, letters, args.repeat)
-    new = rate(_product, [(pieces,) for pieces in layouts], letters, args.repeat)
-    print(f"{'gadget layout':>16} {spread(old):>28} {spread(new):>28} {new[0] / old[0]:>6.2f}")
 
     setup = rate(lambda word, n: _relabel_held(_search_root(word, n), n), encoded, total, args.repeat)
     print(f"{'work':>16} {'letters/s':>28}")

@@ -13,7 +13,8 @@ Each template (`and_template_tokens`, `or_template_tokens`) is its gadget
 laid out, unreduced, on p = x3 and q = x4: letters +-3 and +-4 are slots,
 +-1 and +-2 glue.  It drives both building and accounting: a gadget lays
 the template out with `constructions._splice` on the arguments (x1, x2, p,
-q), glue letters as arguments 1 and 2, and reduces at the joins.
+q), glue letters as arguments 1 and 2, and reduces at the joins, packed
+from leaves to root when every nail is at most 127.
 Laid out with single-letter arguments the AND template has 14 letters (4
 copies of p, 4 of q, 6 glue) and the OR template 1,078.  The flat
 bookkeeping of the OR counts 256 p-slots, 256 q-slots and 566 glue
@@ -25,27 +26,29 @@ lays out at most 1078**d letters.
 
 from __future__ import annotations
 
+import struct
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .circuits import MonotoneCircuit, Var, evaluate
 from .constructions import _splice
-from .words import Word, _balanced, _product, nail_counts, raw_commutator, raw_concat, raw_inverse
+from .words import Word, _balanced, _invert, _pack, _product, nail_counts
+from .words import raw_commutator, raw_concat, raw_inverse
 
 
 def gadget_and(p: Word, q: Word) -> Word:
     """Word falling iff both argument words have fallen, reduced."""
-    return _lay_out(_AND_TEMPLATE, p, q)
+    return _lay_out(_AND_TEMPLATE, (p, q))
 
 
 def gadget_or(p: Word, q: Word) -> Word:
     """Word falling iff at least one argument word has fallen, reduced."""
-    return _lay_out(_OR_TEMPLATE, p, q)
+    return _lay_out(_OR_TEMPLATE, (p, q))
 
 
 def gadget_and_tree(words: Sequence[Word]) -> Word:
-    """Balanced tree of AND gadgets over the words (see ``words._balanced``)."""
-    return _balanced(words, gadget_and)
+    """Balanced tree of AND gadgets over the words (see ``words._balanced``), one word as given."""
+    return words[0] if len(words) == 1 else _lay_out(_AND_TEMPLATE, words)
 
 
 _P, _Q, _G1, _G2 = Word((3,)), Word((4,)), Word((1,)), Word((2,))
@@ -79,14 +82,20 @@ _AND_TEMPLATE = and_template_tokens()
 _OR_TEMPLATE = or_template_tokens()
 
 
-def _lay_out(template: tuple[int, ...], p: Word, q: Word) -> Word:
-    """The template with p, p^-1, q and q^-1 spliced into its slots, reduced.
+def _lay_out(template: tuple[int, ...], words: Sequence[Word]) -> Word:
+    """A balanced tree of the template's gadget over the words, reduced.
 
-    Its pieces are reduced, so the product is reduced at their joins only
-    (``words._product``).
+    Each gadget splices its reduced arguments into the template and reduces
+    at the joins (``words._product``), on bytes when every nail is at most
+    127: the words are packed once (``words._pack``), the root unpacked once.
     """
-    pieces = _splice(template, (_G1, _G2, p.reduce(), q.reduce()), raw_inverse)
-    return Word(tuple(_product(piece.letters for piece in pieces)), reduced=True)
+    args = [w.reduce().letters for w in words]
+    packed_args = [_pack(x) for x in args]
+    if packed := all(isinstance(x, bytes) for x in packed_args):
+        args = packed_args
+    glue = (b"\x01", b"\x02") if packed else ((1,), (2,))
+    root = _balanced(args, lambda p, q: _product(_splice(template, (*glue, p, q), _invert), packed))
+    return Word(struct.unpack(f"{len(root)}b", root) if packed else tuple(root), reduced=True)
 
 
 class TemplateCounts(NamedTuple):

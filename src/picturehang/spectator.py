@@ -192,17 +192,22 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     """Felling subset built by repeatedly removing the most shortening nail.
 
     Each step removes the nail that minimizes the reduced residual length,
-    breaking ties toward the lowest index, and keeps that nail's residual
-    for the next step.  Only the nails the residual holds are tried: one
-    chosen or cancelled cannot shorten it.  No approximation guarantee is
-    claimed; the exact optimum is never larger.
+    the lowest on ties, and keeps its residual for the next; the first
+    empty one ends the step.  Only the nails the residual holds are tried:
+    one chosen or cancelled cannot shorten it.  No approximation guarantee
+    is claimed; the exact optimum is never larger.
     """
     chosen = 0
     residual = _search_root(w, n)
     while residual:
-        nails = sorted(_nails_of(residual, n))
-        strips = ((nail, _residual(_strip(residual, nail))) for nail in nails)
-        nail, residual = min(strips, key=lambda strip: len(strip[1]))  # the first of the shortest
+        best = 0, residual  # a strip of a held nail is shorter
+        for nail in sorted(_nails_of(residual, n)):
+            rest = _residual(_strip(residual, nail))
+            if len(rest) < len(best[1]):
+                best = nail, rest
+                if not rest:
+                    break
+        nail, residual = best
         chosen |= 1 << nail - 1
     return NailSubset(n, chosen)
 
@@ -216,21 +221,23 @@ def set_cover_to_hanging(
     containing it, and so every owner set containing that one: it covers the
     universe exactly when it meets each distinct minimal owner set.  Those
     become E-words, in the order of the first element owning each, under a
-    balanced AND tree of unequal leaves (equal AND operands collapse).
-    Removing a family's nails fells the word exactly when the family is a
-    cover, so the minimum felling subset has the Set Cover optimum's size.
-    Returns the word and the per-element owner lists.
+    balanced AND tree of unequal leaves (equal AND operands collapse), on
+    bytes for up to 127 sets.  Removing a family's nails fells the word
+    exactly when the family is a cover, so the minimum felling subset has
+    the Set Cover optimum's size.  Returns the word and the per-element
+    owner lists, read in one pass over the sets.
     """
     from .gadgets import gadget_and_tree  # loaded here: the solvers need none of it
     from .constructions import build_e
 
     if m < 1:
         raise ValueError("universe must be nonempty")
-    owner_sets = [set(s) for s in sets]
-    outside = [(i, j) for i, s in enumerate(owner_sets, start=1) for j in sorted(s) if not 1 <= j <= m]
-    if outside:
-        raise ValueError("set {} holds element {}, outside the universe 1..{}".format(*outside[0], m))
-    masks = [sum(1 << i for i, s in enumerate(owner_sets) if j in s) for j in range(1, m + 1)]
+    masks = [0] * m
+    for i, s in enumerate(sets):
+        for j in sorted(s):
+            if not 1 <= j <= m:
+                raise ValueError(f"set {i + 1} holds element {j}, outside the universe 1..{m}")
+            masks[j - 1] |= 1 << i
     if 0 in masks:
         raise ValueError(f"element {masks.index(0) + 1} is not covered by any set")
     minimal = set(_minimal_sets(masks))

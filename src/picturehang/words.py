@@ -22,9 +22,10 @@ their many strips is one `bytes.translate` in C, with bytes read from
 tables (`_strip`, `_drop`), and its length shows whether the residual held
 the nail; the nails a packed word holds are found by one memchr each
 (`_nails_of`).  Plain reduction of a word as built stays on ints.  Two
-routines take work off the kernel's per-letter loop: `_product` reduces a
-product of reduced pieces at their joins only, and `_kept_residual`
-cancels adjacent pairs of the few nails a strip keeps in C before the loop.
+routines take work off the kernel's loop: `_product` reduces a product of
+reduced pieces at their joins only, packed for the gadgets, and
+`_kept_residual` counts a lone kept nail's letters, or cancels adjacent
+pairs of a few kept nails in C before the loop.
 """
 
 from __future__ import annotations
@@ -353,17 +354,24 @@ def _minimal_sets(sets: Iterable[int]) -> list[int]:
 def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
     """Reduced letters left after deleting every nail not set in ``keep``.
 
-    Made for subset searches that keep a few nails.  Packed letters lose
-    the other nails in one ``bytes.translate``, and then each kept nail's
-    adjacent inverse pairs in one ``bytes.replace`` sweep per order, in C,
-    so the loop of ``_residual`` reads far fewer letters; cancelling a pair
-    never changes the reduced word.  Keep bits above 127 are left out, as
-    in ``_residual``.  Int letters are filtered, then reduced.
+    One kept nail a leaves x_a^e, e = #a - #A, read by two counts.  More
+    kept nails: packed letters lose the rest in one ``bytes.translate``,
+    then each kept nail's adjacent inverse pairs in one ``bytes.replace``
+    sweep per order, in C, so the loop of ``_residual`` reads far fewer
+    letters; cancelling a pair never changes the reduced word.  Keep bits
+    above 127 are left out, as in ``_residual``.  Int letters are filtered.
     """
-    if not isinstance(letters, bytes):
+    packed = isinstance(letters, bytes)
+    keep &= _PACKED_NAILS if packed else keep
+    if not keep & keep - 1:  # nail a = 0 for an empty keep, which keeps nothing
+        a = keep.bit_length()
+        inverse = -a & 255 if packed else -a
+        e = letters.count(a) - letters.count(inverse)
+        return (bytes if packed else list)((a if e > 0 else inverse,)) * abs(e)
+    if not packed:
         kept = _nails(keep)
         return _residual(list(filter({*kept, *(-i for i in kept)}.__contains__, letters)))
-    kept = bytes(_nails(keep & _PACKED_NAILS))
+    kept = bytes(_nails(keep))
     letters = letters.translate(None, _BYTES.translate(None, kept + kept.translate(_INVERSE)))
     for i in kept:
         letters = letters.replace(_PAIR[i], b"").replace(_PAIR[i][::-1], b"")
@@ -383,17 +391,26 @@ def _balanced(items: Sequence[_T], join: Callable[[_T, _T], _T]) -> _T:
     return join(_balanced(items[:half], join), _balanced(items[half:], join))
 
 
-def _product(pieces: Iterable[Iterable[int]]) -> list[int]:
-    """The reduced product of reduced pieces of int letters.
+def _product(pieces: Iterable[Sequence[int]], packed: bool = False) -> Sequence[int]:
+    """The reduced product of reduced pieces, int letters or packed.
 
     Only letters where two pieces meet can cancel, so each piece first
     cancels its head against the tail of the product so far, one pair per
     turn, and the rest of it is copied whole, in C.  A piece that cancels
     whole lets the next one cancel further back, across earlier pieces.
+    Int pieces may be any iterables and give a list.  With ``packed`` they
+    are bytes (see ``_residual``), joined on a bytearray, and give bytes.
     """
-    out = [0]  # a sentinel, as in _residual: no letter cancels it
+    out = bytearray(1) if packed else [0]  # a sentinel, as in _residual: no letter cancels it
     pop = out.pop
     for piece in pieces:
+        if packed:
+            cut = 0
+            while cut < len(piece) and out[-1] + piece[cut] == 256:
+                pop()
+                cut += 1
+            out += piece[cut:]
+            continue
         rest = iter(piece)
         for x in rest:
             if out[-1] != -x:
@@ -402,7 +419,7 @@ def _product(pieces: Iterable[Iterable[int]]) -> list[int]:
             pop()
         out += rest
     del out[0]
-    return out
+    return bytes(out) if packed else out
 
 
 def reduce(w: Word) -> Word:
@@ -420,7 +437,14 @@ def raw_concat(*words: Word) -> Word:
 
 def raw_inverse(w: Word) -> Word:
     """Formal inverse without reduction: reverse the letters and flip signs."""
-    return Word(tuple([-x for x in reversed(w.letters)]))
+    return Word(tuple(_invert(w.letters)))
+
+
+def _invert(letters: Sequence[int]) -> Sequence[int]:
+    """The formal inverse of int letters, as a list, or of packed ones by one translate."""
+    if isinstance(letters, bytes):
+        return letters.translate(_INVERSE)[::-1]
+    return [-x for x in reversed(letters)]
 
 
 def raw_commutator(a: Word, b: Word) -> Word:

@@ -47,6 +47,7 @@ from picturehang.words import (
     EMPTY_WORD,
     NailSubset,
     Word,
+    _balanced,
     _boundary_mismatch,
     _boundary_reads_less,
     _search_root,
@@ -141,6 +142,34 @@ def test_spliced_templates_are_the_gadget_layouts():
         glue_p_q = (Word((1,)), Word((2,)), p, q)
         for template, layout in ((_AND_TEMPLATE, _and_layout(p, q)), (_OR_TEMPLATE, or_layout)):
             assert raw_concat(*_splice(template, glue_p_q, raw_inverse)).letters == layout.letters
+
+
+def _int_gadget(template, p, q):
+    """The gadget's layout on ints, glue x1 and x2, reduced whole."""
+    return raw_concat(*_splice(template, (Word((1,)), Word((2,)), p.reduce(), q.reduce()), raw_inverse)).reduce()
+
+
+def test_packed_gadget_layouts_equal_the_int_layout():
+    # Words on nails up to 127 are laid out packed; one holding nail 128 stays on ints.
+    rng = random.Random(29)
+
+    def random_word(pool):
+        nails = rng.sample(pool, rng.randint(1, 4))
+        return Word(tuple(rng.choice(nails) * rng.choice((1, -1)) for _ in range(rng.randint(0, 8))))
+
+    for pool in ([1, 2, 3, 4, 5, 125, 126, 127], [1, 2, 3, 127, 128]):
+        for _ in range(40):
+            p, q = random_word(pool), random_word(pool)
+            assert gadget_and(p, q).letters == _int_gadget(_AND_TEMPLATE, p, q).letters, (p, q)
+            assert gadget_or(p, q).letters == _int_gadget(_OR_TEMPLATE, p, q).letters, (p, q)
+            words = [random_word(pool) for _ in range(rng.randint(1, 6))]
+            want = _balanced(words, lambda a, b: _int_gadget(_AND_TEMPLATE, a, b))
+            assert gadget_and_tree(words).letters == want.letters, words
+    p, q = Word((128, 1, -128)), Word((3, 3))
+    assert gadget_and(p, q).max_nail == 128
+    assert gadget_and(p, q).letters == _int_gadget(_AND_TEMPLATE, p, q).letters
+    assert gadget_and_tree([p, q, p]).letters == _int_gadget(
+        _AND_TEMPLATE, _int_gadget(_AND_TEMPLATE, p, q), p).letters
 
 
 def test_gadget_and_tree_refuses_no_words():

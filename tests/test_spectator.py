@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from picturehang.constructions import build_disjoint, build_e, build_s
-from picturehang.gadgets import gadget_and_tree
+from picturehang.constructions import _splice, build_disjoint, build_e, build_s
+from picturehang.gadgets import _AND_TEMPLATE, gadget_and_tree
 from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import (
     _hit,
@@ -20,6 +20,9 @@ from picturehang.words import (
     ExhaustiveLimitError,
     NailSubset,
     Word,
+    _balanced,
+    _minimal_sets,
+    _nails,
     fall_table,
     falls,
     raw_commutator,
@@ -164,6 +167,39 @@ def test_set_cover_words_fall_exactly_on_covers():
     assert repeated and dominated and plain
     assert set_cover_to_hanging(2, [[1, 2], [1, 2]])[0] == build_e([1, 2])
     assert set_cover_to_hanging(2, [[1, 2]])[0].letters == (1,)
+
+
+def _int_set_cover(m, sets):
+    """The Set Cover word and owners as laid out on ints, each owner mask a scan of every set."""
+    masks = [sum(1 << i for i, s in enumerate(sets) if j in s) for j in range(1, m + 1)]
+    minimal = set(_minimal_sets(masks))
+    leaves = [build_e(_nails(mask)) for mask in dict.fromkeys(masks) if mask in minimal]
+
+    def gadget(p, q):  # the AND template's layout, reduced whole
+        return raw_concat(*_splice(_AND_TEMPLATE, (Word((1,)), Word((2,)), p, q), raw_inverse)).reduce()
+
+    return _balanced(leaves, gadget), dict(enumerate(map(_nails, masks), start=1))
+
+
+def test_set_cover_words_equal_the_int_layout():
+    """Seeded instances, packed (n <= 127) and on ints (a set numbered above 127)."""
+    rng = random.Random(29)
+    instances = []
+    for _ in range(60):
+        m, n, r = rng.randint(1, 12), rng.randint(3, 9), rng.randint(1, 3)
+        sets = [set() for _ in range(n)]
+        for element in range(1, m + 1):
+            for i in rng.sample(range(n), r):
+                sets[i].add(element)
+        instances.append((m, [sorted(s) for s in sets]))
+    wide = [[] for _ in range(130)]
+    wide[0], wide[127], wide[128], wide[129] = [3], [1, 2], [1, 3], [2]
+    instances.append((3, wide))
+    for m, sets in instances:
+        word, owners = set_cover_to_hanging(m, sets)
+        want_word, want_owners = _int_set_cover(m, sets)
+        assert word.letters == want_word.letters and owners == want_owners, (m, sets)
+    assert set_cover_to_hanging(3, wide)[0].max_nail == 130
 
 
 def _brute_cover_optimum(m, sets):

@@ -416,8 +416,12 @@ def reduced_pieces(draw):
 @example([(1, 2), (3,), (-3,), (-2, -1), (4,)])  # a piece cancels whole, then a cascade
 @example([(1, 2, 3), (-3,), (-2,), (-1, 5)])  # the product empties, then grows again
 @example([(1,), (), (-1,), (-1,)])
+@example([(1, 2), (3,), (4,), (), (-4, -3), (-2,), (-1, 5)])  # whole pieces cancel across joins
 def test_product_of_reduced_pieces_is_the_residual_of_their_concatenation(pieces):
-    assert _product(pieces) == _residual([x for p in pieces for x in p])
+    want = _residual([x for p in pieces for x in p])
+    assert _product(pieces) == want
+    packed = _product([_pack(p) for p in pieces], packed=True)
+    assert type(packed) is bytes and _unpack(packed) == want
 
 
 def test_product_takes_pieces_of_any_iterable_type():
@@ -443,6 +447,25 @@ def test_kept_residual_is_the_residual_of_the_complement_strip(case):
     want = _residual(letters, ((1 << 127) - 1) & ~keep)
     assert _kept_residual(letters, keep) == want
     assert _unpack(_kept_residual(_pack(letters), keep)) == want
+
+
+def test_kept_residual_of_one_nail_is_its_letter_count_on_both_forms():
+    """A one-nail keep, x_a^e with e = #a - #A, equals the complement strip as ints and as bytes."""
+    rng = random.Random(29)
+    cases = [((127, 1, 127, -1, 127), 1 << 126), ((127, -127, -127, 3), 1 << 126),
+             ((1, 2, -1, 2), 1 << 4)]  # nail 127 kept, twice; a kept nail the word does not hold
+    for _ in range(300):
+        nails = rng.sample([*range(1, 9), 126, 127], rng.randint(1, 4))
+        letters = [rng.choice(nails) * rng.choice((1, -1)) for _ in range(rng.randint(0, 30))]
+        cases.append((letters, 1 << rng.choice([*nails, rng.randint(1, 127)]) - 1))
+    for letters, keep in cases:
+        want = _residual(letters, ((1 << 127) - 1) & ~keep)
+        got = _kept_residual(list(letters), keep)
+        assert type(got) is list and got == want, (letters, keep)
+        packed = _kept_residual(_pack(letters), keep)
+        assert type(packed) is bytes and _unpack(packed) == want, (letters, keep)
+    assert _kept_residual(_pack((1, 1, 127)), 1 << 128 | 1 << 127) == b""  # bits above 127 ignored
+    assert _kept_residual((128, 128, -1), 1 << 127) == [128, 128]
 
 
 def test_nails_of_and_strip_read_both_forms():
