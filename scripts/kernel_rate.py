@@ -11,13 +11,18 @@ reduced pieces of the top AND gadget of each encoding of two leaves or
 more, which ``gadgets.gadget_and_tree`` lays out.  A second table times
 keep-few strips (every set of one to three kept nails, packed) by
 ``_residual`` and by ``words._kept_residual``, which counts a lone kept
-nail's letters and cancels several kept nails' adjacent pairs in C first.
-The rate counts the letters the kernel is handed, so a strip that drops
-most of them still counts them all.  A set-up row times what an exact
-spectator search does before its first strip, in letters per second:
+nail's letters and cancels several kept nails' adjacent pairs in C first,
+sweep after sweep while a sweep halves them and more than 64 are left,
+and beside them by a copy of ``_kept_residual`` that stops after one
+sweep.  The rate
+counts the letters the kernel is handed, so a strip that drops most of
+them still counts them all.  A set-up row times what an exact spectator
+search does before its first strip, in letters per second:
 ``words._search_root`` (check and pack) and ``words._relabel_held`` (find
-the held nails and relabel them) on each Set Cover word as encoded.  A
-last row counts strips instead: the boundary check
+the held nails and relabel them) on each Set Cover word as laid out,
+which keeps its packed letters (``Word.packed``), beside the same word
+rebuilt from its int letters, which is packed again.  A last row counts
+strips instead: the boundary check
 ``words._boundary_mismatch`` on the reduced word of every threshold of
 the compile-verify grid (k-of-n, 1 <= k <= n, 2 <= n <= 6), each word of 2
 to 112 letters, in strips per second.  An exact word takes one strip per
@@ -45,6 +50,10 @@ from picturehang.gadgets import _AND_TEMPLATE, _G1, _G2, gadget_and_tree
 from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import set_cover_to_hanging
 from picturehang.words import (
+    _BYTES,
+    _INVERSE,
+    _PAIR,
+    Word,
     _boundary_mismatch,
     _kept_residual,
     _minimal_sets,
@@ -80,6 +89,17 @@ def leaves(m: int, sets: list[list[int]]) -> list:
     out = [build_e(_nails(mask)) for mask in dict.fromkeys(masks) if mask in minimal]
     assert gadget_and_tree(out) == word, "the leaves must rebuild the encoding"
     return out
+
+
+def one_sweep(letters: bytes, keep: int) -> bytes:
+    """``_kept_residual`` on packed letters with a single pair sweep, the baseline of its row."""
+    if not keep & keep - 1:
+        return _kept_residual(letters, keep)
+    kept = bytes(_nails(keep))
+    letters = letters.translate(None, _BYTES.translate(None, kept + kept.translate(_INVERSE)))
+    for i in kept:
+        letters = letters.replace(_PAIR[i], b"").replace(_PAIR[i][::-1], b"")
+    return _residual(letters)
 
 
 def rate(kernel, calls: list[tuple[object, object]], letters: int, repeat: int) -> list[float]:
@@ -139,7 +159,8 @@ def main() -> None:
     ratio = packed_rate[0] / ints[0]
     print(f"{'gadget layout':>16} {spread(ints):>28} {spread(packed_rate):>28} {ratio:>6.2f}")
 
-    print(f"{'work':>16} {'_residual letters/s':>28} {'routine letters/s':>28} {'ratio':>6}")
+    print(f"{'work':>16} {'_residual letters/s':>28} {'one sweep letters/s':>28}"
+          f" {'repeated sweeps letters/s':>28} {'ratio':>6}")
     keeps = [
         (_pack(letters), sum(1 << i for i in kept), (1 << n) - 1)
         for letters, n in words
@@ -147,13 +168,19 @@ def main() -> None:
         for kept in combinations(range(n), size)
     ]
     letters = sum(len(word) for word, _, _ in keeps)
-    old = rate(_residual, [(word, full ^ keep) for word, keep, full in keeps], letters, args.repeat)
-    new = rate(_kept_residual, [(word, keep) for word, keep, _ in keeps], letters, args.repeat)
-    print(f"{'keep-few strip':>16} {spread(old):>28} {spread(new):>28} {new[0] / old[0]:>6.2f}")
+    strip = rate(_residual, [(word, full ^ keep) for word, keep, full in keeps], letters, args.repeat)
+    calls = [(word, keep) for word, keep, _ in keeps]
+    once, repeated = (rate(kernel, calls, letters, args.repeat) for kernel in (one_sweep, _kept_residual))
+    print(f"{'keep-few strip':>16} {spread(strip):>28} {spread(once):>28} {spread(repeated):>28}"
+          f" {repeated[0] / once[0]:>6.2f}")
 
-    setup = rate(lambda word, n: _relabel_held(_search_root(word, n), n), encoded, total, args.repeat)
-    print(f"{'work':>16} {'letters/s':>28}")
-    print(f"{'search set-up':>16} {spread(setup):>28}")
+    def set_up(word: Word, n: int) -> None:
+        _relabel_held(_search_root(word, n), n)
+
+    rebuilt = [(Word(word.letters, reduced=True), n) for word, n in encoded]
+    ints, laid_out = (rate(set_up, forms, total, args.repeat) for forms in (rebuilt, encoded))
+    print(f"{'work':>16} {'from ints letters/s':>28} {'as laid out letters/s':>28} {'ratio':>6}")
+    print(f"{'search set-up':>16} {spread(ints):>28} {spread(laid_out):>28} {laid_out[0] / ints[0]:>6.2f}")
 
     grid = [(k, n) for n in range(2, 7) for k in range(1, n + 1)]
     calls = [(_search_root(build_k_of_n(k, n).word, n), n, k) for k, n in grid]

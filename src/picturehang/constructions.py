@@ -35,7 +35,9 @@ def build_e(indices: Sequence[int]) -> Word:
 
     A singleton is its generator; otherwise the commutator of E over the
     first ceil(m/2) indices and E over the rest.  Each generator appears at
-    most 2n times and the whole word has at most 2n^2 letters.
+    most 2n times and the whole word has at most 2n^2 letters.  It is
+    returned flagged reduced: the halves of each commutator wrap disjoint
+    nails, so no two adjacent letters cancel.
     """
     idx = list(indices)
     if not idx:
@@ -43,7 +45,7 @@ def build_e(indices: Sequence[int]) -> Word:
     if len(set(idx)) != len(idx):
         raise ValueError("build_e indices must be distinct")
     _check_positive(idx)
-    return Word(tuple(lay_out_e(idx)))
+    return Word(tuple(lay_out_e(idx)), reduced=True)
 
 
 class _Templates(dict):

@@ -14,7 +14,8 @@ laid out, unreduced, on p = x3 and q = x4: letters +-3 and +-4 are slots,
 +-1 and +-2 glue.  It drives both building and accounting: a gadget lays
 the template out with `constructions._splice` on the arguments (x1, x2, p,
 q), glue letters as arguments 1 and 2, and reduces at the joins, packed
-from leaves to root when every nail is at most 127.
+from leaves to root when every nail is at most 127; such a word keeps its
+packed root (``Word.packed``) for the searches.
 Laid out with single-letter arguments the AND template has 14 letters (4
 copies of p, 4 of q, 6 glue) and the OR template 1,078.  The flat
 bookkeeping of the OR counts 256 p-slots, 256 q-slots and 566 glue
@@ -87,7 +88,9 @@ def _lay_out(template: tuple[int, ...], words: Sequence[Word]) -> Word:
 
     Each gadget splices its reduced arguments into the template and reduces
     at the joins (``words._product``), on bytes when every nail is at most
-    127: the words are packed once (``words._pack``), the root unpacked once.
+    127: the words are packed once (``words._pack``), and the root is
+    unpacked once for ``Word.letters`` and kept as ``Word.packed``, so a
+    search does not pack it again.
     """
     args = [w.reduce().letters for w in words]
     packed_args = [_pack(x) for x in args]
@@ -95,7 +98,9 @@ def _lay_out(template: tuple[int, ...], words: Sequence[Word]) -> Word:
         args = packed_args
     glue = (b"\x01", b"\x02") if packed else ((1,), (2,))
     root = _balanced(args, lambda p, q: _product(_splice(template, (*glue, p, q), _invert), packed))
-    return Word(struct.unpack(f"{len(root)}b", root) if packed else tuple(root), reduced=True)
+    if packed:
+        return Word(struct.unpack(f"{len(root)}b", root), reduced=True, packed=root)
+    return Word(tuple(root), reduced=True)
 
 
 class TemplateCounts(NamedTuple):

@@ -9,19 +9,21 @@ residual of a subset is its parent's residual with one more nail
 stripped: `min_fell_exact` grows the hanging sets layer by layer from the
 empty set, and `greedy_min_fell` keeps the residual of the nail it picks.
 From the other end, `_kept_sets` scans the sets of t = 1, 2, ... kept
-nails, whose adjacent pairs it cancels in C first (`words._kept_residual`):
-`max_survive_exact` stops at the first whose word does not fall, and
-`min_fell_exact` keeps such sets as clauses, which every felling set
-meets, and tests the first smallest set that meets them all.  All three
-check and pack the word once, one byte per letter by one `struct.pack`
-when n is at most 127 (`words._search_root`), and find the nails a packed
-residual holds by one memchr for each of nails 1..n (`words._nails_of`).
-Every strip drops letters in one `bytes.translate` whose bytes come from
-a table (`words._strip`); a nail the residual no longer holds leaves its
-length alone, so the residual is not reduced again, and the greedy does
-not try that nail.  The gadgets of
-`set_cover_to_hanging`, one E-word per distinct minimal owner set under
-`gadgets.gadget_and_tree`, load with its first call, not with the solvers.
+nails, whose adjacent pairs it cancels in C first, sweep after sweep
+(`words._kept_residual`): `max_survive_exact` stops at the first whose
+word does not fall, and `min_fell_exact` keeps such sets as clauses,
+which every felling set meets, and tests the first smallest set that
+meets them all.  All three check and pack the word once, one byte per
+letter when n is at most 127 (`words._search_root`): a word the gadgets
+laid out on bytes arrives packed (`Word.packed`), any other is packed by
+one `struct.pack`.  They find the nails a packed residual holds by one
+memchr for each of nails 1..n (`words._nails_of`).  Every strip drops
+letters in one `bytes.translate` whose bytes come from a table
+(`words._strip`); a nail the residual no longer holds leaves its length
+alone, so the residual is not reduced again, and the greedy does not try
+that nail.  The gadgets of `set_cover_to_hanging`, one E-word per
+distinct minimal owner set under `gadgets.gadget_and_tree`, load with
+its first call, not with the solvers.
 """
 
 from __future__ import annotations
@@ -225,21 +227,22 @@ def set_cover_to_hanging(
     bytes for up to 127 sets.  Removing a family's nails fells the word
     exactly when the family is a cover, so the minimum felling subset has
     the Set Cover optimum's size.  Returns the word and the per-element
-    owner lists, read in one pass over the sets.
+    owner lists, built with the owner masks in one pass over the sets.
     """
     from .gadgets import gadget_and_tree  # loaded here: the solvers need none of it
     from .constructions import build_e
 
     if m < 1:
         raise ValueError("universe must be nonempty")
-    masks = [0] * m
-    for i, s in enumerate(sets):
-        for j in sorted(s):
+    masks, owners = [0] * m, [[] for _ in range(m)]
+    for i, s in enumerate(sets, start=1):
+        for j in sorted(set(s)):
             if not 1 <= j <= m:
-                raise ValueError(f"set {i + 1} holds element {j}, outside the universe 1..{m}")
-            masks[j - 1] |= 1 << i
+                raise ValueError(f"set {i} holds element {j}, outside the universe 1..{m}")
+            masks[j - 1] |= 1 << i - 1
+            owners[j - 1].append(i)
     if 0 in masks:
         raise ValueError(f"element {masks.index(0) + 1} is not covered by any set")
     minimal = set(_minimal_sets(masks))
     leaves = [build_e(_nails(mask)) for mask in dict.fromkeys(masks) if mask in minimal]
-    return gadget_and_tree(leaves), dict(enumerate(map(_nails, masks), start=1))
+    return gadget_and_tree(leaves), dict(enumerate(map(tuple, owners), start=1))

@@ -16,16 +16,18 @@ under further deletions.  `fall_table` walks the subsets on both facts.
 
 One kernel, `_residual`, reduces and strips.  A word is handed to it as
 ints, or packed as bytes, one byte per letter (x mod 256), when every nail
-is at most 127.  The subset searches here and in `spectator` check and
-pack their word once (`_search_root`, by one `struct.pack`), so each of
-their many strips is one `bytes.translate` in C, with bytes read from
-tables (`_strip`, `_drop`), and its length shows whether the residual held
-the nail; the nails a packed word holds are found by one memchr each
-(`_nails_of`).  Plain reduction of a word as built stays on ints.  Two
-routines take work off the kernel's loop: `_product` reduces a product of
-reduced pieces at their joins only, packed for the gadgets, and
-`_kept_residual` counts a lone kept nail's letters, or cancels adjacent
-pairs of a few kept nails in C before the loop.
+is at most 127.  The subset searches here and in `spectator` check their
+word and pack it once (`_search_root`): by one `struct.pack`, or not at
+all for a word that keeps its packed letters (`Word.packed`, set by the
+gadgets).  So each of their many strips is one `bytes.translate` in C,
+with bytes read from tables (`_strip`, `_drop`), and its length shows
+whether the residual held the nail; the nails a packed word holds are
+found by one memchr each (`_nails_of`).  Plain reduction of a word as
+built stays on ints.  Two routines take work off the kernel's loop:
+`_product` reduces a product of reduced pieces at their joins only,
+packed for the gadgets, and `_kept_residual` counts a lone kept nail's
+letters, or cancels adjacent pairs of a few kept nails in C, sweep after
+sweep while they halve the letters, before the loop.
 """
 
 from __future__ import annotations
@@ -144,13 +146,20 @@ class Word(_Record):
     ``word_from_json`` reject a zero or non-integer letter; a zero letter
     passed straight to ``Word`` is undefined: reduction may raise
     ``IndexError`` or keep the zero.
+
+    ``packed`` is None, or the same letters as ``_pack`` bytes, which the
+    searches start from (``_search_root``); equality, hashing and ``len``
+    ignore it.  ``gadgets._lay_out`` sets it on the words it lays out on bytes.
     """
 
-    __slots__ = ("letters", "reduced")
+    __slots__ = ("letters", "reduced", "packed")
 
-    def __init__(self, letters: tuple[int, ...] = (), reduced: bool = False) -> None:
+    def __init__(
+        self, letters: tuple[int, ...] = (), reduced: bool = False, packed: bytes | None = None
+    ) -> None:
         _set(self, "letters", letters)
         _set(self, "reduced", reduced)
+        _set(self, "packed", packed)
 
     @classmethod
     def of(cls, *codes: int) -> "Word":
@@ -276,13 +285,14 @@ def _search_root(w: Word, n: int) -> Sequence[int]:
 
     Refuses what ``check_nails`` refuses, with its messages in its order.
     For n in 0..127, so that each nail a search strips has table bytes,
-    the as-built letters are packed once, and one ``bytes.translate``
-    deleting nails 1..n shows whether another nail is wrapped.  Only then,
-    for a nail above 127 or an n outside 0..127, is ``check_nails`` run,
-    and a word it passes stays on ints.  A reduced word is not reduced again.
+    the word's ``packed`` letters are taken, or its as-built letters packed
+    once, and one ``bytes.translate`` deleting nails 1..n shows whether
+    another nail is wrapped.  Only then, for a nail above 127 or an n
+    outside 0..127, is ``check_nails`` run, and a word it passes stays on
+    ints.  A reduced word is not reduced again.
     """
     if 0 <= n <= 127:
-        packed = _pack(w.letters)
+        packed = w.packed or _pack(w.letters)  # an empty word packs to b"" either way
         allowed = _BYTES[1 : n + 1] + _BYTES[256 - n :]  # nails 1..n, both signs
         if isinstance(packed, bytes) and not packed.translate(None, allowed):
             return packed if w.reduced else _residual(packed)
@@ -357,9 +367,11 @@ def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
     One kept nail a leaves x_a^e, e = #a - #A, read by two counts.  More
     kept nails: packed letters lose the rest in one ``bytes.translate``,
     then each kept nail's adjacent inverse pairs in one ``bytes.replace``
-    sweep per order, in C, so the loop of ``_residual`` reads far fewer
-    letters; cancelling a pair never changes the reduced word.  Keep bits
-    above 127 are left out, as in ``_residual``.  Int letters are filtered.
+    sweep per order, in C, repeated while a sweep removes at least half
+    the letters it read and leaves more than `_PRE_CANCEL_LETTERS`, so the
+    loop of ``_residual`` reads far fewer letters; cancelling a pair never
+    changes the reduced word.  Keep bits above 127 are left out, as in
+    ``_residual``.  Int letters are filtered.
     """
     packed = isinstance(letters, bytes)
     keep &= _PACKED_NAILS if packed else keep
@@ -373,9 +385,12 @@ def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
         return _residual(list(filter({*kept, *(-i for i in kept)}.__contains__, letters)))
     kept = bytes(_nails(keep))
     letters = letters.translate(None, _BYTES.translate(None, kept + kept.translate(_INVERSE)))
-    for i in kept:
-        letters = letters.replace(_PAIR[i], b"").replace(_PAIR[i][::-1], b"")
-    return _residual(letters)
+    while True:
+        read = len(letters)
+        for i in kept:
+            letters = letters.replace(_PAIR[i], b"").replace(_PAIR[i][::-1], b"")
+        if 2 * len(letters) > read or len(letters) <= _PRE_CANCEL_LETTERS:
+            return _residual(letters)
 
 
 def _balanced(items: Sequence[_T], join: Callable[[_T, _T], _T]) -> _T:
@@ -673,7 +688,7 @@ def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:
     return None
 
 
-# Below this many letters left to the loop, the pair pre-cancel of
+# Below this many letters left to the loop, a pair sweep of
 # ``_kept_residual`` costs more than it saves (threshold words, n <= 14).
 _PRE_CANCEL_LETTERS = 64
 

@@ -19,6 +19,7 @@ from picturehang.constructions import (
 )
 from picturehang.words import (
     Word,
+    _residual,
     commutator,
     fall_table,
     falls,
@@ -100,6 +101,13 @@ def test_e_lengths_formula_and_quadratic_bound():
         assert len(w) == e_word_length(n)
         assert len(w) <= 2 * n * n
         assert max(nail_counts(w, n).values()) <= 2 * n
+
+
+def test_e_words_are_flagged_reduced_honestly():
+    rng = random.Random(31)
+    for m in range(1, 21):
+        w = build_e(rng.sample(range(1, 41), m))
+        assert w.reduced and w.letters == tuple(_residual(w.letters)), m
 
 
 def test_e_template_equals_the_commutator_recursion():

@@ -23,6 +23,7 @@ from picturehang.words import (
     _balanced,
     _minimal_sets,
     _nails,
+    _pack,
     fall_table,
     falls,
     raw_commutator,
@@ -200,6 +201,26 @@ def test_set_cover_words_equal_the_int_layout():
         want_word, want_owners = _int_set_cover(m, sets)
         assert word.letters == want_word.letters and owners == want_owners, (m, sets)
     assert set_cover_to_hanging(3, wide)[0].max_nail == 130
+
+
+def test_set_cover_words_keep_their_packed_letters_for_the_solvers():
+    """A Set Cover word with and without its packed letters: equal, alike hashed, same answers."""
+    rng = random.Random(31)
+    packed = 0
+    for _ in range(24):
+        m, n, r = rng.randint(2, 9), rng.randint(3, 7), rng.randint(1, 3)
+        sets = [set() for _ in range(n)]
+        for element in range(1, m + 1):
+            for i in rng.sample(range(n), r):
+                sets[i].add(element)
+        word = set_cover_to_hanging(m, sets)[0]
+        plain = Word(word.letters)
+        assert word.packed in (None, _pack(word.letters))
+        assert word == plain and hash(word) == hash(plain) and len(word) == len(plain)
+        for solve in (min_fell_exact, max_survive_exact, greedy_min_fell):
+            assert solve(word, n) == solve(plain, n), (m, sets)
+        packed += word.packed is not None
+    assert packed
 
 
 def _brute_cover_optimum(m, sets):

@@ -1,10 +1,12 @@
 """Free-group word core: reduction, fall machinery, formats."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from picturehang.spectator import set_cover_to_hanging
 from picturehang.words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     EMPTY_WORD,
@@ -33,6 +35,7 @@ from picturehang.words import (
 from picturehang.words import (
     _as_mask,
     _drop,
+    _invert,
     _kept_residual,
     _masks_of_size,
     _minimal_sets,
@@ -468,6 +471,31 @@ def test_kept_residual_of_one_nail_is_its_letter_count_on_both_forms():
     assert _kept_residual((128, 128, -1), 1 << 127) == [128, 128]
 
 
+def test_kept_residual_equals_the_residual_of_the_other_nails_dropped():
+    """Seeded words on both forms, many of them u U, which sweep to nothing whatever is kept."""
+    rng = random.Random(31)
+    for _ in range(300):
+        nails = rng.sample([*range(1, 9), 126, 127], rng.randint(2, 5))
+        letters = [rng.choice(nails) * rng.choice((1, -1)) for _ in range(rng.randint(0, 60))]
+        if rng.random() < 0.5:
+            letters += _invert(letters)
+        kept = rng.sample(nails, rng.randint(1, len(nails)))  # one nail: the count path
+        keep = sum(1 << i - 1 for i in kept) | rng.choice((0, 1 << 127, 1 << 200))
+        want = _residual(_drop(letters, [i for i in range(1, 128) if i not in kept]))
+        assert _kept_residual(list(letters), keep) == want, (letters, keep)
+        assert _unpack(_kept_residual(_pack(letters), keep)) == want, (letters, keep)
+    assert _kept_residual(_pack([1, 2, -2, -1] * 20), 0b11) == b""  # 80 letters, one sweep to 2
+    # Set Cover words keeping two or three nails: 43 of these 70 keeps sweep more than once.
+    for m, sets in [(9, [[1, 4, 7], [2, 5, 8], [3, 6, 9], [1, 2, 3], [4, 5, 6, 9], [7, 8]]),
+                    (8, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8], [8, 1]])]:
+        word = set_cover_to_hanging(m, sets)[0]
+        for kept in [*combinations(range(1, 7), 2), *combinations(range(1, 7), 3)]:
+            want = _residual(_drop(word.letters, [i for i in range(1, 9) if i not in kept]))
+            assert _unpack(_kept_residual(word.packed, _as_mask(kept))) == want, (m, kept)
+            assert _kept_residual(word.letters, _as_mask(kept)) == want, (m, kept)
+    assert _kept_residual([200, 1, 5, -200, -1], 1 << 199 | 1) == [200, 1, -200, -1]
+
+
 def test_nails_of_and_strip_read_both_forms():
     letters = (3, -5, 127, -127)
     for form in (letters, _pack(letters)):
@@ -550,6 +578,18 @@ def test_search_root_refuses_as_check_nails_does_in_the_same_order(letters, n):
         unpacked = _unpack(root) if isinstance(root, bytes) else list(root)
         assert unpacked == list(w.reduce().letters)
         assert isinstance(root, bytes) == (n < 128 and all(abs(x) < 128 for x in letters))
+
+
+def test_a_packed_word_is_checked_and_reduced_as_its_letters():
+    letters = (5, 3, -5)
+    w = Word(letters, reduced=True, packed=_pack(letters))
+    assert w.reduce() is w
+    assert w == Word(letters) and hash(w) == hash(Word(letters)) and len(w) == 3
+    for n in (4, 2, -1):  # nail 5 beyond n, and a negative n, refused as check_nails does
+        with pytest.raises(ValueError) as exc:
+            _search_root(w, n)
+        assert (type(exc.value), str(exc.value)) == _check_errors(Word(letters), n, n)
+    assert _search_root(w, 5) is w.packed
 
 
 def test_minimal_sets_equal_the_pairwise_rule():
