@@ -26,7 +26,10 @@ lines.  It covers:
   nails, subset specs listing duplicate and superset subsets, and seeded
   ANDs of two DNFs over shared nails: every report field;
 - every k-of-n for 14 <= n <= 20 within 10^6 letters: its length and how
-  auto-verification went (the fields that follow the verification rule).
+  auto-verification went (the fields that follow the verification rule);
+- each subset search's refusal, exception type and message, of a nail
+  beyond n, a negative n, an n over the exhaustive limit and both at once,
+  on packed and on int words (nails above 127).
 
 Standard library only; seeded, so two runs print the same bytes.
 
@@ -77,7 +80,7 @@ from picturehang.spectator import (
     min_fell_exact,
     set_cover_to_hanging,
 )
-from picturehang.words import NailSubset, Word, fall_table
+from picturehang.words import NailSubset, Word, fall_table, verify_threshold
 
 
 def emit(case: str, **fields) -> None:
@@ -302,6 +305,33 @@ def threshold_verification() -> None:
                  masks_checked=r.masks_checked, notices=list(r.notices))
 
 
+def refusals() -> None:
+    searches = {
+        "fall_table": fall_table,
+        "verify_threshold": lambda w, n: verify_threshold(w, n, 1),
+        "min_fell_exact": min_fell_exact,
+        "max_survive_exact": max_survive_exact,
+        "greedy_min_fell": greedy_min_fell,
+    }
+    inputs = [
+        ("nail beyond n", (1, 5, -1), 3),
+        ("nail beyond n", (1, 200, -1), 150),
+        ("negative n", (1,), -1),
+        ("negative n", (), -1),
+        ("n over the limit", (1, 2, -1, -2), 25),
+        ("n over the limit", (1, 200, -1, -200), 200),
+        ("nail beyond n, n over the limit", (30, 1, -30), 25),
+        ("nail beyond n, n over the limit", (300, 1, -300), 200),
+    ]
+    for name, search in searches.items():
+        for kind, letters, n in inputs:
+            try:
+                outcome = str(search(Word(letters), n))
+            except ValueError as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            emit("refusal", search=name, input=kind, word=list(letters), n=n, outcome=outcome)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -320,6 +350,7 @@ def main() -> None:
     cli()
     absorption(rng)
     threshold_verification()
+    refusals()
 
 
 if __name__ == "__main__":

@@ -127,11 +127,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     from .spectator import max_survive_exact, min_fell_exact
 
-    word = _load_word(args.word)
-    if args.problem == "min-fell":
-        subset = min_fell_exact(word, args.n, args.limit)
-    else:
-        subset = max_survive_exact(word, args.n, args.limit)
+    solver = min_fell_exact if args.problem == "min-fell" else max_survive_exact
+    check_limit(solver.__name__, args.n, args.limit)  # before the file is read: it may be large
+    subset = solver(_load_word(args.word), args.n, args.limit)
     if args.json:
         print(json.dumps({"members": sorted(subset.members), "size": subset.size}))
     else:

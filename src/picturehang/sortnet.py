@@ -17,7 +17,8 @@ slower (ROADMAP item 2, "`atleast` in closed form").
 
 Which route a threshold takes: the compiler dualizes the circuits built
 here, the parse of the `atleast(k; ...)` macro, into prime clauses, and a
-threshold spec compiles straight to the product of its clause words.
+threshold spec goes straight to `compiler._threshold_plan` over its
+(n-k+1)-subsets, priced before any subset is listed.
 """
 
 from __future__ import annotations

@@ -13,17 +13,15 @@ nails, whose adjacent pairs it cancels in C first, sweep after sweep
 (`words._kept_residual`): `max_survive_exact` stops at the first whose
 word does not fall, and `min_fell_exact` keeps such sets as clauses,
 which every felling set meets, and tests the first smallest set that
-meets them all.  All three check and pack the word once, one byte per
-letter when n is at most 127 (`words._search_root`): a word the gadgets
-laid out on bytes arrives packed (`Word.packed`), any other is packed by
-one `struct.pack`.  They find the nails a packed residual holds by one
-memchr for each of nails 1..n (`words._nails_of`).  Every strip drops
-letters in one `bytes.translate` whose bytes come from a table
-(`words._strip`); a nail the residual no longer holds leaves its length
-alone, so the residual is not reduced again, and the greedy does not try
-that nail.  The gadgets of `set_cover_to_hanging`, one E-word per
-distinct minimal owner set under `gadgets.gadget_and_tree`, load with
-its first call, not with the solvers.
+meets them all.  All three are set up by `words._search_root`, which
+checks the nails and, for the exact two, the exhaustive limit, then packs
+the word once, one byte per letter when n is at most 127 (a word the
+gadgets laid out on bytes arrives packed, `Word.packed`), and reduces it.
+They find the nails a packed residual holds by one memchr for each of
+nails 1..n (`words._nails_of`), and step from a parent's residual to a
+child's only by `words._strip`.  The gadgets of `set_cover_to_hanging`,
+one E-word per distinct minimal owner set under `gadgets.gadget_and_tree`,
+load with its first call, not with the solvers.
 """
 
 from __future__ import annotations
@@ -41,10 +39,8 @@ from .words import (
     _nails,
     _nails_of,
     _relabel_held,
-    _residual,
     _search_root,
     _strip,
-    check_limit,
 )
 
 __all__ = [
@@ -65,11 +61,11 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     the only ones in a smallest answer, relabeled 1..h in order
     (``words._relabel_held``).  The bottom side walks the hanging sets by
     size: a subset's parent is the subset less its lowest nail, and its
-    residual is the parent's with the new nail stripped (unstripped if the
-    parent's no longer holds it).  Parents go in increasing order and their
-    children by increasing nail, so each layer comes out in numeric order
-    and its first empty residual is the answer; a subset holding nail 1
-    has no children and keeps no residual.
+    residual is the parent's with the new nail stripped (``words._strip``).
+    Parents go in increasing order and their children by increasing nail,
+    so each layer comes out in numeric order and its first empty residual
+    is the answer; a subset holding nail 1 has no children and keeps no
+    residual.
 
     The top side keeps t = 1, 2, ... nails.  Keeping more nails never fells
     a word, so a removal hangs exactly when the nails it keeps hold a
@@ -83,8 +79,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     bottom layer costs each parent's residual length times its children,
     a top layer of t nails about C(h - 1, t - 1) L, for a word of L letters.
     """
-    root = _search_root(w, n)
-    check_limit("min_fell_exact", n, limit)
+    root = _search_root(w, n, "min_fell_exact", limit)
     if not root:
         return NailSubset(n, 0)
     held, letters = _relabel_held(root, n)
@@ -106,8 +101,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
             for mask in list(layer):
                 residual = layer.pop(mask)
                 for i in range((mask & -mask).bit_length() - 1 if mask else h):
-                    rest = _strip(residual, i + 1)  # as long as the residual iff it holds no nail i + 1
-                    rest = _residual(rest) if len(rest) < len(residual) else residual
+                    rest = _strip(residual, i + 1)
                     if not rest:
                         return NailSubset(n, _unlabel(held, mask | 1 << i))
                     if i:
@@ -140,8 +134,7 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     scanned as ``_kept_sets`` orders them; the first whose word does not
     fall, mapped back, is kept, and every other nail is the answer.
     """
-    root = _search_root(w, n)
-    check_limit("max_survive_exact", n, limit)
+    root = _search_root(w, n, "max_survive_exact", limit)
     if not root:
         raise ValueError("word is trivial: the picture has already fallen")
     held, letters = _relabel_held(root, n)
@@ -204,7 +197,7 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     while residual:
         best = 0, residual  # a strip of a held nail is shorter
         for nail in sorted(_nails_of(residual, n)):
-            rest = _residual(_strip(residual, nail))
+            rest = _strip(residual, nail)
             if len(rest) < len(best[1]):
                 best = nail, rest
                 if not rest:

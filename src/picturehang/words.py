@@ -16,18 +16,17 @@ under further deletions.  `fall_table` walks the subsets on both facts.
 
 One kernel, `_residual`, reduces and strips.  A word is handed to it as
 ints, or packed as bytes, one byte per letter (x mod 256), when every nail
-is at most 127.  The subset searches here and in `spectator` check their
-word and pack it once (`_search_root`): by one `struct.pack`, or not at
-all for a word that keeps its packed letters (`Word.packed`, set by the
-gadgets).  So each of their many strips is one `bytes.translate` in C,
-with bytes read from tables (`_strip`, `_drop`), and its length shows
-whether the residual held the nail; the nails a packed word holds are
-found by one memchr each (`_nails_of`).  Plain reduction of a word as
-built stays on ints.  Two routines take work off the kernel's loop:
-`_product` reduces a product of reduced pieces at their joins only,
-packed for the gadgets, and `_kept_residual` counts a lone kept nail's
-letters, or cancels adjacent pairs of a few kept nails in C, sweep after
-sweep while they halve the letters, before the loop.
+is at most 127.  Every subset search here and in `spectator` is set up by
+`_search_root`: nails checked, then the exhaustive limit, then the word
+packed once (`Word.packed`, set by the gadgets, or one `struct.pack`) and
+reduced.  Each step to a child residual is `_strip`: one `bytes.translate`
+in C, whose length shows whether the nail was held, then the loop only if
+it was.  A packed word's nails are found by one memchr each (`_nails_of`).
+Plain reduction of a word as built stays on ints.  Two routines take work
+off the kernel's loop: `_product` reduces a product of reduced pieces at
+their joins only, packed for the gadgets, and `_kept_residual` counts a
+lone kept nail's letters, or cancels adjacent pairs of a few kept nails in
+C, sweep after sweep while they halve the letters, before the loop.
 """
 
 from __future__ import annotations
@@ -250,10 +249,12 @@ _PAIR = [bytes((i, -i & 255)) for i in range(128)]  # nail i's two bytes, x_i X_
 
 
 def _strip(letters: Sequence[int], nail: int) -> Sequence[int]:
-    """The letters less nail's, unreduced, shorter iff they held it; packed, by `_PAIR`."""
+    """The residual of reduced letters less nail's, or ``letters`` itself if they hold none."""
     if isinstance(letters, bytes):
-        return letters.translate(None, _PAIR[nail])
-    return [x for x in letters if x != nail and x != -nail]
+        rest = letters.translate(None, _PAIR[nail])
+    else:
+        rest = [x for x in letters if x != nail and x != -nail]
+    return _residual(rest) if len(rest) < len(letters) else letters
 
 
 def _drop(letters: Sequence[int], nails: Sequence[int]) -> Iterable[int]:
@@ -280,24 +281,27 @@ def _pack(letters: Sequence[int]) -> Sequence[int]:
     return letters if 128 in packed else packed
 
 
-def _search_root(w: Word, n: int) -> Sequence[int]:
-    """The reduced letters of w, packed when n allows, checked against n.
+def _search_root(w: Word, n: int, what: str = "", limit: int | None = None) -> Sequence[int]:
+    """The reduced letters of w, packed when n allows, set up for the search ``what``.
 
-    Refuses what ``check_nails`` refuses, with its messages in its order.
-    For n in 0..127, so that each nail a search strips has table bytes,
-    the word's ``packed`` letters are taken, or its as-built letters packed
-    once, and one ``bytes.translate`` deleting nails 1..n shows whether
-    another nail is wrapped.  Only then, for a nail above 127 or an n
-    outside 0..127, is ``check_nails`` run, and a word it passes stays on
-    ints.  A reduced word is not reduced again.
+    Refuses what ``check_nails`` refuses, in its order and words, then an
+    n over ``limit`` (None: none) as ``check_limit`` does; only then is the
+    word reduced.  For n in 0..127, so that each nail a search strips has
+    table bytes, the word's ``packed`` letters, or its letters packed once,
+    are checked by one ``bytes.translate`` deleting nails 1..n.  Otherwise
+    ``check_nails`` runs, and a word it passes stays on ints.  A reduced
+    word is not reduced again.
     """
-    if 0 <= n <= 127:
-        packed = w.packed or _pack(w.letters)  # an empty word packs to b"" either way
-        allowed = _BYTES[1 : n + 1] + _BYTES[256 - n :]  # nails 1..n, both signs
-        if isinstance(packed, bytes) and not packed.translate(None, allowed):
-            return packed if w.reduced else _residual(packed)
-    check_nails(w, n)
-    return w.reduce().letters
+    packed = (w.packed or _pack(w.letters)) if 0 <= n <= 127 else None  # b"" when empty
+    allowed = _BYTES[1 : n + 1] + _BYTES[256 - n :]  # nails 1..n, both signs
+    if not isinstance(packed, bytes) or packed.translate(None, allowed):
+        check_nails(w, n)
+        packed = None
+    if limit is not None:
+        check_limit(what, n, limit)
+    if packed is None:
+        return w.reduce().letters
+    return packed if w.reduced else _residual(packed)
 
 
 def _nails_of(letters: Sequence[int], n: int) -> set[int]:
@@ -359,6 +363,11 @@ def _minimal_sets(sets: Iterable[int]) -> list[int]:
                 node = node.setdefault(nail, {})
             node[None] = {}
     return minimal
+
+
+# Below this many letters left to the loop a pair sweep costs more than it saves (threshold
+# words, n <= 14): `_kept_residual` sweeps, and `_boundary_mismatch` keeps few nails, above it.
+_PRE_CANCEL_LETTERS = 64
 
 
 def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
@@ -529,9 +538,7 @@ def fall_table(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> list[b
     the table over the lower nails is repeated for them.  The residuals are
     packed when the nails allow it (see ``_residual``).
     """
-    root = _search_root(w, n)
-    check_limit("fall_table", n, limit)
-    return _walk_table(root, n)
+    return _walk_table(_search_root(w, n, "fall_table", limit), n)
 
 
 def _walk_table(root: Sequence[int], n: int) -> list[bool]:
@@ -541,7 +548,7 @@ def _walk_table(root: Sequence[int], n: int) -> list[bool]:
 
     def walk(residual: Sequence[int], mask: int, start: int) -> None:
         for i in range(start, top):
-            rest = _residual(_strip(residual, i + 1))
+            rest = _strip(residual, i + 1)
             if rest:
                 walk(rest, mask | 1 << i, i + 1)
             else:  # the subtree adds only nails above i, so it is one slice
@@ -601,15 +608,15 @@ def verify_threshold(
     boundary check that fails hands over to the table, which names the
     first mask that differs.
     """
-    root = _search_root(w, n)
-    check_limit("verify_threshold", n, limit)
+    root = _search_root(w, n, "verify_threshold", limit)
     if not 0 <= k <= n:
         raise ValueError(f"threshold k={k} out of range 0..{n}")
     method, masks = _verify_plan(n, k)
     if method == "boundary" and _boundary_mismatch(root, n, k) is None:
         return None, method, masks
-    expected = [mask.bit_count() >= k for mask in range(1 << n)]
-    return first_mismatch(w, n, expected, limit), "table", 1 << n
+    table = _walk_table(root, n)
+    mask = next((m for m, fell in enumerate(table) if fell != (m.bit_count() >= k)), None)
+    return mask, "table", 1 << n
 
 
 @lru_cache  # a compile prices its check, then runs it
@@ -664,9 +671,9 @@ def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:
     residual is stripped from the root by ``_drop``, or built by
     ``_kept_residual`` from the n - k + 1 nails it keeps when they are no
     more than R's and a strip would leave the loop over
-    `_PRE_CANCEL_LETTERS` letters.  The nail above goes by ``_strip``; one
-    that leaves the residual as long cannot empty it.  The mask returned
-    is not always the first that disagrees.
+    `_PRE_CANCEL_LETTERS` letters.  The nail above goes by ``_strip``, the
+    search's one child step.  The mask returned is not always the first
+    that disagrees.
     """
     if not k:
         return 0 if root else None
@@ -682,15 +689,9 @@ def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:
         if not residual:
             return _as_mask(below)
         for nail in range(below[-1] + 1 if below else 1, n + 1):
-            rest = _strip(residual, nail)
-            if len(rest) == len(residual) or _residual(rest):
+            if _strip(residual, nail):
                 return _as_mask(below) | 1 << nail - 1
     return None
-
-
-# Below this many letters left to the loop, a pair sweep of
-# ``_kept_residual`` costs more than it saves (threshold words, n <= 14).
-_PRE_CANCEL_LETTERS = 64
 
 
 def is_monotone_table(table: list[bool], n: int) -> bool:

@@ -390,6 +390,14 @@ def test_solve_takes_the_exhaustive_limit(capsys, tmp_path):
     assert "exhaustive limit 20" in err
 
 
+def test_solve_checks_the_limit_before_reading_the_word(capsys, tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "solve", "min-fell", "--word", str(missing), "--n", "25")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: min_fell_exact over n=25 enumerates 2^25 subsets")
+    assert err.count("\n") == 1
+
+
 def test_compile_verifies_past_the_default_limit_when_given_one(capsys):
     formula = " | ".join(f"r{i}" for i in range(1, 22))
     code, _, err = run(capsys, "compile", "--formula", formula, "--verify", "on", "--limit", "21")

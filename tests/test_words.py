@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from picturehang.spectator import set_cover_to_hanging
+from picturehang.spectator import max_survive_exact, min_fell_exact, set_cover_to_hanging
 from picturehang.words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     EMPTY_WORD,
@@ -515,6 +515,23 @@ def test_nails_of_and_strip_read_both_forms():
         assert _nails_of(_pack(letters), n) == set(map(abs, letters)) == _nails_of(letters, n)
 
 
+def test_strip_returns_the_letters_or_their_residual_less_the_nail():
+    # Reduced seeded words, packed up to nail 127 and on ints up to nail 128.
+    rng = random.Random(32)
+    for _ in range(200):
+        for top, form in ((127, _pack), (128, list)):
+            nails = rng.sample(range(1, top), 3) + [top]
+            letters = [rng.choice(nails) * rng.choice((1, -1)) for _ in range(rng.randint(0, 30))]
+            letters = form(_residual(letters))
+            held = _nails_of(letters, top)
+            for nail in nails + [rng.randint(1, top)]:
+                got = _strip(letters, nail)
+                if nail in held:
+                    assert got == _residual(_drop(letters, [nail])), (letters, nail)
+                else:
+                    assert got is letters, (letters, nail)
+
+
 def test_table_strips_equal_the_int_path():
     # Seeded words on nails up to 127, stripped through the byte tables:
     # one nail by _strip, one to three by _drop and by a mask with bits
@@ -537,14 +554,24 @@ def test_table_strips_equal_the_int_path():
         assert _unpack(_residual(packed, _as_mask(dropped) | high)) == want
 
 
-def _check_errors(w, n, limit):
+def _check_errors(w, n, limit, what="fall_table"):
     """The errors of check_nails then check_limit, as (type, message), or None."""
     try:
         check_nails(w, n)
-        check_limit("fall_table", n, limit)
+        check_limit(what, n, limit)
     except ValueError as exc:
         return type(exc), str(exc)
     return None
+
+
+# Each exhaustive search by the name its limit error gives; the threshold
+# is n, in range whenever n passes the nail check.
+SEARCHES = {
+    "fall_table": fall_table,
+    "verify_threshold": lambda w, n, limit: verify_threshold(w, n, n, limit),
+    "min_fell_exact": min_fell_exact,
+    "max_survive_exact": max_survive_exact,
+}
 
 
 # Words and n: a negative n, a cancelling nail beyond n, nails 127, 128 and
@@ -562,13 +589,16 @@ SEARCH_ROOTS = [
 @pytest.mark.parametrize("letters, n", SEARCH_ROOTS)
 def test_search_root_refuses_as_check_nails_does_in_the_same_order(letters, n):
     w = Word(letters)
-    want = _check_errors(w, n, 20)
-    try:
-        fall_table(w, n, limit=20)
-    except ValueError as exc:
-        assert (type(exc), str(exc)) == want
-    else:
-        assert want is None
+    for what, search in SEARCHES.items():
+        want = _check_errors(w, n, 20, what)
+        if want is None and what == "max_survive_exact" and not w:
+            want = ValueError, "word is trivial: the picture has already fallen"
+        try:
+            search(w, n, 20)
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == want, what
+        else:
+            assert want is None, what
     try:
         root = _search_root(w, n)
     except ValueError as exc:
