@@ -29,7 +29,9 @@ lines.  It covers:
   auto-verification went (the fields that follow the verification rule);
 - each subset search's refusal, exception type and message, of a nail
   beyond n, a negative n, an n over the exhaustive limit and both at once,
-  on packed and on int words (nails above 127).
+  on packed and on int words (nails above 127); then the same of
+  ``PuzzleSpec.verify`` on a spec of each kind, and of a verified
+  ``compile_circuit`` of ``r1`` whose laid-out word is replaced by the input.
 
 Standard library only; seeded, so two runs print the same bytes.
 
@@ -44,7 +46,9 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
+from unittest import mock
 
+from picturehang import compiler
 from picturehang.circuits import (
     PuzzleSpec,
     circuit_table,
@@ -305,6 +309,12 @@ def threshold_verification() -> None:
                  masks_checked=r.masks_checked, notices=list(r.notices))
 
 
+def compile_laying_out(w: Word, n: int):
+    """``compile_circuit`` of r1 over n, verified, with its laid-out word replaced by w."""
+    with mock.patch.object(compiler, "lay_out", lambda plan: w):
+        return compile_circuit(parse_formula("r1", n), verify=True)
+
+
 def refusals() -> None:
     searches = {
         "fall_table": fall_table,
@@ -312,6 +322,10 @@ def refusals() -> None:
         "min_fell_exact": min_fell_exact,
         "max_survive_exact": max_survive_exact,
         "greedy_min_fell": greedy_min_fell,
+        "PuzzleSpec.verify subsets": lambda w, n: PuzzleSpec.from_subsets(n, [[1]]).verify(w),
+        "PuzzleSpec.verify formula": lambda w, n: PuzzleSpec.from_formula(n, "r1").verify(w),
+        "PuzzleSpec.verify threshold": lambda w, n: PuzzleSpec.from_threshold(n, 1).verify(w),
+        "compile_circuit": compile_laying_out,
     }
     inputs = [
         ("nail beyond n", (1, 5, -1), 3),

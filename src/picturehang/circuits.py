@@ -33,9 +33,8 @@ from .words import (
     _minimal_sets,
     _Record,
     _set,
+    _verdict,
     check_limit,
-    first_mismatch,
-    verify_threshold,
 )
 
 
@@ -477,16 +476,14 @@ class PuzzleSpec(_Record):
         return circuit_table(self.to_circuit(), limit)
 
     def verify(self, w: Word, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[int | None, str, int]:
-        """Check w against the spec on nails 1..n.
+        """Check w against the spec's own ``table`` on nails 1..n.
 
-        Returns the first mask where they differ, or None; the method that
-        decided, "boundary" or "table"; and how many masks it checked.  A
-        threshold goes through `words.verify_threshold`, subsets and
-        formulas through `table`, mask by mask.
+        Returns what `words._verdict`, the one verifier, returns, and
+        refuses what it refuses under this method's name, for every kind.
         """
-        if self.threshold_k is not None:
-            return verify_threshold(w, self.n, self.threshold_k, limit)
-        return first_mismatch(w, self.n, self.table(limit), limit), "table", 1 << self.n
+        return _verdict(
+            w, self.n, self.threshold_k, partial(self.table, limit), "PuzzleSpec.verify", limit
+        )
 
 
 def spec_to_json(spec: PuzzleSpec) -> str:

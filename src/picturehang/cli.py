@@ -69,7 +69,7 @@ def _emit_compile(report: CompileReport, as_json: bool) -> int:
         print(fields.pop("word"))
         print(json.dumps(fields), file=sys.stderr)
     if report.verified is False:
-        print(mismatch_line(report.word, report.n, report.mismatch_mask), file=sys.stderr)
+        print(report.notices[-1], file=sys.stderr)  # the mismatch line, always last
         return 1
     return 0
 
@@ -114,8 +114,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    word = _load_word(args.word)
     spec = _load_spec(args.spec)
+    check_limit("PuzzleSpec.verify", spec.n, args.limit)  # before the file is read: it may be large
+    word = _load_word(args.word)
     mask, _, _ = spec.verify(word, args.limit)
     if mask is None:
         print(f"verified: word realizes the spec on all {1 << spec.n} subsets")

@@ -74,24 +74,25 @@ that of the equivalent CNF circuit, a balanced AND of balanced ORs, and
 out at most (`gadgets` derives the 1,078); a plan is never longer than
 the product, so the bound covers it.
 
-Verification checks the word emitted, not the argument above.  A
-threshold spec is checked on its boundary when that reads fewer letters
-than the table (`words._verify_plan`, which the auto-verification work cap
-prices too).  The boundary is exact because every word's fall function is
-monotone: deleting nails is a homomorphism, so a subset's residual is a
-homomorphic image of each smaller subset's, and the image of the empty
-word is empty.  So the word falls exactly on the subsets of at least k
-nails if, and only if, it hangs at every (k-1)-subset and falls at every
-k-subset.  A smaller subset that fell would make every (k-1)-subset above
-it fall, and a larger one that hung would keep every k-subset below it
-hanging.  Subsets and formulas are checked on their whole table, which
-stays independent of the dualization that built the word.
+Verification checks the word emitted, not the argument above, through
+the one verifier, `words._verdict`.  A threshold spec is checked on its
+boundary when that reads fewer letters than the table
+(`words._verify_plan`, which the auto-verification work cap prices too).
+The boundary is exact because every word's fall function is monotone:
+deleting nails is a homomorphism, so a subset's residual is a homomorphic
+image of each smaller subset's, and the image of the empty word is empty.
+So the word falls exactly on the subsets of at least k nails if, and only
+if, it hangs at every (k-1)-subset and falls at every k-subset.  A smaller
+subset that fell would make every (k-1)-subset above it fall, and a larger
+one that hung would keep every k-subset below it hanging.  Subsets and
+formulas are checked on their whole table, which stays independent of the
+dualization that built the word.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, filterfalse
 from math import comb
@@ -118,9 +119,9 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
     _minimal_sets,
     _nails,
     _product,
+    _verdict,
     _verify_plan,
     check_budget,
-    first_mismatch,
     mismatch_line,
 )
 
@@ -482,11 +483,11 @@ class CompileReport(NamedTuple):
     normal form.  ``verified`` is None when verification was skipped (n
     beyond the limit, disabled, or past the auto-verification work cap); on
     a mismatch it is False, ``mismatch_mask`` holds the first subset bitmask
-    where the word disagrees with the requested fall function, and a notice
-    says how (`words.mismatch_line`).
-    ``verify_method`` is "boundary" (a threshold's (k-1)- and k-subsets),
-    "table" (every subset) or "skipped", as `words._verify_plan` picks it;
-    ``masks_checked`` counts the subsets it decided.
+    where the word disagrees with the requested fall function, and the last
+    notice says how (`words.mismatch_line`).  ``verify_method`` is
+    "boundary" (a threshold's (k-1)- and k-subsets), "table" (every subset)
+    or "skipped", and ``masks_checked`` counts the subsets it decided, as
+    `words._verdict`, the one verifier, returned them.
     """
 
     word: Word
@@ -516,8 +517,8 @@ def compile_circuit(
     ``budget`` guards against runaway output; pass None to disable.
     ``verify`` forces (True) or skips (False) verification; the default
     verifies whenever n is within the exhaustive limit and the work of the
-    method that would run, table or boundary, is affordable.  A spec is
-    checked by `PuzzleSpec.verify`, a circuit against its table.
+    method that would run, table or boundary, is affordable.  The word is
+    checked by `words._verdict`, the one verifier, against the spec's table.
     """
     notices: list[str] = []
     spec: PuzzleSpec | None = None
@@ -548,20 +549,20 @@ def compile_circuit(
     reduced_length = len(word.letters)
     depth = (max(count, 1) - 1).bit_length() + (widest - 1).bit_length()
     mismatch_mask, verify_method, masks_checked = None, "skipped", 0
+    k = None if spec is None else spec.threshold_k
     if verify is None and n > limit:  # nothing is priced past the limit
         notices.append(f"table verification skipped: n={n} beyond the exhaustive limit {limit}")
         verify = False
     elif verify is None:  # the cap prices the method that would run
-        method, masks = _verify_plan(n, None if spec is None else spec.threshold_k)
+        method, masks = _verify_plan(n, k)
         verify = masks * max(reduced_length, 1) <= _AUTO_VERIFY_WORK
         if not verify:
             notices.append(f"{method} verification skipped: past the auto-verification work cap")
     if verify:
-        if spec is not None:
-            mismatch_mask, verify_method, masks_checked = spec.verify(word, limit)
-        else:
-            mismatch_mask = first_mismatch(word, n, circuit_table(target, limit), limit)
-            verify_method, masks_checked = "table", 1 << n
+        table = partial(circuit_table, target) if spec is None else spec.table
+        mismatch_mask, verify_method, masks_checked = _verdict(
+            word, n, k, partial(table, limit), "compile_circuit", limit
+        )
         if mismatch_mask is not None:
             notices.append(mismatch_line(word, n, mismatch_mask))
     return CompileReport(

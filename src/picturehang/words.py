@@ -559,16 +559,6 @@ def _walk_table(root: Sequence[int], n: int) -> list[bool]:
     return table * (1 << (n - top))
 
 
-def first_mismatch(
-    w: Word, n: int, expected: Sequence[bool], limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> int | None:
-    """First mask where the word's fall table on nails 1..n differs, or None."""
-    got = fall_table(w, n, limit)
-    if got == expected:
-        return None
-    return next((mask for mask, want in enumerate(expected) if got[mask] != want), None)
-
-
 def mismatch_line(w: Word, n: int, mask: int) -> str:
     """How w disagrees with a spec on nails 1..n at the removal ``mask``."""
     subset = NailSubset(n, mask)
@@ -594,28 +584,37 @@ def _masks_of_size(n: int, k: int) -> Iterator[int]:
 def verify_threshold(
     w: Word, n: int, k: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> tuple[int | None, str, int]:
-    """Check w against "at least k of nails 1..n removed", 0 <= k <= n.
+    """Check w against "at least k of nails 1..n removed", 0 <= k <= n (see ``_verdict``)."""
+    return _verdict(
+        w, n, k, lambda: [m.bit_count() >= k for m in range(1 << n)], "verify_threshold", limit
+    )
 
-    Returns the first mask where the word's fall table differs from the
-    threshold's, or None; the method that decided, "boundary" or "table";
-    and how many masks it checked.  Refuses what ``fall_table`` refuses.
 
-    Falling is monotone, so the word realizes the threshold exactly when
-    it hangs at every (k-1)-subset and falls at every k-subset (the
-    argument is in the `compiler` docstring).  The boundary method checks
-    those two layers (``_boundary_mismatch``), the table walks the subsets
-    (``_walk_table``), and ``_verify_plan`` picks the one to run.  A
-    boundary check that fails hands over to the table, which names the
-    first mask that differs.
+def _verdict(
+    w: Word, n: int, k: int | None, reference: Callable[[], list[bool]], what: str, limit: int
+) -> tuple[int | None, str, int]:
+    """Check w against a spec on nails 1..n: the package's one verifier.
+
+    ``k`` is a k-of-n spec's threshold, None for any other spec, and
+    ``reference()`` builds the spec's table, only if the walk decides.
+    Returns the first mask where the word's fall table differs, or None;
+    the method that decided, "boundary" or "table"; and the masks checked.
+
+    The word is set up by ``_search_root`` under the caller's name
+    ``what`` (nails, then ``limit``), and only then is a k outside 0..n
+    refused.  ``_verify_plan`` picks the method: the boundary
+    (``_boundary_mismatch``; exact since falling is monotone, see the
+    `compiler` docstring) or the walk of every subset (``_walk_table``).
+    A failed boundary hands over to the walk, which names the first mask.
     """
-    root = _search_root(w, n, "verify_threshold", limit)
-    if not 0 <= k <= n:
+    root = _search_root(w, n, what, limit)
+    if k is not None and not 0 <= k <= n:
         raise ValueError(f"threshold k={k} out of range 0..{n}")
     method, masks = _verify_plan(n, k)
     if method == "boundary" and _boundary_mismatch(root, n, k) is None:
         return None, method, masks
-    table = _walk_table(root, n)
-    mask = next((m for m, fell in enumerate(table) if fell != (m.bit_count() >= k)), None)
+    got, want = _walk_table(root, n), reference()
+    mask = None if got == want else next(m for m, fell in enumerate(got) if fell != want[m])
     return mask, "table", 1 << n
 
 

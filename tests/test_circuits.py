@@ -28,7 +28,9 @@ from picturehang.circuits import (
     subsets_to_circuit,
     validate_spec,
 )
-from picturehang.words import NailSubset
+from picturehang.compiler import compile_circuit
+from picturehang.puzzles import load_fixtures
+from picturehang.words import NailSubset, Word, _verify_plan, fall_table
 
 
 def test_eval_and_table_agree():
@@ -232,6 +234,39 @@ def test_subset_table_equals_the_per_mask_reference():
         masks = [sum(1 << (i - 1) for i in s) for s in family]
         want = [any(mask & m == m for m in masks) for mask in range(1 << n)]
         assert PuzzleSpec.from_subsets(n, family).table() == want, family
+
+
+def test_spec_verify_names_the_first_mask_where_the_fall_table_differs():
+    # The fixtures, and a compiled word of each kind for n <= 6, each with
+    # single-letter corruptions: every verdict is read off fall_table.
+    rng = random.Random(33)
+    pairs = [(fx.spec, fx.word) for fx in load_fixtures()]
+    for n in range(1, 7):
+        family = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
+        formula = " | ".join("(" + " & ".join(f"r{i}" for i in s) + ")" for s in family)
+        for spec in (
+            PuzzleSpec.from_subsets(n, family),
+            PuzzleSpec.from_formula(n, formula),
+            PuzzleSpec.from_threshold(n, rng.randint(1, n)),
+        ):
+            pairs.append((spec, compile_circuit(spec, verify=False).word))
+    mismatches = 0
+    for spec, word in pairs:
+        n, letters, reference = spec.n, word.letters, spec.table()
+        words = [word]
+        for at in rng.sample(range(len(letters)), min(3, len(letters))):
+            words.append(Word(letters[:at] + letters[at + 1 :]))
+            words.append(Word(letters[:at] + (-letters[at],) + letters[at + 1 :]))
+        for w in words:
+            table = fall_table(w, n)
+            want = next((m for m in range(1 << n) if table[m] != reference[m]), None)
+            mask, method, checked = spec.verify(w)
+            assert mask == want, (spec, w)
+            plan = ("table", 1 << n) if mask is not None else _verify_plan(n, spec.threshold_k)
+            assert (method, checked) == plan, (spec, w)
+            mismatches += mask is not None
+        assert fall_table(word, n) == reference, spec
+    assert mismatches > len(pairs)  # most corruptions break the word
 
 
 def test_spec_json_round_trip():

@@ -398,6 +398,17 @@ def test_solve_checks_the_limit_before_reading_the_word(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("body", ['"subsets": [[1]]', '"formula": "r1"', '"threshold_k": 1'])
+def test_verify_checks_the_limit_before_reading_the_word(capsys, tmp_path, body):
+    spec = tmp_path / "spec.json"
+    spec.write_text(f'{{"n": 25, {body}}}')
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "verify", "--word", str(missing), "--spec", str(spec))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: PuzzleSpec.verify over n=25 enumerates 2^25 subsets")
+    assert err.count("\n") == 1
+
+
 def test_compile_verifies_past_the_default_limit_when_given_one(capsys):
     formula = " | ".join(f"r{i}" for i in range(1, 22))
     code, _, err = run(capsys, "compile", "--formula", formula, "--verify", "on", "--limit", "21")

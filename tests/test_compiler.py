@@ -56,7 +56,6 @@ from picturehang.words import (
     concat,
     fall_table,
     falls,
-    first_mismatch,
     format_word,
     inverse,
     raw_commutator,
@@ -647,7 +646,9 @@ def _threshold_word(k: int, n: int) -> Word:
 
 
 def _table_mismatch(w: Word, n: int, k: int):
-    return first_mismatch(w, n, [m.bit_count() >= k for m in range(1 << n)])
+    """The first mask where w's fall table differs from k-of-n's, read from ``fall_table``."""
+    table = fall_table(w, n)
+    return next((m for m, fell in enumerate(table) if fell != (m.bit_count() >= k)), None)
 
 
 def test_threshold_verdicts_equal_the_table_on_every_k_of_n_up_to_ten():
@@ -776,6 +777,8 @@ def test_compile_notice_is_the_verify_line(monkeypatch, capsys, tmp_path):
     assert main(argv) == 1
     assert capsys.readouterr().out == notice + "\n"
     assert notice.startswith("mismatch at subset {")
+    assert main(["compile", "--spec", str(tmp_path / "spec.json")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == notice
 
 
 def test_twenty_of_twenty_verifies_on_its_boundary():

@@ -1,11 +1,15 @@
 """Free-group word core: reduction, fall machinery, formats."""
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from picturehang import compiler
+from picturehang.circuits import PuzzleSpec, parse_formula
+from picturehang.compiler import compile_circuit
 from picturehang.spectator import max_survive_exact, min_fell_exact, set_cover_to_hanging
 from picturehang.words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -18,7 +22,6 @@ from picturehang.words import (
     concat,
     fall_table,
     falls,
-    first_mismatch,
     format_word,
     inverse,
     is_monotone_table,
@@ -89,10 +92,17 @@ def test_max_nail_takes_both_signs():
 def test_first_mismatch_reports_the_first_differing_mask():
     w = Word((1, 2, -1, -2))  # falls once nail 1 or nail 2 is removed
     table = fall_table(w, 2)
-    assert first_mismatch(w, 2, table) is None
-    assert first_mismatch(w, 2, tuple(table)) is None
-    assert first_mismatch(w, 2, [False, True, False, False]) == 2
-    assert first_mismatch(w, 2, [True, False, True, False]) == 0
+    assert table == [False, True, True, True]
+    specs = {
+        None: PuzzleSpec.from_subsets(2, [[1], [2]]),
+        1: PuzzleSpec.from_subsets(2, [[2]]),
+        2: PuzzleSpec.from_formula(2, "r2 & r1 | r1"),
+        0: PuzzleSpec.from_threshold(2, 0),
+    }
+    for mask, spec in specs.items():
+        want = spec.table()
+        assert next((m for m in range(4) if table[m] != want[m]), None) == mask
+        assert spec.verify(w)[0] == mask
 
 
 def test_masks_of_size_in_numeric_order():
@@ -209,7 +219,7 @@ def test_fall_table_validates_range_and_limit():
 
 
 def test_exhaustive_limit_is_one_check_with_one_wording():
-    from picturehang.circuits import PuzzleSpec, circuit_table, parse_formula
+    from picturehang.circuits import circuit_table
     from picturehang.sortnet import batcher_network, sorts_all_zero_one
     from picturehang.spectator import max_survive_exact, min_fell_exact
 
@@ -218,6 +228,8 @@ def test_exhaustive_limit_is_one_check_with_one_wording():
         "verify_threshold": lambda: verify_threshold(Word((1,)), 3, 1, limit=2),
         "circuit_table": lambda: circuit_table(parse_formula("r3"), limit=2),
         "PuzzleSpec.table": lambda: PuzzleSpec.from_threshold(3, 1).table(limit=2),
+        "PuzzleSpec.verify": lambda: PuzzleSpec.from_subsets(3, [[1]]).verify(Word((1,)), limit=2),
+        "compile_circuit": lambda: compile_circuit(parse_formula("r3"), verify=True, limit=2),
         "min_fell_exact": lambda: min_fell_exact(Word((1,)), 3, limit=2),
         "max_survive_exact": lambda: max_survive_exact(Word((1,)), 3, limit=2),
         "sorts_all_zero_one": lambda: sorts_all_zero_one(batcher_network(3), limit=2),
@@ -608,6 +620,30 @@ def test_search_root_refuses_as_check_nails_does_in_the_same_order(letters, n):
         unpacked = _unpack(root) if isinstance(root, bytes) else list(root)
         assert unpacked == list(w.reduce().letters)
         assert isinstance(root, bytes) == (n < 128 and all(abs(x) < 128 for x in letters))
+
+
+@pytest.mark.parametrize("letters, n", [(letters, n) for letters, n in SEARCH_ROOTS if n >= 1])
+def test_every_verifier_refuses_nails_then_the_limit_under_its_own_name(letters, n, monkeypatch):
+    # A spec of each kind through PuzzleSpec.verify, and each of them and a
+    # bare circuit through a compile that lays out this word; a spec needs n >= 1.
+    w = Word(letters)
+    monkeypatch.setattr(compiler, "lay_out", lambda plan: w)
+    specs = [
+        PuzzleSpec.from_subsets(n, [[1]]),
+        PuzzleSpec.from_formula(n, "r1"),
+        PuzzleSpec.from_threshold(n, n),
+    ]
+    calls = [("PuzzleSpec.verify", partial(spec.verify, w, 20)) for spec in specs]
+    for target in (*specs, parse_formula("r1", n)):
+        calls.append(("compile_circuit", partial(compile_circuit, target, verify=True, limit=20)))
+    for what, call in calls:
+        want = _check_errors(w, n, 20, what)
+        try:
+            call()
+        except ValueError as exc:
+            assert (type(exc), str(exc)) == want, what
+        else:
+            assert want is None, what
 
 
 def test_a_packed_word_is_checked_and_reduced_as_its_letters():
