@@ -31,7 +31,12 @@ lines.  It covers:
   beyond n, a negative n, an n over the exhaustive limit and both at once,
   on packed and on int words (nails above 127); then the same of
   ``PuzzleSpec.verify`` on a spec of each kind, and of a verified
-  ``compile_circuit`` of ``r1`` whose laid-out word is replaced by the input.
+  ``compile_circuit`` of ``r1`` whose laid-out word is replaced by the input;
+- the three solvers on seeded gadget words that keep their tree
+  (``Word.tree``): Set Cover words and ``gadget_and``, ``gadget_or`` and
+  ``gadget_and_tree`` over seeded words.  Each word prints two lines, read
+  from its tree and from the same letters and bytes without one; the two
+  are identical.
 
 Standard library only; seeded, so two runs print the same bytes.
 
@@ -66,6 +71,7 @@ from picturehang.gadgets import (
     flat_counts,
     folded_counts,
     gadget_and,
+    gadget_and_tree,
     gadget_or,
     or_splice_cost,
     or_template_tokens,
@@ -346,6 +352,28 @@ def refusals() -> None:
             emit("refusal", search=name, input=kind, word=list(letters), n=n, outcome=outcome)
 
 
+def trees(rng: random.Random) -> None:
+    """The solvers on gadget words read from their tree, then from their letters alone."""
+    words = []
+    for _ in range(20):
+        m, n = rng.randint(3, 12), rng.randint(3, 8)
+        sets: list[set[int]] = [set() for _ in range(n)]
+        for element in range(1, m + 1):
+            for i in rng.sample(range(n), rng.choice((2, 3))):
+                sets[i].add(element)
+        words.append((set_cover_to_hanging(m, [sorted(s) for s in sets])[0], n))
+    for _ in range(10):
+        n = rng.randint(3, 6)
+        p, q = random_word(rng, n, 6), random_word(rng, n, 6)
+        leaves = [random_word(rng, n, 5) for _ in range(rng.randint(2, 5))]
+        words += [(w, n) for w in (gadget_and(p, q), gadget_or(p, q), gadget_and_tree(leaves))]
+    for word, n in words:
+        if word.tree is None:  # one leaf: the word is that leaf, with no tree to read
+            continue
+        for read in (word, Word(word.letters, reduced=True, packed=word.packed)):
+            solve("gadget-tree", read, n)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -365,6 +393,7 @@ def main() -> None:
     absorption(rng)
     threshold_verification()
     refusals()
+    trees(rng)
 
 
 if __name__ == "__main__":

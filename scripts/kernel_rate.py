@@ -21,7 +21,14 @@ search does before its first strip, in letters per second:
 ``words._search_root`` (check and pack) and ``words._relabel_held`` (find
 the held nails and relabel them) on each Set Cover word as laid out,
 which keeps its packed letters (``Word.packed``), beside the same word
-rebuilt from its int letters, which is packed again.  A last row counts
+rebuilt from its int letters, which is packed again.  A third table times
+the residuals the searches ask of a Set Cover word of two leaves or more,
+read from its letters and from its gadget tree (``Word.tree``, laid out
+again on its leaves' residuals): one-nail removals, each nail in turn,
+by ``words._strip``, and keeps of every two and three nails by
+``words._kept_residual``, against the tree's residual of the same
+removal.  The tree keeps each leaf's cut letters reduced, so its rounds
+after the first look them up.  A last row counts
 strips instead: the boundary check
 ``words._boundary_mismatch`` on the reduced word of every threshold of
 the compile-verify grid (k-of-n, 1 <= k <= n, 2 <= n <= 6), each word of 2
@@ -63,6 +70,7 @@ from picturehang.words import (
     _relabel_held,
     _residual,
     _search_root,
+    _strip,
     raw_inverse,
 )
 
@@ -173,6 +181,28 @@ def main() -> None:
     once, repeated = (rate(kernel, calls, letters, args.repeat) for kernel in (one_sweep, _kept_residual))
     print(f"{'keep-few strip':>16} {spread(strip):>28} {spread(once):>28} {spread(repeated):>28}"
           f" {repeated[0] / once[0]:>6.2f}")
+
+    trees = [(word.packed, word.tree, n) for word, n in encoded if word.tree]
+    print(f"{'work':>16} {'from letters letters/s':>28} {'from the tree letters/s':>28}"
+          f" {'ratio':>6}")
+    for name, size, letter_path in [
+        ("one-nail removal", 1, _strip),  # a search's child step: strip the nail
+        ("keep two", 2, _kept_residual),  # the keep-few test, and below the removal of the rest
+        ("keep three", 3, _kept_residual),
+    ]:
+        from_letters, from_tree = [], []
+        for packed, tree, n in trees:
+            for nails in combinations(range(1, n + 1), size):
+                mask = sum(1 << i - 1 for i in nails)
+                from_letters.append((packed, nails[0] if size == 1 else mask))
+                from_tree.append((tree, mask if size == 1 else (1 << n) - 1 ^ mask))
+        assert all(letter_path(*args) == tree.residual(mask)
+                   for args, (tree, mask) in zip(from_letters, from_tree))
+        letters = sum(len(packed) for packed, _ in from_letters)
+        by_letters = rate(letter_path, from_letters, letters, args.repeat)
+        by_tree = rate(lambda tree, mask: tree.residual(mask), from_tree, letters, args.repeat)
+        print(f"{name:>16} {spread(by_letters):>28} {spread(by_tree):>28}"
+              f" {by_tree[0] / by_letters[0]:>6.2f}")
 
     def set_up(word: Word, n: int) -> None:
         _relabel_held(_search_root(word, n), n)

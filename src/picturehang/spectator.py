@@ -19,9 +19,16 @@ the word once, one byte per letter when n is at most 127 (a word the
 gadgets laid out on bytes arrives packed, `Word.packed`), and reduces it.
 They find the nails a packed residual holds by one memchr for each of
 nails 1..n (`words._nails_of`), and step from a parent's residual to a
-child's only by `words._strip`.  The gadgets of `set_cover_to_hanging`,
-one E-word per distinct minimal owner set under `gadgets.gadget_and_tree`,
-load with its first call, not with the solvers.
+child's only by `words._strip`.  A word the gadgets laid out on bytes
+from two leaves or more also keeps its tree (`Word.tree`), which lays
+itself out again on its leaves' residuals; the searches then read their
+residuals from it instead of reducing letters: `greedy_min_fell` each
+candidate's, `min_fell_exact` each bottom child's and each top kept set's,
+and `max_survive_exact` each kept set's, the last two on the tree
+relabeled onto the held nails.  A kept set of one nail is still read by
+two counts, and every other word keeps the letter path.  The gadgets of
+`set_cover_to_hanging`, one E-word per distinct minimal owner set under
+`gadgets.gadget_and_tree`, load with its first call, not with the solvers.
 """
 
 from __future__ import annotations
@@ -83,12 +90,15 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     if not root:
         return NailSubset(n, 0)
     held, letters = _relabel_held(root, n)
+    tree = w.tree and w.tree.relabel(held)
     h, full = len(held), (1 << len(held)) - 1
     layer: dict[int, Sequence[int]] = {0: letters}  # every set of `cleared` nails hangs
     clauses: list[int] = []  # no set of fewer than `least` nails meets them all
     cleared, least, t = 0, 1, 1
 
     def kept(keep: int) -> Sequence[int]:
+        if tree and keep & keep - 1:
+            return tree.residual(full ^ keep)
         source = full ^ keep
         for _ in range(source.bit_count() - cleared):
             source &= source - 1  # down to its highest `cleared` nails
@@ -101,7 +111,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
             for mask in list(layer):
                 residual = layer.pop(mask)
                 for i in range((mask & -mask).bit_length() - 1 if mask else h):
-                    rest = _strip(residual, i + 1)
+                    rest = tree.residual(mask | 1 << i) if tree else _strip(residual, i + 1)
                     if not rest:
                         return NailSubset(n, _unlabel(held, mask | 1 << i))
                     if i:
@@ -138,8 +148,15 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     if not root:
         raise ValueError("word is trivial: the picture has already fallen")
     held, letters = _relabel_held(root, n)
+    tree, full = w.tree and w.tree.relabel(held), (1 << len(held)) - 1
+
+    def kept(keep: int) -> Sequence[int]:
+        if tree and keep & keep - 1:
+            return tree.residual(full ^ keep)
+        return _kept_residual(letters, keep)
+
     for t in range(1, len(held) + 1):
-        for keep in _kept_sets(len(held), t, lambda mask: _kept_residual(letters, mask)):
+        for keep in _kept_sets(len(held), t, kept):
             return NailSubset(n, (1 << n) - 1 ^ _unlabel(held, keep))
     raise AssertionError("unreachable: the empty subset hangs a nontrivial word")
 
@@ -192,12 +209,12 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     one chosen or cancelled cannot shorten it.  No approximation guarantee
     is claimed; the exact optimum is never larger.
     """
-    chosen = 0
+    chosen, tree = 0, w.tree
     residual = _search_root(w, n)
     while residual:
         best = 0, residual  # a strip of a held nail is shorter
         for nail in sorted(_nails_of(residual, n)):
-            rest = _strip(residual, nail)
+            rest = tree.residual(chosen | 1 << nail - 1) if tree else _strip(residual, nail)
             if len(rest) < len(best[1]):
                 best = nail, rest
                 if not rest:

@@ -21,12 +21,15 @@ is at most 127.  Every subset search here and in `spectator` is set up by
 packed once (`Word.packed`, set by the gadgets, or one `struct.pack`) and
 reduced.  Each step to a child residual is `_strip`: one `bytes.translate`
 in C, whose length shows whether the nail was held, then the loop only if
-it was.  A packed word's nails are found by one memchr each (`_nails_of`).
-Plain reduction of a word as built stays on ints.  Two routines take work
-off the kernel's loop: `_product` reduces a product of reduced pieces at
-their joins only, packed for the gadgets, and `_kept_residual` counts a
-lone kept nail's letters, or cancels adjacent pairs of a few kept nails in
-C, sweep after sweep while they halve the letters, before the loop.
+it was.  A word the gadgets laid out on bytes from two leaves or more
+keeps its tree too (`Word.tree`), and the three spectator searches ask
+it for their residuals instead (see `spectator`).  A packed word's nails are
+found by one memchr each (`_nails_of`).  Plain reduction of a word as
+built stays on ints.  Two routines take work off the kernel's loop:
+`_product` reduces a product of reduced pieces at their joins only,
+packed for the gadgets, and `_kept_residual` counts a lone kept nail's
+letters, or cancels adjacent pairs of a few kept nails in C, sweep after
+sweep while they halve the letters, before the loop.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ import json
 import struct
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, filterfalse
+from itertools import combinations, compress, count, filterfalse, repeat
 from math import comb
+from operator import ge, ne
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
@@ -147,18 +151,28 @@ class Word(_Record):
     ``IndexError`` or keep the zero.
 
     ``packed`` is None, or the same letters as ``_pack`` bytes, which the
-    searches start from (``_search_root``); equality, hashing and ``len``
-    ignore it.  ``gadgets._lay_out`` sets it on the words it lays out on bytes.
+    searches start from (``_search_root``).  ``tree`` is None, or what the
+    word was laid out from, which answers ``tree.residual(mask)``, the
+    reduced residual of ``packed`` after removing the nails in ``mask``,
+    and ``tree.relabel(held)``, the same tree on the held nails relabeled
+    1..h; ``spectator``'s three searches read their residuals from it.
+    ``gadgets._lay_out`` sets both on the words it lays out on bytes from
+    two leaves or more; equality, hashing and ``len`` ignore both.
     """
 
-    __slots__ = ("letters", "reduced", "packed")
+    __slots__ = ("letters", "reduced", "packed", "tree")
 
     def __init__(
-        self, letters: tuple[int, ...] = (), reduced: bool = False, packed: bytes | None = None
+        self,
+        letters: tuple[int, ...] = (),
+        reduced: bool = False,
+        packed: bytes | None = None,
+        tree: object = None,
     ) -> None:
-        _set(self, "letters", letters)
-        _set(self, "reduced", reduced)
-        _set(self, "packed", packed)
+        _set_letters(self, letters)
+        _set_reduced(self, reduced)
+        _set_packed(self, packed)
+        _set_tree(self, tree)
 
     @classmethod
     def of(cls, *codes: int) -> "Word":
@@ -201,6 +215,10 @@ class Word(_Record):
         return f"Word({text!r}, letters={len(self.letters)})"
 
 
+# Words are the records built most often: each slot is set by its own descriptor, not by ``_set``.
+_set_letters, _set_reduced, _set_packed, _set_tree = (
+    getattr(Word, f).__set__ for f in Word.__slots__
+)
 EMPTY_WORD = Word((), reduced=True)
 
 
@@ -259,11 +277,17 @@ def _strip(letters: Sequence[int], nail: int) -> Sequence[int]:
 
 def _drop(letters: Sequence[int], nails: Sequence[int]) -> Iterable[int]:
     """Letters less those on ``nails``, unreduced; packed, the bytes b + b.translate(_INVERSE)."""
-    if isinstance(letters, bytes):
+    if isinstance(letters, bytes):  # ``_both`` written out: a boundary check drops once a strip
         b = bytes(nails)
         return letters.translate(None, b + b.translate(_INVERSE))
     drop = {*nails, *(-i for i in nails)}
     return filterfalse(drop.__contains__, letters)
+
+
+def _both(nails: Iterable[int]) -> bytes:
+    """The packed bytes of nails 1..127 and of their inverses."""
+    b = bytes(nails)
+    return b + b.translate(_INVERSE)
 
 
 def _pack(letters: Sequence[int]) -> Sequence[int]:
@@ -324,12 +348,17 @@ def _relabel_held(letters: Sequence[int], n: int) -> tuple[list[int], Sequence[i
     """
     held = sorted(_nails_of(letters, n))
     if isinstance(letters, bytes):
-        relabel = bytearray(_BYTES)
-        for i, nail in enumerate(held, start=1):
-            relabel[nail], relabel[256 - nail] = i, 256 - i
-        return held, letters.translate(relabel)
+        return held, letters.translate(_relabel(held))
     rank = {nail: i for i, nail in enumerate(held, start=1)}
     return held, _pack([rank[x] if x > 0 else -rank[-x] for x in letters])
+
+
+def _relabel(held: list[int]) -> bytearray:
+    """The ``bytes.translate`` table taking the packed held nails, sorted, to 1..h."""
+    table = bytearray(_BYTES)
+    for i, nail in enumerate(held, start=1):
+        table[nail], table[256 - nail] = i, 256 - i
+    return table
 
 
 def _nails(mask: int) -> tuple[int, ...]:
@@ -393,7 +422,7 @@ def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
         kept = _nails(keep)
         return _residual(list(filter({*kept, *(-i for i in kept)}.__contains__, letters)))
     kept = bytes(_nails(keep))
-    letters = letters.translate(None, _BYTES.translate(None, kept + kept.translate(_INVERSE)))
+    letters = letters.translate(None, _BYTES.translate(None, _both(kept)))
     while True:
         read = len(letters)
         for i in kept:
@@ -429,11 +458,14 @@ def _product(pieces: Iterable[Sequence[int]], packed: bool = False) -> Sequence[
     pop = out.pop
     for piece in pieces:
         if packed:
-            cut = 0
-            while cut < len(piece) and out[-1] + piece[cut] == 256:
+            if piece and out[-1] + piece[0] == 256:  # else the piece is copied whole at once
+                cut = 1
                 pop()
-                cut += 1
-            out += piece[cut:]
+                while cut < len(piece) and out[-1] + piece[cut] == 256:
+                    pop()
+                    cut += 1
+                piece = piece[cut:]
+            out += piece
             continue
         rest = iter(piece)
         for x in rest:
@@ -585,20 +617,26 @@ def verify_threshold(
     w: Word, n: int, k: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> tuple[int | None, str, int]:
     """Check w against "at least k of nails 1..n removed", 0 <= k <= n (see ``_verdict``)."""
-    return _verdict(
-        w, n, k, lambda: [m.bit_count() >= k for m in range(1 << n)], "verify_threshold", limit
-    )
+    return _verdict(w, n, k, None, "verify_threshold", limit)
 
 
 def _verdict(
-    w: Word, n: int, k: int | None, reference: Callable[[], list[bool]], what: str, limit: int
+    w: Word,
+    n: int,
+    k: int | None,
+    reference: Callable[[], list[bool]] | None,
+    what: str,
+    limit: int,
 ) -> tuple[int | None, str, int]:
     """Check w against a spec on nails 1..n: the package's one verifier.
 
-    ``k`` is a k-of-n spec's threshold, None for any other spec, and
-    ``reference()`` builds the spec's table, only if the walk decides.
-    Returns the first mask where the word's fall table differs, or None;
-    the method that decided, "boundary" or "table"; and the masks checked.
+    ``k`` is a k-of-n spec's threshold, None for any other spec, whose
+    table ``reference()`` builds, only if the walk decides.  A threshold
+    builds no table: the walk is compared with ``mask.bit_count() >= k``
+    mask by mask, in C, up to the first mismatch, and ``reference`` is not
+    called.  Returns the first mask where the word's fall table differs,
+    or None; the method that decided, "boundary" or "table"; and the
+    masks checked.
 
     The word is set up by ``_search_root`` under the caller's name
     ``what`` (nails, then ``limit``), and only then is a k outside 0..n
@@ -613,9 +651,12 @@ def _verdict(
     method, masks = _verify_plan(n, k)
     if method == "boundary" and _boundary_mismatch(root, n, k) is None:
         return None, method, masks
-    got, want = _walk_table(root, n), reference()
-    mask = None if got == want else next(m for m, fell in enumerate(got) if fell != want[m])
-    return mask, "table", 1 << n
+    got = _walk_table(root, n)
+    if k is not None:
+        want = map(ge, map(int.bit_count, range(1 << n)), repeat(k))
+    elif got == (want := reference()):
+        return None, "table", 1 << n
+    return next(compress(count(), map(ne, got, want)), None), "table", 1 << n
 
 
 @lru_cache  # a compile prices its check, then runs it

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from picturehang.constructions import _splice, build_disjoint, build_e, build_s
-from picturehang.gadgets import _AND_TEMPLATE, gadget_and_tree
+from picturehang.gadgets import _AND_TEMPLATE, gadget_and, gadget_and_tree, gadget_or
 from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import (
     _hit,
@@ -24,6 +24,9 @@ from picturehang.words import (
     _minimal_sets,
     _nails,
     _pack,
+    _relabel,
+    _relabel_held,
+    _residual,
     fall_table,
     falls,
     raw_commutator,
@@ -221,6 +224,85 @@ def test_set_cover_words_keep_their_packed_letters_for_the_solvers():
             assert solve(word, n) == solve(plain, n), (m, sets)
         packed += word.packed is not None
     assert packed
+
+
+def _seeded_cover_words(seed, count):
+    """Seeded Set Cover words of two leaves or more on n <= 8 sets, with their n."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m, n, r = rng.randint(2, 12), rng.randint(3, 8), rng.randint(1, 3)
+        sets = [set() for _ in range(n)]
+        for element in range(1, m + 1):
+            for i in rng.sample(range(n), r):
+                sets[i].add(element)
+        word = set_cover_to_hanging(m, [sorted(s) for s in sets])[0]
+        if word.tree is not None:
+            out.append((word, n))
+    return out
+
+
+def _seeded_gadget_words(seed):
+    """Gadget words over seeded reduced words on nails 1..n, n <= 8, with their n.
+
+    The leaves are random words, not E-words: a removal that hits one need
+    not empty it.
+    """
+    rng = random.Random(seed)
+
+    def leaf(n, most):
+        letters = [rng.choice((1, -1)) * rng.randint(1, n) for _ in range(rng.randint(1, most))]
+        return Word(tuple(letters)).reduce()
+
+    out = []
+    while len(out) < 24:
+        n = rng.randint(3, 8)
+        p, q = leaf(n, 6), leaf(n, 6)
+        if p and q:
+            out += [(gadget_and(p, q), n), (gadget_or(p, q), n)]
+        tree = [w for w in (leaf(n, 5) for _ in range(rng.randint(2, 6))) if w]
+        if len(tree) > 1:
+            out.append((gadget_and_tree(tree), n))
+    return out
+
+
+def test_tree_residuals_equal_the_letter_residuals_on_every_mask():
+    """A packed layout of two leaves or more answers each removal from its tree, byte for byte.
+
+    So does the tree relabeled onto the nails the word holds, all of them
+    or all but one taken as held: the other nail is deleted, although the
+    leaves hold it.
+    """
+    words = _seeded_cover_words(34, 40) + _seeded_gadget_words(34)
+    for w, n in words:
+        assert w.tree is not None and w.packed == _pack(w.letters)
+        for mask in range(1 << n):
+            assert w.tree.residual(mask) == _residual(w.packed, mask), (w, n, mask)
+    for w, n in words[::8]:
+        nails = _relabel_held(w.packed, n)[0]
+        for size in (len(nails) - 1, len(nails)):
+            for held in map(list, itertools.combinations(nails, size)):
+                gone = sum(1 << i - 1 for i in nails if i not in held)
+                letters = _residual(w.packed, gone).translate(_relabel(held))
+                tree = w.tree.relabel(held)
+                for mask in range(1 << size):
+                    assert tree.residual(mask) == _residual(letters, mask), (w, held, mask)
+    assert gadget_and_tree([build_e([1, 2])]).tree is None
+    assert gadget_and(Word((1,)), Word((200,))).tree is None  # laid out on ints
+
+
+def test_solvers_answer_alike_with_and_without_the_tree():
+    """The three solvers on each gadget word, and on the same letters and bytes with no tree.
+
+    A few words are searched over n = 200 too, where the root is set up on ints.
+    """
+    words = _seeded_cover_words(35, 60) + _seeded_gadget_words(35)
+    for w, n in words + [(w, 200) for w, _ in words[::20]]:
+        plain = Word(w.letters, reduced=True, packed=w.packed)
+        assert plain.tree is None and plain == w
+        for solve in (min_fell_exact, max_survive_exact):
+            assert solve(w, n, limit=200) == solve(plain, n, limit=200), (solve.__name__, w, n)
+        assert greedy_min_fell(w, n) == greedy_min_fell(plain, n), (w, n)
 
 
 def _brute_cover_optimum(m, sets):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from picturehang import compiler
 from picturehang.circuits import PuzzleSpec, parse_formula
 from picturehang.compiler import compile_circuit
+from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import max_survive_exact, min_fell_exact, set_cover_to_hanging
 from picturehang.words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -48,6 +49,7 @@ from picturehang.words import (
     _residual,
     _search_root,
     _strip,
+    _verdict,
     check_limit,
     check_nails,
 )
@@ -126,6 +128,22 @@ def test_verify_threshold_decides_on_the_boundary_and_names_the_first_mismatch()
         verify_threshold(w, 3, 4)
     with pytest.raises(ValueError, match="beyond n=2"):
         verify_threshold(w, 2, 1)
+
+
+def test_a_threshold_is_compared_mask_by_mask_and_builds_no_table():
+    """The walk decides a threshold against the masks' sizes; its reference is never called."""
+
+    def reference():
+        raise AssertionError("a threshold built its table")
+
+    w = Word((1, 2, -1, -2))  # 1-of-2: it falls at mask 1, not 10-of-20
+    assert _verdict(w, 20, 10, reference, "verify_threshold", 20) == (1, "table", 1 << 20)
+    assert _verdict(w, 3, 1, reference, "verify_threshold", 20) == (4, "table", 8)
+    assert _verdict(Word((1, 2, 3, -1, -2, -3)), 3, 2, reference, "x", 20) == (None, "boundary", 6)
+    assert _verdict(EMPTY_WORD, 8, 0, reference, "x", 20) == (None, "boundary", 1)
+    exact = build_k_of_n(4, 8).word  # decided by the walk of all 256 subsets
+    assert _verdict(exact, 8, 4, reference, "x", 20) == (None, "table", 256)
+    assert _verdict(exact, 8, 5, reference, "x", 20)[0] == 15
 
 
 def test_equality_is_up_to_reduction():
