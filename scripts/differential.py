@@ -35,8 +35,8 @@ lines.  It covers:
 - the three solvers on seeded gadget words that keep their tree
   (``Word.tree``): Set Cover words and ``gadget_and``, ``gadget_or`` and
   ``gadget_and_tree`` over seeded words.  Each word prints two lines, read
-  from its tree and from the same letters and bytes without one; the two
-  are identical.
+  from its tree and from the same letters without one; the two are
+  identical.
 
 Standard library only; seeded, so two runs print the same bytes.
 
@@ -370,7 +370,7 @@ def trees(rng: random.Random) -> None:
     for word, n in words:
         if word.tree is None:  # one leaf: the word is that leaf, with no tree to read
             continue
-        for read in (word, Word(word.letters, reduced=True, packed=word.packed)):
+        for read in (word, Word(word.letters, reduced=True)):
             solve("gadget-tree", read, n)
 
 

@@ -20,8 +20,9 @@ them still counts them all.  A set-up row times what an exact spectator
 search does before its first strip, in letters per second:
 ``words._search_root`` (check and pack) and ``words._relabel_held`` (find
 the held nails and relabel them) on each Set Cover word as laid out,
-which keeps its packed letters (``Word.packed``), beside the same word
-rebuilt from its int letters, which is packed again.  A third table times
+which keeps its packed letters as its gadget tree's root
+(``Word.tree.root``), beside the same word rebuilt from its int letters,
+which is packed again.  A third table times
 the residuals the searches ask of a Set Cover word of two leaves or more,
 read from its letters and from its gadget tree (``Word.tree``, laid out
 again on its leaves' residuals): one-nail removals, each nail in turn,
@@ -182,7 +183,7 @@ def main() -> None:
     print(f"{'keep-few strip':>16} {spread(strip):>28} {spread(once):>28} {spread(repeated):>28}"
           f" {repeated[0] / once[0]:>6.2f}")
 
-    trees = [(word.packed, word.tree, n) for word, n in encoded if word.tree]
+    trees = [(word.tree.root, word.tree, n) for word, n in encoded if word.tree]
     print(f"{'work':>16} {'from letters letters/s':>28} {'from the tree letters/s':>28}"
           f" {'ratio':>6}")
     for name, size, letter_path in [

@@ -14,10 +14,10 @@ laid out, unreduced, on p = x3 and q = x4: letters +-3 and +-4 are slots,
 +-1 and +-2 glue.  It drives both building and accounting: a gadget lays
 the template out with `constructions._splice` on the arguments (x1, x2, p,
 q), glue letters as arguments 1 and 2, and reduces at the joins, packed
-from leaves to root when every nail is at most 127; such a word keeps its
-packed root (``Word.packed``) for the searches, and, over two words or
-more, the tree it was laid out from (``Word.tree``, a ``_Tree``), from
-which the spectator searches read the residual of each removal.
+from leaves to root when every nail is at most 127; such a word keeps the
+tree it was laid out from (``Word.tree``, a ``_Tree``), which holds its
+packed root for the searches to start from and gives the spectator
+searches the residual of each removal.
 Laid out with single-letter arguments the AND template has 14 letters (4
 copies of p, 4 of q, 6 glue) and the OR template 1,078.  The flat
 bookkeeping of the OR counts 256 p-slots, 256 q-slots and 566 glue
@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 from .circuits import MonotoneCircuit, Var, evaluate
 from .constructions import _splice
 from .words import _BYTES, _PACKED_NAILS, Word, _balanced, _both, _invert, _nails, _pack
-from .words import _product, _relabel, _residual, nail_counts
+from .words import _product, _relabel, _residual, _set_tree, nail_counts
 from .words import raw_commutator, raw_concat, raw_inverse
 
 
@@ -86,30 +86,39 @@ _AND_TEMPLATE = and_template_tokens()
 _OR_TEMPLATE = or_template_tokens()
 
 
-# A template that reduces to nothing with both slots empty lays out nothing on two empty arguments.
-_HOLLOW = {t: not _residual(t, 0b1100) for t in (_AND_TEMPLATE, _OR_TEMPLATE)}
-
-
 def _lay_out(template: tuple[int, ...], words: Sequence[Word]) -> Word:
     """A balanced tree of the template's gadget over two or more words, reduced.
 
-    Each gadget splices its reduced arguments into the template and reduces
-    at the joins (``words._product``), on bytes when every nail is at most
-    127: the words are packed once (``words._pack``), and the root is
-    unpacked once for ``Word.letters`` and kept as ``Word.packed``, so a
-    search does not pack it again.  Such a word also keeps what it was laid
-    out from, as ``Word.tree`` (a ``_Tree``), for the searches' residuals.
+    Each gadget joins its reduced arguments (``_join``), on bytes when every
+    nail is at most 127: the words are packed once (``words._pack``) as the
+    leaves of a ``_Tree``, whose residual with nothing removed is its root,
+    unpacked once for ``Word.letters``.  The word keeps the tree
+    (``Word.tree``, set by ``words._set_tree`` here only) for the searches.
     """
     args = [w.reduce().letters for w in words]
-    packed_args = [_pack(x) for x in args]
-    if packed := all(isinstance(x, bytes) for x in packed_args):
-        args = packed_args
-    glue = (b"\x01", b"\x02") if packed else ((1,), (2,))
-    root = _balanced(args, lambda p, q: _product(_splice(template, (*glue, p, q), _invert), packed))
-    if packed:
-        tree = _Tree(template, glue, tuple(args), _HOLLOW[template], {})
-        return Word(struct.unpack(f"{len(root)}b", root), reduced=True, packed=root, tree=tree)
-    return Word(tuple(root), reduced=True)
+    leaves = [_pack(x) for x in args]
+    if not all(isinstance(x, bytes) for x in leaves):
+        return Word(tuple(_balanced(args, _join(template, (1,), (2,)))), reduced=True)
+    tree = _Tree(template, (b"\x01", b"\x02"), tuple(leaves), {}, b"")
+    tree = tree._replace(root=tree.residual(0))
+    w = Word(struct.unpack(f"{len(tree.root)}b", tree.root), reduced=True)
+    _set_tree(w, tree)
+    return w
+
+
+def _join(template: tuple[int, ...], g1: Sequence[int], g2: Sequence[int]) -> Callable:
+    """The gadget on two reduced pieces, ints or packed: the template spliced, reduced at the joins.
+
+    Two empty pieces give nothing: both templates reduce to nothing with their slots empty.
+    """
+    packed = isinstance(g1, bytes)
+
+    def join(p: Sequence[int], q: Sequence[int]) -> Sequence[int]:
+        if not (p or q):
+            return p
+        return _product(_splice(template, (g1, g2, p, q), _invert), packed)
+
+    return join
 
 
 class _Tree(NamedTuple):
@@ -119,18 +128,18 @@ class _Tree(NamedTuple):
     for a removal mask, by laying the tree out again on the residuals of
     its pieces.  Deleting nails is a homomorphism, the join product cancels
     only where pieces meet and free reduction has one normal form, so the
-    bytes are those ``words._residual`` leaves of the word's packed letters.
-    ``hollow`` (``_HOLLOW``) says the template lays out nothing on two empty
-    arguments, so a subtree whose leaves all emptied is skipped.  ``cuts``
-    keeps each piece's letters left by a removal, reduced, so that a cut
-    met again is looked up rather than reduced again.
+    bytes are those ``words._residual`` leaves of the word's packed letters,
+    ``root``, the residual of the empty mask.  A subtree whose leaves all
+    emptied is skipped (see ``_join``).  ``cuts`` keeps each piece's
+    letters left by a removal, reduced, so that a cut met again is looked
+    up rather than reduced again.
     """
 
     template: tuple[int, ...]
     glue: tuple[bytes, bytes]
     leaves: tuple[bytes, ...]
-    hollow: bool
     cuts: dict[bytes, bytes]
+    root: bytes
 
     def residual(self, mask: int) -> bytes:
         """The word's reduced residual after removing the nails set in ``mask``.
@@ -140,25 +149,19 @@ class _Tree(NamedTuple):
         """
         drop, cuts = _both(_nails(mask & _PACKED_NAILS)), self.cuts
         g1, g2, *leaves = (_cut(x, drop, cuts) for x in (*self.glue, *self.leaves))
-        template, hollow = self.template, self.hollow
-
-        def join(p: bytes, q: bytes) -> bytes:
-            if hollow and not (p or q):
-                return b""
-            return _product(_splice(template, (g1, g2, p, q), _invert), True)
-
-        return _balanced(leaves, join)
+        return _balanced(leaves, _join(self.template, g1, g2))
 
     def relabel(self, held: list[int]) -> "_Tree":
         """The tree on the ``held`` nails, sorted, relabeled 1..h, every other nail deleted.
 
         ``held`` are the nails the reduced word holds.  A nail its pieces
         hold besides them changes no residual, so it is deleted rather than
-        left under its own number, where it would alias a new label.
+        left under its own number, where it would alias a new label; the root is relabeled too.
         """
         table, drop, cuts = _relabel(held), _BYTES.translate(None, _both(held)), {}
         glue, leaves = ([_cut(x, drop, cuts, table) for x in xs] for xs in (self.glue, self.leaves))
-        return self._replace(glue=tuple(glue), leaves=tuple(leaves), cuts=cuts)
+        root = _cut(self.root, drop, cuts, table)
+        return self._replace(glue=tuple(glue), leaves=tuple(leaves), cuts=cuts, root=root)
 
 
 def _cut(piece: bytes, drop: bytes, cuts: dict[bytes, bytes], table: bytes | None = None) -> bytes:

@@ -16,12 +16,11 @@ which every felling set meets, and tests the first smallest set that
 meets them all.  All three are set up by `words._search_root`, which
 checks the nails and, for the exact two, the exhaustive limit, then packs
 the word once, one byte per letter when n is at most 127 (a word the
-gadgets laid out on bytes arrives packed, `Word.packed`), and reduces it.
-They find the nails a packed residual holds by one memchr for each of
-nails 1..n (`words._nails_of`), and step from a parent's residual to a
-child's only by `words._strip`.  A word the gadgets laid out on bytes
-from two leaves or more also keeps its tree (`Word.tree`), which lays
-itself out again on its leaves' residuals; the searches then read their
+gadgets laid out on bytes arrives packed, the root of its `Word.tree`),
+and reduces it.  They find the nails a packed residual holds by one
+memchr for each of nails 1..n (`words._nails_of`), and step from a
+parent's residual to a child's only by `words._strip`.  That gadget tree
+lays itself out again on its leaves' residuals; the searches then read their
 residuals from it instead of reducing letters: `greedy_min_fell` each
 candidate's, `min_fell_exact` each bottom child's and each top kept set's,
 and `max_survive_exact` each kept set's, the last two on the tree

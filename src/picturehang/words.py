@@ -18,18 +18,18 @@ One kernel, `_residual`, reduces and strips.  A word is handed to it as
 ints, or packed as bytes, one byte per letter (x mod 256), when every nail
 is at most 127.  Every subset search here and in `spectator` is set up by
 `_search_root`: nails checked, then the exhaustive limit, then the word
-packed once (`Word.packed`, set by the gadgets, or one `struct.pack`) and
-reduced.  Each step to a child residual is `_strip`: one `bytes.translate`
-in C, whose length shows whether the nail was held, then the loop only if
-it was.  A word the gadgets laid out on bytes from two leaves or more
-keeps its tree too (`Word.tree`), and the three spectator searches ask
-it for their residuals instead (see `spectator`).  A packed word's nails are
-found by one memchr each (`_nails_of`).  Plain reduction of a word as
-built stays on ints.  Two routines take work off the kernel's loop:
-`_product` reduces a product of reduced pieces at their joins only,
-packed for the gadgets, and `_kept_residual` counts a lone kept nail's
-letters, or cancels adjacent pairs of a few kept nails in C, sweep after
-sweep while they halve the letters, before the loop.
+packed once (by one `struct.pack`, or, for a word the gadgets laid out on
+bytes, the root its tree keeps) and reduced.  Each step to a child
+residual is `_strip`: one `bytes.translate` in C, whose length shows
+whether the nail was held, then the loop only if it was.  A word the
+gadgets laid out on bytes keeps that tree (`Word.tree`), and the three
+spectator searches ask it for their residuals instead (see `spectator`).
+A packed word's nails are found by one memchr each (`_nails_of`).  Plain
+reduction of a word as built stays on ints.  Two routines take work off
+the kernel's loop: `_product` reduces a product of reduced pieces at
+their joins only, packed for the gadgets, and `_kept_residual` counts a
+lone kept nail's letters, or cancels adjacent pairs of a few kept nails
+in C, sweep after sweep while they halve the letters, before the loop.
 """
 
 from __future__ import annotations
@@ -150,29 +150,22 @@ class Word(_Record):
     passed straight to ``Word`` is undefined: reduction may raise
     ``IndexError`` or keep the zero.
 
-    ``packed`` is None, or the same letters as ``_pack`` bytes, which the
-    searches start from (``_search_root``).  ``tree`` is None, or what the
-    word was laid out from, which answers ``tree.residual(mask)``, the
-    reduced residual of ``packed`` after removing the nails in ``mask``,
-    and ``tree.relabel(held)``, the same tree on the held nails relabeled
-    1..h; ``spectator``'s three searches read their residuals from it.
-    ``gadgets._lay_out`` sets both on the words it lays out on bytes from
-    two leaves or more; equality, hashing and ``len`` ignore both.
+    ``tree`` is None, or the ``gadgets._Tree`` the word was laid out from:
+    ``tree.root`` is its letters as ``_pack`` bytes, which the searches
+    start from (``_search_root``), ``tree.residual(mask)`` the reduced
+    residual of the root after removing the nails in ``mask``, and
+    ``tree.relabel(held)`` the same tree on the held nails relabeled 1..h;
+    ``spectator``'s three searches read their residuals from it.  Only
+    ``gadgets._lay_out`` sets it (``_set_tree``), on the words it lays out
+    on bytes; equality, hashing and ``len`` ignore it.
     """
 
-    __slots__ = ("letters", "reduced", "packed", "tree")
+    __slots__ = ("letters", "reduced", "tree")
 
-    def __init__(
-        self,
-        letters: tuple[int, ...] = (),
-        reduced: bool = False,
-        packed: bytes | None = None,
-        tree: object = None,
-    ) -> None:
+    def __init__(self, letters: tuple[int, ...] = (), reduced: bool = False) -> None:
         _set_letters(self, letters)
         _set_reduced(self, reduced)
-        _set_packed(self, packed)
-        _set_tree(self, tree)
+        _set_tree(self, None)
 
     @classmethod
     def of(cls, *codes: int) -> "Word":
@@ -216,9 +209,7 @@ class Word(_Record):
 
 
 # Words are the records built most often: each slot is set by its own descriptor, not by ``_set``.
-_set_letters, _set_reduced, _set_packed, _set_tree = (
-    getattr(Word, f).__set__ for f in Word.__slots__
-)
+_set_letters, _set_reduced, _set_tree = (getattr(Word, f).__set__ for f in Word.__slots__)
 EMPTY_WORD = Word((), reduced=True)
 
 
@@ -311,12 +302,12 @@ def _search_root(w: Word, n: int, what: str = "", limit: int | None = None) -> S
     Refuses what ``check_nails`` refuses, in its order and words, then an
     n over ``limit`` (None: none) as ``check_limit`` does; only then is the
     word reduced.  For n in 0..127, so that each nail a search strips has
-    table bytes, the word's ``packed`` letters, or its letters packed once,
-    are checked by one ``bytes.translate`` deleting nails 1..n.  Otherwise
-    ``check_nails`` runs, and a word it passes stays on ints.  A reduced
-    word is not reduced again.
+    table bytes, the packed root of the word's gadget tree, or its letters
+    packed once, are checked by one ``bytes.translate`` deleting nails
+    1..n.  Otherwise ``check_nails`` runs, and a word it passes stays on
+    ints.  A reduced word is not reduced again.
     """
-    packed = (w.packed or _pack(w.letters)) if 0 <= n <= 127 else None  # b"" when empty
+    packed = (w.tree.root if w.tree else _pack(w.letters)) if 0 <= n <= 127 else None
     allowed = _BYTES[1 : n + 1] + _BYTES[256 - n :]  # nails 1..n, both signs
     if not isinstance(packed, bytes) or packed.translate(None, allowed):
         check_nails(w, n)

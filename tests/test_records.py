@@ -22,9 +22,7 @@ WORD = Word((1, 2, -1, -2))
 
 # Each record class with its fields in declaration order.
 RECORDS = {
-    "Word": (
-        Word, {"letters": (1, 2, -2), "reduced": False, "packed": b"\x01\x02\xfe", "tree": None}
-    ),
+    "Word": (Word, {"letters": (1, 2, -2), "reduced": False}),
     "NailSubset": (NailSubset, {"n": 3, "mask": 5}),
     "Var": (Var, {"index": 2}),
     "Const": (Const, {"value": True}),
@@ -68,8 +66,9 @@ def test_record_is_built_by_position_or_keyword_and_is_immutable(cls, fields):
 
 
 def test_record_defaults():
-    assert Word().letters == () and Word().reduced is False and Word().packed is None
-    assert Word().tree is None
+    assert Word().letters == () and Word().reduced is False and Word().tree is None
+    with pytest.raises(AttributeError):
+        Word().tree = None
     spec = PuzzleSpec(4, threshold_k=3)
     assert (spec.subsets, spec.formula, spec.circuit) == (None, None, None)
 

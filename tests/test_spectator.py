@@ -7,7 +7,8 @@ import time
 import pytest
 
 from picturehang.constructions import _splice, build_disjoint, build_e, build_s
-from picturehang.gadgets import _AND_TEMPLATE, gadget_and, gadget_and_tree, gadget_or
+from picturehang.gadgets import _AND_TEMPLATE, _OR_TEMPLATE
+from picturehang.gadgets import gadget_and, gadget_and_tree, gadget_or
 from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import (
     _hit,
@@ -218,11 +219,11 @@ def test_set_cover_words_keep_their_packed_letters_for_the_solvers():
                 sets[i].add(element)
         word = set_cover_to_hanging(m, sets)[0]
         plain = Word(word.letters)
-        assert word.packed in (None, _pack(word.letters))
+        assert word.tree is None or word.tree.root == _pack(word.letters)
         assert word == plain and hash(word) == hash(plain) and len(word) == len(plain)
         for solve in (min_fell_exact, max_survive_exact, greedy_min_fell):
             assert solve(word, n) == solve(plain, n), (m, sets)
-        packed += word.packed is not None
+        packed += word.tree is not None
     assert packed
 
 
@@ -275,31 +276,42 @@ def test_tree_residuals_equal_the_letter_residuals_on_every_mask():
     """
     words = _seeded_cover_words(34, 40) + _seeded_gadget_words(34)
     for w, n in words:
-        assert w.tree is not None and w.packed == _pack(w.letters)
+        assert w.tree is not None and w.tree.root == _pack(w.letters) == w.tree.residual(0)
         for mask in range(1 << n):
-            assert w.tree.residual(mask) == _residual(w.packed, mask), (w, n, mask)
+            assert w.tree.residual(mask) == _residual(w.tree.root, mask), (w, n, mask)
     for w, n in words[::8]:
-        nails = _relabel_held(w.packed, n)[0]
+        nails = _relabel_held(w.tree.root, n)[0]
         for size in (len(nails) - 1, len(nails)):
             for held in map(list, itertools.combinations(nails, size)):
                 gone = sum(1 << i - 1 for i in nails if i not in held)
-                letters = _residual(w.packed, gone).translate(_relabel(held))
+                letters = _residual(w.tree.root, gone).translate(_relabel(held))
                 tree = w.tree.relabel(held)
+                assert tree.root == letters == tree.residual(0), (w, held)
                 for mask in range(1 << size):
                     assert tree.residual(mask) == _residual(letters, mask), (w, held, mask)
     assert gadget_and_tree([build_e([1, 2])]).tree is None
     assert gadget_and(Word((1,)), Word((200,))).tree is None  # laid out on ints
 
 
+def test_both_templates_lay_out_nothing_on_two_empty_arguments():
+    """The invariant behind a gadget join's skip of two empty pieces."""
+    for template in (_AND_TEMPLATE, _OR_TEMPLATE):
+        assert not _residual(template, 0b1100)
+    assert gadget_and(Word(()), Word(())).letters == ()
+    assert gadget_or(Word((1, -1)), Word(())).tree.root == b""
+
+
 def test_solvers_answer_alike_with_and_without_the_tree():
-    """The three solvers on each gadget word, and on the same letters and bytes with no tree.
+    """The three solvers and the fall table on each gadget word, and on its letters with no tree.
 
     A few words are searched over n = 200 too, where the root is set up on ints.
     """
     words = _seeded_cover_words(35, 60) + _seeded_gadget_words(35)
     for w, n in words + [(w, 200) for w, _ in words[::20]]:
-        plain = Word(w.letters, reduced=True, packed=w.packed)
+        plain = Word(w.letters, reduced=True)
         assert plain.tree is None and plain == w
+        if n <= 8:
+            assert fall_table(w, n) == fall_table(plain, n), (w, n)
         for solve in (min_fell_exact, max_survive_exact):
             assert solve(w, n, limit=200) == solve(plain, n, limit=200), (solve.__name__, w, n)
         assert greedy_min_fell(w, n) == greedy_min_fell(plain, n), (w, n)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from picturehang import compiler
 from picturehang.circuits import PuzzleSpec, parse_formula
 from picturehang.compiler import compile_circuit
+from picturehang.gadgets import gadget_and
 from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import max_survive_exact, min_fell_exact, set_cover_to_hanging
 from picturehang.words import (
@@ -521,7 +522,7 @@ def test_kept_residual_equals_the_residual_of_the_other_nails_dropped():
         word = set_cover_to_hanging(m, sets)[0]
         for kept in [*combinations(range(1, 7), 2), *combinations(range(1, 7), 3)]:
             want = _residual(_drop(word.letters, [i for i in range(1, 9) if i not in kept]))
-            assert _unpack(_kept_residual(word.packed, _as_mask(kept))) == want, (m, kept)
+            assert _unpack(_kept_residual(word.tree.root, _as_mask(kept))) == want, (m, kept)
             assert _kept_residual(word.letters, _as_mask(kept)) == want, (m, kept)
     assert _kept_residual([200, 1, 5, -200, -1], 1 << 199 | 1) == [200, 1, -200, -1]
 
@@ -665,15 +666,27 @@ def test_every_verifier_refuses_nails_then_the_limit_under_its_own_name(letters,
 
 
 def test_a_packed_word_is_checked_and_reduced_as_its_letters():
-    letters = (5, 3, -5)
-    w = Word(letters, reduced=True, packed=_pack(letters))
-    assert w.reduce() is w
-    assert w == Word(letters) and hash(w) == hash(Word(letters)) and len(w) == 3
+    w = gadget_and(Word((5,)), Word((3, 3)))
+    letters = w.letters
+    assert w.tree.root == _pack(letters) and w.reduce() is w
+    assert w == Word(letters) and hash(w) == hash(Word(letters)) and len(w) == len(letters)
     for n in (4, 2, -1):  # nail 5 beyond n, and a negative n, refused as check_nails does
         with pytest.raises(ValueError) as exc:
             _search_root(w, n)
         assert (type(exc.value), str(exc.value)) == _check_errors(Word(letters), n, n)
-    assert _search_root(w, 5) is w.packed
+    assert _search_root(w, 5) is w.tree.root
+
+
+def test_a_word_takes_no_search_state_from_its_constructor():
+    """Only letters and the reduced flag: a word's search state cannot disagree with them."""
+    for field in ("packed", "tree"):
+        with pytest.raises(TypeError):
+            Word((1, 2, -1, -2), **{field: bytes((3,))})
+    with pytest.raises(TypeError):
+        Word((1, 2, -1, -2), False, bytes((3,)))
+    w = Word((1, 2, -1, -2))
+    assert fall_table(w, 3) == [False, True, True, True, False, True, True, True]
+    assert min_fell_exact(w, 3).members == {1}
 
 
 def test_minimal_sets_equal_the_pairwise_rule():
