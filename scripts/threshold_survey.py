@@ -1,6 +1,7 @@
 """Survey compiled k-of-n threshold words: measured lengths versus estimates.
 
-For each pair in the grid, compiles the threshold with build_k_of_n and
+For each pair in the grid, 1 <= k <= n for 2 <= n <= ``--max-n`` (1-of-1 is
+the word x1), compiles the threshold with build_k_of_n and
 reports the compile route, as-constructed and reduced letter counts, the
 ``product`` column, the gate depth, the arithmetic estimate, and how
 verification went: whether it agreed, the method that decided
@@ -12,8 +13,10 @@ is the shortest plan of the compiler's table: route "factored" brackets
 shared clause prefixes, "two-cnf" is the 2n-letter word x1 ... xn X1 ...
 Xn of (n-1)-of-n for n >= 3, whose clauses are every pair, and
 "clause-product" the product itself, kept on a tie (one clause, or one
-nail per clause).  Rows that blow the letter budget are reported as
-skipped rather than aborting the survey.
+nail per clause).  Each piece of the plan is laid out rotated or
+inverted where it meets the word so far when that cancels more letters,
+so ``reduced`` is often below ``as_built``.  Rows that blow the letter
+budget are reported as skipped rather than aborting the survey.
 
 ``build_s`` times the compile alone (``verify=False``); ``total_s`` times
 build_k_of_n again with its default verification, which runs under the
@@ -23,6 +26,9 @@ auto-verification work cap on the plan that then runs
 it reads less, else the table's 2^n).  So ``total_s - build_s`` is what
 verification took.  With
 ``--no-verify`` the second compile is not made and a row shows ``-``.
+The last line gives the geometric means of ``reduced`` and ``estimate``
+over the rows built; with ``--max-n 6`` the rows are the compile-verify
+workload's grid, and the first is its ``letters_geomean``.
 
     PYTHONPATH=src python scripts/threshold_survey.py --max-n 6
 """
@@ -32,7 +38,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from math import comb
+from math import comb, exp, log
 
 from picturehang import BudgetExceededError, build_k_of_n, e_word_length
 
@@ -43,7 +49,8 @@ def survey(max_n: int, budget: int, verify: bool) -> None:
         f"{'estimate':>10} {'depth':>5} {'verified':>8} {'method':>8} {'masks':>8} "
         f"{'build_s':>8} {'total_s':>8}"
     )
-    for n in range(1, max_n + 1):
+    reduced, estimates = [], []
+    for n in range(2, max_n + 1):
         for k in range(1, n + 1):
             product = comb(n, n - k + 1) * e_word_length(n - k + 1)
             t0 = time.perf_counter()
@@ -64,6 +71,17 @@ def survey(max_n: int, budget: int, verify: bool) -> None:
                 f"{str(report.verified):>8} {report.verify_method:>8} {report.masks_checked:>8} "
                 f"{build_s:>8.5f} {total_s:>8}"
             )
+            reduced.append(report.reduced_length)
+            estimates.append(report.estimate)
+    if reduced:
+        print(
+            f"geomean over {len(reduced)} rows: reduced {_geomean(reduced):.4f} "
+            f"estimate {_geomean(estimates):.4f}"
+        )
+
+
+def _geomean(values: list[int]) -> float:
+    return exp(sum(map(log, values)) / len(values))
 
 
 def main() -> None:

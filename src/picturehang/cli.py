@@ -101,13 +101,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     from .circuits import PuzzleSpec, parse_formula
-    from .compiler import compile_circuit
 
     if args.spec:
         target: PuzzleSpec | None = _load_spec(args.spec)
     else:
         circuit = parse_formula(args.formula, n=args.n)
         target = PuzzleSpec(n=circuit.n, formula=args.formula, circuit=circuit)
+    from .compiler import compile_circuit  # not loaded for a target that fails to parse
+
     verify = {"auto": None, "on": True, "off": False}[args.verify]
     report = compile_circuit(target, budget=args.budget, verify=verify, limit=args.limit)
     return _emit_compile(report, args.json)

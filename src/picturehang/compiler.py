@@ -2,8 +2,9 @@
 
 A nonconstant spec's fall function f is the AND of its prime clauses; a
 clause C says "some nail of C is removed".  The spec compiles to the
-product, reduced at the joins only (`words._product`), of a plan's pieces
-over its clause family F.  A piece is one of
+product, reduced at the joins only, of a plan's pieces over its clause
+family F, each laid out as given, rotated or inverted (below).  A piece
+is one of
 
     e(C) = build_e(sorted(C)), the balanced 1-of-|C| word over a clause;
     x_sigma X_tau = x_sigma(1) ... x_sigma(s) X_tau(1) ... X_tau(s);
@@ -43,6 +44,20 @@ So every plan's word falls exactly when R hits every clause, that is,
 when f holds.  Only the shapes differ in length, and each plan is priced
 from closed forms before it is laid out.
 
+Conjugates and inverses stay graded.  Conjugation acts trivially on
+gamma_w / gamma_(w+1), and inversion only negates the class, so a word
+graded over F has every rotation of itself and of its inverse graded over
+F too, when it is cyclically reduced (rotations are then conjugates).
+`lay_out` uses that at every product level, bracket inners included: each
+piece after the first starts where it cancels the most letters against
+the product so far, in itself or in its inverse, a tie keeping it as
+given.  The pieces of a product are graded over disjoint families, so no
+two share a multidegree; a word times its own inverse would cancel.  The
+greedy can lose letters at a later join, so `lay_out` keeps the plain join
+product of the same pieces (`words._product`, which the gadgets share)
+whenever turning did not make the word shorter.  A compiled word is thus
+never longer than its plan joined plain.
+
 x_sigma X_tau, after the one-nail clauses' letters (disjoint nails,
 another free factor), serves a 2-CNF whose 2-nail clauses are the pairs
 that sigma and tau order alike.  After removing R, the residual is
@@ -64,15 +79,19 @@ against the budget before any clause is listed.  Every other spec is
 dualized in one postorder pass over its circuit, where true has no clause
 and false the empty one.  A gate is a whole operator chain: an AND absorbs
 once across all its operands, an OR folds them in one at a time.
-`_family_plan` then factors the clauses greedily.  Its word is emitted
-when strictly shorter than the reduced product, with ``route`` "two-cnf"
-for x_sigma X_tau alone and "factored" otherwise, so a tie keeps the
-product.  The budget is checked against the word emitted, so the lowering
-lets clauses run past it by `_TWO_CNF_SAVING`.  A report's ``depth`` is
-that of the equivalent CNF circuit, a balanced AND of balanced ORs, and
-``bound`` is 1078**depth, the letters a gadget circuit of that depth lays
-out at most (`gadgets` derives the 1,078); a plan is never longer than
-the product, so the bound covers it.
+`_family_plan` then factors the clauses greedily.  Whenever its plan is
+not the product itself, both are laid out, and the plan's word is emitted
+unless the product's is shorter, with ``route`` "two-cnf" for x_sigma
+X_tau alone and "factored" otherwise.  The plan's closed form is below
+the product's, so it takes a tie, but the laid-out words decide: each may
+cancel at its joins.  ``estimate`` is the closed form of the word
+emitted.  The budget is checked against the plan's, which bounds the word
+emitted either way, so the lowering lets clauses run past it by
+`_TWO_CNF_SAVING`.  A report's
+``depth`` is that of the equivalent CNF circuit, a balanced AND of
+balanced ORs, and ``bound`` is 1078**depth, the letters a gadget circuit
+of that depth lays out at most (`gadgets` derives the 1,078); a plan is
+never longer than the product, so the bound covers it.
 
 Verification checks the word emitted, not the argument above, through
 the one verifier, `words._verdict`.  A threshold spec is checked on its
@@ -141,7 +160,7 @@ class _Bracket(NamedTuple):
     """A plan piece laid out as the commutator [e(prefix), W(inner)]."""
 
     prefix: Sequence[int]
-    inner: Iterable  # the pieces of W, on nails disjoint from the prefix
+    inner: Sequence  # the pieces of W, on nails disjoint from the prefix
 
 
 class _Pairs(NamedTuple):
@@ -156,24 +175,102 @@ def lay_out(plan: Iterable) -> Word:
 
     A piece is a clause, a nonempty sequence of distinct nails laid out as
     its balanced word from the template of its width, or a `_Bracket` or
-    `_Pairs`.  Each piece's word is reduced, so the product is reduced at
-    the joins only (``words._product``).  A list of clauses is their product.
+    `_Pairs`, and the clauses of its pieces are distinct.  Each piece's word
+    is reduced, so the product is reduced at the joins only.  Pieces are
+    turned where they meet (`_meet`, see the module docstring); the plain
+    join product of the same pieces is kept unless longer.  A list of
+    clauses is their product.
     """
-    return Word(tuple(_lay_out(plan)), reduced=True)
+    letters, plain = _lay_out(plan, {})
+    if plain is not None and len(plain) <= len(letters):
+        letters = plain
+    return Word(tuple(letters), reduced=True)
 
 
-def _lay_out(plan: Iterable) -> list[int]:
-    return _product(map(_piece_letters, plan))
+def _lay_out(plan: Iterable, inners: dict) -> tuple[list[int], list[int] | None]:
+    """The plan's product with its pieces turned where they meet, and its plain join product.
+
+    The plain product, every piece joined as given by ``words._product``,
+    is None while no piece turned: the two are then the same letters.
+    ``inners`` keeps each bracket inner with its two words by its id, so an
+    inner plan shared by many brackets is laid out once.
+    """
+    out: list[int] = []
+    plain = None  # from the first piece that turned: the product before it, then the pieces' plain words
+    for piece in plan:
+        kind = type(piece)
+        if kind is _Bracket:
+            word, plain_word = _bracket_letters(piece, inners)
+        elif kind is _Pairs:
+            word = plain_word = [*piece.sigma, *map(neg, piece.tau)]
+        else:
+            word = plain_word = [*lay_out_e(piece)]
+        if out and (-out[-1] in word or out[-1] in word):  # else no start of it or its inverse cancels
+            cut, letters = _meet(out, word)
+        else:
+            cut, letters = 0, word
+        if plain is None and (letters is not word or plain_word is not word):
+            plain = [out[:]]
+        if plain is not None:
+            plain.append(plain_word)
+        if cut:
+            del out[-cut:]
+            letters = letters[cut:]
+        out += letters
+    return out, None if plain is None else _product(plain)
 
 
-def _piece_letters(piece: Sequence) -> Iterable[int]:
-    kind = type(piece)
-    if kind is _Bracket:  # two reduced words on disjoint nails: no letter cancels
-        a, b = [*lay_out_e(piece.prefix)], _lay_out(piece.inner)
-        return [*a, *b, *map(neg, reversed(a)), *map(neg, reversed(b))]
-    if kind is _Pairs:
-        return [*piece.sigma, *map(neg, piece.tau)]
-    return lay_out_e(piece)
+def _meet(out: list[int], word: list[int]) -> tuple[int, list[int]]:
+    """A reduced piece's word laid out to meet ``out``, and how many of its letters cancel there.
+
+    A conjugate of a piece's word is graded over the same clauses, and its
+    inverse only negates the class (module docstring), so a cyclically
+    reduced piece may start anywhere in itself or in its inverse.  A start
+    cancels against ``out`` only where its letter inverts the last of
+    ``out``, and the one that cancels the most letters is taken, a tie
+    keeping ``word`` itself.  Any other piece is joined as given.
+    """
+    x = -out[-1]  # the letter that cancels the last of out
+    size, most = len(word), min(len(word), len(out))
+    cut = at = 0
+    if word[0] == -word[-1]:  # a rotation would not be reduced
+        while cut < most and word[cut] == -out[-1 - cut]:
+            cut += 1
+        return cut, word
+    start = -1
+    for _ in range(word.count(x)):  # word[start - size + n] reads the rotation, wrapping round
+        start = word.index(x, start + 1)
+        n = 1
+        while n < most and word[start - size + n] == -out[-1 - n]:
+            n += 1
+        if n > cut:
+            cut, at = n, start
+    inverted, end = False, -1
+    for _ in range(word.count(-x)):  # the inverse turned to start at -word[end] reads word backwards
+        end = word.index(-x, end + 1)
+        n = 1
+        while n < most and word[end - n] == out[-1 - n]:
+            n += 1
+        if n > cut:
+            cut, at, inverted = n, end, True
+    if inverted:
+        return cut, [*map(neg, reversed(word[: at + 1])), *map(neg, reversed(word[at + 1 :]))]
+    return cut, word[at:] + word[:at] if at else word
+
+
+def _bracket_letters(piece: _Bracket, inners: dict) -> tuple[list[int], list[int]]:
+    """A bracket's word with its inner turned, and with it plain (the same list when nothing turned)."""
+    inner = inners.get(id(piece.inner))
+    if inner is None:  # kept with its words, so that its id names no other plan
+        inner = inners[id(piece.inner)] = (piece.inner, *_lay_out(piece.inner, inners))
+    _, b, plain_b = inner
+    a = [*lay_out_e(piece.prefix)]  # a and b lie on disjoint nails: no letter cancels
+    word = _commutator(a, b)
+    return word, word if plain_b is None else _commutator(a, plain_b)
+
+
+def _commutator(a: list[int], b: list[int]) -> list[int]:
+    return [*a, *b, *map(neg, reversed(a)), *map(neg, reversed(b))]
 
 
 def _clause_letters(clauses: Iterable[Sequence[int]]) -> int:
@@ -311,17 +408,28 @@ def _threshold_table(w: int, d: int) -> list[list[tuple[int, int | str]]]:
     return plans
 
 
-def _threshold_pieces(nails: Sequence[int], v: int, plans: list) -> Iterable:
-    """The pieces of the plan for every v-subset of the increasing ``nails``, listed lazily."""
+def _threshold_pieces(nails: Sequence[int], v: int, plans: list, shared: dict | None = None) -> Iterable:
+    """The pieces of the plan for every v-subset of the increasing ``nails``, listed lazily.
+
+    ``nails`` is a suffix of the plan's nails, so a bracket's last nail and
+    the inner width name its inner plan; ``shared`` holds each one listed,
+    for every bracket that ends on that nail, and `_lay_out` lays it out once.
+    """
     how = plans[v][len(nails) - v][1]
     if how == "product":
         return combinations(nails, v)
     if how == "pairs":
         return [_Pairs(nails, nails)]
-    return (
-        _Bracket(prefix, _threshold_pieces(nails[bisect_right(nails, prefix[-1]) :], v - how, plans))
-        for prefix in combinations(nails[: len(nails) - v + how], how)
-    )
+    shared = {} if shared is None else shared
+
+    def inner(last: int) -> list:
+        key = last, v - how
+        if key not in shared:
+            shared[key] = [*_threshold_pieces(nails[bisect_right(nails, last) :], v - how, plans, shared)]
+        return shared[key]
+
+    prefixes = combinations(nails[: len(nails) - v + how], how)
+    return (_Bracket(prefix, inner(prefix[-1])) for prefix in prefixes)
 
 
 # A node's clauses, the union of their nails, and their worth in letters.
@@ -479,12 +587,16 @@ class CompileReport(NamedTuple):
     "factored" (brackets [e(P), W] of shared nails P, see the module
     docstring).  ``as_constructed_length`` counts the letters of the pieces
     laid out before the reduction at their joins, and equals ``estimate``,
-    the plan's closed-form length; ``reduced_length`` counts the final
-    normal form.  ``verified`` is None when verification was skipped (n
-    beyond the limit, disabled, or past the auto-verification work cap); on
-    a mismatch it is False, ``mismatch_mask`` holds the first subset bitmask
-    where the word disagrees with the requested fall function, and the last
-    notice says how (`words.mismatch_line`).  ``verify_method`` is
+    the closed-form length of the plan emitted; the budget is checked
+    against the shortest plan's, which bounds the word either way (module
+    docstring).  ``reduced_length`` counts the final normal form.  With pieces rotated
+    or inverted where they meet, it is often below ``estimate`` for
+    thresholds (98 against 112 for 3-of-6).  ``verified`` is None when
+    verification was skipped (n beyond the limit, disabled, or past the
+    auto-verification work cap); on a mismatch it is False,
+    ``mismatch_mask`` holds the first subset bitmask where the word
+    disagrees with the requested fall function, and the last notice says
+    how (`words.mismatch_line`).  ``verify_method`` is
     "boundary" (a threshold's (k-1)- and k-subsets), "table" (every subset)
     or "skipped", and ``masks_checked`` counts the subsets it decided, as
     `words._verdict`, the one verifier, returned them.
@@ -512,7 +624,7 @@ def compile_circuit(
     limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> CompileReport:
     """Compile a circuit or spec to the product of its prime-clause words,
-    or to x_sigma X_tau when its prime clauses allow (see the module docstring).
+    or to the shorter word of a plan over them (see the module docstring).
 
     ``budget`` guards against runaway output; pass None to disable.
     ``verify`` forces (True) or skips (False) verification; the default
@@ -540,12 +652,12 @@ def compile_circuit(
         count = len(clauses)
         widest = max(map(len, clauses), default=1)
         word, route = lay_out(clauses), "clause-product"  # within the budget plus _TWO_CNF_SAVING
-        letters, shorter_route, plan = _family_plan(clauses)
-        if letters < len(word.letters):  # the product can cancel at its joins
-            shorter = lay_out(plan)
-            if len(shorter.letters) < len(word.letters):
-                word, estimate, route = shorter, letters, shorter_route
-        check_budget(estimate, budget)
+        letters, plan_route, plan = _family_plan(clauses)
+        if plan is not clauses:  # its closed form is below the product's, so it takes a tie
+            planned = lay_out(plan)
+            if len(planned.letters) <= len(word.letters):
+                word, estimate, route = planned, letters, plan_route
+        check_budget(letters, budget)  # the plan's closed form bounds the word emitted either way
     reduced_length = len(word.letters)
     depth = (max(count, 1) - 1).bit_length() + (widest - 1).bit_length()
     mismatch_mask, verify_method, masks_checked = None, "skipped", 0

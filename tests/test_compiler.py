@@ -50,6 +50,7 @@ from picturehang.words import (
     _balanced,
     _boundary_mismatch,
     _boundary_reads_less,
+    _product,
     _search_root,
     _verify_plan,
     commutator,
@@ -244,13 +245,16 @@ def test_compile_records_mismatch_with_witness(monkeypatch):
 def test_compile_budget_guard_uses_estimate():
     # 3-of-6's plan brackets x1 .. x3 with the pairs after them: 112
     # letters, against 240 for the product of its C(6, 4) = 15 clause words.
+    # The budget is checked against those 112; the pieces laid out rotated
+    # where they meet give 98.
     spec = PuzzleSpec.from_threshold(6, 3)
     with pytest.raises(BudgetExceededError) as exc:
         compile_circuit(spec, budget=111)
     assert "112" in str(exc.value)
     report = compile_circuit(spec, budget=112)
     assert report.verified is True
-    assert report.estimate == report.as_constructed_length == report.reduced_length == 112
+    assert report.estimate == report.as_constructed_length == 112
+    assert report.reduced_length == 98
     assert report.route == "factored"
     # (r1 | r2) & (r3 | r4) holds two 4-letter clause words.
     c = parse_formula("(r1 | r2) & (r3 | r4)")
@@ -364,11 +368,12 @@ def test_compile_every_monotone_function_on_four_nails():
     # product lays out exactly one balanced word per prime clause; x_sigma
     # X_tau lays out one letter per one-nail clause and two per nail of the
     # two-nail clauses; a factored word brackets shared nails.  Neither of
-    # the last two is emitted unless shorter than the product.
+    # the last two is emitted when longer than the product; on a tie their
+    # closed form, below the product's, takes it.
     subsets = [
         frozenset(c) for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)
     ]
-    count = 0
+    count = total = 0
     routes = {"clause-product": 0, "two-cnf": 0, "factored": 0}
     for bits in range(1, 1 << len(subsets)):
         family = [s for i, s in enumerate(subsets) if bits >> i & 1]
@@ -395,11 +400,16 @@ def test_compile_every_monotone_function_on_four_nails():
             assert report.as_constructed_length == product_length, family
             assert report.word.letters == product.letters, family
         else:
-            assert report.reduced_length < len(product.letters), family
+            assert report.reduced_length <= len(product.letters), family
+            assert report.estimate < product_length, family
         assert report.reduced_length <= report.as_constructed_length <= product_length, family
         routes[report.route] += 1
+        total += report.reduced_length
     assert count == 166
-    assert routes == {"clause-product": 63, "two-cnf": 62, "factored": 41}
+    # Joined plain, a plan had to be strictly shorter than the product, and
+    # the words emitted summed 1,396 letters (63, 62 and 41 by route).
+    assert routes == {"clause-product": 51, "two-cnf": 70, "factored": 45}
+    assert total == 1392
 
 
 def test_compile_n_minus_one_of_n_is_x_then_its_inverses():
@@ -430,10 +440,12 @@ def test_compile_reproduces_the_two_cnf_fixtures(fid):
 
 def test_five_cycle_is_no_permutation_graph_and_is_factored():
     # [x1, x2 x5] takes the clauses of nail 1; the path 2-3-4-5 left is a
-    # permutation graph.  Their words cancel two letters where they meet.
+    # permutation graph.  Its word x2 x4 x3 x5 X4 X5 X2 X3 is laid out
+    # inverted and rotated, x2 x5 x4 X5 X3 X4 X2 x3, which cancels the
+    # bracket's last two letters X5 X2; joined as given it cancels one.
     report = compile_circuit(parse_formula("(r1|r2)&(r2|r3)&(r3|r4)&(r4|r5)&(r5|r1)"))
     assert report.route == "factored"
-    assert format_word(report.word) == "x1 x2 x5 X1 X5 x4 x3 x5 X4 X5 X2 X3"
+    assert format_word(report.word) == "x1 x2 x5 X1 x4 X5 X3 X4 X2 x3"
     assert report.estimate == report.as_constructed_length == 14
     assert len(lay_out([(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)])) == 16
     assert report.verified is True
@@ -472,6 +484,22 @@ def test_compile_checks_the_budget_against_the_word_emitted():
     assert len(compile_circuit(clique, budget=2 * most).word) == 2 * most
     with pytest.raises(BudgetExceededError):
         compile_circuit(clique, budget=2 * most - 1)
+
+
+def test_a_product_kept_over_its_plan_is_priced_at_the_plan():
+    # The plan's closed form, 42 letters, bounds the word emitted either way.
+    # Turned where its clause words meet, the product lays out 40 letters
+    # against the plan's 42, so it is kept, with its own closed form of 56
+    # as the estimate; the budget is still checked against the 42, which a
+    # plan kept on a tie or laid out plain would have been checked against.
+    spec = PuzzleSpec.from_subsets(
+        8, [[5, 6], [7, 6, 1], [5, 3, 4], [5, 2, 6], [2, 6, 1], [4], [3, 7, 5, 6], [7, 2, 5]]
+    )
+    report = compile_circuit(spec, budget=42)
+    assert (report.route, report.reduced_length, report.estimate) == ("clause-product", 40, 56)
+    assert report.verified is True
+    with pytest.raises(BudgetExceededError, match="would have 42 letters"):
+        compile_circuit(spec, budget=41)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -570,10 +598,19 @@ def test_compile_lowers_inner_constants_and_shared_nodes(data):
 @example([])
 @example([[1, 2], [2, 3], [3, 1, 2], [1, 2]])
 def test_clause_product_equals_the_product_of_clause_words(clauses):
+    # The plain join of the clause words is their concatenation reduced; the
+    # layout, which may rotate or invert a clause word where it meets the
+    # product, falls on the same subsets and is no longer.
     want = raw_concat(*(build_e(c) for c in clauses)).reduce()
-    got = lay_out(clauses)
-    assert got.letters == want.letters
+    assert tuple(_product(build_e(c).letters for c in clauses)) == want.letters
+    # A plan's clauses are distinct: a clause word times its own inverse
+    # would cancel where the product hangs.
+    distinct = [c for i, c in enumerate(clauses) if set(c) not in map(set, clauses[:i])]
+    plain = raw_concat(*(build_e(c) for c in distinct)).reduce()
+    got = lay_out(distinct)
     assert got.reduced
+    assert len(got.letters) <= len(plain.letters)
+    assert fall_table(got, 8) == fall_table(plain, 8)
 
 
 def _timed_compile(text):
@@ -620,7 +657,7 @@ def test_compile_or_of_24_three_nail_terms_within_the_budget():
         start = time.perf_counter()
         words.append(compile_circuit(target, verify=False).word)
         assert time.perf_counter() - start < 5
-    assert len(words[0].letters) == 148_300
+    assert len(words[0].letters) == 125_546  # joined plain: 148,300
     assert words[1] == words[0]
 
 
@@ -680,13 +717,15 @@ def test_threshold_words_are_factored_and_no_longer_than_the_product():
                 assert report.estimate == product
             else:
                 assert report.route == "factored" and report.estimate < product, (k, n)
-    for k, n, letters in ((3, 6, 112), (7, 12, 5880), (11, 14, 1936)):
+    # Joined plain, the three words had 112, 5,880 and 1,936 letters.
+    for k, n, letters in ((3, 6, 98), (7, 12, 5220), (11, 14, 1750)):
         assert len(_threshold_word(k, n)) == letters
     report = compile_circuit(PuzzleSpec.from_threshold(19, 10), verify=False)
-    assert report.estimate == report.reduced_length == 1_372_800  # the product: 10,346,336
+    assert report.estimate == 1_372_800  # the product: 10,346,336
+    assert report.reduced_length == 1_201_568  # joined plain: 1,372,800
     # A formula or subset spec whose clauses are every w-subset of its nails takes the same plan.
     report = compile_circuit(parse_formula("atleast(3; r2, r4, r6, r8, r10, r12)"))
-    assert (report.route, report.reduced_length, report.verified) == ("factored", 112, True)
+    assert (report.route, report.reduced_length, report.verified) == ("factored", 98, True)
     assert report.word.letters == tuple(2 * x for x in _threshold_word(3, 6).letters)
     # Past the plan table's work bound a threshold is priced as the product.
     for k, n in ((2, 366), (3, 260), (30, 60)):
@@ -694,6 +733,58 @@ def test_threshold_words_are_factored_and_no_longer_than_the_product():
         with pytest.raises(BudgetExceededError):
             compile_circuit(PuzzleSpec.from_threshold(n, k))
         assert time.perf_counter() - start < 1, (k, n)
+
+
+def _plain_product(plan):
+    """A plan's pieces joined as given: `_product` over their words, bracket inners joined the same way."""
+
+    def letters(piece):
+        if isinstance(piece, compiler._Bracket):
+            a, b = list(build_e(piece.prefix).letters), _plain_product(piece.inner)
+            return [*a, *b, *(-x for x in reversed(a)), *(-x for x in reversed(b))]
+        if isinstance(piece, compiler._Pairs):
+            return [*piece.sigma, *(-x for x in piece.tau)]
+        return build_e(piece).letters
+
+    return _product(map(letters, plan))
+
+
+def _emitted_plan(spec, route):
+    """The plan whose layout `compile_circuit` emitted under ``route``."""
+    if spec.threshold_k is not None:
+        return compiler._threshold_plan(range(1, spec.n + 1), spec.n - spec.threshold_k + 1)[2]
+    clauses = compiler._prime_clauses(spec.to_circuit(), None)[0]
+    return clauses if route == "clause-product" else compiler._family_plan(clauses)[2]
+
+
+def test_rotated_words_are_exact_and_no_longer_than_the_plain_join():
+    # Rotating or inverting a piece where it meets the product keeps the
+    # word's fall function, and the layout never emits a word longer than
+    # its plan joined plain: every k-of-n on up to 14 nails, the 166
+    # monotone functions of four nails and seeded subset specs.
+    specs = [PuzzleSpec.from_threshold(n, k) for n in range(1, 15) for k in range(1, n + 1)]
+    subsets = [c for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)]
+    for bits in range(1, 1 << len(subsets)):
+        family = [set(c) for i, c in enumerate(subsets) if bits >> i & 1]
+        if not any(a < b for a in family for b in family):
+            specs.append(PuzzleSpec.from_subsets(4, family))
+    rng = random.Random(36)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        terms = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+        specs.append(PuzzleSpec.from_subsets(n, terms))
+    turned = 0
+    for spec in specs:
+        report = compile_circuit(spec, budget=None, verify=False)
+        plain = _plain_product(_emitted_plan(spec, report.route))
+        assert report.reduced_length <= len(plain), spec
+        turned += report.reduced_length < len(plain)
+        if spec.n <= 10:
+            assert fall_table(report.word, spec.n) == spec.table(), spec
+        else:
+            assert verify_threshold(report.word, spec.n, spec.threshold_k)[0] is None, spec
+    assert len(specs) == 105 + 166 + 300
+    assert turned == 67
 
 
 def test_corrupted_factored_threshold_words_are_reported():

@@ -70,6 +70,22 @@ def test_light_commands_load_no_heavy_module(argv, tmp_path):
     assert json.loads(proc.stdout) == [0, LOADS.get(argv[0], [])]
 
 
+@pytest.mark.parametrize("argv", [["--formula", "r1 & $"], ["--spec", "{spec}"]])
+def test_a_compile_target_that_fails_to_parse_loads_no_compiler(argv, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n": 3, "threshold_k": 4}')
+    script = SCOPE_SCRIPT.format(watched=WATCHED)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "compile", *(a.format(spec=spec) for a in argv)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        check=True,
+    )
+    assert json.loads(proc.stdout) == [2, ["picturehang.circuits"]]
+    assert proc.stderr.startswith("error: ")
+
+
 def test_every_public_name_is_its_home_modules_object():
     for name in picturehang.__all__:
         home = importlib.import_module(f"picturehang.{picturehang._HOME[name]}")

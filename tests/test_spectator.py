@@ -228,10 +228,16 @@ def test_set_cover_words_keep_their_packed_letters_for_the_solvers():
 
 
 def _seeded_cover_words(seed, count):
-    """Seeded Set Cover words of two leaves or more on n <= 8 sets, with their n."""
+    """Seeded Set Cover words of two leaves or more on n <= 8 sets, with their n.
+
+    Words are drawn at most 50 times ``count`` times, so an encoding that
+    gives no word a tree fails here instead of drawing forever.
+    """
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    for _ in range(50 * count):
+        if len(out) == count:
+            break
         m, n, r = rng.randint(2, 12), rng.randint(3, 8), rng.randint(1, 3)
         sets = [set() for _ in range(n)]
         for element in range(1, m + 1):
@@ -240,6 +246,7 @@ def _seeded_cover_words(seed, count):
         word = set_cover_to_hanging(m, [sorted(s) for s in sets])[0]
         if word.tree is not None:
             out.append((word, n))
+    assert len(out) == count, f"seed {seed}: {len(out)} of {count} words with a tree in {50 * count} draws"
     return out
 
 
