@@ -81,17 +81,17 @@ and false the empty one.  A gate is a whole operator chain: an AND absorbs
 once across all its operands, an OR folds them in one at a time.
 `_family_plan` then factors the clauses greedily.  Whenever its plan is
 not the product itself, both are laid out, and the plan's word is emitted
-unless the product's is shorter, with ``route`` "two-cnf" for x_sigma
-X_tau alone and "factored" otherwise.  The plan's closed form is below
-the product's, so it takes a tie, but the laid-out words decide: each may
-cancel at its joins.  ``estimate`` is the closed form of the word
-emitted.  The budget is checked against the plan's, which bounds the word
-emitted either way, so the lowering lets clauses run past it by
-`_TWO_CNF_SAVING`.  A report's
-``depth`` is that of the equivalent CNF circuit, a balanced AND of
-balanced ORs, and ``bound`` is 1078**depth, the letters a gadget circuit
-of that depth lays out at most (`gadgets` derives the 1,078); a plan is
-never longer than the product, so the bound covers it.
+when strictly shorter than the product's, with ``route`` "two-cnf" for
+x_sigma X_tau alone and "factored" otherwise, so a tie keeps the product.
+The laid-out words decide, not the closed forms: each word may cancel at
+its joins.  ``estimate`` is the closed form of the word emitted.  The
+budget is checked against the plan's, which bounds the word emitted
+either way, so the lowering lets clauses run past it by
+`_TWO_CNF_SAVING`.  A report's ``depth`` is that of the equivalent CNF
+circuit, a balanced AND of balanced ORs, and ``bound`` is 1078**depth,
+the letters a gadget circuit of that depth lays out at most (`gadgets`
+derives the 1,078); a plan is never longer than the product, so the
+bound covers it.
 
 Verification checks the word emitted, not the argument above, through
 the one verifier, `words._verdict`.  A threshold spec is checked on its
@@ -160,7 +160,7 @@ class _Bracket(NamedTuple):
     """A plan piece laid out as the commutator [e(prefix), W(inner)]."""
 
     prefix: Sequence[int]
-    inner: Sequence  # the pieces of W, on nails disjoint from the prefix
+    inner: Iterable  # the pieces of W, on nails disjoint from the prefix
 
 
 class _Pairs(NamedTuple):
@@ -181,26 +181,25 @@ def lay_out(plan: Iterable) -> Word:
     join product of the same pieces is kept unless longer.  A list of
     clauses is their product.
     """
-    letters, plain = _lay_out(plan, {})
+    letters, plain = _lay_out(plan)
     if plain is not None and len(plain) <= len(letters):
         letters = plain
     return Word(tuple(letters), reduced=True)
 
 
-def _lay_out(plan: Iterable, inners: dict) -> tuple[list[int], list[int] | None]:
+def _lay_out(plan: Iterable) -> tuple[list[int], list[int] | None]:
     """The plan's product with its pieces turned where they meet, and its plain join product.
 
     The plain product, every piece joined as given by ``words._product``,
-    is None while no piece turned: the two are then the same letters.
-    ``inners`` keeps each bracket inner with its two words by its id, so an
-    inner plan shared by many brackets is laid out once.
+    is None while no piece turned: the two are then the same letters.  The
+    plan, bracket inners included, is iterated once.
     """
     out: list[int] = []
     plain = None  # from the first piece that turned: the product before it, then the pieces' plain words
     for piece in plan:
         kind = type(piece)
         if kind is _Bracket:
-            word, plain_word = _bracket_letters(piece, inners)
+            word, plain_word = _bracket_letters(piece)
         elif kind is _Pairs:
             word = plain_word = [*piece.sigma, *map(neg, piece.tau)]
         else:
@@ -258,13 +257,10 @@ def _meet(out: list[int], word: list[int]) -> tuple[int, list[int]]:
     return cut, word[at:] + word[:at] if at else word
 
 
-def _bracket_letters(piece: _Bracket, inners: dict) -> tuple[list[int], list[int]]:
+def _bracket_letters(piece: _Bracket) -> tuple[list[int], list[int]]:
     """A bracket's word with its inner turned, and with it plain (the same list when nothing turned)."""
-    inner = inners.get(id(piece.inner))
-    if inner is None:  # kept with its words, so that its id names no other plan
-        inner = inners[id(piece.inner)] = (piece.inner, *_lay_out(piece.inner, inners))
-    _, b, plain_b = inner
     a = [*lay_out_e(piece.prefix)]  # a and b lie on disjoint nails: no letter cancels
+    b, plain_b = _lay_out(piece.inner)
     word = _commutator(a, b)
     return word, word if plain_b is None else _commutator(a, plain_b)
 
@@ -408,28 +404,17 @@ def _threshold_table(w: int, d: int) -> list[list[tuple[int, int | str]]]:
     return plans
 
 
-def _threshold_pieces(nails: Sequence[int], v: int, plans: list, shared: dict | None = None) -> Iterable:
-    """The pieces of the plan for every v-subset of the increasing ``nails``, listed lazily.
-
-    ``nails`` is a suffix of the plan's nails, so a bracket's last nail and
-    the inner width name its inner plan; ``shared`` holds each one listed,
-    for every bracket that ends on that nail, and `_lay_out` lays it out once.
-    """
+def _threshold_pieces(nails: Sequence[int], v: int, plans: list) -> Iterable:
+    """The pieces of the plan for every v-subset of the increasing ``nails``, listed lazily."""
     how = plans[v][len(nails) - v][1]
     if how == "product":
         return combinations(nails, v)
     if how == "pairs":
         return [_Pairs(nails, nails)]
-    shared = {} if shared is None else shared
-
-    def inner(last: int) -> list:
-        key = last, v - how
-        if key not in shared:
-            shared[key] = [*_threshold_pieces(nails[bisect_right(nails, last) :], v - how, plans, shared)]
-        return shared[key]
-
-    prefixes = combinations(nails[: len(nails) - v + how], how)
-    return (_Bracket(prefix, inner(prefix[-1])) for prefix in prefixes)
+    return (
+        _Bracket(prefix, _threshold_pieces(nails[bisect_right(nails, prefix[-1]) :], v - how, plans))
+        for prefix in combinations(nails[: len(nails) - v + how], how)
+    )
 
 
 # A node's clauses, the union of their nails, and their worth in letters.
@@ -587,11 +572,11 @@ class CompileReport(NamedTuple):
     "factored" (brackets [e(P), W] of shared nails P, see the module
     docstring).  ``as_constructed_length`` counts the letters of the pieces
     laid out before the reduction at their joins, and equals ``estimate``,
-    the closed-form length of the plan emitted; the budget is checked
-    against the shortest plan's, which bounds the word either way (module
-    docstring).  ``reduced_length`` counts the final normal form.  With pieces rotated
-    or inverted where they meet, it is often below ``estimate`` for
-    thresholds (98 against 112 for 3-of-6).  ``verified`` is None when
+    the closed-form length of the plan or product emitted; the budget is
+    checked against the plan's, which bounds the word either way (module
+    docstring).  ``reduced_length`` counts the final normal form.  With
+    pieces rotated or inverted where they meet, it is often below
+    ``estimate`` for thresholds (98 against 112 for 3-of-6).  ``verified`` is None when
     verification was skipped (n beyond the limit, disabled, or past the
     auto-verification work cap); on a mismatch it is False,
     ``mismatch_mask`` holds the first subset bitmask where the word
@@ -653,9 +638,9 @@ def compile_circuit(
         widest = max(map(len, clauses), default=1)
         word, route = lay_out(clauses), "clause-product"  # within the budget plus _TWO_CNF_SAVING
         letters, plan_route, plan = _family_plan(clauses)
-        if plan is not clauses:  # its closed form is below the product's, so it takes a tie
+        if plan is not clauses:  # the laid-out words decide: each may cancel at its joins
             planned = lay_out(plan)
-            if len(planned.letters) <= len(word.letters):
+            if len(planned.letters) < len(word.letters):  # a tie keeps the product
                 word, estimate, route = planned, letters, plan_route
         check_budget(letters, budget)  # the plan's closed form bounds the word emitted either way
     reduced_length = len(word.letters)

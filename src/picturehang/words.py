@@ -386,8 +386,11 @@ def _minimal_sets(sets: Iterable[int]) -> list[int]:
 
 
 # Below this many letters left to the loop a pair sweep costs more than it saves (threshold
-# words, n <= 14): `_kept_residual` sweeps, and `_boundary_mismatch` keeps few nails, above it.
+# words, n <= 14): `_kept_residual` sweeps above it.
 _PRE_CANCEL_LETTERS = 64
+# Above this many letters `_boundary_mismatch` strips a residual one nail at a time and shares
+# it; below it, dropping the rest of each subset at once costs less (threshold words, n <= 14).
+_SHARED_PREFIX_LETTERS = 256
 
 
 def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
@@ -678,7 +681,10 @@ def _boundary_reads_less(n: int, k: int) -> bool:
     threshold, none to do for the empty one, and for each of the C(n, k)
     at it strips the residual of the subset below, C(w, u) / C(n, u) of the
     word.  The counts are kept in integers, scaled by C(n, u) n u w.  The word's length is a
-    factor of both, so the choice rests on n and k alone.  A tie, as for
+    factor of both, so the choice rests on n and k alone.  Each subset's
+    residual is priced as built on its own, which ``_boundary_mismatch``
+    does only below `_SHARED_PREFIX_LETTERS`; above it the boundary shares
+    residuals and reads fewer letters than priced here.  A tie, as for
     k <= 2, where both make the same strips, goes to the boundary, which
     builds no table.
     """
@@ -698,31 +704,35 @@ def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:
 
     Each (k-1)-subset R must leave a nonempty residual, and each k-subset,
     R and one nail above R's highest, must empty it; every k-subset is
-    reached once, R in the lexicographic order of ``combinations``.  R's
-    residual is stripped from the root by ``_drop``, or built by
-    ``_kept_residual`` from the n - k + 1 nails it keeps when they are no
-    more than R's and a strip would leave the loop over
-    `_PRE_CANCEL_LETTERS` letters.  The nail above goes by ``_strip``, the
-    search's one child step.  The mask returned is not always the first
-    that disagrees.
+    reached once, R in the lexicographic order of ``combinations``.  While
+    a residual is longer than `_SHARED_PREFIX_LETTERS`, R's nails are
+    stripped one at a time, lowest first, so every R that starts with the
+    same nails shares their residual, as the walk of ``_walk_table`` does.
+    Below it, the rest of each R is dropped from that residual by
+    ``_drop``.  The nail above goes by ``_strip``, the search's one child
+    step.  The mask returned is not always the first that disagrees.
     """
     if not k:
         return 0 if root else None
-    w = n - k + 1
-    few = w < k and len(root) * w > _PRE_CANCEL_LETTERS * n
-    for below in combinations(range(1, n + 1), k - 1):
-        if not below:
-            residual = root
-        elif few:
-            residual = _kept_residual(root, (1 << n) - 1 ^ _as_mask(below))
-        else:
-            residual = _residual(_drop(root, below))
-        if not residual:
-            return _as_mask(below)
-        for nail in range(below[-1] + 1 if below else 1, n + 1):
-            if _strip(residual, nail):
-                return _as_mask(below) | 1 << nail - 1
-    return None
+
+    def below(residual: Sequence[int], dropped: int, start: int, left: int) -> int | None:
+        # Every R that holds the nails of ``dropped`` and ``left`` more from start..n.
+        if left and len(residual) > _SHARED_PREFIX_LETTERS:
+            for nail in range(start, n - left + 2):
+                got = below(_strip(residual, nail), dropped | 1 << nail - 1, nail + 1, left - 1)
+                if got is not None:
+                    return got
+            return None
+        for rest in combinations(range(start, n + 1), left):
+            kept = _residual(_drop(residual, rest)) if rest else residual
+            if not kept:
+                return dropped | _as_mask(rest)
+            for nail in range(rest[-1] + 1 if rest else start, n + 1):
+                if _strip(kept, nail):
+                    return dropped | _as_mask(rest) | 1 << nail - 1
+        return None
+
+    return below(root, 0, 1, k - 1)
 
 
 def is_monotone_table(table: list[bool], n: int) -> bool:

@@ -368,8 +368,7 @@ def test_compile_every_monotone_function_on_four_nails():
     # product lays out exactly one balanced word per prime clause; x_sigma
     # X_tau lays out one letter per one-nail clause and two per nail of the
     # two-nail clauses; a factored word brackets shared nails.  Neither of
-    # the last two is emitted when longer than the product; on a tie their
-    # closed form, below the product's, takes it.
+    # the last two is emitted unless shorter than the product.
     subsets = [
         frozenset(c) for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)
     ]
@@ -400,15 +399,16 @@ def test_compile_every_monotone_function_on_four_nails():
             assert report.as_constructed_length == product_length, family
             assert report.word.letters == product.letters, family
         else:
-            assert report.reduced_length <= len(product.letters), family
+            assert report.reduced_length < len(product.letters), family
             assert report.estimate < product_length, family
         assert report.reduced_length <= report.as_constructed_length <= product_length, family
         routes[report.route] += 1
         total += report.reduced_length
     assert count == 166
-    # Joined plain, a plan had to be strictly shorter than the product, and
-    # the words emitted summed 1,396 letters (63, 62 and 41 by route).
-    assert routes == {"clause-product": 51, "two-cnf": 70, "factored": 45}
+    # With every piece joined as given, the words emitted summed 1,396
+    # letters (63, 62 and 41 by route).  Turned where they meet, more
+    # products are no longer than their plan.
+    assert routes == {"clause-product": 78, "two-cnf": 53, "factored": 35}
     assert total == 1392
 
 
@@ -490,8 +490,7 @@ def test_a_product_kept_over_its_plan_is_priced_at_the_plan():
     # The plan's closed form, 42 letters, bounds the word emitted either way.
     # Turned where its clause words meet, the product lays out 40 letters
     # against the plan's 42, so it is kept, with its own closed form of 56
-    # as the estimate; the budget is still checked against the 42, which a
-    # plan kept on a tie or laid out plain would have been checked against.
+    # as the estimate; the budget is still checked against the 42.
     spec = PuzzleSpec.from_subsets(
         8, [[5, 6], [7, 6, 1], [5, 3, 4], [5, 2, 6], [2, 6, 1], [4], [3, 7, 5, 6], [7, 2, 5]]
     )
@@ -500,6 +499,14 @@ def test_a_product_kept_over_its_plan_is_priced_at_the_plan():
     assert report.verified is True
     with pytest.raises(BudgetExceededError, match="would have 42 letters"):
         compile_circuit(spec, budget=41)
+    # A tie keeps the product: turned, its 8 letters of closed form lay out
+    # 6, as many as x_sigma X_tau, whose 6 the budget is checked against.
+    spec = PuzzleSpec.from_subsets(4, [{3}, {1, 2}])
+    report = compile_circuit(spec, budget=6)
+    assert (report.route, report.reduced_length, report.estimate) == ("clause-product", 6, 8)
+    assert report.verified is True
+    with pytest.raises(BudgetExceededError, match="would have 6 letters"):
+        compile_circuit(spec, budget=5)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -784,7 +791,7 @@ def test_rotated_words_are_exact_and_no_longer_than_the_plain_join():
         else:
             assert verify_threshold(report.word, spec.n, spec.threshold_k)[0] is None, spec
     assert len(specs) == 105 + 166 + 300
-    assert turned == 67
+    assert turned == 95
 
 
 def test_corrupted_factored_threshold_words_are_reported():
@@ -844,6 +851,35 @@ def test_threshold_verdicts_equal_the_table_on_corrupted_words():
                     checked += 1
                     mismatches += want is not None
     assert mismatches > checked // 2  # most corruptions break the word
+
+
+@pytest.mark.parametrize("shared", [0, 10**9])
+def test_boundary_shares_prefix_residuals_and_agrees_with_the_table(monkeypatch, shared):
+    # Residuals past words._SHARED_PREFIX_LETTERS are stripped one nail at a
+    # time and shared; set to 0 every subset is reached that way, and set
+    # past every word none is.  Rows of n = 9 and 10 hold 294 to 612 letters.
+    monkeypatch.setattr("picturehang.words._SHARED_PREFIX_LETTERS", shared)
+    rng = random.Random(36)
+    rows = [(k, n) for n in range(1, 8) for k in range(1, n + 1)] + [(5, 8), (6, 9), (7, 10)]
+    checked = mismatches = 0
+    for k, n in rows:
+        letters = list(_threshold_word(k, n).letters)
+        assert _boundary_mismatch(_search_root(Word(tuple(letters)), n), n, k) is None, (k, n)
+        for _ in range(3):
+            at = rng.randrange(len(letters))
+            for w in (
+                Word(tuple(letters[:at] + letters[at + 1 :])),
+                Word(tuple(letters[:at] + [-letters[at]] + letters[at + 1 :])),
+            ):
+                want = _table_mismatch(w, n, k)
+                found = _boundary_mismatch(_search_root(w, n), n, k)
+                assert (found is None) == (want is None), (k, n, w)
+                if found is not None:
+                    assert found.bit_count() in (k - 1, k), (k, n, w)
+                    assert (found.bit_count() >= k) != falls(w, NailSubset(n, found)), (k, n, w)
+                checked += 1
+                mismatches += want is not None
+    assert mismatches > checked // 2
 
 
 def test_compile_reports_the_first_mismatch_of_a_corrupted_threshold_word(monkeypatch):
