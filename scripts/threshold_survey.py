@@ -15,16 +15,16 @@ Xn of (n-1)-of-n for n >= 3, whose clauses are every pair, and
 "clause-product" the product itself, kept on a tie (one clause, or one
 nail per clause).  Each piece of the plan is laid out rotated or
 inverted where it meets the word so far when that cancels more letters,
-so ``reduced`` is often below ``as_built``.  Rows that blow the letter
+starts that cancel equally told apart by the next piece, so ``reduced``
+is often below ``as_built``.  Rows that blow the letter
 budget are reported as skipped rather than aborting the survey.
 
 ``build_s`` times the compile alone (``verify=False``); ``total_s`` times
 build_k_of_n again with its default verification, which runs under the
 compiler's own rule: within the exhaustive limit, and within the
 auto-verification work cap on the plan that then runs
-(``words._verify_plan``: the boundary's C(n, k) + C(n, k-1) subsets when
-it reads less, else the table's 2^n).  So ``total_s - build_s`` is what
-verification took.  With
+(``words._verify_plan``: the boundary's C(n, k) + C(n, k-1) subsets).
+So ``total_s - build_s`` is what verification took.  With
 ``--no-verify`` the second compile is not made and a row shows ``-``.
 The last line gives the geometric means of ``reduced`` and ``estimate``
 over the rows built; with ``--max-n 6`` the rows are the compile-verify

@@ -50,13 +50,17 @@ graded over F has every rotation of itself and of its inverse graded over
 F too, when it is cyclically reduced (rotations are then conjugates).
 `lay_out` uses that at every product level, bracket inners included: each
 piece after the first starts where it cancels the most letters against
-the product so far, in itself or in its inverse, a tie keeping it as
-given.  The pieces of a product are graded over disjoint families, so no
-two share a multidegree; a word times its own inverse would cancel.  The
-greedy can lose letters at a later join, so `lay_out` keeps the plain join
-product of the same pieces (`words._product`, which the gadgets share)
-whenever turning did not make the word shorter.  A compiled word is thus
-never longer than its plan joined plain.
+the product so far, in itself or in its inverse.  Among starts that
+cancel equally, it takes the one after which the next piece of the same
+product cancels the most, and the first forward start, then the first in
+the inverse, when that ties too; so each piece is placed once the next
+one's word is known.  The pieces of a product are graded over disjoint
+families, so no two share a multidegree; a word times its own inverse
+would cancel.  The greedy can lose letters at a later join, so `lay_out`
+keeps the plain join product of the same pieces (`words._join`, the join
+of `words._product`, which the gadgets share) whenever turning did not
+make the word shorter.  A compiled word is thus never longer than its
+plan joined plain.
 
 x_sigma X_tau, after the one-nail clauses' letters (disjoint nails,
 another free factor), serves a 2-CNF whose 2-nail clauses are the pairs
@@ -75,10 +79,13 @@ P once where the product writes it once per clause.  A threshold "at
 least k of n removed" has every w-subset, w = n - k + 1, as a clause;
 `_threshold_table` picks the shortest of the product, x_sigma X_tau and the
 brackets of each prefix size in closed form, and its length is checked
-against the budget before any clause is listed.  Every other spec is
-dualized in one postorder pass over its circuit, where true has no clause
-and false the empty one.  A gate is a whole operator chain: an AND absorbs
-once across all its operands, an OR folds them in one at a time.
+against the budget before any clause is listed.  A bracket's inner plan
+there depends only on the nails after its prefix and on its width, so
+each distinct one is laid out once for the whole plan (`_Inner`).  Every
+other spec is dualized in one postorder pass over its circuit, where true
+has no clause and false the empty one.  A gate is a whole operator chain:
+an AND absorbs once across all its operands, an OR folds them in one at a
+time.
 `_family_plan` then factors the clauses greedily.  Whenever its plan is
 not the product itself, both are laid out, and the plan's word is emitted
 when strictly shorter than the product's, with ``route`` "two-cnf" for
@@ -95,7 +102,8 @@ bound covers it.
 
 Verification checks the word emitted, not the argument above, through
 the one verifier, `words._verdict`.  A threshold spec is checked on its
-boundary when that reads fewer letters than the table
+boundary, which shares the residuals of its subsets' first nails and
+reads fewer letters than the table on the compiled words
 (`words._verify_plan`, which the auto-verification work cap prices too).
 The boundary is exact because every word's fall function is monotone:
 deleting nails is a homomorphism, so a subset's residual is a homomorphic
@@ -116,7 +124,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, filterfalse
 from math import comb
 from operator import neg
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .circuits import (
     Const,
@@ -135,9 +143,9 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
     BudgetExceededError,
     Word,
     _HUGE_LETTERS,
+    _join,
     _minimal_sets,
     _nails,
-    _product,
     _verdict,
     _verify_plan,
     check_budget,
@@ -178,7 +186,9 @@ def lay_out(plan: Iterable) -> Word:
     `_Pairs`, and the clauses of its pieces are distinct.  Each piece's word
     is reduced, so the product is reduced at the joins only.  Pieces are
     turned where they meet (`_meet`, see the module docstring); the plain
-    join product of the same pieces is kept unless longer.  A list of
+    join product of the same pieces is kept unless longer.  Starts that
+    cancel equally are told apart by the next piece of the same product,
+    so each piece is placed once the next one's word is known.  A list of
     clauses is their product.
     """
     letters, plain = _lay_out(plan)
@@ -190,52 +200,76 @@ def lay_out(plan: Iterable) -> Word:
 def _lay_out(plan: Iterable) -> tuple[list[int], list[int] | None]:
     """The plan's product with its pieces turned where they meet, and its plain join product.
 
-    The plain product, every piece joined as given by ``words._product``,
-    is None while no piece turned: the two are then the same letters.  The
-    plan, bracket inners included, is iterated once.
+    Each piece is placed once the next piece's word is known, so that
+    `_meet` can look one piece ahead.  The plain product, every piece joined
+    as given by ``words._join`` as it comes, is None while no piece turned:
+    the two are then the same letters.  The plan, bracket inners included,
+    is iterated once.
     """
     out: list[int] = []
-    plain = None  # from the first piece that turned: the product before it, then the pieces' plain words
-    for piece in plan:
+    plain = None  # from the first piece that turned, behind a sentinel 0: the product so far, joined plain
+    word = plain_word = None  # the piece held back
+    for piece in chain(plan, [None]):
         kind = type(piece)
         if kind is _Bracket:
-            word, plain_word = _bracket_letters(piece)
+            ahead, plain_ahead = _bracket_letters(piece)
         elif kind is _Pairs:
-            word = plain_word = [*piece.sigma, *map(neg, piece.tau)]
+            ahead = plain_ahead = [*piece.sigma, *map(neg, piece.tau)]
+        elif piece is not None:
+            ahead = plain_ahead = [*lay_out_e(piece)]
         else:
-            word = plain_word = [*lay_out_e(piece)]
-        if out and (-out[-1] in word or out[-1] in word):  # else no start of it or its inverse cancels
-            cut, letters = _meet(out, word)
-        else:
-            cut, letters = 0, word
-        if plain is None and (letters is not word or plain_word is not word):
-            plain = [out[:]]
-        if plain is not None:
-            plain.append(plain_word)
-        if cut:
-            del out[-cut:]
-            letters = letters[cut:]
-        out += letters
-    return out, None if plain is None else _product(plain)
+            ahead = plain_ahead = None
+        if word is not None:
+            if out and (-out[-1] in word or out[-1] in word):  # else no start of it or its inverse cancels
+                cut, letters = _meet(out, word, ahead)
+            else:
+                cut, letters = 0, word
+            if plain is None and (letters is not word or plain_word is not word):
+                plain = [0, *out]
+            if plain is not None:
+                if plain[-1] != -plain_word[0]:  # most pieces meet the plain product without a cancel
+                    plain += plain_word
+                else:
+                    _join(plain, plain_word)
+            if cut:
+                del out[-cut:]
+                letters = letters[cut:]
+            out += letters
+        word, plain_word = ahead, plain_ahead
+    if plain is not None:
+        del plain[0]
+    return out, plain
 
 
-def _meet(out: list[int], word: list[int]) -> tuple[int, list[int]]:
+def _bracket_letters(piece: _Bracket) -> tuple[list[int], list[int]]:
+    """A bracket's word with its inner turned, and with it plain (the same list when nothing turned)."""
+    a = [*lay_out_e(piece.prefix)]  # a and b lie on disjoint nails: no letter cancels
+    b, plain_b = piece.inner.words() if type(piece.inner) is _Inner else _lay_out(piece.inner)
+    word = _commutator(a, b)
+    return word, word if plain_b is None else _commutator(a, plain_b)
+
+
+def _meet(out: list[int], word: list[int], ahead: list[int] | None) -> tuple[int, list[int]]:
     """A reduced piece's word laid out to meet ``out``, and how many of its letters cancel there.
 
     A conjugate of a piece's word is graded over the same clauses, and its
     inverse only negates the class (module docstring), so a cyclically
     reduced piece may start anywhere in itself or in its inverse.  A start
     cancels against ``out`` only where its letter inverts the last of
-    ``out``, and the one that cancels the most letters is taken, a tie
-    keeping ``word`` itself.  Any other piece is joined as given.
+    ``out``, and one that cancels the most letters is taken.  Among starts
+    that tie, the one after which ``ahead``, the next piece's word, cancels
+    the most at its own best start is taken (`_look_ahead`); a tie there,
+    or no piece ahead, keeps the first forward start, then the first in
+    the inverse.  Any other piece is joined as given.
     """
     x = -out[-1]  # the letter that cancels the last of out
     size, most = len(word), min(len(word), len(out))
-    cut = at = 0
+    cut = 0
     if word[0] == -word[-1]:  # a rotation would not be reduced
         while cut < most and word[cut] == -out[-1 - cut]:
             cut += 1
         return cut, word
+    ties: list[tuple[int, bool]] = []  # the starts that cancel the most so far, in order
     start = -1
     for _ in range(word.count(x)):  # word[start - size + n] reads the rotation, wrapping round
         start = word.index(x, start + 1)
@@ -243,26 +277,93 @@ def _meet(out: list[int], word: list[int]) -> tuple[int, list[int]]:
         while n < most and word[start - size + n] == -out[-1 - n]:
             n += 1
         if n > cut:
-            cut, at = n, start
-    inverted, end = False, -1
+            cut, ties = n, [(start, False)]
+        elif n == cut:
+            ties.append((start, False))
+    end = -1
     for _ in range(word.count(-x)):  # the inverse turned to start at -word[end] reads word backwards
         end = word.index(-x, end + 1)
         n = 1
         while n < most and word[end - n] == out[-1 - n]:
             n += 1
         if n > cut:
-            cut, at, inverted = n, end, True
+            cut, ties = n, [(end, True)]
+        elif n == cut:
+            ties.append((end, True))
+    at, inverted = ties[0] if ahead is None or len(ties) == 1 else _look_ahead(out, word, cut, ties, ahead)
     if inverted:
         return cut, [*map(neg, reversed(word[: at + 1])), *map(neg, reversed(word[at + 1 :]))]
     return cut, word[at:] + word[:at] if at else word
 
 
-def _bracket_letters(piece: _Bracket) -> tuple[list[int], list[int]]:
-    """A bracket's word with its inner turned, and with it plain (the same list when nothing turned)."""
-    a = [*lay_out_e(piece.prefix)]  # a and b lie on disjoint nails: no letter cancels
-    b, plain_b = _lay_out(piece.inner)
-    word = _commutator(a, b)
-    return word, word if plain_b is None else _commutator(a, plain_b)
+def _look_ahead(
+    out: list[int], word: list[int], cut: int, ties: list[tuple[int, bool]], ahead: list[int]
+) -> tuple[int, bool]:
+    """The tie after which ``ahead`` cancels the most at its best start, the first on a tie.
+
+    A tie leaves ``out`` before the cut, then the rest of ``word`` laid out
+    from the tie.  Of that product only the last letters that ``ahead`` can
+    cancel are read, last first: ``tail``, and ``against`` negated, slices
+    of ``word`` doubled and then of ``out``, the same for every tie.  A
+    start of ``ahead``, which is cyclically reduced, cancels where ahead,
+    read on from it, spells ``against``, and a start of its inverse where
+    ahead, read back from it, spells ``tail``.  Once a tie cancels ``best``
+    letters, a start is only walked when its letter ``best`` agrees too,
+    and the starts of a letter are found once for all the ties.
+    """
+    size = len(word)
+    if cut == size:  # the piece cancels whole: every tie leaves the same product
+        return ties[0]
+    span = len(ahead)
+    most = min(span, len(out) - 2 * cut + size)
+    take = min(size - cut, most)
+    doubled, negated = word + word, [*map(neg, word)] * 2
+    rest = out[-1 - cut : -1 - cut - most + take : -1]  # the product before the cut, from its end
+    minus = [*map(neg, rest)]
+    found: dict[int, list[int]] = {}
+    best, chosen = 0, ties[0]
+    for at, inverted in ties:
+        if inverted:  # the inverse from -word[at] ends in -word[at + 1], -word[at + 2], ...
+            tail, against = negated[at + 1 : at + 1 + take], doubled[at + 1 : at + 1 + take]
+        else:  # the rotation from word[at] ends in word[at - 1], word[at - 2], ...
+            tail = doubled[at + size - 1 : at + size - 1 - take : -1]
+            against = negated[at + size - 1 : at + size - 1 - take : -1]
+        if rest:
+            tail += rest
+            against += minus
+        for j in _positions(ahead, against[0], found):
+            j -= span  # ahead[j + n] reads ahead on from j, wrapping round
+            if best and ahead[j + best] != against[best]:
+                continue
+            n = 1
+            while n < most and ahead[j + n] == against[n]:
+                n += 1
+            if n > best:
+                best, chosen = n, (at, inverted)
+                if n == most:
+                    return chosen
+        for j in _positions(ahead, tail[0], found):  # ahead[j - n] reads ahead back from j
+            if best and ahead[j - best] != tail[best]:
+                continue
+            n = 1
+            while n < most and ahead[j - n] == tail[n]:
+                n += 1
+            if n > best:
+                best, chosen = n, (at, inverted)
+                if n == most:
+                    return chosen
+    return chosen
+
+
+def _positions(letters: list[int], x: int, found: dict[int, list[int]]) -> list[int]:
+    """Where x stands in ``letters``, in order, kept in ``found``."""
+    if x not in found:
+        at, i = [], -1
+        for _ in range(letters.count(x)):
+            i = letters.index(x, i + 1)
+            at.append(i)
+        found[x] = at
+    return found[x]
 
 
 def _commutator(a: list[int], b: list[int]) -> list[int]:
@@ -404,15 +505,45 @@ def _threshold_table(w: int, d: int) -> list[list[tuple[int, int | str]]]:
     return plans
 
 
-def _threshold_pieces(nails: Sequence[int], v: int, plans: list) -> Iterable:
-    """The pieces of the plan for every v-subset of the increasing ``nails``, listed lazily."""
+class _Inner:
+    """A bracket's inner plan in a threshold plan: every v-subset of the increasing ``nails``.
+
+    It is listed anew whenever iterated, and laid out once for the whole
+    plan (``words``): ``laid``, which all the plan's inners share, keeps
+    their turned and plain words (`_lay_out`) by the count of nails and v,
+    since the nails are always a suffix of the plan's.  It holds words
+    only, so it is dropped with the plan.
+    """
+
+    __slots__ = ("nails", "v", "plans", "laid")
+
+    def __init__(self, nails: Sequence[int], v: int, plans: list, laid: dict) -> None:
+        self.nails, self.v, self.plans, self.laid = nails, v, plans, laid
+
+    def __iter__(self) -> Iterator:
+        return iter(_threshold_pieces(self.nails, self.v, self.plans, self.laid))
+
+    def words(self) -> tuple[list[int], list[int] | None]:
+        key = len(self.nails), self.v
+        if key not in self.laid:
+            self.laid[key] = _lay_out(self)
+        return self.laid[key]
+
+
+def _threshold_pieces(nails: Sequence[int], v: int, plans: list, laid: dict | None = None) -> Iterable:
+    """The pieces of the plan for every v-subset of the increasing ``nails``, listed lazily.
+
+    Each bracket's inner plan, for the nails after its prefix, is an
+    `_Inner`, laid out once for all the brackets that hold it (``laid``).
+    """
     how = plans[v][len(nails) - v][1]
     if how == "product":
         return combinations(nails, v)
     if how == "pairs":
         return [_Pairs(nails, nails)]
+    laid = {} if laid is None else laid
     return (
-        _Bracket(prefix, _threshold_pieces(nails[bisect_right(nails, prefix[-1]) :], v - how, plans))
+        _Bracket(prefix, _Inner(nails[bisect_right(nails, prefix[-1]) :], v - how, plans, laid))
         for prefix in combinations(nails[: len(nails) - v + how], how)
     )
 
@@ -576,9 +707,9 @@ class CompileReport(NamedTuple):
     checked against the plan's, which bounds the word either way (module
     docstring).  ``reduced_length`` counts the final normal form.  With
     pieces rotated or inverted where they meet, it is often below
-    ``estimate`` for thresholds (98 against 112 for 3-of-6).  ``verified`` is None when
-    verification was skipped (n beyond the limit, disabled, or past the
-    auto-verification work cap); on a mismatch it is False,
+    ``estimate`` for thresholds (92 against 112 for 3-of-6).  ``verified``
+    is None when verification was skipped (n beyond the limit, disabled,
+    or past the auto-verification work cap); on a mismatch it is False,
     ``mismatch_mask`` holds the first subset bitmask where the word
     disagrees with the requested fall function, and the last notice says
     how (`words.mismatch_line`).  ``verify_method`` is

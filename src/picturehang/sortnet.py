@@ -165,8 +165,8 @@ def build_k_of_n(
     the nails, its budget checked against the closed-form length before any
     subset is listed; None disables it, as in ``compile_circuit``.
     """
+    if not 1 <= k <= n:  # refused before the compiler is loaded
+        raise ValueError(f"build_k_of_n needs 1 <= k <= n, got k={k}, n={n}")
     from .compiler import compile_circuit
 
-    if not 1 <= k <= n:
-        raise ValueError(f"build_k_of_n needs 1 <= k <= n, got k={k}, n={n}")
     return compile_circuit(PuzzleSpec.from_threshold(n, k), budget=budget, verify=verify)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import struct
 from collections import Counter
-from functools import lru_cache
 from itertools import combinations, compress, count, filterfalse, repeat
 from math import comb
 from operator import ge, ne
@@ -451,25 +450,35 @@ def _product(pieces: Iterable[Sequence[int]], packed: bool = False) -> Sequence[
     out = bytearray(1) if packed else [0]  # a sentinel, as in _residual: no letter cancels it
     pop = out.pop
     for piece in pieces:
-        if packed:
-            if piece and out[-1] + piece[0] == 256:  # else the piece is copied whole at once
-                cut = 1
-                pop()
-                while cut < len(piece) and out[-1] + piece[cut] == 256:
-                    pop()
-                    cut += 1
-                piece = piece[cut:]
-            out += piece
+        if not packed:
+            _join(out, piece)
             continue
-        rest = iter(piece)
-        for x in rest:
-            if out[-1] != -x:
-                out.append(x)
-                break
+        if piece and out[-1] + piece[0] == 256:  # else the piece is copied whole at once
+            cut = 1
             pop()
-        out += rest
+            while cut < len(piece) and out[-1] + piece[cut] == 256:
+                pop()
+                cut += 1
+            piece = piece[cut:]
+        out += piece
     del out[0]
     return bytes(out) if packed else out
+
+
+def _join(out: list[int], piece: Iterable[int]) -> None:
+    """Multiply reduced int letters ``out``, behind a sentinel 0, by a reduced piece, in place.
+
+    The piece's head cancels against the tail of ``out`` one pair per turn,
+    and the rest of it is copied whole, in C (see ``_product``).
+    """
+    pop = out.pop
+    rest = iter(piece)
+    for x in rest:
+        if out[-1] != -x:
+            out.append(x)
+            break
+        pop()
+    out += rest
 
 
 def reduce(w: Word) -> Word:
@@ -653,50 +662,17 @@ def _verdict(
     return next(compress(count(), map(ne, got, want)), None), "table", 1 << n
 
 
-@lru_cache  # a compile prices its check, then runs it
 def _verify_plan(n: int, k: int | None) -> tuple[str, int]:
     """The method that would check a spec on nails 1..n, and the subsets it decides.
 
     ``k`` is a k-of-n spec's threshold, None for any other spec.  A threshold
-    is checked on its boundary, its k- and (k-1)-subsets, when that reads
-    fewer letters (``_boundary_reads_less``); the rest walk all 2^n subsets.
+    is checked on its boundary, its k- and (k-1)-subsets, which shares the
+    residuals of their common first nails (``_boundary_mismatch``); the rest
+    walk all 2^n subsets.
     """
-    if k is not None and _boundary_reads_less(n, k):
+    if k is not None:
         return "boundary", comb(n, k) + (k and comb(n, k - 1))
     return "table", 1 << n
-
-
-def _boundary_reads_less(n: int, k: int) -> bool:
-    """True unless the walk should read fewer letters than k-of-n's boundary check.
-
-    Counted on the compiled word of w = n - k + 1, in the letters the loop
-    of ``_residual`` reads: a strip first drops its nails' letters in C,
-    1/m of a residual for one nail of m.  The compiler brackets shared
-    prefixes, and measured on its words for n <= 12 the residual left by
-    removing j nails averages about the share C(n-j, u) / C(n, u) of the
-    word for u = w - 1, as for a product of (w-1)-nail clause words: the
-    innermost words lose letters nail by nail, as x_sigma X_tau does.  The
-    walk strips the C(n, j+1) residuals of each depth j < k.  The boundary
-    keeps w of the n nails for each of the C(n, k-1) subsets below the
-    threshold, none to do for the empty one, and for each of the C(n, k)
-    at it strips the residual of the subset below, C(w, u) / C(n, u) of the
-    word.  The counts are kept in integers, scaled by C(n, u) n u w.  The word's length is a
-    factor of both, so the choice rests on n and k alone.  Each subset's
-    residual is priced as built on its own, which ``_boundary_mismatch``
-    does only below `_SHARED_PREFIX_LETTERS`; above it the boundary shares
-    residuals and reads fewer letters than priced here.  A tie, as for
-    k <= 2, where both make the same strips, goes to the boundary, which
-    builds no table.
-    """
-    if k == 0:
-        return True
-    w = n - k + 1
-    u = max(w - 1, 1)
-    walk = sum(comb(n, j + 1) * comb(n - j - 1, u - 1) * (n - j - 1) * n * w for j in range(k))
-    boundary = comb(n, k) * comb(w, u) * (w - 1) * n * u
-    if k > 1:
-        boundary += comb(n, k - 1) * comb(n, u) * w * u * w
-    return boundary <= walk
 
 
 def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:

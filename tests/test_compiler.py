@@ -49,7 +49,6 @@ from picturehang.words import (
     Word,
     _balanced,
     _boundary_mismatch,
-    _boundary_reads_less,
     _product,
     _search_root,
     _verify_plan,
@@ -246,7 +245,8 @@ def test_compile_budget_guard_uses_estimate():
     # 3-of-6's plan brackets x1 .. x3 with the pairs after them: 112
     # letters, against 240 for the product of its C(6, 4) = 15 clause words.
     # The budget is checked against those 112; the pieces laid out rotated
-    # where they meet give 98.
+    # where they meet, ties broken by the piece after, give 92 (98 without
+    # the look-ahead).
     spec = PuzzleSpec.from_threshold(6, 3)
     with pytest.raises(BudgetExceededError) as exc:
         compile_circuit(spec, budget=111)
@@ -254,7 +254,7 @@ def test_compile_budget_guard_uses_estimate():
     report = compile_circuit(spec, budget=112)
     assert report.verified is True
     assert report.estimate == report.as_constructed_length == 112
-    assert report.reduced_length == 98
+    assert report.reduced_length == 92
     assert report.route == "factored"
     # (r1 | r2) & (r3 | r4) holds two 4-letter clause words.
     c = parse_formula("(r1 | r2) & (r3 | r4)")
@@ -664,7 +664,7 @@ def test_compile_or_of_24_three_nail_terms_within_the_budget():
         start = time.perf_counter()
         words.append(compile_circuit(target, verify=False).word)
         assert time.perf_counter() - start < 5
-    assert len(words[0].letters) == 125_546  # joined plain: 148,300
+    assert len(words[0].letters) == 120_604  # without the look-ahead 125,546; joined plain 148,300
     assert words[1] == words[0]
 
 
@@ -724,15 +724,16 @@ def test_threshold_words_are_factored_and_no_longer_than_the_product():
                 assert report.estimate == product
             else:
                 assert report.route == "factored" and report.estimate < product, (k, n)
-    # Joined plain, the three words had 112, 5,880 and 1,936 letters.
-    for k, n, letters in ((3, 6, 98), (7, 12, 5220), (11, 14, 1750)):
+    # Joined plain, the three words had 112, 5,880 and 1,936 letters, and
+    # 98, 5,220 and 1,750 turned without the look-ahead.
+    for k, n, letters in ((3, 6, 92), (7, 12, 5018), (11, 14, 1606)):
         assert len(_threshold_word(k, n)) == letters
     report = compile_circuit(PuzzleSpec.from_threshold(19, 10), verify=False)
     assert report.estimate == 1_372_800  # the product: 10,346,336
-    assert report.reduced_length == 1_201_568  # joined plain: 1,372,800
+    assert report.reduced_length == 1_074_160  # without the look-ahead 1,201,568; joined plain 1,372,800
     # A formula or subset spec whose clauses are every w-subset of its nails takes the same plan.
     report = compile_circuit(parse_formula("atleast(3; r2, r4, r6, r8, r10, r12)"))
-    assert (report.route, report.reduced_length, report.verified) == ("factored", 98, True)
+    assert (report.route, report.reduced_length, report.verified) == ("factored", 92, True)
     assert report.word.letters == tuple(2 * x for x in _threshold_word(3, 6).letters)
     # Past the plan table's work bound a threshold is priced as the product.
     for k, n in ((2, 366), (3, 260), (30, 60)):
@@ -792,6 +793,52 @@ def test_rotated_words_are_exact_and_no_longer_than_the_plain_join():
             assert verify_threshold(report.word, spec.n, spec.threshold_k)[0] is None, spec
     assert len(specs) == 105 + 166 + 300
     assert turned == 95
+
+
+def test_turn_ties_go_to_the_start_the_next_piece_cancels_most_against():
+    # Taking the first forward start of those that cancel equally, the three
+    # words had 50, 98 and 98 letters.
+    for k, n, letters in ((2, 5, 40), (2, 6, 76), (3, 6, 92)):
+        report = build_k_of_n(k, n)
+        assert (report.reduced_length, report.verified) == (letters, True), (k, n)
+
+
+def _plan_clauses(plan):
+    """The clauses a plan's pieces are graded over, repeats included, as frozensets."""
+    for piece in plan:
+        if isinstance(piece, compiler._Bracket):
+            yield from (frozenset(piece.prefix) | clause for clause in _plan_clauses(piece.inner))
+        elif isinstance(piece, compiler._Pairs):
+            at = {x: i for i, x in enumerate(piece.tau)}
+            pairs = itertools.combinations(piece.sigma, 2)
+            yield from (frozenset((a, b)) for a, b in pairs if at[a] < at[b])
+        else:
+            yield frozenset(piece)
+
+
+def test_no_plan_the_compiler_lays_out_repeats_a_clause():
+    # `lay_out` may invert a piece against another graded over the same
+    # clause, which changes the fall function: [x1, x2] times its own
+    # inverse is the empty word.  Every plan `compile_circuit` lays out
+    # holds each of the spec's prime clauses once.
+    assert lay_out([(1, 2), (1, 2)]).letters == ()
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            got = list(_plan_clauses(compiler._threshold_plan(range(1, n + 1), n - k + 1)[2]))
+            assert len(got) == len(set(got)) == math.comb(n, n - k + 1), (k, n)
+            assert all(len(clause) == n - k + 1 for clause in got)
+    subsets = [c for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)]
+    checked = 0
+    for bits in range(1, 1 << len(subsets)):
+        family = [set(c) for i, c in enumerate(subsets) if bits >> i & 1]
+        if any(a < b for a in family for b in family):
+            continue
+        clauses = compiler._prime_clauses(PuzzleSpec.from_subsets(4, family).to_circuit(), None)[0]
+        for plan in (clauses, compiler._family_plan(clauses)[2]):
+            got = list(_plan_clauses(plan))
+            assert len(got) == len(set(got)) and set(got) == set(map(frozenset, clauses)), family
+        checked += 1
+    assert checked == 166
 
 
 def test_corrupted_factored_threshold_words_are_reported():
@@ -916,35 +963,38 @@ def test_twenty_of_twenty_verifies_on_its_boundary():
 
 
 def test_auto_verification_caps_the_method_that_would_run():
-    # 14-of-16's table is past the work cap and its boundary of 680 subsets is not.
+    # 14-of-16's boundary of 680 subsets is within the work cap.
     report = build_k_of_n(14, 16)
     assert (report.verified, report.verify_method, report.masks_checked) == (True, "boundary", 680)
-    # 16-of-20 is 20,349 boundary subsets of a 35,088-letter word, 6-of-14
-    # 16,384 table subsets of 43,416 letters: over the cap either way.
-    for k, n, method in ((16, 20, "boundary"), (6, 14, "table")):
-        report = build_k_of_n(k, n)
+    # 16-of-20 is 20,349 boundary subsets of a 29,166-letter word, the OR of
+    # 20 nails 2^20 table subsets of its 448-letter clause word: over the cap
+    # either way.
+    any_of_twenty = parse_formula(" | ".join(f"r{i}" for i in range(1, 21)))
+    for target, method in ((PuzzleSpec.from_threshold(20, 16), "boundary"), (any_of_twenty, "table")):
+        report = compile_circuit(target)
         assert (report.verified, report.verify_method) == (None, "skipped")
         notice = f"{method} verification skipped: past the auto-verification work cap"
         assert report.notices == (notice,)
     # The cap prices what `_verify_plan` says would run, and the check runs it.
     assert _verify_plan(16, 14) == ("boundary", 680)
-    assert _verify_plan(12, 7) == ("table", 4096)
     assert _verify_plan(9, None) == ("table", 512)
     assert build_k_of_n(3, 6).verified is True
 
 
-def test_the_walk_stays_where_it_reads_less():
-    # On the factored words 7-of-12 and 3-of-12 walk in about half the
-    # boundary's time, and 8-of-12 and 9-of-13 check their boundary in a
-    # half and a third of the walk's.
-    assert not _boundary_reads_less(12, 7)
-    assert not _boundary_reads_less(12, 3)
-    assert _boundary_reads_less(12, 8) and _boundary_reads_less(13, 9)
-    assert _boundary_reads_less(14, 11) and _boundary_reads_less(14, 12)
-    # k <= 2: both make the same strips, and the boundary builds no table.
-    assert all(_boundary_reads_less(n, k) for n in range(1, 21) for k in range(min(n, 2) + 1))
-    report = build_k_of_n(3, 12)
-    assert (report.verified, report.verify_method, report.masks_checked) == (True, "table", 4096)
+def test_every_threshold_checks_on_its_boundary():
+    # Sharing the residuals of common first nails, the boundary was faster
+    # than the walk of every subset on 27 of the 28 compiled k-of-n with
+    # n <= 14 that took the walk before, so every threshold is checked
+    # there; rows such as 6-of-14, 5,005 subsets of 34,378 letters, come
+    # under the work cap.
+    assert all(
+        _verify_plan(n, k) == ("boundary", math.comb(n, k) + (k and math.comb(n, k - 1)))
+        for n in range(1, 21)
+        for k in range(n + 1)
+    )
+    for k, n, masks in ((3, 12, 286), (7, 12, 1716), (6, 14, 5005)):
+        report = build_k_of_n(k, n)
+        assert (report.verified, report.verify_method, report.masks_checked) == (True, "boundary", masks)
 
 
 def test_verify_method_of_other_specs_and_of_skipped_checks():

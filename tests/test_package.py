@@ -86,6 +86,20 @@ def test_a_compile_target_that_fails_to_parse_loads_no_compiler(argv, tmp_path):
     assert proc.stderr.startswith("error: ")
 
 
+def test_a_k_of_n_with_k_out_of_range_loads_no_compiler():
+    script = SCOPE_SCRIPT.format(watched=WATCHED)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "construct", "k-of", "--k", "6", "--n", "5"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        check=True,
+    )
+    code, loaded = json.loads(proc.stdout)
+    assert code == 2 and "picturehang.compiler" not in loaded, loaded
+    assert proc.stderr.startswith("error: ")
+
+
 def test_every_public_name_is_its_home_modules_object():
     for name in picturehang.__all__:
         home = importlib.import_module(f"picturehang.{picturehang._HOME[name]}")

@@ -142,8 +142,8 @@ def test_a_threshold_is_compared_mask_by_mask_and_builds_no_table():
     assert _verdict(w, 3, 1, reference, "verify_threshold", 20) == (4, "table", 8)
     assert _verdict(Word((1, 2, 3, -1, -2, -3)), 3, 2, reference, "x", 20) == (None, "boundary", 6)
     assert _verdict(EMPTY_WORD, 8, 0, reference, "x", 20) == (None, "boundary", 1)
-    exact = build_k_of_n(4, 8).word  # decided by the walk of all 256 subsets
-    assert _verdict(exact, 8, 4, reference, "x", 20) == (None, "table", 256)
+    exact = build_k_of_n(4, 8).word  # decided on its 70 + 56 boundary subsets
+    assert _verdict(exact, 8, 4, reference, "x", 20) == (None, "boundary", 126)
     assert _verdict(exact, 8, 5, reference, "x", 20)[0] == 15
 
 
