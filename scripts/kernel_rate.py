@@ -35,7 +35,13 @@ strips instead: the boundary check
 the compile-verify grid (k-of-n, 1 <= k <= n, 2 <= n <= 6), each word of 2
 to 112 letters, in strips per second.  An exact word takes one strip per
 (k-1)-subset but the empty one, and one per k-subset, so the rate is
-the per-call cost of a small strip.  Each figure is the best of
+the per-call cost of a small strip.  A last table lays out the plans
+of 7-of-12, 10-of-19 and 2-of-40 on packed letters, as the compiler
+does (``compiler.lay_out`` of a ``_Packed`` plan), turned where their
+pieces meet, beside the same plans joined plain (``_meet`` swapped
+for a join that turns nothing), in letters of the plan per second, over
+``--repeat`` // 5 rounds (one at least), so that the cost of turning stays
+visible.  Each figure is the best of
 ``--repeat`` rounds, followed by the median and the worst round: rounds
 on a shared machine spread widely, and a rate is only as good as its
 spread.  The Set Cover words encode one E-word per distinct minimal owner
@@ -53,6 +59,7 @@ import time
 from itertools import combinations
 from math import comb
 
+from picturehang import compiler
 from picturehang.constructions import _splice, build_e
 from picturehang.gadgets import _AND_TEMPLATE, _G1, _G2, gadget_and_tree
 from picturehang.sortnet import build_k_of_n
@@ -109,6 +116,14 @@ def one_sweep(letters: bytes, keep: int) -> bytes:
     for i in kept:
         letters = letters.replace(_PAIR[i], b"").replace(_PAIR[i][::-1], b"")
     return _residual(letters)
+
+
+def _plain_meet(out, word, ahead):
+    """``compiler._meet`` that turns nothing: the piece as given, and the letters it cancels there."""
+    cut, most, base = 0, min(len(out), len(word)), 256 if isinstance(word, bytes) else 0
+    while cut < most and word[cut] + out[-1 - cut] == base:
+        cut += 1
+    return cut, word
 
 
 def rate(kernel, calls: list[tuple[object, object]], letters: int, repeat: int) -> list[float]:
@@ -222,6 +237,20 @@ def main() -> None:
     print(f"{'work':>16} {'strips/s':>28}")
     print(f"{'grid strips':>16} {spread(rate(_boundary_mismatch, calls, strips, args.repeat)):>28}")
 
+    def laid_out(k: int, n: int) -> None:
+        compiler.lay_out(compiler._Packed(compiler._threshold_plan(range(1, n + 1), n - k + 1)[2]))
+
+    print(f"{'layout':>16} {'turned letters/s':>28} {'joined plain letters/s':>28} {'ratio':>6}")
+    rounds = max(1, args.repeat // 5)  # 10-of-19's plan, 1.37e6 letters, takes about 0.3 s a round
+    for k, n in ((7, 12), (10, 19), (2, 40)):
+        letters = compiler._threshold_plan(range(1, n + 1), n - k + 1)[0]
+        turned = rate(laid_out, [(k, n)], letters, rounds)
+        compiler._meet, meet = _plain_meet, compiler._meet
+        try:
+            plain = rate(laid_out, [(k, n)], letters, rounds)
+        finally:
+            compiler._meet = meet
+        print(f"{f'{k}-of-{n}':>16} {spread(turned):>28} {spread(plain):>28} {turned[0] / plain[0]:>6.2f}")
 
 if __name__ == "__main__":
     main()

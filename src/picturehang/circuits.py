@@ -417,7 +417,7 @@ class PuzzleSpec(_Record):
         circuit: MonotoneCircuit | None = None,
         threshold_k: int | None = None,
     ) -> None:
-        bodies = sum(x is not None for x in (subsets, formula, threshold_k))
+        bodies = (subsets is not None) + (formula is not None) + (threshold_k is not None)
         if bodies != 1:
             raise ValueError("spec needs exactly one of subsets, formula, threshold_k")
         if n < 1:

@@ -14,7 +14,7 @@ The plain plan is the product e(C_1) ... e(C_m) of the prime clauses in
 lexicographic order.  No gadget or anchor nail is used.  The balanced
 words are laid out from one letter template per width
 (`constructions.e_template`), relabeled onto each piece's nails by
-`constructions._splice`, and `lay_out` multiplies the pieces' words.
+`constructions._splice` or, packed, one translate; `lay_out` multiplies them.
 
 Why a plan is exact.  The quotients gamma_w / gamma_(w+1) of the lower
 central series of the free group form the free Lie ring on x_1..x_n,
@@ -118,13 +118,14 @@ dualization that built the word.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, filterfalse
 from math import comb
 from operator import neg
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .circuits import (
     Const,
@@ -136,17 +137,21 @@ from .circuits import (
     evaluate,
     validate_spec,
 )
-from .constructions import e_word_length, lay_out_e
+from .constructions import e_template, e_word_length, lay_out_e
 from .words import (  # BudgetExceededError is re-exported: callers catch it here
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_LETTER_BUDGET,
     BudgetExceededError,
     Word,
     _HUGE_LETTERS,
+    _INVERSE,
+    _invert,
     _join,
     _minimal_sets,
     _nails,
+    _pack,
     _verdict,
+    _verify_method,
     _verify_plan,
     check_budget,
     mismatch_line,
@@ -162,6 +167,7 @@ _AUTO_VERIFY_WORK = 300_000_000
 # X_tau has 2s, so the lowering's budget guard allows that much more.
 _TWO_CNF_NAILS = 64
 _TWO_CNF_SAVING = 2 * _TWO_CNF_NAILS * (_TWO_CNF_NAILS - 2)
+_TEMPLATES: dict[int, bytes] = {}  # each clause width's `e_template`, packed once
 
 
 class _Bracket(NamedTuple):
@@ -178,6 +184,11 @@ class _Pairs(NamedTuple):
     tau: Sequence[int]
 
 
+class _Packed(NamedTuple):
+    """A plan on nails 1..127 only, which `lay_out` lays out on bytes as `words._pack` packs them."""
+    plan: Iterable
+
+
 def lay_out(plan: Iterable) -> Word:
     """The reduced word of a plan: its pieces' words multiplied in order.
 
@@ -189,48 +200,49 @@ def lay_out(plan: Iterable) -> Word:
     join product of the same pieces is kept unless longer.  Starts that
     cancel equally are told apart by the next piece of the same product,
     so each piece is placed once the next one's word is known.  A list of
-    clauses is their product.
+    clauses is their product.  A `_Packed` plan is laid out on bytes.
     """
-    letters, plain = _lay_out(plan)
+    packed = type(plan) is _Packed
+    letters, plain = _lay_out(plan.plan, 256) if packed else _lay_out(plan)
     if plain is not None and len(plain) <= len(letters):
         letters = plain
-    return Word(tuple(letters), reduced=True)
+    return Word(struct.unpack(f"{len(letters)}b", letters) if packed else tuple(letters), reduced=True)
 
 
-def _lay_out(plan: Iterable) -> tuple[list[int], list[int] | None]:
+def _lay_out(plan: Iterable, base: int = 0) -> tuple[Sequence[int], Sequence[int] | None]:
     """The plan's product with its pieces turned where they meet, and its plain join product.
 
     Each piece is placed once the next piece's word is known, so that
     `_meet` can look one piece ahead.  The plain product, every piece joined
     as given by ``words._join`` as it comes, is None while no piece turned:
     the two are then the same letters.  The plan, bracket inners included,
-    is iterated once.
+    is iterated once.  ``base`` is a letter plus its inverse: 0 on ints, 256 packed.
     """
-    out: list[int] = []
+    out: list[int] | bytearray = bytearray() if base else []
     plain = None  # from the first piece that turned, behind a sentinel 0: the product so far, joined plain
     word = plain_word = None  # the piece held back
     for piece in chain(plan, [None]):
         kind = type(piece)
         if kind is _Bracket:
-            ahead, plain_ahead = _bracket_letters(piece)
+            ahead, plain_ahead = _bracket_letters(piece, base)
         elif kind is _Pairs:
-            ahead = plain_ahead = [*piece.sigma, *map(neg, piece.tau)]
+            ahead = plain_ahead = (_pack if base else list)([*piece.sigma, *map(neg, piece.tau)])
         elif piece is not None:
-            ahead = plain_ahead = [*lay_out_e(piece)]
+            ahead = plain_ahead = _clause_word(piece, base)
         else:
             ahead = plain_ahead = None
         if word is not None:
-            if out and (-out[-1] in word or out[-1] in word):  # else no start of it or its inverse cancels
+            if out and (base - out[-1] in word or out[-1] in word):  # else no start of it or its inverse cuts
                 cut, letters = _meet(out, word, ahead)
             else:
                 cut, letters = 0, word
             if plain is None and (letters is not word or plain_word is not word):
-                plain = [0, *out]
+                plain = out[:0] + b"\0" + out if base else [0, *out]
             if plain is not None:
-                if plain[-1] != -plain_word[0]:  # most pieces meet the plain product without a cancel
+                if plain[-1] + plain_word[0] != base:  # most pieces meet the plain product without a cancel
                     plain += plain_word
                 else:
-                    _join(plain, plain_word)
+                    _join(plain, plain_word, base)
             if cut:
                 del out[-cut:]
                 letters = letters[cut:]
@@ -241,15 +253,25 @@ def _lay_out(plan: Iterable) -> tuple[list[int], list[int] | None]:
     return out, plain
 
 
-def _bracket_letters(piece: _Bracket) -> tuple[list[int], list[int]]:
-    """A bracket's word with its inner turned, and with it plain (the same list when nothing turned)."""
-    a = [*lay_out_e(piece.prefix)]  # a and b lie on disjoint nails: no letter cancels
-    b, plain_b = piece.inner.words() if type(piece.inner) is _Inner else _lay_out(piece.inner)
+def _clause_word(clause: Sequence[int], base: int) -> Sequence[int]:
+    """A clause's balanced word on ints, or packed (``base`` 256): its packed template relabeled."""
+    m = len(clause)
+    if not base or m == 1:
+        return bytes(clause) if base else [*lay_out_e(clause)]
+    label = bytearray(256)  # label i reads the clause's i-th nail, label -i (byte 256 - i) its inverse
+    label[1 : m + 1], label[-m:] = clause, bytes(clause[::-1]).translate(_INVERSE)
+    return (_TEMPLATES.get(m) or _TEMPLATES.setdefault(m, _pack(e_template(m)))).translate(label)
+
+
+def _bracket_letters(piece: _Bracket, base: int) -> tuple[Sequence[int], Sequence[int]]:
+    """A bracket's word with its inner turned, and with it plain (the same word when nothing turned)."""
+    a = _clause_word(piece.prefix, base)  # a and b lie on disjoint nails: no letter cancels
+    b, plain_b = piece.inner.words(base) if type(piece.inner) is _Inner else _lay_out(piece.inner, base)
     word = _commutator(a, b)
     return word, word if plain_b is None else _commutator(a, plain_b)
 
 
-def _meet(out: list[int], word: list[int], ahead: list[int] | None) -> tuple[int, list[int]]:
+def _meet(out: Sequence[int], word: Sequence[int], ahead: Sequence[int] | None) -> tuple[int, Sequence[int]]:
     """A reduced piece's word laid out to meet ``out``, and how many of its letters cancel there.
 
     A conjugate of a piece's word is graded over the same clauses, and its
@@ -260,114 +282,102 @@ def _meet(out: list[int], word: list[int], ahead: list[int] | None) -> tuple[int
     that tie, the one after which ``ahead``, the next piece's word, cancels
     the most at its own best start is taken (`_look_ahead`); a tie there,
     or no piece ahead, keeps the first forward start, then the first in
-    the inverse.  Any other piece is joined as given.
+    the inverse.  Any other piece is joined as given.  Letters are ints or
+    packed (`_lay_out`); each start is walked, as fast as a C search below 512 letters.
     """
-    x = -out[-1]  # the letter that cancels the last of out
-    size, most = len(word), min(len(word), len(out))
-    cut = 0
-    if word[0] == -word[-1]:  # a rotation would not be reduced
-        while cut < most and word[cut] == -out[-1 - cut]:
+    size, most, cut = len(word), min(len(word), len(out)), 0
+    base = 256 if isinstance(word, bytes) else 0
+    if word[0] + word[-1] == base:  # a rotation would not be reduced
+        while cut < most and word[cut] + out[-1 - cut] == base:
             cut += 1
         return cut, word
     ties: list[tuple[int, bool]] = []  # the starts that cancel the most so far, in order
-    start = -1
-    for _ in range(word.count(x)):  # word[start - size + n] reads the rotation, wrapping round
-        start = word.index(x, start + 1)
-        n = 1
-        while n < most and word[start - size + n] == -out[-1 - n]:
-            n += 1
-        if n > cut:
-            cut, ties = n, [(start, False)]
-        elif n == cut:
-            ties.append((start, False))
-    end = -1
-    for _ in range(word.count(-x)):  # the inverse turned to start at -word[end] reads word backwards
-        end = word.index(-x, end + 1)
-        n = 1
-        while n < most and word[end - n] == out[-1 - n]:
-            n += 1
-        if n > cut:
-            cut, ties = n, [(end, True)]
-        elif n == cut:
-            ties.append((end, True))
+    for inverted, x, at in (False, base - out[-1], -1), (True, out[-1], -1):  # at: the last start found
+        for _ in range(word.count(x)):
+            at, n = word.index(x, at + 1), 1
+            if inverted:  # the inverse turned to start at -word[at] reads word back from at
+                while n < most and word[at - n] == out[-1 - n]:
+                    n += 1
+            else:  # word[at + n - size] reads the rotation, wrapping round
+                while n < most and word[at + n - size] + out[-1 - n] == base:
+                    n += 1
+            if n > cut:
+                cut, ties = n, [(at, inverted)]
+            elif n == cut:
+                ties.append((at, inverted))
     at, inverted = ties[0] if ahead is None or len(ties) == 1 else _look_ahead(out, word, cut, ties, ahead)
     if inverted:
-        return cut, [*map(neg, reversed(word[: at + 1])), *map(neg, reversed(word[at + 1 :]))]
+        return cut, _invert(word[at + 1 :] + word[: at + 1])  # the inverse read from -word[at]
     return cut, word[at:] + word[:at] if at else word
 
 
 def _look_ahead(
-    out: list[int], word: list[int], cut: int, ties: list[tuple[int, bool]], ahead: list[int]
+    out: Sequence[int], word: Sequence[int], cut: int, ties: list[tuple[int, bool]], ahead: Sequence[int]
 ) -> tuple[int, bool]:
     """The tie after which ``ahead`` cancels the most at its best start, the first on a tie.
 
     A tie leaves ``out`` before the cut, then the rest of ``word`` laid out
-    from the tie.  Of that product only the last letters that ``ahead`` can
-    cancel are read, last first: ``tail``, and ``against`` negated, slices
-    of ``word`` doubled and then of ``out``, the same for every tie.  A
-    start of ``ahead``, which is cyclically reduced, cancels where ahead,
-    read on from it, spells ``against``, and a start of its inverse where
-    ahead, read back from it, spells ``tail``.  Once a tie cancels ``best``
-    letters, a start is only walked when its letter ``best`` agrees too,
-    and the starts of a letter are found once for all the ties.
+    from the tie; one whose last letter ``ahead`` holds in neither sign
+    scores 0, and nothing is built before a tie ``ahead`` can tell apart.
+    The product's last letters, last first, are ``tail`` (``against``
+    negated): a start of ``ahead`` cancels m letters where ``ahead`` doubled
+    holds the first m of ``against``, or doubled and reversed, those of
+    ``tail`` (``bytes.find``, or `_find` on ints; `_longest` past the best).
     """
     size = len(word)
     if cut == size:  # the piece cancels whole: every tie leaves the same product
         return ties[0]
-    span = len(ahead)
-    most = min(span, len(out) - 2 * cut + size)
+    most = min(len(ahead), len(out) - 2 * cut + size)
     take = min(size - cut, most)
-    doubled, negated = word + word, [*map(neg, word)] * 2
-    rest = out[-1 - cut : -1 - cut - most + take : -1]  # the product before the cut, from its end
-    minus = [*map(neg, rest)]
-    found: dict[int, list[int]] = {}
-    best, chosen = 0, ties[0]
+    base, find = (256, bytes.find) if isinstance(word, bytes) else (0, _find)
+    best, chosen, doubled = 0, ties[0], None
     for at, inverted in ties:
+        last = base - word[at + 1 - size] if inverted else word[at - 1]  # the product's last letter
+        if last not in ahead and base - last not in ahead:
+            continue
+        if doubled is None:  # built for the first tie that ahead can tell apart
+            doubled, rest, forward = word * 2, out[-1 - cut : -1 - cut - most + take : -1], ahead * 2
+            negated, minus, backward = _invert(doubled[::-1]), _invert(rest[::-1]), forward[::-1]
         if inverted:  # the inverse from -word[at] ends in -word[at + 1], -word[at + 2], ...
-            tail, against = negated[at + 1 : at + 1 + take], doubled[at + 1 : at + 1 + take]
+            tail = negated[at + 1 : at + 1 + take] + rest
+            against = doubled[at + 1 : at + 1 + take] + minus
         else:  # the rotation from word[at] ends in word[at - 1], word[at - 2], ...
-            tail = doubled[at + size - 1 : at + size - 1 - take : -1]
-            against = negated[at + size - 1 : at + size - 1 - take : -1]
-        if rest:
-            tail += rest
-            against += minus
-        for j in _positions(ahead, against[0], found):
-            j -= span  # ahead[j + n] reads ahead on from j, wrapping round
-            if best and ahead[j + best] != against[best]:
-                continue
-            n = 1
-            while n < most and ahead[j + n] == against[n]:
-                n += 1
-            if n > best:
-                best, chosen = n, (at, inverted)
-                if n == most:
-                    return chosen
-        for j in _positions(ahead, tail[0], found):  # ahead[j - n] reads ahead back from j
-            if best and ahead[j - best] != tail[best]:
-                continue
-            n = 1
-            while n < most and ahead[j - n] == tail[n]:
-                n += 1
-            if n > best:
-                best, chosen = n, (at, inverted)
-                if n == most:
-                    return chosen
+            tail = doubled[at + size - 1 : at + size - 1 - take : -1] + rest
+            against = negated[at + size - 1 : at + size - 1 - take : -1] + minus
+        n = _longest(find, forward, against, backward, tail, best or 1, most)  # one letter at least
+        if n > best:
+            best, chosen = n, (at, inverted)
+            if n == most:
+                break
     return chosen
 
 
-def _positions(letters: list[int], x: int, found: dict[int, list[int]]) -> list[int]:
-    """Where x stands in ``letters``, in order, kept in ``found``."""
-    if x not in found:
-        at, i = [], -1
-        for _ in range(letters.count(x)):
-            i = letters.index(x, i + 1)
-            at.append(i)
-        found[x] = at
-    return found[x]
+def _longest(find: Callable, a: Sequence, x: Sequence, b: Sequence, y: Sequence, n: int, most: int) -> int:
+    """The most m <= ``most`` for which ``find`` finds x[:m] in a or y[:m] in b, n's holding."""
+    step = 1
+    while n + step <= most and (find(a, x[: n + step], 0) >= 0 or find(b, y[: n + step], 0) >= 0):
+        n, step = n + step, 2 * step  # the step doubles while n + step holds
+    while step > 1:  # n holds and n + step does not, or passes most: halve onto the last m that holds
+        step //= 2
+        if n + step <= most and (find(a, x[: n + step], 0) >= 0 or find(b, y[: n + step], 0) >= 0):
+            n += step
+    return n
 
 
-def _commutator(a: list[int], b: list[int]) -> list[int]:
-    return [*a, *b, *map(neg, reversed(a)), *map(neg, reversed(b))]
+def _find(letters: list[int], part: list[int], start: int) -> int:
+    """``bytes.find`` for int letters: where nonempty ``part`` first stands from ``start``, or -1."""
+    try:
+        while True:
+            start = letters.index(part[0], start, len(letters) - len(part) + 1)
+            if letters[start + len(part) - 1] == part[-1] and letters[start : start + len(part)] == part:
+                return start
+            start += 1
+    except ValueError:  # part[0] stands nowhere further
+        return -1
+
+
+def _commutator(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    return a + b + _invert(b + a)  # (b a)^-1 = a^-1 b^-1
 
 
 def _clause_letters(clauses: Iterable[Sequence[int]]) -> int:
@@ -523,10 +533,10 @@ class _Inner:
     def __iter__(self) -> Iterator:
         return iter(_threshold_pieces(self.nails, self.v, self.plans, self.laid))
 
-    def words(self) -> tuple[list[int], list[int] | None]:
+    def words(self, base: int) -> tuple[Sequence[int], Sequence[int] | None]:
         key = len(self.nails), self.v
         if key not in self.laid:
-            self.laid[key] = _lay_out(self)
+            self.laid[key] = _lay_out(self, base)
         return self.laid[key]
 
 
@@ -751,6 +761,7 @@ def compile_circuit(
     notices: list[str] = []
     spec: PuzzleSpec | None = None
     n = target.n
+    on = _Packed if n <= 127 else iter  # a plan on nails 1..127 is laid out on bytes
     if isinstance(target, PuzzleSpec):
         validation = validate_spec(target)
         notices.extend(validation.notices)
@@ -760,17 +771,17 @@ def compile_circuit(
         estimate, route, plan = _threshold_plan(range(1, n + 1), width)
         check_budget(estimate, budget)
         count, widest = comb(n, width), width if width <= n else 1
-        word = lay_out(plan)
+        word = lay_out(on(plan))
     else:
         clauses, estimate = _prime_clauses(target if spec is None else spec.to_circuit(), budget)
         if not clauses:
             notices.append("circuit is constantly true; compiles to the empty word")
         count = len(clauses)
         widest = max(map(len, clauses), default=1)
-        word, route = lay_out(clauses), "clause-product"  # within the budget plus _TWO_CNF_SAVING
+        word, route = lay_out(on(clauses)), "clause-product"  # within the budget plus _TWO_CNF_SAVING
         letters, plan_route, plan = _family_plan(clauses)
         if plan is not clauses:  # the laid-out words decide: each may cancel at its joins
-            planned = lay_out(plan)
+            planned = lay_out(on(plan))
             if len(planned.letters) < len(word.letters):  # a tie keeps the product
                 word, estimate, route = planned, letters, plan_route
         check_budget(letters, budget)  # the plan's closed form bounds the word emitted either way
@@ -778,8 +789,8 @@ def compile_circuit(
     depth = (max(count, 1) - 1).bit_length() + (widest - 1).bit_length()
     mismatch_mask, verify_method, masks_checked = None, "skipped", 0
     k = None if spec is None else spec.threshold_k
-    if verify is None and n > limit:  # nothing is priced past the limit
-        notices.append(f"table verification skipped: n={n} beyond the exhaustive limit {limit}")
+    if verify is None and n > limit:  # nothing is priced past the limit: 2^n may not fit an int
+        notices.append(f"{_verify_method(k)} verification skipped: n={n} beyond the exhaustive limit {limit}")
         verify = False
     elif verify is None:  # the cap prices the method that would run
         method, masks = _verify_plan(n, k)

@@ -165,8 +165,12 @@ def build_k_of_n(
     the nails, its budget checked against the closed-form length before any
     subset is listed; None disables it, as in ``compile_circuit``.
     """
+    global _compiler
     if not 1 <= k <= n:  # refused before the compiler is loaded
         raise ValueError(f"build_k_of_n needs 1 <= k <= n, got k={k}, n={n}")
-    from .compiler import compile_circuit
+    if _compiler is None:  # imported once: an import statement costs about 1 us a call
+        from . import compiler as _compiler
+    return _compiler.compile_circuit(PuzzleSpec.from_threshold(n, k), budget=budget, verify=verify)
 
-    return compile_circuit(PuzzleSpec.from_threshold(n, k), budget=budget, verify=verify)
+
+_compiler = None  # the `compiler` module, once `build_k_of_n` has loaded it

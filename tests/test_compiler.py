@@ -1,5 +1,6 @@
 """Gate gadgets, template accounting, and the circuit-to-word compiler."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -49,6 +50,7 @@ from picturehang.words import (
     Word,
     _balanced,
     _boundary_mismatch,
+    _pack,
     _product,
     _search_root,
     _verify_plan,
@@ -289,6 +291,16 @@ def test_compile_skips_verification_beyond_limit():
     report = compile_circuit(MonotoneCircuit(21, Var(21)))
     assert report.verified is None
     assert any("verification skipped" in note for note in report.notices)
+
+
+def test_the_skip_notice_past_the_limit_names_the_method_it_skipped():
+    # A threshold would be checked on its boundary, 31 subsets for 30-of-30,
+    # and any other spec on its table.
+    report = build_k_of_n(30, 30)
+    assert report.verified is None
+    assert "boundary verification skipped: n=30 beyond the exhaustive limit 20" in report.notices
+    report = compile_circuit(MonotoneCircuit(21, Var(21)))
+    assert "table verification skipped: n=21 beyond the exhaustive limit 20" in report.notices
 
 
 def _out_of_time(signum, frame):
@@ -1004,3 +1016,189 @@ def test_verify_method_of_other_specs_and_of_skipped_checks():
     assert (report.verify_method, report.masks_checked) == ("table", 4)
     report = compile_circuit(PuzzleSpec.from_threshold(4, 2), verify=False)
     assert (report.verified, report.verify_method, report.masks_checked) == (None, "skipped", 0)
+
+
+def test_every_threshold_word_up_to_12_nails_keeps_its_letters():
+    # The sha256 of every k-of-n word with n <= 12, and their total letters,
+    # as laid out when turn ties were first broken by looking one piece ahead.
+    digest, total = hashlib.sha256(), 0
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            letters = build_k_of_n(k, n, budget=None, verify=False).word.letters
+            digest.update(repr(letters).encode())
+            total += len(letters)
+    assert total == 63642
+    assert digest.hexdigest() == "8c4e8ee5a59246483f9bf0126f375974984b49dfd206da47c022fbfbb952cf0d"
+
+
+# The letter walks `compiler._meet` and `_look_ahead` took on int letters
+# before `_look_ahead` searched runs in C, kept as the oracle of both forms.
+def _walked_meet(out, word, ahead):
+    """(cut, ties, chosen tie) as the walks found them; ties is None for a piece joined as given."""
+    x = -out[-1]
+    size, most = len(word), min(len(word), len(out))
+    cut = 0
+    if word[0] == -word[-1]:
+        while cut < most and word[cut] == -out[-1 - cut]:
+            cut += 1
+        return cut, None, None
+    ties = []
+    start = -1
+    for _ in range(word.count(x)):
+        start = word.index(x, start + 1)
+        n = 1
+        while n < most and word[start - size + n] == -out[-1 - n]:
+            n += 1
+        if n > cut:
+            cut, ties = n, [(start, False)]
+        elif n == cut:
+            ties.append((start, False))
+    end = -1
+    for _ in range(word.count(-x)):
+        end = word.index(-x, end + 1)
+        n = 1
+        while n < most and word[end - n] == out[-1 - n]:
+            n += 1
+        if n > cut:
+            cut, ties = n, [(end, True)]
+        elif n == cut:
+            ties.append((end, True))
+    if ahead is None or len(ties) == 1:
+        return cut, ties, ties[0]
+    return cut, ties, _walked_look_ahead(out, word, cut, ties, ahead)
+
+
+def _walked_look_ahead(out, word, cut, ties, ahead):
+    size = len(word)
+    if cut == size:
+        return ties[0]
+    span = len(ahead)
+    most = min(span, len(out) - 2 * cut + size)
+    take = min(size - cut, most)
+    doubled, negated = word + word, [-x for x in word] * 2
+    rest = out[-1 - cut : -1 - cut - most + take : -1]
+    minus = [-x for x in rest]
+    best, chosen = 0, ties[0]
+    for at, inverted in ties:
+        if inverted:
+            tail, against = negated[at + 1 : at + 1 + take], doubled[at + 1 : at + 1 + take]
+        else:
+            tail = doubled[at + size - 1 : at + size - 1 - take : -1]
+            against = negated[at + size - 1 : at + size - 1 - take : -1]
+        tail += rest
+        against += minus
+        for j in [i for i, y in enumerate(ahead) if y == against[0]]:
+            j -= span
+            n = 1
+            while n < most and ahead[j + n] == against[n]:
+                n += 1
+            if n > best:
+                best, chosen = n, (at, inverted)
+                if n == most:
+                    return chosen
+        for j in [i for i, y in enumerate(ahead) if y == tail[0]]:
+            n = 1
+            while n < most and ahead[j - n] == tail[n]:
+                n += 1
+            if n > best:
+                best, chosen = n, (at, inverted)
+                if n == most:
+                    return chosen
+    return chosen
+
+
+def _reduced_letters(rng, nails, size, block=None):
+    """A reduced word of ``size`` letters: random, or ``block`` repeated with a few letters changed."""
+    letters = []
+    while len(letters) < size:
+        if block is not None and rng.random() < 0.95:
+            x = block[len(letters) % len(block)]
+        else:
+            x = rng.choice([-1, 1]) * rng.choice(nails)
+        if not letters or x != -letters[-1]:
+            letters.append(x)
+    return letters
+
+
+def _meet_case(rng, nails, size, repeat):
+    """out, word and ahead for `_meet`: the last of out inverts a letter of word, or its inverse does."""
+    block = _reduced_letters(rng, nails, rng.randint(3, 12)) if repeat else None
+    word = _reduced_letters(rng, nails, size, block)
+    while word[0] == -word[-1] and rng.random() < 0.9:
+        word = _reduced_letters(rng, nails, size, block)
+    start = rng.randrange(size)
+    run = [-x for x in reversed((word * 2)[start : start + rng.choice((1, 2, rng.randint(1, size)))])]
+    if rng.random() < 0.5:  # out ends in a rotation of the inverse, or of word itself
+        run = [-x for x in reversed(run)]
+    out = _reduced_letters(rng, nails, rng.randint(0, 2 * size), block)
+    while out and run and out[-1] == -run[0]:
+        out.pop()
+    out += run
+    ahead = None
+    if rng.random() < 0.8:
+        ahead = _reduced_letters(rng, nails, rng.randint(2, 2 * size), block)
+        while ahead[0] == -ahead[-1]:
+            ahead.pop()
+    return out, word, ahead
+
+
+def _check_meet(out, word, ahead):
+    """`_meet` on int letters, and packed as `lay_out` packs them where the nails allow, against the walks."""
+    want_cut, ties, chosen = _walked_meet(out, word, ahead)
+    forms = [(list(out), list(word), ahead, list)]
+    if max(map(abs, out + word + (ahead or []))) <= 127:
+        forms.append((bytearray(_pack(out)), _pack(word), ahead and _pack(ahead), _pack))
+    for out_form, word_form, ahead_form, form in forms:
+        seen = []
+        real = compiler._look_ahead
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        compiler._look_ahead = spy
+        try:
+            cut, letters = compiler._meet(out_form, word_form, ahead_form)
+        finally:
+            compiler._look_ahead = real
+        assert cut == want_cut
+        if ties is None:
+            assert letters == word_form
+            continue
+        at, inverted = chosen
+        turned = [-x for x in reversed(word[: at + 1])] + [-x for x in reversed(word[at + 1 :])]
+        assert letters == form(turned if inverted else word[at:] + word[:at])
+        if ahead is not None and len(ties) > 1:
+            assert seen == [chosen]
+            assert compiler._look_ahead(out_form, word_form, cut, ties, ahead_form) == chosen
+
+
+def test_meet_searches_the_starts_the_letter_walks_found():
+    # Every cut, start and tie `_meet` and `_look_ahead` take, on int and on
+    # packed letters, is the one the letter walks took: on grid-sized
+    # pieces; on long pieces of repeated runs, and on such pieces over nails
+    # above 127, which stay on ints; and on the meets of 2-of-40's layout,
+    # with up to 64 tied starts.
+    rng = random.Random(38)
+    small, large = range(1, 7), range(1, 9)
+    for _ in range(600):
+        _check_meet(*_meet_case(rng, small, rng.randint(2, 30), rng.random() < 0.5))
+    for nails in (large, range(121, 141)):
+        for _ in range(150):
+            _check_meet(*_meet_case(rng, nails, rng.randint(64, 400), True))
+    calls = []
+    real = compiler._meet
+
+    def spy(out, word, ahead):
+        calls.append((list(out), list(word), ahead))
+        return real(out, word, ahead)
+
+    compiler._meet = spy
+    try:
+        lay_out(compiler._threshold_plan(range(1, 41), 39)[2])
+    finally:
+        compiler._meet = real
+    ties = [len(_walked_meet(*call)[1] or ()) for call in calls]
+    assert max(ties) >= 64
+    for call in calls:
+        _check_meet(*call)
