@@ -90,7 +90,8 @@ from picturehang.spectator import (
     min_fell_exact,
     set_cover_to_hanging,
 )
-from picturehang.words import NailSubset, Word, fall_table, verify_threshold
+from picturehang.verifier import verify_threshold
+from picturehang.words import NailSubset, Word, fall_table
 
 
 def emit(case: str, **fields) -> None:

@@ -6,11 +6,11 @@ word three ways: plain reduction, a one-nail strip (each nail in turn) and
 a keep-one-nail strip (every nail but one, each in turn), the last two
 being what ``fall_table`` and ``max_survive_exact`` ask most.  Each way
 runs on the word as a tuple of ints and packed one byte per letter
-(``words._pack``), as does the join product ``words._product`` on the
+(``words._pack``), as does the join product ``constructions._product`` on the
 reduced pieces of the top AND gadget of each encoding of two leaves or
 more, which ``gadgets.gadget_and_tree`` lays out.  A second table times
 keep-few strips (every set of one to three kept nails, packed) by
-``_residual`` and by ``words._kept_residual``, which counts a lone kept
+``_residual`` and by ``spectator._kept_residual``, which counts a lone kept
 nail's letters and cancels several kept nails' adjacent pairs in C first,
 sweep after sweep while a sweep halves them and more than 64 are left,
 and beside them by a copy of ``_kept_residual`` that stops after one
@@ -18,7 +18,7 @@ sweep.  The rate
 counts the letters the kernel is handed, so a strip that drops most of
 them still counts them all.  A set-up row times what an exact spectator
 search does before its first strip, in letters per second:
-``words._search_root`` (check and pack) and ``words._relabel_held`` (find
+``words._search_root`` (check and pack) and ``spectator._relabel_held`` (find
 the held nails and relabel them) on each Set Cover word as laid out,
 which keeps its packed letters as its gadget tree's root
 (``Word.tree.root``), beside the same word rebuilt from its int letters,
@@ -27,11 +27,11 @@ the residuals the searches ask of a Set Cover word of two leaves or more,
 read from its letters and from its gadget tree (``Word.tree``, laid out
 again on its leaves' residuals): one-nail removals, each nail in turn,
 by ``words._strip``, and keeps of every two and three nails by
-``words._kept_residual``, against the tree's residual of the same
+``spectator._kept_residual``, against the tree's residual of the same
 removal.  The tree keeps each leaf's cut letters reduced, so its rounds
 after the first look them up.  A last row counts
 strips instead: the boundary check
-``words._boundary_mismatch`` on the reduced word of every threshold of
+``verifier._boundary_mismatch`` on the reduced word of every threshold of
 the compile-verify grid (k-of-n, 1 <= k <= n, 2 <= n <= 6), each word of 2
 to 112 letters, in strips per second.  An exact word takes one strip per
 (k-1)-subset but the empty one, and one per k-subset, so the rate is
@@ -60,22 +60,19 @@ from itertools import combinations
 from math import comb
 
 from picturehang import compiler
-from picturehang.constructions import _splice, build_e
+from picturehang.circuits import _minimal_sets
+from picturehang.constructions import _product, _splice, build_e
 from picturehang.gadgets import _AND_TEMPLATE, _G1, _G2, gadget_and_tree
 from picturehang.sortnet import build_k_of_n
-from picturehang.spectator import set_cover_to_hanging
+from picturehang.spectator import _kept_residual, _relabel_held, set_cover_to_hanging
+from picturehang.verifier import _boundary_mismatch
 from picturehang.words import (
     _BYTES,
     _INVERSE,
     _PAIR,
     Word,
-    _boundary_mismatch,
-    _kept_residual,
-    _minimal_sets,
     _nails,
     _pack,
-    _product,
-    _relabel_held,
     _residual,
     _search_root,
     _strip,

@@ -24,7 +24,7 @@ build_k_of_n again with its default verification, each the best of
 ``--repeat`` rounds (one by default).  Verification runs under the
 compiler's own rule: within the exhaustive limit, and within the
 auto-verification work cap on the plan that then runs
-(``words._verify_plan``: the boundary's C(n, k) + C(n, k-1) subsets).
+(``verifier._verify_plan``: the boundary's C(n, k) + C(n, k-1) subsets).
 So ``total_s - build_s`` is what verification took.  With
 ``--no-verify`` the second compile is not made and a row shows ``-``.
 The next to last line gives the geometric means of ``reduced`` and

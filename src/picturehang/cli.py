@@ -26,7 +26,6 @@ from .words import (
     check_limit,
     fall_table,
     format_word,
-    mismatch_line,
     parse_word,
     word_from_json,
 )
@@ -100,11 +99,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    from .circuits import PuzzleSpec, parse_formula
-
     if args.spec:
         target: PuzzleSpec | None = _load_spec(args.spec)
     else:
+        from .circuits import PuzzleSpec
+        from .formula import parse_formula  # not loaded for a spec file
+
         circuit = parse_formula(args.formula, n=args.n)
         target = PuzzleSpec(n=circuit.n, formula=args.formula, circuit=circuit)
     from .compiler import compile_circuit  # not loaded for a target that fails to parse
@@ -115,6 +115,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verifier import mismatch_line
+
     spec = _load_spec(args.spec)
     check_limit("PuzzleSpec.verify", spec.n, args.limit)  # before the file is read: it may be large
     word = _load_word(args.word)

@@ -57,8 +57,8 @@ the inverse, when that ties too; so each piece is placed once the next
 one's word is known.  The pieces of a product are graded over disjoint
 families, so no two share a multidegree; a word times its own inverse
 would cancel.  The greedy can lose letters at a later join, so `lay_out`
-keeps the plain join product of the same pieces (`words._join`, the join
-of `words._product`, which the gadgets share) whenever turning did not
+keeps the plain join product of the same pieces (`constructions._join`, the join
+of `constructions._product`, which the gadgets share) whenever turning did not
 make the word shorter.  A compiled word is thus never longer than its
 plan joined plain.
 
@@ -101,10 +101,10 @@ derives the 1,078); a plan is never longer than the product, so the
 bound covers it.
 
 Verification checks the word emitted, not the argument above, through
-the one verifier, `words._verdict`.  A threshold spec is checked on its
+the one verifier, `verifier._verdict`.  A threshold spec is checked on its
 boundary, which shares the residuals of its subsets' first nails and
 reads fewer letters than the table on the compiled words
-(`words._verify_plan`, which the auto-verification work cap prices too).
+(`verifier._verify_plan`, which the auto-verification work cap prices too).
 The boundary is exact because every word's fall function is monotone:
 deleting nails is a homomorphism, so a subset's residual is a homomorphic
 image of each smaller subset's, and the image of the empty word is empty.
@@ -133,11 +133,12 @@ from .circuits import (
     PuzzleSpec,
     UnrealizableSpecError,
     Var,
+    _minimal_sets,
     circuit_table,
     evaluate,
     validate_spec,
 )
-from .constructions import e_template, e_word_length, lay_out_e
+from .constructions import _join, e_template, e_word_length, lay_out_e
 from .words import (  # BudgetExceededError is re-exported: callers catch it here
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_LETTER_BUDGET,
@@ -146,16 +147,11 @@ from .words import (  # BudgetExceededError is re-exported: callers catch it her
     _HUGE_LETTERS,
     _INVERSE,
     _invert,
-    _join,
-    _minimal_sets,
     _nails,
     _pack,
-    _verdict,
-    _verify_method,
-    _verify_plan,
     check_budget,
-    mismatch_line,
 )
+from .verifier import _verdict, _verify_method, _verify_plan, mismatch_line
 
 
 # Above this much work (subsets checked times word length) auto-verification
@@ -185,8 +181,10 @@ class _Pairs(NamedTuple):
 
 
 class _Packed(NamedTuple):
-    """A plan on nails 1..127 only, which `lay_out` lays out on bytes as `words._pack` packs them."""
+    """A plan on nails 1..127 only, which `lay_out` lays out on bytes as `words._pack` packs them,
+    mapping its word's letters through ``labels`` if given (label -i at -i, as in `_splice`)."""
     plan: Iterable
+    labels: list[int] | None = None
 
 
 def lay_out(plan: Iterable) -> Word:
@@ -206,7 +204,10 @@ def lay_out(plan: Iterable) -> Word:
     letters, plain = _lay_out(plan.plan, 256) if packed else _lay_out(plan)
     if plain is not None and len(plain) <= len(letters):
         letters = plain
-    return Word(struct.unpack(f"{len(letters)}b", letters) if packed else tuple(letters), reduced=True)
+    if not packed:
+        return Word(tuple(letters), reduced=True)
+    letters = struct.unpack(f"{len(letters)}b", letters)
+    return Word(tuple(map(plan.labels.__getitem__, letters)) if plan.labels else letters, reduced=True)
 
 
 def _lay_out(plan: Iterable, base: int = 0) -> tuple[Sequence[int], Sequence[int] | None]:
@@ -214,7 +215,7 @@ def _lay_out(plan: Iterable, base: int = 0) -> tuple[Sequence[int], Sequence[int
 
     Each piece is placed once the next piece's word is known, so that
     `_meet` can look one piece ahead.  The plain product, every piece joined
-    as given by ``words._join`` as it comes, is None while no piece turned:
+    as given by ``constructions._join`` as it comes, is None while no piece turned:
     the two are then the same letters.  The plan, bracket inners included,
     is iterated once.  ``base`` is a letter plus its inverse: 0 on ints, 256 packed.
     """
@@ -722,10 +723,10 @@ class CompileReport(NamedTuple):
     or past the auto-verification work cap); on a mismatch it is False,
     ``mismatch_mask`` holds the first subset bitmask where the word
     disagrees with the requested fall function, and the last notice says
-    how (`words.mismatch_line`).  ``verify_method`` is
+    how (`verifier.mismatch_line`).  ``verify_method`` is
     "boundary" (a threshold's (k-1)- and k-subsets), "table" (every subset)
     or "skipped", and ``masks_checked`` counts the subsets it decided, as
-    `words._verdict`, the one verifier, returned them.
+    `verifier._verdict`, the one verifier, returned them.
     """
 
     word: Word
@@ -756,7 +757,7 @@ def compile_circuit(
     ``verify`` forces (True) or skips (False) verification; the default
     verifies whenever n is within the exhaustive limit and the work of the
     method that would run, table or boundary, is affordable.  The word is
-    checked by `words._verdict`, the one verifier, against the spec's table.
+    checked by `verifier._verdict`, the one verifier, against the spec's table.
     """
     notices: list[str] = []
     spec: PuzzleSpec | None = None
@@ -778,6 +779,10 @@ def compile_circuit(
             notices.append("circuit is constantly true; compiles to the empty word")
         count = len(clauses)
         widest = max(map(len, clauses), default=1)
+        if n > 127 and len(held := sorted({*chain.from_iterable(clauses)})) <= 127:
+            rank = {nail: i for i, nail in enumerate(held, start=1)}  # relabeled 1..h in order
+            clauses = [tuple(map(rank.__getitem__, c)) for c in clauses]
+            on = partial(_Packed, labels=[0, *held, *map(neg, reversed(held))])
         word, route = lay_out(on(clauses)), "clause-product"  # within the budget plus _TWO_CNF_SAVING
         letters, plan_route, plan = _family_plan(clauses)
         if plan is not clauses:  # the laid-out words decide: each may cancel at its joins

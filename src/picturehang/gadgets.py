@@ -34,10 +34,10 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .circuits import MonotoneCircuit, Var, evaluate
-from .constructions import _splice
-from .words import _BYTES, _PACKED_NAILS, Word, _balanced, _both, _invert, _nails, _pack
-from .words import _product, _relabel, _residual, _set_tree, nail_counts
-from .words import raw_commutator, raw_concat, raw_inverse
+from .constructions import _balanced, _product, _splice
+from .spectator import _both, _relabel
+from .words import _BYTES, _PACKED_NAILS, Word, _invert, _nails, _pack, _residual, _set_tree
+from .words import nail_counts, raw_commutator, raw_concat, raw_inverse
 
 
 def gadget_and(p: Word, q: Word) -> Word:
@@ -51,7 +51,7 @@ def gadget_or(p: Word, q: Word) -> Word:
 
 
 def gadget_and_tree(words: Sequence[Word]) -> Word:
-    """Balanced tree of AND gadgets over the words (see ``words._balanced``), one word as given."""
+    """Balanced tree of AND gadgets over the words (``constructions._balanced``), one word as given."""
     return words[0] if len(words) == 1 else _lay_out(_AND_TEMPLATE, words)
 
 
@@ -241,7 +241,7 @@ def estimate_length(c: MonotoneCircuit) -> int:
     """Upper bound on letters the gadgets lay out for this circuit.
 
     A gate is priced as a balanced tree of binary gadgets over its operands
-    (``words._balanced``), each applying the flat template slot counts to
+    (``constructions._balanced``), each applying the flat template slot counts to
     its arguments' own estimates: an AND costs 4+4 slots plus 6 glue, an
     OR 256+256 plus 566.  Shared subcircuits count once per occurrence.
     """

@@ -4,13 +4,13 @@ Three questions about a hanging word: the fewest nail removals that drop
 the picture, the most removals it survives, and a Set-Cover-shaped
 instance generator whose optimum transfers to the felling problem.  The
 exact searches run on the nails the reduced word holds, relabeled 1..h
-(`words._relabel_held`).  Deleting nails is a homomorphism, so the
-residual of a subset is its parent's residual with one more nail
+(`_relabel_held`, whose table `_relabel` the gadget tree shares).
+Deleting nails is a homomorphism, so the residual of a subset is its parent's residual with one more nail
 stripped: `min_fell_exact` grows the hanging sets layer by layer from the
 empty set, and `greedy_min_fell` keeps the residual of the nail it picks.
 From the other end, `_kept_sets` scans the sets of t = 1, 2, ... kept
 nails, whose adjacent pairs it cancels in C first, sweep after sweep
-(`words._kept_residual`): `max_survive_exact` stops at the first whose
+(`_kept_residual`): `max_survive_exact` stops at the first whose
 word does not fall, and `min_fell_exact` keeps such sets as clauses,
 which every felling set meets, and tests the first smallest set that
 meets them all.  All three are set up by `words._search_root`, which
@@ -27,7 +27,9 @@ and `max_survive_exact` each kept set's, the last two on the tree
 relabeled onto the held nails.  A kept set of one nail is still read by
 two counts, and every other word keeps the letter path.  The gadgets of
 `set_cover_to_hanging`, one E-word per distinct minimal owner set under
-`gadgets.gadget_and_tree`, load with its first call, not with the solvers.
+`gadgets.gadget_and_tree`, load with its first call, not with the solvers,
+and so does `circuits._minimal_sets`.  The solvers' helpers live here, not
+in `words`, which every command compiles.
 """
 
 from __future__ import annotations
@@ -35,19 +37,8 @@ from __future__ import annotations
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .words import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
-    NailSubset,
-    Word,
-    _kept_residual,
-    _masks_of_size,
-    _minimal_sets,
-    _nails,
-    _nails_of,
-    _relabel_held,
-    _search_root,
-    _strip,
-)
+from .words import _BYTES, _INVERSE, _PACKED_NAILS, _PAIR, DEFAULT_EXHAUSTIVE_LIMIT, NailSubset
+from .words import Word, _nails, _nails_of, _pack, _residual, _search_root, _strip
 
 __all__ = [
     "min_fell_exact",
@@ -65,7 +56,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
 
     The search runs from both ends on the h nails the reduced word holds,
     the only ones in a smallest answer, relabeled 1..h in order
-    (``words._relabel_held``).  The bottom side walks the hanging sets by
+    (``_relabel_held``).  The bottom side walks the hanging sets by
     size: a subset's parent is the subset less its lowest nail, and its
     residual is the parent's with the new nail stripped (``words._strip``).
     Parents go in increasing order and their children by increasing nail,
@@ -139,7 +130,7 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     fixed the numeric order of the answers is that of their held parts.
     The held nails are relabeled 1..h in order once, by one
     ``bytes.translate`` on a packed word, which keeps that order
-    (``words._relabel_held``).  The kept sets of t = 1, 2, ... nails are
+    (``_relabel_held``).  The kept sets of t = 1, 2, ... nails are
     scanned as ``_kept_sets`` orders them; the first whose word does not
     fall, mapped back, is kept, and every other nail is the answer.
     """
@@ -240,6 +231,7 @@ def set_cover_to_hanging(
     """
     from .gadgets import gadget_and_tree  # loaded here: the solvers need none of it
     from .constructions import build_e
+    from .circuits import _minimal_sets
 
     if m < 1:
         raise ValueError("universe must be nonempty")
@@ -255,3 +247,81 @@ def set_cover_to_hanging(
     minimal = set(_minimal_sets(masks))
     leaves = [build_e(_nails(mask)) for mask in dict.fromkeys(masks) if mask in minimal]
     return gadget_and_tree(leaves), dict(enumerate(map(tuple, owners), start=1))
+
+
+def _relabel_held(letters: Sequence[int], n: int) -> tuple[list[int], Sequence[int]]:
+    """The nails the letters wrap, sorted, and the letters relabeled 1..h, packed if h <= 127.
+
+    The letters are checked against n, which bounds the nails looked for.
+    """
+    held = sorted(_nails_of(letters, n))
+    if isinstance(letters, bytes):
+        return held, letters.translate(_relabel(held))
+    rank = {nail: i for i, nail in enumerate(held, start=1)}
+    return held, _pack([rank[x] if x > 0 else -rank[-x] for x in letters])
+
+
+def _relabel(held: list[int]) -> bytearray:
+    """The ``bytes.translate`` table taking the packed held nails, sorted, to 1..h."""
+    table = bytearray(_BYTES)
+    for i, nail in enumerate(held, start=1):
+        table[nail], table[256 - nail] = i, 256 - i
+    return table
+
+
+def _masks_of_size(n: int, k: int) -> Iterator[int]:
+    """All n-bit masks with k bits set, in increasing numeric order."""
+    if k == 0:
+        yield 0
+        return
+    mask = (1 << k) - 1
+    top = 1 << n
+    while mask < top:
+        yield mask
+        # Gosper's hack: next mask with the same popcount.
+        low = mask & -mask
+        ripple = mask + low
+        mask = (((ripple ^ mask) >> 2) // low) | ripple
+
+
+def _both(nails: Iterable[int]) -> bytes:
+    """The packed bytes of nails 1..127 and of their inverses."""
+    b = bytes(nails)
+    return b + b.translate(_INVERSE)
+
+
+# Below this many letters left to the loop a pair sweep costs more than it saves (threshold
+# words, n <= 14): `_kept_residual` sweeps above it.
+_PRE_CANCEL_LETTERS = 64
+
+
+def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
+    """Reduced letters left after deleting every nail not set in ``keep``.
+
+    One kept nail a leaves x_a^e, e = #a - #A, read by two counts.  More
+    kept nails: packed letters lose the rest in one ``bytes.translate``,
+    then each kept nail's adjacent inverse pairs in one ``bytes.replace``
+    sweep per order, in C, repeated while a sweep removes at least half
+    the letters it read and leaves more than `_PRE_CANCEL_LETTERS`, so the
+    loop of ``_residual`` reads far fewer letters; cancelling a pair never
+    changes the reduced word.  Keep bits above 127 are left out, as in
+    ``_residual``.  Int letters are filtered.
+    """
+    packed = isinstance(letters, bytes)
+    keep &= _PACKED_NAILS if packed else keep
+    if not keep & keep - 1:  # nail a = 0 for an empty keep, which keeps nothing
+        a = keep.bit_length()
+        inverse = -a & 255 if packed else -a
+        e = letters.count(a) - letters.count(inverse)
+        return (bytes if packed else list)((a if e > 0 else inverse,)) * abs(e)
+    if not packed:
+        kept = _nails(keep)
+        return _residual(list(filter({*kept, *(-i for i in kept)}.__contains__, letters)))
+    kept = bytes(_nails(keep))
+    letters = letters.translate(None, _BYTES.translate(None, _both(kept)))
+    while True:
+        read = len(letters)
+        for i in kept:
+            letters = letters.replace(_PAIR[i], b"").replace(_PAIR[i][::-1], b"")
+        if 2 * len(letters) > read or len(letters) <= _PRE_CANCEL_LETTERS:
+            return _residual(letters)

@@ -25,11 +25,13 @@ whether the nail was held, then the loop only if it was.  A word the
 gadgets laid out on bytes keeps that tree (`Word.tree`), and the three
 spectator searches ask it for their residuals instead (see `spectator`).
 A packed word's nails are found by one memchr each (`_nails_of`).  Plain
-reduction of a word as built stays on ints.  Two routines take work off
-the kernel's loop: `_product` reduces a product of reduced pieces at
-their joins only, packed for the gadgets, and `_kept_residual` counts a
-lone kept nail's letters, or cancels adjacent pairs of a few kept nails
-in C, sweep after sweep while they halve the letters, before the loop.
+reduction of a word as built stays on ints.
+
+Every command compiles this module, so a helper only some callers use
+lives in the one module they all load: the verifier in `verifier`, the
+join product (`constructions._product`) and the kept-set pre-cancel
+(`spectator._kept_residual`), which take work off the kernel's loop, with
+their callers.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ from __future__ import annotations
 import json
 import struct
 from collections import Counter
-from itertools import combinations, compress, count, filterfalse, repeat
-from math import comb
-from operator import ge, ne
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from itertools import filterfalse
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
 DEFAULT_LETTER_BUDGET = 10**7
@@ -267,17 +267,11 @@ def _strip(letters: Sequence[int], nail: int) -> Sequence[int]:
 
 def _drop(letters: Sequence[int], nails: Sequence[int]) -> Iterable[int]:
     """Letters less those on ``nails``, unreduced; packed, the bytes b + b.translate(_INVERSE)."""
-    if isinstance(letters, bytes):  # ``_both`` written out: a boundary check drops once a strip
+    if isinstance(letters, bytes):  # ``spectator._both`` inline: the verifier drops once a strip
         b = bytes(nails)
         return letters.translate(None, b + b.translate(_INVERSE))
     drop = {*nails, *(-i for i in nails)}
     return filterfalse(drop.__contains__, letters)
-
-
-def _both(nails: Iterable[int]) -> bytes:
-    """The packed bytes of nails 1..127 and of their inverses."""
-    b = bytes(nails)
-    return b + b.translate(_INVERSE)
 
 
 def _pack(letters: Sequence[int]) -> Sequence[int]:
@@ -331,26 +325,6 @@ def _nails_of(letters: Sequence[int], n: int) -> set[int]:
     return set(map(abs, letters))
 
 
-def _relabel_held(letters: Sequence[int], n: int) -> tuple[list[int], Sequence[int]]:
-    """The nails the letters wrap, sorted, and the letters relabeled 1..h, packed if h <= 127.
-
-    The letters are checked against n, which bounds the nails looked for.
-    """
-    held = sorted(_nails_of(letters, n))
-    if isinstance(letters, bytes):
-        return held, letters.translate(_relabel(held))
-    rank = {nail: i for i, nail in enumerate(held, start=1)}
-    return held, _pack([rank[x] if x > 0 else -rank[-x] for x in letters])
-
-
-def _relabel(held: list[int]) -> bytearray:
-    """The ``bytes.translate`` table taking the packed held nails, sorted, to 1..h."""
-    table = bytearray(_BYTES)
-    for i, nail in enumerate(held, start=1):
-        table[nail], table[256 - nail] = i, 256 - i
-    return table
-
-
 def _nails(mask: int) -> tuple[int, ...]:
     """The nails of a bitmask, in increasing order."""
     nails = []
@@ -359,127 +333,6 @@ def _nails(mask: int) -> tuple[int, ...]:
         nails.append(low.bit_length())
         mask ^= low
     return tuple(nails)
-
-
-def _minimal_sets(sets: Iterable[int]) -> list[int]:
-    """The bitmasks among ``sets`` that contain no other one of them, each once.
-
-    Taken by increasing size, each set kept goes into a trie keyed by its
-    nails in increasing order.  A set is dropped when a path of its own
-    nails ends at a kept set; the search follows only the children they name.
-    """
-    trie: dict = {}
-    minimal: list[int] = []
-    for mask in sorted(sets, key=int.bit_count):
-        nails = _nails(mask)
-        stack = [trie]
-        while stack and None not in stack[-1]:
-            stack.extend(filter(None, map(stack.pop().get, nails)))  # no child is empty
-        if not stack:
-            minimal.append(mask)
-            node = trie
-            for nail in nails:
-                node = node.setdefault(nail, {})
-            node[None] = {}
-    return minimal
-
-
-# Below this many letters left to the loop a pair sweep costs more than it saves (threshold
-# words, n <= 14): `_kept_residual` sweeps above it.
-_PRE_CANCEL_LETTERS = 64
-# Above this many letters `_boundary_mismatch` strips a residual one nail at a time and shares
-# it; below it, dropping the rest of each subset at once costs less (threshold words, n <= 14).
-_SHARED_PREFIX_LETTERS = 256
-
-
-def _kept_residual(letters: Sequence[int], keep: int) -> Sequence[int]:
-    """Reduced letters left after deleting every nail not set in ``keep``.
-
-    One kept nail a leaves x_a^e, e = #a - #A, read by two counts.  More
-    kept nails: packed letters lose the rest in one ``bytes.translate``,
-    then each kept nail's adjacent inverse pairs in one ``bytes.replace``
-    sweep per order, in C, repeated while a sweep removes at least half
-    the letters it read and leaves more than `_PRE_CANCEL_LETTERS`, so the
-    loop of ``_residual`` reads far fewer letters; cancelling a pair never
-    changes the reduced word.  Keep bits above 127 are left out, as in
-    ``_residual``.  Int letters are filtered.
-    """
-    packed = isinstance(letters, bytes)
-    keep &= _PACKED_NAILS if packed else keep
-    if not keep & keep - 1:  # nail a = 0 for an empty keep, which keeps nothing
-        a = keep.bit_length()
-        inverse = -a & 255 if packed else -a
-        e = letters.count(a) - letters.count(inverse)
-        return (bytes if packed else list)((a if e > 0 else inverse,)) * abs(e)
-    if not packed:
-        kept = _nails(keep)
-        return _residual(list(filter({*kept, *(-i for i in kept)}.__contains__, letters)))
-    kept = bytes(_nails(keep))
-    letters = letters.translate(None, _BYTES.translate(None, _both(kept)))
-    while True:
-        read = len(letters)
-        for i in kept:
-            letters = letters.replace(_PAIR[i], b"").replace(_PAIR[i][::-1], b"")
-        if 2 * len(letters) > read or len(letters) <= _PRE_CANCEL_LETTERS:
-            return _residual(letters)
-
-
-def _balanced(items: Sequence[_T], join: Callable[[_T, _T], _T]) -> _T:
-    """The items joined up a balanced tree, the first half rounding up; one item as given.
-
-    Gadget AND trees, ``e_tree_length`` and ``estimate_length``'s price of a gate are built here.
-    """
-    if len(items) == 1:
-        return items[0]
-    if not items:
-        raise ValueError("a balanced tree needs at least one item")
-    half = (len(items) + 1) // 2
-    return join(_balanced(items[:half], join), _balanced(items[half:], join))
-
-
-def _product(pieces: Iterable[Sequence[int]], packed: bool = False) -> Sequence[int]:
-    """The reduced product of reduced pieces, int letters or packed.
-
-    Only letters where two pieces meet can cancel, so each piece first
-    cancels its head against the tail of the product so far, one pair per
-    turn, and the rest of it is copied whole, in C.  A piece that cancels
-    whole lets the next one cancel further back, across earlier pieces.
-    Int pieces may be any iterables and give a list.  With ``packed`` they
-    are bytes (see ``_residual``), joined on a bytearray, and give bytes.
-    """
-    out = bytearray(1) if packed else [0]  # a sentinel, as in _residual: no letter cancels it
-    pop = out.pop
-    for piece in pieces:
-        if not packed:
-            _join(out, piece)
-            continue
-        if piece and out[-1] + piece[0] == 256:  # else the piece is copied whole at once
-            cut = 1
-            pop()
-            while cut < len(piece) and out[-1] + piece[cut] == 256:
-                pop()
-                cut += 1
-            piece = piece[cut:]
-        out += piece
-    del out[0]
-    return bytes(out) if packed else out
-
-
-def _join(out: list[int] | bytearray, piece: Iterable[int], base: int = 0) -> None:
-    """Multiply reduced letters ``out``, behind a sentinel 0, by a reduced piece, in place.
-
-    A letter and its inverse sum to ``base``: 0 on ints, 256 packed, on a
-    bytearray.  The head cancels one pair per turn, the rest is copied whole
-    in C; ``_product`` joins packed pieces inline (a call each cost 3%).
-    """
-    pop = out.pop
-    rest = iter(piece)
-    for x in rest:
-        if out[-1] + x != base:
-            out.append(x)
-            break
-        pop()
-    out.extend(rest)
 
 
 def reduce(w: Word) -> Word:
@@ -593,127 +446,6 @@ def _walk_table(root: Sequence[int], n: int) -> list[bool]:
     if root:
         walk(root, 0, 0)
     return table * (1 << (n - top))
-
-
-def mismatch_line(w: Word, n: int, mask: int) -> str:
-    """How w disagrees with a spec on nails 1..n at the removal ``mask``."""
-    subset = NailSubset(n, mask)
-    word, spec = ("falls", "hang") if falls(w, subset) else ("hangs", "fall")
-    return f"mismatch at subset {subset}: word {word} but spec says {spec}"
-
-
-def _masks_of_size(n: int, k: int) -> Iterator[int]:
-    """All n-bit masks with k bits set, in increasing numeric order."""
-    if k == 0:
-        yield 0
-        return
-    mask = (1 << k) - 1
-    top = 1 << n
-    while mask < top:
-        yield mask
-        # Gosper's hack: next mask with the same popcount.
-        low = mask & -mask
-        ripple = mask + low
-        mask = (((ripple ^ mask) >> 2) // low) | ripple
-
-
-def verify_threshold(
-    w: Word, n: int, k: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> tuple[int | None, str, int]:
-    """Check w against "at least k of nails 1..n removed", 0 <= k <= n (see ``_verdict``)."""
-    return _verdict(w, n, k, None, "verify_threshold", limit)
-
-
-def _verdict(
-    w: Word,
-    n: int,
-    k: int | None,
-    reference: Callable[[], list[bool]] | None,
-    what: str,
-    limit: int,
-) -> tuple[int | None, str, int]:
-    """Check w against a spec on nails 1..n: the package's one verifier.
-
-    ``k`` is a k-of-n spec's threshold, None for any other spec, whose
-    table ``reference()`` builds, only if the walk decides.  A threshold
-    builds no table: the walk is compared with ``mask.bit_count() >= k``
-    mask by mask, in C, up to the first mismatch, and ``reference`` is not
-    called.  Returns the first mask where the word's fall table differs,
-    or None; the method that decided, "boundary" or "table"; and the
-    masks checked.
-
-    The word is set up by ``_search_root`` under the caller's name
-    ``what`` (nails, then ``limit``), and only then is a k outside 0..n
-    refused.  ``_verify_plan`` picks the method: the boundary
-    (``_boundary_mismatch``; exact since falling is monotone, see the
-    `compiler` docstring) or the walk of every subset (``_walk_table``).
-    A failed boundary hands over to the walk, which names the first mask.
-    """
-    root = _search_root(w, n, what, limit)
-    if k is not None and not 0 <= k <= n:
-        raise ValueError(f"threshold k={k} out of range 0..{n}")
-    method, masks = _verify_plan(n, k)
-    if method == "boundary" and _boundary_mismatch(root, n, k) is None:
-        return None, method, masks
-    got = _walk_table(root, n)
-    if k is not None:
-        want = map(ge, map(int.bit_count, range(1 << n)), repeat(k))
-    elif got == (want := reference()):
-        return None, "table", 1 << n
-    return next(compress(count(), map(ne, got, want)), None), "table", 1 << n
-
-
-def _verify_plan(n: int, k: int | None) -> tuple[str, int]:
-    """The method that would check a spec on nails 1..n, and the subsets it decides.
-
-    ``k`` is a k-of-n spec's threshold, None for any other spec.  A threshold
-    is checked on its boundary, its k- and (k-1)-subsets, which shares the
-    residuals of their common first nails (``_boundary_mismatch``); the rest
-    walk all 2^n subsets.
-    """
-    method = _verify_method(k)
-    return method, comb(n, k) + (k and comb(n, k - 1)) if method == "boundary" else 1 << n
-
-
-def _verify_method(k: int | None) -> str:
-    """The method that checks a spec of threshold ``k``, None for any other spec."""
-    return "table" if k is None else "boundary"
-
-
-def _boundary_mismatch(root: Sequence[int], n: int, k: int) -> int | None:
-    """A mask where the checked, reduced letters disagree with k-of-n, or None.
-
-    Each (k-1)-subset R must leave a nonempty residual, and each k-subset,
-    R and one nail above R's highest, must empty it; every k-subset is
-    reached once, R in the lexicographic order of ``combinations``.  While
-    a residual is longer than `_SHARED_PREFIX_LETTERS`, R's nails are
-    stripped one at a time, lowest first, so every R that starts with the
-    same nails shares their residual, as the walk of ``_walk_table`` does.
-    Below it, the rest of each R is dropped from that residual by
-    ``_drop``.  The nail above goes by ``_strip``, the search's one child
-    step.  The mask returned is not always the first that disagrees.
-    """
-    if not k:
-        return 0 if root else None
-
-    def below(residual: Sequence[int], dropped: int, start: int, left: int) -> int | None:
-        # Every R that holds the nails of ``dropped`` and ``left`` more from start..n.
-        if left and len(residual) > _SHARED_PREFIX_LETTERS:
-            for nail in range(start, n - left + 2):
-                got = below(_strip(residual, nail), dropped | 1 << nail - 1, nail + 1, left - 1)
-                if got is not None:
-                    return got
-            return None
-        for rest in combinations(range(start, n + 1), left):
-            kept = _residual(_drop(residual, rest)) if rest else residual
-            if not kept:
-                return dropped | _as_mask(rest)
-            for nail in range(rest[-1] + 1 if rest else start, n + 1):
-                if _strip(kept, nail):
-                    return dropped | _as_mask(rest) | 1 << nail - 1
-        return None
-
-    return below(root, 0, 1, k - 1)
 
 
 def is_monotone_table(table: list[bool], n: int) -> bool:

@@ -30,7 +30,8 @@ from picturehang.circuits import (
 )
 from picturehang.compiler import compile_circuit
 from picturehang.puzzles import load_fixtures
-from picturehang.words import NailSubset, Word, _verify_plan, fall_table
+from picturehang.verifier import _verify_plan
+from picturehang.words import NailSubset, Word, fall_table
 
 
 def test_eval_and_table_agree():

@@ -24,7 +24,7 @@ from picturehang.circuits import (
 from picturehang.cli import main
 from picturehang.compiler import BudgetExceededError, compile_circuit, lay_out
 import picturehang.compiler as compiler
-from picturehang.constructions import _splice, build_e, e_word_length
+from picturehang.constructions import _balanced, _product, _splice, build_e, e_word_length
 from picturehang.gadgets import (
     _AND_TEMPLATE,
     _OR_TEMPLATE,
@@ -44,16 +44,13 @@ from picturehang.gadgets import (
 from picturehang.circuits import UnrealizableSpecError
 from picturehang.puzzles import fixture_by_id
 from picturehang.sortnet import build_k_of_n
+from picturehang.verifier import _boundary_mismatch, _verify_plan, verify_threshold
 from picturehang.words import (
     EMPTY_WORD,
     NailSubset,
     Word,
-    _balanced,
-    _boundary_mismatch,
     _pack,
-    _product,
     _search_root,
-    _verify_plan,
     commutator,
     concat,
     fall_table,
@@ -63,7 +60,6 @@ from picturehang.words import (
     raw_commutator,
     raw_concat,
     raw_inverse,
-    verify_threshold,
 )
 
 X3, X4 = Word((3,)), Word((4,))
@@ -917,7 +913,7 @@ def test_boundary_shares_prefix_residuals_and_agrees_with_the_table(monkeypatch,
     # Residuals past words._SHARED_PREFIX_LETTERS are stripped one nail at a
     # time and shared; set to 0 every subset is reached that way, and set
     # past every word none is.  Rows of n = 9 and 10 hold 294 to 612 letters.
-    monkeypatch.setattr("picturehang.words._SHARED_PREFIX_LETTERS", shared)
+    monkeypatch.setattr("picturehang.verifier._SHARED_PREFIX_LETTERS", shared)
     rng = random.Random(36)
     rows = [(k, n) for n in range(1, 8) for k in range(1, n + 1)] + [(5, 8), (6, 9), (7, 10)]
     checked = mismatches = 0
@@ -1202,3 +1198,19 @@ def test_meet_searches_the_starts_the_letter_walks_found():
     assert max(ties) >= 64
     for call in calls:
         _check_meet(*call)
+
+
+@pytest.mark.parametrize("k, m", [(2, 12), (3, 11), (5, 14)])
+def test_a_formula_past_nail_127_compiles_to_its_word_from_nail_1_shifted(k, m, monkeypatch):
+    # At most 127 nails in use past nail 127 are laid out relabeled 1..h, on
+    # bytes; a relabeling in order changes no word.
+    plans = []
+    real = compiler.lay_out
+    monkeypatch.setattr(compiler, "lay_out", lambda plan: plans.append(type(plan)) or real(plan))
+
+    def word(first):
+        text = f"atleast({k}; {', '.join(f'r{i}' for i in range(first, first + m))})"
+        return compile_circuit(parse_formula(text), budget=None, verify=False).word.letters
+
+    assert word(121) == tuple(x + 120 if x > 0 else x - 120 for x in word(1))
+    assert set(plans) == {compiler._Packed}

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,14 +20,26 @@ WATCHED = (
     "picturehang.sortnet",
     "picturehang.puzzles",
     "picturehang.render",
+    "picturehang.formula",
+    "picturehang.verifier",
+    "picturehang.spectator",
+    "picturehang.constructions",
     "dataclasses",
     "inspect",
 )
 # The watched modules each command loads; light commands load none.
 LOADS = {
     "render": ["picturehang.render"],
-    "compile": ["picturehang.circuits", "picturehang.compiler"],
-    "verify": ["picturehang.circuits"],
+    "solve": ["picturehang.spectator"],
+    "construct": ["picturehang.constructions"],
+    "compile": [
+        "picturehang.circuits",
+        "picturehang.compiler",
+        "picturehang.formula",
+        "picturehang.verifier",
+        "picturehang.constructions",
+    ],
+    "verify": ["picturehang.circuits", "picturehang.verifier"],
     "puzzles": ["picturehang.circuits", "picturehang.puzzles"],
 }
 
@@ -82,7 +95,8 @@ def test_a_compile_target_that_fails_to_parse_loads_no_compiler(argv, tmp_path):
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         check=True,
     )
-    assert json.loads(proc.stdout) == [2, ["picturehang.circuits"]]
+    syntax = ["picturehang.formula"] if argv[0] == "--formula" else []  # a spec file needs none
+    assert json.loads(proc.stdout) == [2, ["picturehang.circuits", *syntax]]
     assert proc.stderr.startswith("error: ")
 
 
@@ -98,6 +112,45 @@ def test_a_k_of_n_with_k_out_of_range_loads_no_compiler():
     code, loaded = json.loads(proc.stdout)
     assert code == 2 and "picturehang.compiler" not in loaded, loaded
     assert proc.stderr.startswith("error: ")
+
+
+def test_words_alone_loads_no_other_package_module():
+    script = "import sys, picturehang.words; print(*sorted(m for m in sys.modules if 'picturehang' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        check=True,
+    )
+    assert proc.stdout.split() == ["picturehang", "picturehang.words"]
+
+
+# Imports each module of the package, then looks up each public name, each first in a
+# fresh package: an import cycle shows only when a module of it is imported first.
+FIRST_SCRIPT = """
+import importlib, sys
+def first(module):
+    for name in [m for m in sys.modules if m.split(".")[0] == "picturehang"]:
+        del sys.modules[name]
+    return importlib.import_module(module)
+for module in {modules!r}:
+    first(module)
+for name in first("picturehang").__all__:
+    getattr(first("picturehang"), name)
+"""
+
+
+def test_each_module_and_public_name_loads_first_in_a_fresh_package():
+    modules = [f"picturehang.{p.stem}" for p in sorted(Path(picturehang.__file__).parent.glob("*.py"))]
+    proc = subprocess.run(
+        [sys.executable, "-c", FIRST_SCRIPT.format(modules=modules)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "picturehang.words" in modules
 
 
 def test_every_public_name_is_its_home_modules_object():

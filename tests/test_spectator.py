@@ -6,12 +6,15 @@ import time
 
 import pytest
 
-from picturehang.constructions import _splice, build_disjoint, build_e, build_s
+from picturehang.circuits import _minimal_sets
+from picturehang.constructions import _balanced, _splice, build_disjoint, build_e, build_s
 from picturehang.gadgets import _AND_TEMPLATE, _OR_TEMPLATE
 from picturehang.gadgets import gadget_and, gadget_and_tree, gadget_or
 from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import (
     _hit,
+    _relabel,
+    _relabel_held,
     greedy_min_fell,
     max_survive_exact,
     min_fell_exact,
@@ -21,12 +24,8 @@ from picturehang.words import (
     ExhaustiveLimitError,
     NailSubset,
     Word,
-    _balanced,
-    _minimal_sets,
     _nails,
     _pack,
-    _relabel,
-    _relabel_held,
     _residual,
     fall_table,
     falls,

@@ -8,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from picturehang import compiler
-from picturehang.circuits import PuzzleSpec, parse_formula
+from picturehang.circuits import PuzzleSpec, _minimal_sets, parse_formula
 from picturehang.compiler import compile_circuit
+from picturehang.constructions import _product
 from picturehang.gadgets import gadget_and
 from picturehang.sortnet import build_k_of_n
+from picturehang.spectator import _kept_residual, _masks_of_size
 from picturehang.spectator import max_survive_exact, min_fell_exact, set_cover_to_hanging
+from picturehang.verifier import _verdict, verify_threshold
 from picturehang.words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     EMPTY_WORD,
@@ -33,7 +36,6 @@ from picturehang.words import (
     raw_commutator,
     reduce,
     remove_nails,
-    verify_threshold,
     word_from_json,
     word_to_json,
 )
@@ -41,16 +43,11 @@ from picturehang.words import (
     _as_mask,
     _drop,
     _invert,
-    _kept_residual,
-    _masks_of_size,
-    _minimal_sets,
     _nails_of,
     _pack,
-    _product,
     _residual,
     _search_root,
     _strip,
-    _verdict,
     check_limit,
     check_nails,
 )
