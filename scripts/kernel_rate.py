@@ -6,7 +6,7 @@ word three ways: plain reduction, a one-nail strip (each nail in turn) and
 a keep-one-nail strip (every nail but one, each in turn), the last two
 being what ``fall_table`` and ``max_survive_exact`` ask most.  Each way
 runs on the word as a tuple of ints and packed one byte per letter
-(``words._pack``), as does the join product ``constructions._product`` on the
+(``words._pack``), as does the join product ``gadgets._product`` on the
 reduced pieces of the top AND gadget of each encoding of two leaves or
 more, which ``gadgets.gadget_and_tree`` lays out.  A second table times
 keep-few strips (every set of one to three kept nails, packed) by
@@ -17,12 +17,13 @@ and beside them by a copy of ``_kept_residual`` that stops after one
 sweep.  The rate
 counts the letters the kernel is handed, so a strip that drops most of
 them still counts them all.  A set-up row times what an exact spectator
-search does before its first strip, in letters per second:
-``words._search_root`` (check and pack) and ``spectator._relabel_held`` (find
-the held nails and relabel them) on each Set Cover word as laid out,
-which keeps its packed letters as its gadget tree's root
+search does before its first strip, in letters per second: the one
+set-up ``spectator._set_up`` (check and pack by ``words._search_root``,
+find the held nails, relabel them and the gadget tree onto 1..h unless
+they are 1..h already, pick the residual source) on each Set Cover word
+as laid out, which keeps its packed letters as its gadget tree's root
 (``Word.tree.root``), beside the same word rebuilt from its int letters,
-which is packed again.  A third table times
+which is packed again and has no tree.  A third table times
 the residuals the searches ask of a Set Cover word of two leaves or more,
 read from its letters and from its gadget tree (``Word.tree``, laid out
 again on its leaves' residuals): one-nail removals, each nail in turn,
@@ -61,10 +62,10 @@ from math import comb
 
 from picturehang import compiler
 from picturehang.circuits import _minimal_sets
-from picturehang.constructions import _product, _splice, build_e
-from picturehang.gadgets import _AND_TEMPLATE, _G1, _G2, gadget_and_tree
+from picturehang.constructions import _splice, build_e
+from picturehang.gadgets import _AND_TEMPLATE, _G1, _G2, _product, gadget_and_tree
 from picturehang.sortnet import build_k_of_n
-from picturehang.spectator import _kept_residual, _relabel_held, set_cover_to_hanging
+from picturehang.spectator import _kept_residual, _set_up, set_cover_to_hanging
 from picturehang.verifier import _boundary_mismatch
 from picturehang.words import (
     _BYTES,
@@ -217,11 +218,8 @@ def main() -> None:
         print(f"{name:>16} {spread(by_letters):>28} {spread(by_tree):>28}"
               f" {by_tree[0] / by_letters[0]:>6.2f}")
 
-    def set_up(word: Word, n: int) -> None:
-        _relabel_held(_search_root(word, n), n)
-
     rebuilt = [(Word(word.letters, reduced=True), n) for word, n in encoded]
-    ints, laid_out = (rate(set_up, forms, total, args.repeat) for forms in (rebuilt, encoded))
+    ints, laid_out = (rate(_set_up, forms, total, args.repeat) for forms in (rebuilt, encoded))
     print(f"{'work':>16} {'from ints letters/s':>28} {'as laid out letters/s':>28} {'ratio':>6}")
     print(f"{'search set-up':>16} {spread(ints):>28} {spread(laid_out):>28} {laid_out[0] / ints[0]:>6.2f}")
 

@@ -89,7 +89,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         return _emit_compile(report, args.json)
     classes = []
     for chunk in args.classes.split("/"):
-        members = {int(tok) for tok in chunk.split(",") if tok.strip()}
+        members = set()
+        for tok in filter(str.strip, chunk.split(",")):
+            try:
+                members.add(int(tok))
+            except ValueError:
+                raise ValueError(f"bad token {tok.strip()!r} in partition {args.classes!r}") from None
         if not members:
             raise ValueError(f"empty class in partition {args.classes!r}")
         classes.append(members)

@@ -58,7 +58,7 @@ one's word is known.  The pieces of a product are graded over disjoint
 families, so no two share a multidegree; a word times its own inverse
 would cancel.  The greedy can lose letters at a later join, so `lay_out`
 keeps the plain join product of the same pieces (`constructions._join`, the join
-of `constructions._product`, which the gadgets share) whenever turning did not
+of `gadgets._product` on ints, which the gadgets share) whenever turning did not
 make the word shorter.  A compiled word is thus never longer than its
 plan joined plain.
 

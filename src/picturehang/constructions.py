@@ -5,8 +5,8 @@ recursion is kept, no reduction is applied.  The classic length formulas are
 stated against exactly these sequences (none of them admits a cancellation).
 A template's letter +-i stands for its i-th argument or that argument's inverse;
 `_splice` lays out every template: balanced and class words here, and the gadgets.
-The balanced tree (`_balanced`) and the join product of reduced pieces, which
-cancels only where they meet (`_product`, `_join`), serve the gadgets and the compiler.
+The balanced tree (`_balanced`) and the join of a reduced piece, cancelling only where
+it meets the product (`_join`, under `gadgets._product`), serve the gadgets and the compiler.
 """
 
 from __future__ import annotations
@@ -139,40 +139,12 @@ def _balanced(items: Sequence[_T], join: Callable[[_T, _T], _T]) -> _T:
     return join(_balanced(items[:half], join), _balanced(items[half:], join))
 
 
-def _product(pieces: Iterable[Sequence[int]], packed: bool = False) -> Sequence[int]:
-    """The reduced product of reduced pieces, int letters or packed.
-
-    Only letters where two pieces meet can cancel, so each piece first
-    cancels its head against the tail of the product so far, one pair per
-    turn, and the rest of it is copied whole, in C.  A piece that cancels
-    whole lets the next one cancel further back, across earlier pieces.
-    Int pieces may be any iterables and give a list.  With ``packed`` they
-    are bytes (see ``_residual``), joined on a bytearray, and give bytes.
-    """
-    out = bytearray(1) if packed else [0]  # a sentinel, as in _residual: no letter cancels it
-    pop = out.pop
-    for piece in pieces:
-        if not packed:
-            _join(out, piece)
-            continue
-        if piece and out[-1] + piece[0] == 256:  # else the piece is copied whole at once
-            cut = 1
-            pop()
-            while cut < len(piece) and out[-1] + piece[cut] == 256:
-                pop()
-                cut += 1
-            piece = piece[cut:]
-        out += piece
-    del out[0]
-    return bytes(out) if packed else out
-
-
 def _join(out: list[int] | bytearray, piece: Iterable[int], base: int = 0) -> None:
     """Multiply reduced letters ``out``, behind a sentinel 0, by a reduced piece, in place.
 
     A letter and its inverse sum to ``base``: 0 on ints, 256 packed, on a
     bytearray.  The head cancels one pair per turn, the rest is copied whole
-    in C; ``_product`` joins packed pieces inline (a call each cost 3%).
+    in C; ``gadgets._product`` joins packed pieces inline (a call each cost 3%).
     """
     pop = out.pop
     rest = iter(piece)

@@ -13,11 +13,10 @@ Each template (`and_template_tokens`, `or_template_tokens`) is its gadget
 laid out, unreduced, on p = x3 and q = x4: letters +-3 and +-4 are slots,
 +-1 and +-2 glue.  It drives both building and accounting: a gadget lays
 the template out with `constructions._splice` on the arguments (x1, x2, p,
-q), glue letters as arguments 1 and 2, and reduces at the joins, packed
-from leaves to root when every nail is at most 127; such a word keeps the
-tree it was laid out from (``Word.tree``, a ``_Tree``), which holds its
-packed root for the searches to start from and gives the spectator
-searches the residual of each removal.
+q), glue letters as arguments 1 and 2, and reduces at the joins (`_product`),
+packed from leaves to root when every nail is at most 127; such a word
+keeps the tree it was laid out from (``Word.tree``, a ``_Tree``): the
+spectator searches' packed root and residual of each removal.
 Laid out with single-letter arguments the AND template has 14 letters (4
 copies of p, 4 of q, 6 glue) and the OR template 1,078.  The flat
 bookkeeping of the OR counts 256 p-slots, 256 q-slots and 566 glue
@@ -31,10 +30,10 @@ from __future__ import annotations
 
 import struct
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .circuits import MonotoneCircuit, Var, evaluate
-from .constructions import _balanced, _product, _splice
+from .constructions import _balanced, _join as _join_in_place, _splice  # not the gadget's _join
 from .spectator import _both, _relabel
 from .words import _BYTES, _PACKED_NAILS, Word, _invert, _nails, _pack, _residual, _set_tree
 from .words import nail_counts, raw_commutator, raw_concat, raw_inverse
@@ -119,6 +118,32 @@ def _join(template: tuple[int, ...], g1: Sequence[int], g2: Sequence[int]) -> Ca
         return _product(_splice(template, (g1, g2, p, q), _invert), packed)
 
     return join
+
+
+def _product(pieces: Iterable[Sequence[int]], packed: bool = False) -> Sequence[int]:
+    """The reduced product of reduced pieces: int iterables give a list, ``packed`` bytes give bytes.
+
+    Only letters where two pieces meet can cancel, so each piece first
+    cancels its head against the tail of the product so far, one pair per
+    turn, and the rest of it is copied whole, in C.  A piece that cancels
+    whole lets the next one cancel further back, across earlier pieces.
+    """
+    out = bytearray(1) if packed else [0]  # a sentinel, as in _residual: no letter cancels it
+    pop = out.pop
+    for piece in pieces:
+        if not packed:
+            _join_in_place(out, piece)
+            continue
+        if piece and out[-1] + piece[0] == 256:  # else the piece is copied whole at once
+            cut = 1
+            pop()
+            while cut < len(piece) and out[-1] + piece[cut] == 256:
+                pop()
+                cut += 1
+            piece = piece[cut:]
+        out += piece
+    del out[0]
+    return bytes(out) if packed else out
 
 
 class _Tree(NamedTuple):

@@ -2,33 +2,24 @@
 
 Three questions about a hanging word: the fewest nail removals that drop
 the picture, the most removals it survives, and a Set-Cover-shaped
-instance generator whose optimum transfers to the felling problem.  The
-exact searches run on the nails the reduced word holds, relabeled 1..h
-(`_relabel_held`, whose table `_relabel` the gadget tree shares).
-Deleting nails is a homomorphism, so the residual of a subset is its parent's residual with one more nail
-stripped: `min_fell_exact` grows the hanging sets layer by layer from the
-empty set, and `greedy_min_fell` keeps the residual of the nail it picks.
-From the other end, `_kept_sets` scans the sets of t = 1, 2, ... kept
-nails, whose adjacent pairs it cancels in C first, sweep after sweep
-(`_kept_residual`): `max_survive_exact` stops at the first whose
-word does not fall, and `min_fell_exact` keeps such sets as clauses,
-which every felling set meets, and tests the first smallest set that
-meets them all.  All three are set up by `words._search_root`, which
-checks the nails and, for the exact two, the exhaustive limit, then packs
-the word once, one byte per letter when n is at most 127 (a word the
-gadgets laid out on bytes arrives packed, the root of its `Word.tree`),
-and reduces it.  They find the nails a packed residual holds by one
-memchr for each of nails 1..n (`words._nails_of`), and step from a
-parent's residual to a child's only by `words._strip`.  That gadget tree
-lays itself out again on its leaves' residuals; the searches then read their
-residuals from it instead of reducing letters: `greedy_min_fell` each
-candidate's, `min_fell_exact` each bottom child's and each top kept set's,
-and `max_survive_exact` each kept set's, the last two on the tree
-relabeled onto the held nails.  A kept set of one nail is still read by
-two counts, and every other word keeps the letter path.  The gadgets of
-`set_cover_to_hanging`, one E-word per distinct minimal owner set under
-`gadgets.gadget_and_tree`, load with its first call, not with the solvers,
-and so does `circuits._minimal_sets`.  The solvers' helpers live here, not
+instance generator whose optimum transfers to the felling problem.  One
+routine, `_set_up`, sets each search up: `words._search_root` checks the
+nails (and, for the exact two, the exhaustive limit), packs the word once
+when n is at most 127 (a gadget word arrives packed, its `Word.tree`'s
+root) and reduces it; the nails it holds (`words._nails_of`, a memchr
+each) are relabeled 1..h with the tree unless they are 1..h already; and
+the residual source is picked once: the tree, laid out again on its
+leaves' residuals, or the letters.  Deleting nails is a homomorphism, so
+a subset's residual is its parent's with one more nail stripped
+(`words._strip`): `min_fell_exact` grows the hanging sets layer by layer
+from the empty set, and `greedy_min_fell` keeps the residual of the nail
+it picks.  From the other end, `_kept_sets` scans the sets of t = 1, 2,
+... kept nails, cancelling their adjacent pairs in C first, sweep after
+sweep (`_kept_residual`): `max_survive_exact` stops at the first whose
+word does not fall, and `min_fell_exact` keeps such sets as clauses, which
+every felling set meets, and tests the first smallest set that meets them
+all.  `set_cover_to_hanging`'s gadgets and `circuits._minimal_sets` load
+with its first call, not with the solvers, whose helpers live here, not
 in `words`, which every command compiles.
 """
 
@@ -55,14 +46,13 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     bitmask.  Always well defined: removing every nail empties the word.
 
     The search runs from both ends on the h nails the reduced word holds,
-    the only ones in a smallest answer, relabeled 1..h in order
-    (``_relabel_held``).  The bottom side walks the hanging sets by
-    size: a subset's parent is the subset less its lowest nail, and its
-    residual is the parent's with the new nail stripped (``words._strip``).
-    Parents go in increasing order and their children by increasing nail,
-    so each layer comes out in numeric order and its first empty residual
-    is the answer; a subset holding nail 1 has no children and keeps no
-    residual.
+    the only ones in a smallest answer, relabeled 1..h (``_set_up``).  The
+    bottom side walks the hanging sets by size: a subset's parent is the
+    subset less its lowest nail, and its residual is the parent's with the
+    new nail stripped.  Parents go in increasing order and their children
+    by increasing nail, so each layer comes out in numeric order and its
+    first empty residual is the answer; a subset holding nail 1 has no
+    children and keeps no residual.
 
     The top side keeps t = 1, 2, ... nails.  Keeping more nails never fells
     a word, so a removal hangs exactly when the nails it keeps hold a
@@ -76,23 +66,19 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
     bottom layer costs each parent's residual length times its children,
     a top layer of t nails about C(h - 1, t - 1) L, for a word of L letters.
     """
-    root = _search_root(w, n, "min_fell_exact", limit)
-    if not root:
+    held, letters, step, kept_residual = _set_up(w, n, "min_fell_exact", limit)
+    if not letters:
         return NailSubset(n, 0)
-    held, letters = _relabel_held(root, n)
-    tree = w.tree and w.tree.relabel(held)
     h, full = len(held), (1 << len(held)) - 1
     layer: dict[int, Sequence[int]] = {0: letters}  # every set of `cleared` nails hangs
     clauses: list[int] = []  # no set of fewer than `least` nails meets them all
     cleared, least, t = 0, 1, 1
 
     def kept(keep: int) -> Sequence[int]:
-        if tree and keep & keep - 1:
-            return tree.residual(full ^ keep)
         source = full ^ keep
         for _ in range(source.bit_count() - cleared):
             source &= source - 1  # down to its highest `cleared` nails
-        return _kept_residual(layer.get(source, letters), keep)
+        return kept_residual(layer.get(source, letters), keep)
 
     while True:
         price = sum(len(r) * ((m & -m).bit_length() - 1 if m else h) for m, r in layer.items())
@@ -101,7 +87,7 @@ def min_fell_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Na
             for mask in list(layer):
                 residual = layer.pop(mask)
                 for i in range((mask & -mask).bit_length() - 1 if mask else h):
-                    rest = tree.residual(mask | 1 << i) if tree else _strip(residual, i + 1)
+                    rest = step(residual, mask | 1 << i, i + 1)
                     if not rest:
                         return NailSubset(n, _unlabel(held, mask | 1 << i))
                     if i:
@@ -128,25 +114,16 @@ def max_survive_exact(w: Word, n: int, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) ->
     Only the h nails the reduced word holds are scanned.  The others change
     nothing, so they belong to every largest answer, and with their bits
     fixed the numeric order of the answers is that of their held parts.
-    The held nails are relabeled 1..h in order once, by one
-    ``bytes.translate`` on a packed word, which keeps that order
-    (``_relabel_held``).  The kept sets of t = 1, 2, ... nails are
-    scanned as ``_kept_sets`` orders them; the first whose word does not
-    fall, mapped back, is kept, and every other nail is the answer.
+    ``_set_up`` relabels the held nails 1..h in order, which keeps that
+    order.  The kept sets of t = 1, 2, ... nails are scanned as
+    ``_kept_sets`` orders them; the first whose word does not fall, mapped
+    back, is kept, and every other nail is the answer.
     """
-    root = _search_root(w, n, "max_survive_exact", limit)
-    if not root:
+    held, letters, _, kept = _set_up(w, n, "max_survive_exact", limit)
+    if not letters:
         raise ValueError("word is trivial: the picture has already fallen")
-    held, letters = _relabel_held(root, n)
-    tree, full = w.tree and w.tree.relabel(held), (1 << len(held)) - 1
-
-    def kept(keep: int) -> Sequence[int]:
-        if tree and keep & keep - 1:
-            return tree.residual(full ^ keep)
-        return _kept_residual(letters, keep)
-
     for t in range(1, len(held) + 1):
-        for keep in _kept_sets(len(held), t, kept):
+        for keep in _kept_sets(len(held), t, lambda keep: kept(letters, keep)):
             return NailSubset(n, (1 << n) - 1 ^ _unlabel(held, keep))
     raise AssertionError("unreachable: the empty subset hangs a nontrivial word")
 
@@ -199,19 +176,19 @@ def greedy_min_fell(w: Word, n: int) -> NailSubset:
     one chosen or cancelled cannot shorten it.  No approximation guarantee
     is claimed; the exact optimum is never larger.
     """
-    chosen, tree = 0, w.tree
-    residual = _search_root(w, n)
+    held, residual, step, _ = _set_up(w, n)
+    chosen, nails = 0, range(1, len(held) + 1)  # the root holds every nail 1..h
     while residual:
         best = 0, residual  # a strip of a held nail is shorter
-        for nail in sorted(_nails_of(residual, n)):
-            rest = tree.residual(chosen | 1 << nail - 1) if tree else _strip(residual, nail)
+        for nail in nails:
+            rest = step(residual, chosen | 1 << nail - 1, nail)
             if len(rest) < len(best[1]):
                 best = nail, rest
                 if not rest:
                     break
         nail, residual = best
-        chosen |= 1 << nail - 1
-    return NailSubset(n, chosen)
+        chosen, nails = chosen | 1 << nail - 1, sorted(_nails_of(residual, len(held)))
+    return NailSubset(n, _unlabel(held, chosen))
 
 
 def set_cover_to_hanging(
@@ -249,14 +226,38 @@ def set_cover_to_hanging(
     return gadget_and_tree(leaves), dict(enumerate(map(tuple, owners), start=1))
 
 
-def _relabel_held(letters: Sequence[int], n: int) -> tuple[list[int], Sequence[int]]:
-    """The nails the letters wrap, sorted, and the letters relabeled 1..h, packed if h <= 127.
+def _set_up(w: Word, n: int, what: str = "", limit: int | None = None) -> tuple:
+    """The search ``what`` on w, set up once: held nails, letters, child step and kept residual.
 
-    The letters are checked against n, which bounds the nails looked for.
+    ``words._search_root`` checks and reduces the word; its held nails and
+    tree (``Word.tree``), if any, are relabeled 1..h unless already packed
+    on 1..h.  ``step(parent, mask, nail)`` is the residual of removing
+    ``mask``, the parent's removal plus ``nail``, and ``kept(source, keep)``
+    that of keeping only ``keep`` of ``source``.  The tree answers both but
+    a one-nail keep; without one, ``words._strip`` and ``_kept_residual`` do.
+    """
+    root, tree = _search_root(w, n, what, limit), w.tree
+    held, letters = _relabel_held(root, n)
+    if tree and letters is not root:
+        tree = tree.relabel(held)
+    if not tree:
+        return held, letters, lambda parent, mask, nail: _strip(parent, nail), _kept_residual
+    full = (1 << len(held)) - 1
+
+    def kept(source: Sequence[int], keep: int) -> Sequence[int]:
+        return tree.residual(full ^ keep) if keep & keep - 1 else _kept_residual(source, keep)
+
+    return held, letters, lambda parent, mask, nail: tree.residual(mask), kept
+
+
+def _relabel_held(letters: Sequence[int], n: int) -> tuple[list[int], Sequence[int]]:
+    """The nails the letters wrap, checked against n and sorted, and the letters relabeled 1..h.
+
+    They are packed if h <= 127; packed letters on nails 1..h are returned as they are.
     """
     held = sorted(_nails_of(letters, n))
     if isinstance(letters, bytes):
-        return held, letters.translate(_relabel(held))
+        return held, letters if len(held) == max(held, default=0) else letters.translate(_relabel(held))
     rank = {nail: i for i, nail in enumerate(held, start=1)}
     return held, _pack([rank[x] if x > 0 else -rank[-x] for x in letters])
 

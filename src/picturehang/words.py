@@ -21,15 +21,14 @@ is at most 127.  Every subset search here and in `spectator` is set up by
 packed once (by one `struct.pack`, or, for a word the gadgets laid out on
 bytes, the root its tree keeps) and reduced.  Each step to a child
 residual is `_strip`: one `bytes.translate` in C, whose length shows
-whether the nail was held, then the loop only if it was.  A word the
-gadgets laid out on bytes keeps that tree (`Word.tree`), and the three
-spectator searches ask it for their residuals instead (see `spectator`).
+whether the nail was held, then the loop only if it was; a spectator
+search asks the tree instead (`spectator._set_up`).
 A packed word's nails are found by one memchr each (`_nails_of`).  Plain
 reduction of a word as built stays on ints.
 
 Every command compiles this module, so a helper only some callers use
 lives in the one module they all load: the verifier in `verifier`, the
-join product (`constructions._product`) and the kept-set pre-cancel
+join product (`gadgets._product`) and the kept-set pre-cancel
 (`spectator._kept_residual`), which take work off the kernel's loop, with
 their callers.
 """
@@ -149,14 +148,11 @@ class Word(_Record):
     passed straight to ``Word`` is undefined: reduction may raise
     ``IndexError`` or keep the zero.
 
-    ``tree`` is None, or the ``gadgets._Tree`` the word was laid out from:
-    ``tree.root`` is its letters as ``_pack`` bytes, which the searches
-    start from (``_search_root``), ``tree.residual(mask)`` the reduced
-    residual of the root after removing the nails in ``mask``, and
-    ``tree.relabel(held)`` the same tree on the held nails relabeled 1..h;
-    ``spectator``'s three searches read their residuals from it.  Only
-    ``gadgets._lay_out`` sets it (``_set_tree``), on the words it lays out
-    on bytes; equality, hashing and ``len`` ignore it.
+    ``tree`` is None, or the ``gadgets._Tree`` the word was laid out from
+    on bytes: its ``root`` is the packed letters a search starts from
+    (``_search_root``), and ``spectator._set_up`` makes it the search's one
+    residual source.  Only ``gadgets._lay_out`` sets it (``_set_tree``);
+    equality, hashing and ``len`` ignore it.
     """
 
     __slots__ = ("letters", "reduced", "tree")

@@ -31,6 +31,13 @@ def test_construct_classes(capsys):
     assert out.strip() == "x1 x2 x3 x4 X2 X1 X4 X3"
 
 
+@pytest.mark.parametrize("partition, token", [("a", "a"), ("1,2/3, x4", "x4"), ("1/2.0", "2.0")])
+def test_construct_classes_names_a_bad_token_and_its_partition(capsys, partition, token):
+    code, out, err = run(capsys, "construct", "classes", "--classes", partition)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad token {token!r} in partition {partition!r}\n"
+
+
 SINGLE_NAIL_CLASSES = "/".join(map(str, range(1, 20001)))
 # 2,000 classes of five nails; 2,000 single nails would give 4,046,848 letters.
 FIVE_NAIL_CLASSES = "/".join(",".join(map(str, range(i, i + 5))) for i in range(1, 10001, 5))

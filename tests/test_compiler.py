@@ -24,12 +24,13 @@ from picturehang.circuits import (
 from picturehang.cli import main
 from picturehang.compiler import BudgetExceededError, compile_circuit, lay_out
 import picturehang.compiler as compiler
-from picturehang.constructions import _balanced, _product, _splice, build_e, e_word_length
+from picturehang.constructions import _balanced, _splice, build_e, e_word_length
 from picturehang.gadgets import (
     _AND_TEMPLATE,
     _OR_TEMPLATE,
     _and_layout,
     _bracket,
+    _product,
     and_splice_cost,
     and_template_tokens,
     estimate_length,

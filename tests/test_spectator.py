@@ -9,12 +9,14 @@ import pytest
 from picturehang.circuits import _minimal_sets
 from picturehang.constructions import _balanced, _splice, build_disjoint, build_e, build_s
 from picturehang.gadgets import _AND_TEMPLATE, _OR_TEMPLATE
-from picturehang.gadgets import gadget_and, gadget_and_tree, gadget_or
+from picturehang.gadgets import _Tree, gadget_and, gadget_and_tree, gadget_or
 from picturehang.sortnet import build_k_of_n
+import picturehang.spectator as spectator
 from picturehang.spectator import (
     _hit,
     _relabel,
     _relabel_held,
+    _set_up,
     greedy_min_fell,
     max_survive_exact,
     min_fell_exact,
@@ -321,6 +323,51 @@ def test_solvers_answer_alike_with_and_without_the_tree():
         for solve in (min_fell_exact, max_survive_exact):
             assert solve(w, n, limit=200) == solve(plain, n, limit=200), (solve.__name__, w, n)
         assert greedy_min_fell(w, n) == greedy_min_fell(plain, n), (w, n)
+
+
+def test_the_set_up_relabels_a_gapped_word_and_its_tree_and_a_dense_one_neither(monkeypatch):
+    """A word packed on nails 1..h is searched as given, tree and all; one with a gap is relabeled.
+
+    Either way the tree answers each step and each kept set of two nails or
+    more, byte for byte the residual of the set-up's letters.
+    """
+    tables, relabeled, asked = [], [], []  # the letters' relabel tables, the tree's relabels, the trees asked
+    relabel, residual = _Tree.relabel, _Tree.residual
+    monkeypatch.setattr(spectator, "_relabel", lambda held: tables.append(held) or _relabel(held))
+    monkeypatch.setattr(_Tree, "relabel", lambda tree, held: relabeled.append(held) or relabel(tree, held))
+    monkeypatch.setattr(_Tree, "residual", lambda tree, mask: asked.append(tree) or residual(tree, mask))
+    dense = gadget_and_tree([build_e([1, 2]), build_e([2, 3])])
+    gapped = gadget_and_tree([build_e([2, 5]), build_e([5, 7])])
+    for w, n, want in [(dense, 3, [1, 2, 3]), (gapped, 8, [1, 2, 5, 7])]:
+        held, letters, step, kept = _set_up(w, n)
+        assert held == want
+        if w is dense:
+            assert letters is w.tree.root and tables == relabeled == []
+        else:
+            assert letters == w.tree.root.translate(_relabel(held)) and tables == relabeled == [held]
+        full = (1 << len(held)) - 1
+        for mask in range(1, full + 1):
+            asked.clear()
+            assert step(None, mask, None) == _residual(letters, mask), (w, mask)
+            assert kept(letters, full ^ mask) == _residual(letters, mask), (w, mask)
+            trees = [w.tree] * (2 if (full ^ mask).bit_count() > 1 else 1)
+            assert (asked == trees) == (w is dense), (w, mask)
+
+
+def test_each_solver_sets_its_search_up_once(monkeypatch):
+    set_up, calls = _set_up, []
+    monkeypatch.setattr(spectator, "_set_up", lambda *args: calls.append(args) or set_up(*args))
+    cover = set_cover_to_hanging(4, [[1, 2], [2, 3], [3, 4], [1, 4]])[0]
+    for w, n in [(cover, 4), (cover, 200), (Word((1, 3, -1, -3)), 3), (Word(()), 2)]:
+        for solve, limit in [(min_fell_exact, n), (max_survive_exact, n), (greedy_min_fell, None)]:
+            calls.clear()
+            args = (w, n) if limit is None else (w, n, limit)
+            if w or solve is not max_survive_exact:
+                solve(*args)
+            else:
+                with pytest.raises(ValueError, match="trivial"):
+                    solve(*args)
+            assert len(calls) == 1, (solve.__name__, w, n)
 
 
 def _brute_cover_optimum(m, sets):

@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from picturehang import compiler
 from picturehang.circuits import PuzzleSpec, _minimal_sets, parse_formula
 from picturehang.compiler import compile_circuit
-from picturehang.constructions import _product
-from picturehang.gadgets import gadget_and
+from picturehang.gadgets import _product, gadget_and
 from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import _kept_residual, _masks_of_size
 from picturehang.spectator import max_survive_exact, min_fell_exact, set_cover_to_hanging
