@@ -56,11 +56,11 @@ product cancels the most, and the first forward start, then the first in
 the inverse, when that ties too; so each piece is placed once the next
 one's word is known.  The pieces of a product are graded over disjoint
 families, so no two share a multidegree; a word times its own inverse
-would cancel.  The greedy can lose letters at a later join, so `lay_out`
-keeps the plain join product of the same pieces (`constructions._join`, the join
-of `gadgets._product` on ints, which the gadgets share) whenever turning did not
-make the word shorter.  A compiled word is thus never longer than its
-plan joined plain.
+would cancel.  The greedy could lose letters at a later join, but no
+plan tried has: each is laid out once, turned, and
+`test_rotated_words_are_exact_and_no_longer_than_the_plain_join` checks
+that no word is longer than its plan joined plain, on every k-of-n with
+n <= 14, every monotone function of four nails and seeded DNFs and CNFs.
 
 x_sigma X_tau, after the one-nail clauses' letters (disjoint nails,
 another free factor), serves a 2-CNF whose 2-nail clauses are the pairs
@@ -138,7 +138,7 @@ from .circuits import (
     evaluate,
     validate_spec,
 )
-from .constructions import _join, e_template, e_word_length, lay_out_e
+from .constructions import e_template, e_word_length, lay_out_e
 from .words import (  # BudgetExceededError is re-exported: callers catch it here
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_LETTER_BUDGET,
@@ -194,64 +194,45 @@ def lay_out(plan: Iterable) -> Word:
     its balanced word from the template of its width, or a `_Bracket` or
     `_Pairs`, and the clauses of its pieces are distinct.  Each piece's word
     is reduced, so the product is reduced at the joins only.  Pieces are
-    turned where they meet (`_meet`, see the module docstring); the plain
-    join product of the same pieces is kept unless longer.  Starts that
+    turned where they meet (`_meet`, see the module docstring).  Starts that
     cancel equally are told apart by the next piece of the same product,
     so each piece is placed once the next one's word is known.  A list of
     clauses is their product.  A `_Packed` plan is laid out on bytes.
     """
-    packed = type(plan) is _Packed
-    letters, plain = _lay_out(plan.plan, 256) if packed else _lay_out(plan)
-    if plain is not None and len(plain) <= len(letters):
-        letters = plain
-    if not packed:
-        return Word(tuple(letters), reduced=True)
+    if type(plan) is not _Packed:
+        return Word(tuple(_lay_out(plan)), reduced=True)
+    letters = _lay_out(plan.plan, 256)
     letters = struct.unpack(f"{len(letters)}b", letters)
     return Word(tuple(map(plan.labels.__getitem__, letters)) if plan.labels else letters, reduced=True)
 
 
-def _lay_out(plan: Iterable, base: int = 0) -> tuple[Sequence[int], Sequence[int] | None]:
-    """The plan's product with its pieces turned where they meet, and its plain join product.
+def _lay_out(plan: Iterable, base: int = 0) -> Sequence[int]:
+    """The plan's product with its pieces turned where they meet.
 
     Each piece is placed once the next piece's word is known, so that
-    `_meet` can look one piece ahead.  The plain product, every piece joined
-    as given by ``constructions._join`` as it comes, is None while no piece turned:
-    the two are then the same letters.  The plan, bracket inners included,
+    `_meet` can look one piece ahead.  The plan, bracket inners included,
     is iterated once.  ``base`` is a letter plus its inverse: 0 on ints, 256 packed.
     """
     out: list[int] | bytearray = bytearray() if base else []
-    plain = None  # from the first piece that turned, behind a sentinel 0: the product so far, joined plain
-    word = plain_word = None  # the piece held back
+    word = None  # the piece held back
     for piece in chain(plan, [None]):
         kind = type(piece)
-        if kind is _Bracket:
-            ahead, plain_ahead = _bracket_letters(piece, base)
+        if kind is _Bracket:  # the prefix and the inner lie on disjoint nails: no letter cancels
+            inner = piece.inner.words(base) if type(piece.inner) is _Inner else _lay_out(piece.inner, base)
+            ahead = _commutator(_clause_word(piece.prefix, base), inner)
         elif kind is _Pairs:
-            ahead = plain_ahead = (_pack if base else list)([*piece.sigma, *map(neg, piece.tau)])
-        elif piece is not None:
-            ahead = plain_ahead = _clause_word(piece, base)
+            ahead = (_pack if base else list)([*piece.sigma, *map(neg, piece.tau)])
         else:
-            ahead = plain_ahead = None
+            ahead = None if piece is None else _clause_word(piece, base)
         if word is not None:
             if out and (base - out[-1] in word or out[-1] in word):  # else no start of it or its inverse cuts
-                cut, letters = _meet(out, word, ahead)
-            else:
-                cut, letters = 0, word
-            if plain is None and (letters is not word or plain_word is not word):
-                plain = out[:0] + b"\0" + out if base else [0, *out]
-            if plain is not None:
-                if plain[-1] + plain_word[0] != base:  # most pieces meet the plain product without a cancel
-                    plain += plain_word
-                else:
-                    _join(plain, plain_word, base)
-            if cut:
-                del out[-cut:]
-                letters = letters[cut:]
-            out += letters
-        word, plain_word = ahead, plain_ahead
-    if plain is not None:
-        del plain[0]
-    return out, plain
+                cut, word = _meet(out, word, ahead)
+                if cut:
+                    del out[-cut:]
+                    word = word[cut:]
+            out += word
+        word = ahead
+    return out
 
 
 def _clause_word(clause: Sequence[int], base: int) -> Sequence[int]:
@@ -262,14 +243,6 @@ def _clause_word(clause: Sequence[int], base: int) -> Sequence[int]:
     label = bytearray(256)  # label i reads the clause's i-th nail, label -i (byte 256 - i) its inverse
     label[1 : m + 1], label[-m:] = clause, bytes(clause[::-1]).translate(_INVERSE)
     return (_TEMPLATES.get(m) or _TEMPLATES.setdefault(m, _pack(e_template(m)))).translate(label)
-
-
-def _bracket_letters(piece: _Bracket, base: int) -> tuple[Sequence[int], Sequence[int]]:
-    """A bracket's word with its inner turned, and with it plain (the same word when nothing turned)."""
-    a = _clause_word(piece.prefix, base)  # a and b lie on disjoint nails: no letter cancels
-    b, plain_b = piece.inner.words(base) if type(piece.inner) is _Inner else _lay_out(piece.inner, base)
-    word = _commutator(a, b)
-    return word, word if plain_b is None else _commutator(a, plain_b)
 
 
 def _meet(out: Sequence[int], word: Sequence[int], ahead: Sequence[int] | None) -> tuple[int, Sequence[int]]:
@@ -521,8 +494,8 @@ class _Inner:
 
     It is listed anew whenever iterated, and laid out once for the whole
     plan (``words``): ``laid``, which all the plan's inners share, keeps
-    their turned and plain words (`_lay_out`) by the count of nails and v,
-    since the nails are always a suffix of the plan's.  It holds words
+    their words (`_lay_out`) by the count of nails and v, since the nails
+    are always a suffix of the plan's.  It holds words
     only, so it is dropped with the plan.
     """
 
@@ -534,7 +507,7 @@ class _Inner:
     def __iter__(self) -> Iterator:
         return iter(_threshold_pieces(self.nails, self.v, self.plans, self.laid))
 
-    def words(self, base: int) -> tuple[Sequence[int], Sequence[int] | None]:
+    def words(self, base: int) -> Sequence[int]:
         key = len(self.nails), self.v
         if key not in self.laid:
             self.laid[key] = _lay_out(self, base)

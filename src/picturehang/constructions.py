@@ -5,8 +5,7 @@ recursion is kept, no reduction is applied.  The classic length formulas are
 stated against exactly these sequences (none of them admits a cancellation).
 A template's letter +-i stands for its i-th argument or that argument's inverse;
 `_splice` lays out every template: balanced and class words here, and the gadgets.
-The balanced tree (`_balanced`) and the join of a reduced piece, cancelling only where
-it meets the product (`_join`, under `gadgets._product`), serve the gadgets and the compiler.
+The balanced tree (`_balanced`) serves the gadgets' AND trees and their length accounting.
 """
 
 from __future__ import annotations
@@ -137,20 +136,3 @@ def _balanced(items: Sequence[_T], join: Callable[[_T, _T], _T]) -> _T:
         raise ValueError("a balanced tree needs at least one item")
     half = (len(items) + 1) // 2
     return join(_balanced(items[:half], join), _balanced(items[half:], join))
-
-
-def _join(out: list[int] | bytearray, piece: Iterable[int], base: int = 0) -> None:
-    """Multiply reduced letters ``out``, behind a sentinel 0, by a reduced piece, in place.
-
-    A letter and its inverse sum to ``base``: 0 on ints, 256 packed, on a
-    bytearray.  The head cancels one pair per turn, the rest is copied whole
-    in C; ``gadgets._product`` joins packed pieces inline (a call each cost 3%).
-    """
-    pop = out.pop
-    rest = iter(piece)
-    for x in rest:
-        if out[-1] + x != base:
-            out.append(x)
-            break
-        pop()
-    out.extend(rest)

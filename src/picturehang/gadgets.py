@@ -33,7 +33,7 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .circuits import MonotoneCircuit, Var, evaluate
-from .constructions import _balanced, _join as _join_in_place, _splice  # not the gadget's _join
+from .constructions import _balanced, _splice
 from .spectator import _both, _relabel
 from .words import _BYTES, _PACKED_NAILS, Word, _invert, _nails, _pack, _residual, _set_tree
 from .words import nail_counts, raw_commutator, raw_concat, raw_inverse
@@ -131,8 +131,14 @@ def _product(pieces: Iterable[Sequence[int]], packed: bool = False) -> Sequence[
     out = bytearray(1) if packed else [0]  # a sentinel, as in _residual: no letter cancels it
     pop = out.pop
     for piece in pieces:
-        if not packed:
-            _join_in_place(out, piece)
+        if not packed:  # any iterable of ints
+            rest = iter(piece)
+            for x in rest:
+                if out[-1] != -x:
+                    out.append(x)
+                    break
+                pop()
+            out.extend(rest)
             continue
         if piece and out[-1] + piece[0] == 256:  # else the piece is copied whole at once
             cut = 1

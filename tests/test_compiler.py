@@ -766,19 +766,22 @@ def _plain_product(plan):
     return _product(map(letters, plan))
 
 
-def _emitted_plan(spec, route):
-    """The plan whose layout `compile_circuit` emitted under ``route``."""
-    if spec.threshold_k is not None:
-        return compiler._threshold_plan(range(1, spec.n + 1), spec.n - spec.threshold_k + 1)[2]
-    clauses = compiler._prime_clauses(spec.to_circuit(), None)[0]
+def _emitted_plan(target, route):
+    """The plan whose layout `compile_circuit` emitted under ``route``, for a spec or a circuit."""
+    if isinstance(target, PuzzleSpec) and target.threshold_k is not None:
+        return compiler._threshold_plan(range(1, target.n + 1), target.n - target.threshold_k + 1)[2]
+    circuit = target.to_circuit() if isinstance(target, PuzzleSpec) else target
+    clauses = compiler._prime_clauses(circuit, None)[0]
     return clauses if route == "clause-product" else compiler._family_plan(clauses)[2]
 
 
 def test_rotated_words_are_exact_and_no_longer_than_the_plain_join():
     # Rotating or inverting a piece where it meets the product keeps the
-    # word's fall function, and the layout never emits a word longer than
+    # word's fall function.  The compiler lays each plan out turned only,
+    # and this test is what checks that no word it emits is longer than
     # its plan joined plain: every k-of-n on up to 14 nails, the 166
-    # monotone functions of four nails and seeded subset specs.
+    # monotone functions of four nails, seeded subset specs (DNFs) and
+    # seeded ANDs of ORs (CNFs).
     specs = [PuzzleSpec.from_threshold(n, k) for n in range(1, 15) for k in range(1, n + 1)]
     subsets = [c for size in range(1, 5) for c in itertools.combinations(range(1, 5), size)]
     for bits in range(1, 1 << len(subsets)):
@@ -790,18 +793,27 @@ def test_rotated_words_are_exact_and_no_longer_than_the_plain_join():
         n = rng.randint(2, 10)
         terms = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
         specs.append(PuzzleSpec.from_subsets(n, terms))
-    turned = 0
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        clauses = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+        specs.append(parse_formula(" & ".join("(" + " | ".join(f"r{x}" for x in c) + ")" for c in clauses), n))
+    turned, routes = 0, []
     for spec in specs:
         report = compile_circuit(spec, budget=None, verify=False)
         plain = _plain_product(_emitted_plan(spec, report.route))
         assert report.reduced_length <= len(plain), spec
         turned += report.reduced_length < len(plain)
-        if spec.n <= 10:
+        routes.append(report.route)
+        if isinstance(spec, MonotoneCircuit):
+            assert fall_table(report.word, spec.n) == circuit_table(spec), spec
+        elif spec.n <= 10:
             assert fall_table(report.word, spec.n) == spec.table(), spec
         else:
             assert verify_threshold(report.word, spec.n, spec.threshold_k)[0] is None, spec
-    assert len(specs) == 105 + 166 + 300
-    assert turned == 95
+    assert len(specs) == 105 + 166 + 300 + 300
+    assert turned == 95 + 16  # the CNFs turned 16 shorter
+    assert routes[-300:].count("clause-product") == 300 - 32
 
 
 def test_turn_ties_go_to_the_start_the_next_piece_cancels_most_against():
