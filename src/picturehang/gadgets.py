@@ -121,29 +121,21 @@ def _join(template: tuple[int, ...], g1: Sequence[int], g2: Sequence[int]) -> Ca
 
 
 def _product(pieces: Iterable[Sequence[int]], packed: bool = False) -> Sequence[int]:
-    """The reduced product of reduced pieces: int iterables give a list, ``packed`` bytes give bytes.
+    """The reduced product of reduced pieces: int sequences give a list, ``packed`` bytes give bytes.
 
     Only letters where two pieces meet can cancel, so each piece first
     cancels its head against the tail of the product so far, one pair per
     turn, and the rest of it is copied whole, in C.  A piece that cancels
     whole lets the next one cancel further back, across earlier pieces.
     """
+    base = 256 if packed else 0  # a letter plus its inverse
     out = bytearray(1) if packed else [0]  # a sentinel, as in _residual: no letter cancels it
     pop = out.pop
     for piece in pieces:
-        if not packed:  # any iterable of ints
-            rest = iter(piece)
-            for x in rest:
-                if out[-1] != -x:
-                    out.append(x)
-                    break
-                pop()
-            out.extend(rest)
-            continue
-        if piece and out[-1] + piece[0] == 256:  # else the piece is copied whole at once
+        if piece and out[-1] + piece[0] == base:  # else the piece is copied whole at once
             cut = 1
             pop()
-            while cut < len(piece) and out[-1] + piece[cut] == 256:
+            while cut < len(piece) and out[-1] + piece[cut] == base:
                 pop()
                 cut += 1
             piece = piece[cut:]

@@ -262,12 +262,9 @@ def _relabel_held(letters: Sequence[int], n: int) -> tuple[list[int], Sequence[i
     return held, _pack([rank[x] if x > 0 else -rank[-x] for x in letters])
 
 
-def _relabel(held: list[int]) -> bytearray:
+def _relabel(held: list[int]) -> bytes:
     """The ``bytes.translate`` table taking the packed held nails, sorted, to 1..h."""
-    table = bytearray(_BYTES)
-    for i, nail in enumerate(held, start=1):
-        table[nail], table[256 - nail] = i, 256 - i
-    return table
+    return bytes.maketrans(_both(held), _both(range(1, len(held) + 1)))
 
 
 def _masks_of_size(n: int, k: int) -> Iterator[int]:

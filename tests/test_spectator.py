@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from picturehang.circuits import _minimal_sets
 from picturehang.constructions import _balanced, _splice, build_disjoint, build_e, build_s
 from picturehang.gadgets import _AND_TEMPLATE, _OR_TEMPLATE
 from picturehang.gadgets import _Tree, gadget_and, gadget_and_tree, gadget_or
@@ -26,7 +25,6 @@ from picturehang.words import (
     ExhaustiveLimitError,
     NailSubset,
     Word,
-    _nails,
     _pack,
     _residual,
     fall_table,
@@ -175,19 +173,17 @@ def test_set_cover_words_fall_exactly_on_covers():
     assert set_cover_to_hanging(2, [[1, 2]])[0].letters == (1,)
 
 
-def _int_set_cover(m, sets):
-    """The Set Cover word and owners as laid out on ints, each owner mask a scan of every set."""
-    masks = [sum(1 << i for i, s in enumerate(sets) if j in s) for j in range(1, m + 1)]
-    minimal = set(_minimal_sets(masks))
-    leaves = [build_e(_nails(mask)) for mask in dict.fromkeys(masks) if mask in minimal]
+def _int_set_cover(m, sets, cover_leaves):
+    """The Set Cover word and owners as laid out on ints, each owner a scan of every set."""
 
     def gadget(p, q):  # the AND template's layout, reduced whole
         return raw_concat(*_splice(_AND_TEMPLATE, (Word((1,)), Word((2,)), p, q), raw_inverse)).reduce()
 
-    return _balanced(leaves, gadget), dict(enumerate(map(_nails, masks), start=1))
+    owners = {j: tuple(i for i, s in enumerate(sets, start=1) if j in s) for j in range(1, m + 1)}
+    return _balanced(cover_leaves(m, sets), gadget), owners
 
 
-def test_set_cover_words_equal_the_int_layout():
+def test_set_cover_words_equal_the_int_layout(cover_leaves):
     """Seeded instances, packed (n <= 127) and on ints (a set numbered above 127)."""
     rng = random.Random(29)
     instances = []
@@ -203,7 +199,7 @@ def test_set_cover_words_equal_the_int_layout():
     instances.append((3, wide))
     for m, sets in instances:
         word, owners = set_cover_to_hanging(m, sets)
-        want_word, want_owners = _int_set_cover(m, sets)
+        want_word, want_owners = _int_set_cover(m, sets, cover_leaves)
         assert word.letters == want_word.letters and owners == want_owners, (m, sets)
     assert set_cover_to_hanging(3, wide)[0].max_nail == 130
 
@@ -228,26 +224,22 @@ def test_set_cover_words_keep_their_packed_letters_for_the_solvers():
     assert packed
 
 
-def _seeded_cover_words(seed, count):
-    """Seeded Set Cover words of two leaves or more on n <= 8 sets, with their n.
+def _seeded_cover_words(seed, count, cover_leaves):
+    """Seeded ``gadget_and_tree`` words over two or more Set Cover leaves on n <= 8 sets, with their n.
 
-    Words are drawn at most 50 times ``count`` times, so an encoding that
-    gives no word a tree fails here instead of drawing forever.
+    They are laid out apart from ``set_cover_to_hanging``, whose words need not keep a tree.
     """
     rng = random.Random(seed)
     out = []
-    for _ in range(50 * count):
-        if len(out) == count:
-            break
+    while len(out) < count:
         m, n, r = rng.randint(2, 12), rng.randint(3, 8), rng.randint(1, 3)
         sets = [set() for _ in range(n)]
         for element in range(1, m + 1):
             for i in rng.sample(range(n), r):
                 sets[i].add(element)
-        word = set_cover_to_hanging(m, [sorted(s) for s in sets])[0]
-        if word.tree is not None:
-            out.append((word, n))
-    assert len(out) == count, f"seed {seed}: {len(out)} of {count} words with a tree in {50 * count} draws"
+        leaves = cover_leaves(m, sets)
+        if len(leaves) > 1:
+            out.append((gadget_and_tree(leaves), n))
     return out
 
 
@@ -275,14 +267,14 @@ def _seeded_gadget_words(seed):
     return out
 
 
-def test_tree_residuals_equal_the_letter_residuals_on_every_mask():
+def test_tree_residuals_equal_the_letter_residuals_on_every_mask(cover_leaves):
     """A packed layout of two leaves or more answers each removal from its tree, byte for byte.
 
     So does the tree relabeled onto the nails the word holds, all of them
     or all but one taken as held: the other nail is deleted, although the
     leaves hold it.
     """
-    words = _seeded_cover_words(34, 40) + _seeded_gadget_words(34)
+    words = _seeded_cover_words(34, 40, cover_leaves) + _seeded_gadget_words(34)
     for w, n in words:
         assert w.tree is not None and w.tree.root == _pack(w.letters) == w.tree.residual(0)
         for mask in range(1 << n):
@@ -309,12 +301,12 @@ def test_both_templates_lay_out_nothing_on_two_empty_arguments():
     assert gadget_or(Word((1, -1)), Word(())).tree.root == b""
 
 
-def test_solvers_answer_alike_with_and_without_the_tree():
+def test_solvers_answer_alike_with_and_without_the_tree(cover_leaves):
     """The three solvers and the fall table on each gadget word, and on its letters with no tree.
 
     A few words are searched over n = 200 too, where the root is set up on ints.
     """
-    words = _seeded_cover_words(35, 60) + _seeded_gadget_words(35)
+    words = _seeded_cover_words(35, 60, cover_leaves) + _seeded_gadget_words(35)
     for w, n in words + [(w, 200) for w, _ in words[::20]]:
         plain = Word(w.letters, reduced=True)
         assert plain.tree is None and plain == w
@@ -323,6 +315,20 @@ def test_solvers_answer_alike_with_and_without_the_tree():
         for solve in (min_fell_exact, max_survive_exact):
             assert solve(w, n, limit=200) == solve(plain, n, limit=200), (solve.__name__, w, n)
         assert greedy_min_fell(w, n) == greedy_min_fell(plain, n), (w, n)
+
+
+def test_the_relabel_table_sends_the_ith_held_nail_to_i_and_leaves_other_bytes_alone():
+    for held in ([], [1], [2, 5, 7], [1, 2, 3], [3, 126, 127], [*range(1, 128, 2)], [*range(1, 128)]):
+        rank = {nail: i for i, nail in enumerate(held, start=1)}
+        table = _relabel(held)
+        assert len(table) == 256
+        for byte in range(256):
+            if byte in rank:
+                assert table[byte] == rank[byte], (held, byte)
+            elif 256 - byte in rank:  # the inverse of a held nail
+                assert table[byte] == 256 - rank[256 - byte], (held, byte)
+            else:
+                assert table[byte] == byte, (held, byte)
 
 
 def test_the_set_up_relabels_a_gapped_word_and_its_tree_and_a_dense_one_neither(monkeypatch):

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 from picturehang import compiler
 from picturehang.circuits import PuzzleSpec, _minimal_sets, parse_formula
 from picturehang.compiler import compile_circuit
-from picturehang.gadgets import _product, gadget_and
+from picturehang.gadgets import _product, gadget_and, gadget_and_tree
 from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import _kept_residual, _masks_of_size
-from picturehang.spectator import max_survive_exact, min_fell_exact, set_cover_to_hanging
+from picturehang.spectator import max_survive_exact, min_fell_exact
 from picturehang.verifier import _verdict, verify_threshold
 from picturehang.words import (
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -454,9 +454,16 @@ def test_product_of_reduced_pieces_is_the_residual_of_their_concatenation(pieces
     assert type(packed) is bytes and _unpack(packed) == want
 
 
-def test_product_takes_pieces_of_any_iterable_type():
-    assert _product([[1, 2], (-2, 3), iter([-3, -1])]) == []
-    assert _product([(1, 2), map(abs, [-3, -4]), iter([-4, 5])]) == [1, 2, 3, 5]
+def test_product_takes_the_sequences_its_callers_pass():
+    """Tuples and lists on ints, bytes packed.
+
+    (-3,) cancels whole, so [-1, 4] cancels into the first piece.
+    """
+    assert _product([[1, 2], (-2, 3), [-3, -1]]) == []
+    pieces = [(5, 1, 2), [-2, 3], (-3,), [-1, 4], (-4, 6)]
+    assert _product(pieces) == [5, 6] and type(_product(pieces)) is list
+    assert _product([_pack(p) for p in pieces], packed=True) == _pack([5, 6])
+    assert _product([b"", _pack([1, 2]), b"", _pack([-2, -1])], packed=True) == b""
 
 
 @st.composite
@@ -498,7 +505,7 @@ def test_kept_residual_of_one_nail_is_its_letter_count_on_both_forms():
     assert _kept_residual((128, 128, -1), 1 << 127) == [128, 128]
 
 
-def test_kept_residual_equals_the_residual_of_the_other_nails_dropped():
+def test_kept_residual_equals_the_residual_of_the_other_nails_dropped(cover_leaves):
     """Seeded words on both forms, many of them u U, which sweep to nothing whatever is kept."""
     rng = random.Random(31)
     for _ in range(300):
@@ -512,10 +519,10 @@ def test_kept_residual_equals_the_residual_of_the_other_nails_dropped():
         assert _kept_residual(list(letters), keep) == want, (letters, keep)
         assert _unpack(_kept_residual(_pack(letters), keep)) == want, (letters, keep)
     assert _kept_residual(_pack([1, 2, -2, -1] * 20), 0b11) == b""  # 80 letters, one sweep to 2
-    # Set Cover words keeping two or three nails: 43 of these 70 keeps sweep more than once.
+    # AND trees over Set Cover leaves keeping two or three nails: 43 of these 70 keeps sweep more than once.
     for m, sets in [(9, [[1, 4, 7], [2, 5, 8], [3, 6, 9], [1, 2, 3], [4, 5, 6, 9], [7, 8]]),
                     (8, [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8], [8, 1]])]:
-        word = set_cover_to_hanging(m, sets)[0]
+        word = gadget_and_tree(cover_leaves(m, sets))
         for kept in [*combinations(range(1, 7), 2), *combinations(range(1, 7), 3)]:
             want = _residual(_drop(word.letters, [i for i in range(1, 9) if i not in kept]))
             assert _unpack(_kept_residual(word.tree.root, _as_mask(kept))) == want, (m, kept)
