@@ -6,9 +6,11 @@ word three ways: plain reduction, a one-nail strip (each nail in turn) and
 a keep-one-nail strip (every nail but one, each in turn), the last two
 being what ``fall_table`` and ``max_survive_exact`` ask most.  Each way
 runs on the word as a tuple of ints and packed one byte per letter
-(``words._pack``), as does the join product ``gadgets._product`` on the
-reduced pieces of the top AND gadget of each encoding of two leaves or
-more, which ``gadgets.gadget_and_tree`` lays out.  A second table times
+(``words._pack``), as does the top AND gadget of each encoding of two
+leaves or more, laid out as ``gadgets.gadget_and_tree`` lays it out: its
+definition (``gadgets._and``) joined by the join product
+``gadgets._product`` on its reduced arguments, in letters handed to the
+join.  A second table times
 keep-few strips (every set of one to three kept nails, packed) by
 ``_residual`` and by ``spectator._kept_residual``, which counts a lone kept
 nail's letters and cancels several kept nails' adjacent pairs in C first,
@@ -57,13 +59,14 @@ import argparse
 import random
 import statistics
 import time
+from functools import partial
 from itertools import combinations
 from math import comb
 
 from picturehang import compiler
 from picturehang.circuits import _minimal_sets
-from picturehang.constructions import _splice, build_e
-from picturehang.gadgets import _AND_TEMPLATE, _G1, _G2, _product, gadget_and_tree
+from picturehang.constructions import build_e
+from picturehang.gadgets import _and, _product, and_splice_cost, gadget_and_tree
 from picturehang.sortnet import build_k_of_n
 from picturehang.spectator import _kept_residual, _set_up, set_cover_to_hanging
 from picturehang.verifier import _boundary_mismatch
@@ -77,7 +80,6 @@ from picturehang.words import (
     _residual,
     _search_root,
     _strip,
-    raw_inverse,
 )
 
 
@@ -166,18 +168,18 @@ def main() -> None:
         ratio = packed_rate[0] / int_rate[0]
         print(f"{name:>16} {spread(int_rate):>28} {spread(packed_rate):>28} {ratio:>6.2f}")
 
-    layouts = []
+    tops = []
     for m, sets in instances:
         tree = leaves(m, sets)
         if len(tree) < 2:
             continue  # a lone leaf is the whole word: no top gadget
         half = (len(tree) + 1) // 2
-        glue_p_q = (_G1, _G2, gadget_and_tree(tree[:half]), gadget_and_tree(tree[half:]))
-        layouts.append([piece.letters for piece in _splice(_AND_TEMPLATE, glue_p_q, raw_inverse)])
-    letters = sum(len(piece) for pieces in layouts for piece in pieces)
-    ints = rate(_product, [(pieces,) for pieces in layouts], letters, args.repeat)
-    packed = [([_pack(piece) for piece in pieces], True) for pieces in layouts]
-    packed_rate = rate(_product, packed, letters, args.repeat)
+        tops.append((gadget_and_tree(tree[:half]).letters, gadget_and_tree(tree[half:]).letters))
+    letters = sum(and_splice_cost(len(p), len(q)) for p, q in tops)
+    ints = rate(_and, [(p, q, (1,), (2,), _product) for p, q in tops], letters, args.repeat)
+    packed_product = partial(_product, packed=True)
+    packed = [(_pack(p), _pack(q), b"\x01", b"\x02", packed_product) for p, q in tops]
+    packed_rate = rate(_and, packed, letters, args.repeat)
     ratio = packed_rate[0] / ints[0]
     print(f"{'gadget layout':>16} {spread(ints):>28} {spread(packed_rate):>28} {ratio:>6.2f}")
 

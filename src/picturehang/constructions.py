@@ -4,7 +4,7 @@ All three builders return as-constructed words: every letter laid out by the
 recursion is kept, no reduction is applied.  The classic length formulas are
 stated against exactly these sequences (none of them admits a cancellation).
 A template's letter +-i stands for its i-th argument or that argument's inverse;
-`_splice` lays out every template: balanced and class words here, and the gadgets.
+`_splice` lays out the templates of balanced and class words (the gadgets join their pieces).
 The balanced tree (`_balanced`) serves the gadgets' AND trees and their length accounting.
 """
 

@@ -9,14 +9,14 @@ ordinary removable nails and the glue of every gadget.
                 with a = p x1 p x1^-1, a~ = p x1^-1 p x1,
                      b = q x2 q x2^-1, b~ = q x2^-1 q x2
 
-Each template (`and_template_tokens`, `or_template_tokens`) is its gadget
-laid out, unreduced, on p = x3 and q = x4: letters +-3 and +-4 are slots,
-+-1 and +-2 glue.  It drives both building and accounting: a gadget lays
-the template out with `constructions._splice` on the arguments (x1, x2, p,
-q), glue letters as arguments 1 and 2, and reduces at the joins (`_product`),
-packed from leaves to root when every nail is at most 127; such a word
-keeps the tree it was laid out from (``Word.tree``, a ``_Tree``): the
-spectator searches' packed root and residual of each removal.
+Each gadget is defined once (`_and`, `_or`), on its two argument pieces,
+its two glue pieces and a join.  Joined unreduced on p = x3, q = x4 and
+glue x1, x2, the definitions are the templates (`and_template_tokens`,
+`or_template_tokens`) that the accounting below reads: letters +-3 and +-4
+are slots, +-1 and +-2 glue.  Joined by `_product`, which reduces at the
+joins, they lay out the gadgets, packed from leaves to root when every
+nail is at most 127; such a word keeps the tree it was laid out from
+(``Word.tree``, a ``_Tree``): the searches' packed root and residuals.
 Laid out with single-letter arguments the AND template has 14 letters (4
 copies of p, 4 of q, 6 glue) and the OR template 1,078.  The flat
 bookkeeping of the OR counts 256 p-slots, 256 q-slots and 566 glue
@@ -30,92 +30,89 @@ from __future__ import annotations
 
 import struct
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .circuits import MonotoneCircuit, Var, evaluate
-from .constructions import _balanced, _splice
+from .constructions import _balanced
 from .spectator import _both, _relabel
-from .words import _BYTES, _PACKED_NAILS, Word, _invert, _nails, _pack, _residual, _set_tree
-from .words import nail_counts, raw_commutator, raw_concat, raw_inverse
+from .words import _BYTES, _PACKED_NAILS, Word, _invert, _nails, _pack, _residual, _set_tree, nail_counts
+
+_Letters = Sequence[int]  # a gadget's pieces: int letters, or packed ones (``words._pack``)
 
 
 def gadget_and(p: Word, q: Word) -> Word:
     """Word falling iff both argument words have fallen, reduced."""
-    return _lay_out(_AND_TEMPLATE, (p, q))
+    return _lay_out(_and, (p, q))
 
 
 def gadget_or(p: Word, q: Word) -> Word:
     """Word falling iff at least one argument word has fallen, reduced."""
-    return _lay_out(_OR_TEMPLATE, (p, q))
+    return _lay_out(_or, (p, q))
 
 
 def gadget_and_tree(words: Sequence[Word]) -> Word:
     """Balanced tree of AND gadgets over the words (``constructions._balanced``), one word as given."""
-    return words[0] if len(words) == 1 else _lay_out(_AND_TEMPLATE, words)
+    return words[0] if len(words) == 1 else _lay_out(_and, words)
 
 
-_P, _Q, _G1, _G2 = Word((3,)), Word((4,)), Word((1,)), Word((2,))
+def _and(p: _Letters, q: _Letters, g1: _Letters, g2: _Letters, join: Callable) -> _Letters:
+    """p p g1 p p g1^-1 (q g2 q g2^-1)^-2: its 14 pieces joined."""
+    h1, h2, r = _invert(g1), _invert(g2), _invert(q)
+    return join((p, p, g1, p, p, h1, g2, r, h2, r, g2, r, h2, r))
 
 
-def _bracket(u: Word, glue: Word) -> Word:
-    """u glue u glue^-1, unreduced."""
-    return raw_concat(u, glue, u, raw_inverse(glue))
+def _or(p: _Letters, q: _Letters, g1: _Letters, g2: _Letters, join: Callable) -> _Letters:
+    """AND(AND([a, b], [a, b~]), AND([a~, b], [a~, b~])), glue g1 and g2 for x1 and x2."""
+    h1, h2 = _invert(g1), _invert(g2)
+    a, a_flip, b, b_flip = (join((u, g, u, _invert(g))) for u, g in ((p, g1), (p, h1), (q, g2), (q, h2)))
+    c = [join((u, v, _invert(u), _invert(v))) for u in (a, a_flip) for v in (b, b_flip)]  # [a, b] .. [a~, b~]
+    return _and(_and(c[0], c[1], g1, g2, join), _and(c[2], c[3], g1, g2, join), g1, g2, join)
 
 
-def _and_layout(p: Word, q: Word) -> Word:
-    """p^2 x1 p^2 x1^-1 (q x2 q x2^-1)^-2, unreduced."""
-    block = raw_inverse(_bracket(q, _G2))
-    return raw_concat(_bracket(raw_concat(p, p), _G1), block, block)
+def _concat(pieces: Iterable[_Letters]) -> tuple[int, ...]:
+    """The pieces joined unreduced."""
+    return tuple(chain.from_iterable(pieces))
 
 
 def and_template_tokens() -> tuple[int, ...]:
-    return _and_layout(_P, _Q).letters
+    return _and((3,), (4,), (1,), (2,), _concat)
 
 
 def or_template_tokens() -> tuple[int, ...]:
-    a, a_flip = _bracket(_P, _G1), _bracket(_P, raw_inverse(_G1))
-    b, b_flip = _bracket(_Q, _G2), _bracket(_Q, raw_inverse(_G2))
-    return _and_layout(
-        _and_layout(raw_commutator(a, b), raw_commutator(a, b_flip)),
-        _and_layout(raw_commutator(a_flip, b), raw_commutator(a_flip, b_flip)),
-    ).letters
+    return _or((3,), (4,), (1,), (2,), _concat)
 
 
 _AND_TEMPLATE = and_template_tokens()
 _OR_TEMPLATE = or_template_tokens()
 
 
-def _lay_out(template: tuple[int, ...], words: Sequence[Word]) -> Word:
-    """A balanced tree of the template's gadget over two or more words, reduced.
+def _lay_out(gadget: Callable, words: Sequence[Word]) -> Word:
+    """A balanced tree of the gadget over two or more words, reduced.
 
-    Each gadget joins its reduced arguments (``_join``), on bytes when every
-    nail is at most 127: the words are packed once (``words._pack``) as the
-    leaves of a ``_Tree``, whose residual with nothing removed is its root,
-    unpacked once for ``Word.letters``.  The word keeps the tree
-    (``Word.tree``, set by ``words._set_tree`` here only) for the searches.
+    Each gadget joins its reduced arguments (``_joined``), on bytes when
+    every nail is at most 127: the words are packed once as the leaves of
+    a ``_Tree``, whose residual with nothing removed is its root, unpacked
+    once for ``Word.letters``.  The word keeps the tree (``Word.tree``, set
+    by ``words._set_tree`` here only) for the searches.
     """
     args = [w.reduce().letters for w in words]
     leaves = [_pack(x) for x in args]
     if not all(isinstance(x, bytes) for x in leaves):
-        return Word(tuple(_balanced(args, _join(template, (1,), (2,)))), reduced=True)
-    tree = _Tree(template, (b"\x01", b"\x02"), tuple(leaves), {}, b"")
+        return Word(tuple(_balanced(args, _joined(gadget, (1,), (2,)))), reduced=True)
+    tree = _Tree(gadget, (b"\x01", b"\x02"), tuple(leaves), {}, b"")
     tree = tree._replace(root=tree.residual(0))
     w = Word(struct.unpack(f"{len(tree.root)}b", tree.root), reduced=True)
     _set_tree(w, tree)
     return w
 
 
-def _join(template: tuple[int, ...], g1: Sequence[int], g2: Sequence[int]) -> Callable:
-    """The gadget on two reduced pieces, ints or packed: the template spliced, reduced at the joins.
+def _joined(gadget: Callable, g1: _Letters, g2: _Letters) -> Callable:
+    """The gadget on two reduced pieces joined by ``_product``; it lays out nothing on two empty ones."""
+    product = partial(_product, packed=isinstance(g1, bytes))
 
-    Two empty pieces give nothing: both templates reduce to nothing with their slots empty.
-    """
-    packed = isinstance(g1, bytes)
-
-    def join(p: Sequence[int], q: Sequence[int]) -> Sequence[int]:
-        if not (p or q):
-            return p
-        return _product(_splice(template, (g1, g2, p, q), _invert), packed)
+    def join(p: _Letters, q: _Letters) -> _Letters:
+        return gadget(p, q, g1, g2, product) if p or q else p
 
     return join
 
@@ -145,7 +142,7 @@ def _product(pieces: Iterable[Sequence[int]], packed: bool = False) -> Sequence[
 
 
 class _Tree(NamedTuple):
-    """A gadget tree laid out on bytes: its template, glue letters and leaves, packed and reduced.
+    """A gadget tree laid out on bytes: its gadget (``_and`` or ``_or``), glue and leaves, packed and reduced.
 
     It answers the searches' one question, the reduced residual of its word
     for a removal mask, by laying the tree out again on the residuals of
@@ -153,12 +150,12 @@ class _Tree(NamedTuple):
     only where pieces meet and free reduction has one normal form, so the
     bytes are those ``words._residual`` leaves of the word's packed letters,
     ``root``, the residual of the empty mask.  A subtree whose leaves all
-    emptied is skipped (see ``_join``).  ``cuts`` keeps each piece's
+    emptied is skipped (see ``_joined``).  ``cuts`` keeps each piece's
     letters left by a removal, reduced, so that a cut met again is looked
     up rather than reduced again.
     """
 
-    template: tuple[int, ...]
+    gadget: Callable
     glue: tuple[bytes, bytes]
     leaves: tuple[bytes, ...]
     cuts: dict[bytes, bytes]
@@ -172,7 +169,7 @@ class _Tree(NamedTuple):
         """
         drop, cuts = _both(_nails(mask & _PACKED_NAILS)), self.cuts
         g1, g2, *leaves = (_cut(x, drop, cuts) for x in (*self.glue, *self.leaves))
-        return _balanced(leaves, _join(self.template, g1, g2))
+        return _balanced(leaves, _joined(self.gadget, g1, g2))
 
     def relabel(self, held: list[int]) -> "_Tree":
         """The tree on the ``held`` nails, sorted, relabeled 1..h, every other nail deleted.

@@ -28,8 +28,9 @@ from picturehang.constructions import _balanced, _splice, build_e, e_word_length
 from picturehang.gadgets import (
     _AND_TEMPLATE,
     _OR_TEMPLATE,
-    _and_layout,
-    _bracket,
+    _and,
+    _concat,
+    _or,
     _product,
     and_splice_cost,
     and_template_tokens,
@@ -124,22 +125,34 @@ def test_gadgets_equal_their_group_formulas_on_random_words():
 
 
 def test_spliced_templates_are_the_gadget_layouts():
-    # Glue x1 and x2 are the templates' arguments 1 and 2, p and q are 3 and 4.
+    # The module docstring's AND and OR, laid out unreduced: glue x1 and x2
+    # are the templates' arguments 1 and 2, p and q are 3 and 4, and the
+    # gadget definitions joined unreduced lay out the same letters.
+    x1, x2 = Word((1,)), Word((2,))
+
+    def bracket(u, glue):
+        return raw_concat(u, glue, u, raw_inverse(glue))
+
+    def and_layout(p, q):
+        block = raw_inverse(bracket(q, x2))
+        return raw_concat(bracket(raw_concat(p, p), x1), block, block)
+
     rng = random.Random(19)
     for _ in range(10):
         p, q = (
             Word(tuple(rng.choice((1, -1)) * rng.randint(1, 6) for _ in range(rng.randint(1, 5))))
             for _ in range(2)
         )
-        a, a_flip = _bracket(p, Word((1,))), _bracket(p, Word((-1,)))
-        b, b_flip = _bracket(q, Word((2,))), _bracket(q, Word((-2,)))
-        or_layout = _and_layout(
-            _and_layout(raw_commutator(a, b), raw_commutator(a, b_flip)),
-            _and_layout(raw_commutator(a_flip, b), raw_commutator(a_flip, b_flip)),
+        a, a_flip = bracket(p, x1), bracket(p, raw_inverse(x1))
+        b, b_flip = bracket(q, x2), bracket(q, raw_inverse(x2))
+        or_layout = and_layout(
+            and_layout(raw_commutator(a, b), raw_commutator(a, b_flip)),
+            and_layout(raw_commutator(a_flip, b), raw_commutator(a_flip, b_flip)),
         )
-        glue_p_q = (Word((1,)), Word((2,)), p, q)
-        for template, layout in ((_AND_TEMPLATE, _and_layout(p, q)), (_OR_TEMPLATE, or_layout)):
+        glue_p_q = (x1, x2, p, q)
+        for template, gadget, layout in ((_AND_TEMPLATE, _and, and_layout(p, q)), (_OR_TEMPLATE, _or, or_layout)):
             assert raw_concat(*_splice(template, glue_p_q, raw_inverse)).letters == layout.letters
+            assert gadget(p.letters, q.letters, (1,), (2,), _concat) == layout.letters
 
 
 def _int_gadget(template, p, q):
